@@ -276,13 +276,46 @@ def _say(quiet: bool, *parts) -> None:
         print(*parts)
 
 
-def _audit_lines(results: dict, quiet: bool) -> int:
+def _constants(cfg: SimConfig, extras: dict):
+    """Sampled norm constants when the crude_bound audit asks for them."""
+    if "crude_bound" not in extras["audits"]:
+        return None
+    return estimate_constants(cfg.aux_box(), cfg.target, samples=extras["alpha_samples"], seed=cfg.seed)
+
+
+def _audit(traj: Trajectory, cfg: SimConfig, extras: dict, constants, quiet: bool):
+    """Run the configured audits and the gain-bound fit and print the verdicts.
+
+    Returns the audit results, the manifest's gain_bound block, and the
+    total violation count.
+    """
+    try:
+        results = run_audits(
+            traj, cfg,
+            which=extras["audits"],
+            constants=constants,
+            tracking_tail=extras["tracking_tail"],
+        )
+    except ValueError as err:
+        raise ConfigError(f"audit setup failed: {err}") from err
+    fit = gain_bound_fit(traj, cfg.decay_rate(), cfg.target)
     total = 0
     for name, res in results.items():
         total += res["violations"]
         flag = "PASS" if res["pass"] else "FAIL"
         _say(quiet, f"audit {name}: {flag} ({res['violations']} violations)")
-    return total
+    _say(
+        quiet,
+        f"gain bound: gamma = {fit.gamma:.6g} at lambda = {fit.lam:.6g}, "
+        f"residual floor = {fit.residual_floor:.6g}, tail tracking = {fit.tail_tracking:.6g}",
+    )
+    bound = {
+        "gamma": fit.gamma,
+        "lambda": fit.lam,
+        "residual_floor": fit.residual_floor,
+        "tail_tracking": fit.tail_tracking,
+    }
+    return results, bound, total
 
 
 def cmd_run(args) -> int:
@@ -290,12 +323,7 @@ def cmd_run(args) -> int:
     out_dir = args.out or extras["out"] or "out"
     os.makedirs(out_dir, exist_ok=True)
     started = time.perf_counter()
-
-    constants = None
-    if "crude_bound" in extras["audits"]:
-        constants = estimate_constants(
-            cfg.aux_box(), cfg.target, samples=extras["alpha_samples"], seed=cfg.seed
-        )
+    constants = _constants(cfg, extras)
 
     try:
         traj = run_closed_loop(cfg, config_hash=digest)
@@ -316,23 +344,7 @@ def cmd_run(args) -> int:
     csv_path = os.path.join(out_dir, "trajectory.csv")
     traj.save(csv_path)
     outputs = ["trajectory.csv"]
-
-    try:
-        results = run_audits(
-            traj, cfg,
-            which=extras["audits"],
-            constants=constants,
-            tracking_tail=extras["tracking_tail"],
-        )
-    except ValueError as err:
-        raise ConfigError(f"audit setup failed: {err}") from err
-    fit = gain_bound_fit(traj, cfg.decay_rate(), cfg.target)
-    total = _audit_lines(results, args.quiet)
-    _say(
-        args.quiet,
-        f"gain bound: gamma = {fit.gamma:.6g} at lambda = {fit.lam:.6g}, "
-        f"residual floor = {fit.residual_floor:.6g}, tail tracking = {fit.tail_tracking:.6g}",
-    )
+    results, bound, total = _audit(traj, cfg, extras, constants, args.quiet)
 
     if args.plots:
         outputs += _emit_plots(out_dir, cfg)
@@ -347,12 +359,7 @@ def cmd_run(args) -> int:
         "horizon": cfg.horizon,
         "outputs": outputs,
         "audits": results,
-        "gain_bound": {
-            "gamma": fit.gamma,
-            "lambda": fit.lam,
-            "residual_floor": fit.residual_floor,
-            "tail_tracking": fit.tail_tracking,
-        },
+        "gain_bound": bound,
         "status": "pass" if total == 0 else "fail",
         "wall_time_s": time.perf_counter() - started,
     }
@@ -463,27 +470,7 @@ def cmd_audit(args) -> int:
         raise ConfigError(str(err)) from err
 
     started = time.perf_counter()
-    constants = None
-    if "crude_bound" in extras["audits"]:
-        constants = estimate_constants(
-            cfg.aux_box(), cfg.target, samples=extras["alpha_samples"], seed=cfg.seed
-        )
-    try:
-        results = run_audits(
-            traj, cfg,
-            which=extras["audits"],
-            constants=constants,
-            tracking_tail=extras["tracking_tail"],
-        )
-    except ValueError as err:
-        raise ConfigError(f"audit setup failed: {err}") from err
-    fit = gain_bound_fit(traj, cfg.decay_rate(), cfg.target)
-    total = _audit_lines(results, args.quiet)
-    _say(
-        args.quiet,
-        f"gain bound: gamma = {fit.gamma:.6g} at lambda = {fit.lam:.6g}, "
-        f"residual floor = {fit.residual_floor:.6g}, tail tracking = {fit.tail_tracking:.6g}",
-    )
+    results, bound, total = _audit(traj, cfg, extras, _constants(cfg, extras), args.quiet)
     if args.out:
         os.makedirs(args.out, exist_ok=True)
         write_manifest(args.out, _json_ready({
@@ -493,12 +480,7 @@ def cmd_audit(args) -> int:
             "config_hash": digest,
             "trajectory": os.path.abspath(args.trajectory),
             "audits": results,
-            "gain_bound": {
-                "gamma": fit.gamma,
-                "lambda": fit.lam,
-                "residual_floor": fit.residual_floor,
-                "tail_tracking": fit.tail_tracking,
-            },
+            "gain_bound": bound,
             "status": "pass" if total == 0 else "fail",
             "wall_time_s": time.perf_counter() - started,
         }))

@@ -20,15 +20,17 @@ psi(t+1) = A psi(t) + e1 e(t+1) on recorded trajectories.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
 from .plant import AuxParameters
 from .polynomial import (
     Polynomial,
-    poly_mul,
     singularity_threshold,
     spectral_radius,
+    sylvester_layout,
     sylvester_matrix,
     sylvester_rcond,
 )
@@ -37,8 +39,11 @@ __all__ = [
     "SingularSylvesterError",
     "TargetPolynomial",
     "ControllerSolution",
+    "DesignBatch",
+    "solve_diophantine_batch",
     "solve_diophantine",
     "control_step",
+    "closed_loop_layout",
     "closed_loop_matrix",
     "state_recursion_audit",
     "rank_one_correction",
@@ -86,7 +91,7 @@ class TargetPolynomial:
 
     def lifted_coeffs(self) -> np.ndarray:
         """Coefficients padded to the full placeable degree 2n+1."""
-        return self.poly.padded(self.dim).coeffs
+        return np.pad(self.poly.coeffs, (0, self.dim - self.poly.degree))
 
     def decay_floor(self) -> float:
         """Largest closed-loop pole modulus; any decay rate must exceed it."""
@@ -95,10 +100,11 @@ class TargetPolynomial:
 
 @dataclass(frozen=True)
 class ControllerSolution:
-    """Solved design at one estimate: polynomials, gain row, and diagnostics."""
+    """Solved design at one estimate: gain row and diagnostics.
 
-    L: Polynomial
-    P: Polynomial
+    L and P are read back from the gain row K = [-p_1..-p_{n+1}, -l_1..-l_n].
+    """
+
     K: np.ndarray
     residual: float
     margin: float
@@ -108,46 +114,89 @@ class ControllerSolution:
         k.flags.writeable = False
         object.__setattr__(self, "K", k)
 
+    @property
+    def L(self) -> Polynomial:
+        n = (self.K.size - 1) // 2
+        return Polynomial(np.concatenate(([1.0], -self.K[n + 1 :])))
 
-def _split_estimate(theta_hat, n: int) -> tuple[np.ndarray, np.ndarray]:
+    @property
+    def P(self) -> Polynomial:
+        n = (self.K.size - 1) // 2
+        return Polynomial(np.concatenate(([0.0], -self.K[: n + 1])))
+
+
+class DesignBatch(NamedTuple):
+    """Outcome of the batched design solve over a stack of estimates."""
+
+    ok: np.ndarray          # (count,) True where the system is regular
+    gains: np.ndarray       # (ok.sum(), 2n+1) gain rows of the regular systems
+    margins: np.ndarray     # (count,) |det| of each system matrix
+    thresholds: np.ndarray  # (count,) singularity threshold of each
+
+
+def _estimate_vector(theta_hat, n: int | None) -> np.ndarray:
+    """Estimate (or stack of estimates) as floats; n defaults to the one its length implies."""
     if isinstance(theta_hat, AuxParameters):
-        return theta_hat.abar, theta_hat.b
-    vec = np.asarray(theta_hat, dtype=float)
-    if vec.shape != (2 * n + 1,):
-        raise ValueError(f"expected an estimate vector of length {2 * n + 1}")
-    return vec[: n + 1], vec[n + 1 :]
+        vec = theta_hat.vector
+    else:
+        vec = np.atleast_1d(np.asarray(theta_hat, dtype=float))
+    dim = 2 * ((vec.shape[-1] - 1) // 2 if n is None else n) + 1
+    if vec.shape[-1:] != (dim,):
+        raise ValueError(f"expected an estimate vector of length {dim}")
+    return vec
+
+
+def solve_diophantine_batch(thetas: np.ndarray, lifted: np.ndarray, n: int) -> DesignBatch:
+    """Solve the pole-placement identity at every row of a (count, 2n+1) stack.
+
+    Rows whose |det| falls at or below the shared relative singularity
+    threshold are masked out of `ok` and get no gain row.
+    """
+    thetas = np.asarray(thetas, dtype=float)
+    count, dim = thetas.shape
+    if dim != 2 * n + 1:
+        raise ValueError(f"expected estimate rows of length {2 * n + 1}")
+    coeffs = np.concatenate(
+        (np.ones((count, 1)), -thetas[:, : n + 1], np.zeros((count, 1)), thetas[:, n + 1 :]),
+        axis=1,
+    )
+    rows, cols, src = sylvester_layout(n)
+    m = np.zeros((count, dim, dim))
+    m[:, rows, cols] = coeffs[:, src]
+    margins = np.abs(np.linalg.det(m))
+    thresholds = singularity_threshold(m)
+    ok = margins > thresholds
+
+    rhs = np.tile(lifted[1:], (count, 1))
+    rhs[:, : n + 1] -= coeffs[:, 1 : n + 2]
+    x = np.linalg.solve(m[ok], rhs[ok][:, :, None])[:, :, 0]
+    gains = np.concatenate((-x[:, n:], -x[:, :n]), axis=1)
+    return DesignBatch(ok, gains, margins, thresholds)
 
 
 def solve_diophantine(theta_hat, target: TargetPolynomial) -> ControllerSolution:
-    """Solve the pole-placement identity at one estimate.
+    """Solve the pole-placement identity at one estimate (a batch of one).
 
     Raises SingularSylvesterError when |det| of the system matrix falls at or
     below the shared relative singularity threshold.
     """
     n = target.n
-    abar_hat, b_hat = _split_estimate(theta_hat, n)
-    abar_poly = Polynomial(np.concatenate(([1.0], -abar_hat)))
-    b_poly = Polynomial(np.concatenate(([0.0], b_hat)))
-
-    m = sylvester_matrix(abar_poly, b_poly, n)
-    margin = float(abs(np.linalg.det(m)))
-    threshold = singularity_threshold(m)
-    if margin <= threshold:
-        raise SingularSylvesterError(margin, threshold, sylvester_rcond(m), np.concatenate((abar_hat, b_hat)))
-
+    theta = _estimate_vector(theta_hat, n)
+    if theta.ndim != 1:
+        raise ValueError("expected a single estimate vector")
     lifted = target.lifted_coeffs()
-    rhs = lifted[1:] - abar_poly.padded(target.dim).coeffs[1:]
-    x = np.linalg.solve(m, rhs)
-    l_coef, p_coef = x[:n], x[n:]
-
-    L = Polynomial(np.concatenate(([1.0], l_coef)))
-    P = Polynomial(np.concatenate(([0.0], p_coef)))
-    recon = poly_mul(abar_poly, L, fixed_degree=target.dim).coeffs + poly_mul(
-        b_poly, P, fixed_degree=target.dim
-    ).coeffs
+    abar = np.concatenate(([1.0], -theta[: n + 1]))
+    bhat = np.concatenate(([0.0], theta[n + 1 :]))
+    batch = solve_diophantine_batch(theta[None, :], lifted, n)
+    margin = float(batch.margins[0])
+    if not batch.ok[0]:
+        m = sylvester_matrix(Polynomial(abar), Polynomial(bhat), n)
+        raise SingularSylvesterError(margin, float(batch.thresholds[0]), sylvester_rcond(m), theta)
+    K = batch.gains[0]
+    recon = np.convolve(abar, np.concatenate(([1.0], -K[n + 1 :])))
+    recon += np.convolve(bhat, np.concatenate(([0.0], -K[: n + 1])))
     residual = float(np.abs(recon - lifted).max())
-    K = np.concatenate((-p_coef, -l_coef))
-    return ControllerSolution(L=L, P=P, K=K, residual=residual, margin=margin)
+    return ControllerSolution(K=K, residual=residual, margin=margin)
 
 
 def control_step(sol: ControllerSolution, psi_prev: np.ndarray, u_prev: float) -> tuple[float, float]:
@@ -159,6 +208,24 @@ def control_step(sol: ControllerSolution, psi_prev: np.ndarray, u_prev: float) -
     return ubar, float(u_prev) + ubar
 
 
+@lru_cache(maxsize=None)
+def closed_loop_layout(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Index map (rows, cols, src) of the closed-loop matrix.
+
+    ``a[rows, cols] = v[src]`` fills the (2n+1) x (2n+1) matrix from
+    v = [thetahat, K, 1]: the estimate row, the output-block shift, the
+    gain row, and the input-block shift.  Every float, batched, and exact
+    assembly goes through it.
+    """
+    dim = 2 * n + 1
+    entries = [(0, j, j) for j in range(dim)] + [(n + 1, j, dim + j) for j in range(dim)]
+    entries += [(i, i - 1, 2 * dim) for i in (*range(1, n + 1), *range(n + 2, dim))]
+    layout = tuple(np.array(v, dtype=np.intp) for v in zip(*entries))
+    for arr in layout:
+        arr.flags.writeable = False
+    return layout
+
+
 def closed_loop_matrix(theta_hat, K: np.ndarray, n: int | None = None) -> np.ndarray:
     """Frozen-estimate transition matrix of the regressor recursion.
 
@@ -166,26 +233,18 @@ def closed_loop_matrix(theta_hat, K: np.ndarray, n: int | None = None) -> np.nda
     prediction error), the output-block shift, the gain row (produces
     ubar(t+1)), and the input-block shift.  Its characteristic polynomial is
     z^{2n+1} Astar(z^{-1}) whenever K solves the design at theta_hat.
+    Stacked (..., 2n+1) estimates and gain rows give a (..., 2n+1, 2n+1) stack.
     """
-    if isinstance(theta_hat, AuxParameters):
-        vec = theta_hat.vector
-    else:
-        vec = np.asarray(theta_hat, dtype=float)
-    if n is None:
-        n = (vec.size - 1) // 2
-    dim = 2 * n + 1
-    if vec.shape != (dim,):
-        raise ValueError(f"expected an estimate vector of length {dim}")
+    vec = _estimate_vector(theta_hat, n)
+    dim = vec.shape[-1]
     K = np.asarray(K, dtype=float)
-    if K.shape != (dim,):
+    if K.shape != vec.shape:
         raise ValueError(f"expected a gain row of length {dim}")
 
-    a = np.zeros((dim, dim))
-    a[0, :] = vec
-    a[1 : n + 1, 0:n] = np.eye(n)
-    a[n + 1, :] = K
-    if n >= 2:
-        a[n + 2 :, n + 1 : 2 * n] = np.eye(n - 1)
+    rows, cols, src = closed_loop_layout((dim - 1) // 2)
+    v = np.concatenate((vec, K, np.ones(vec.shape[:-1] + (1,))), axis=-1)
+    a = np.zeros(vec.shape[:-1] + (dim, dim))
+    a[..., rows, cols] = v[..., src]
     return a
 
 
@@ -206,21 +265,10 @@ def state_recursion_audit(
     theta_hat = np.asarray(theta_hat, dtype=float)
     gains = np.asarray(gains, dtype=float)
     e = np.asarray(e, dtype=float)
-    steps, dim = psi.shape
-    n = (dim - 1) // 2
-    if steps < 2:
+    if psi.shape[0] < 2:
         return 0.0
-
-    predicted = np.empty((steps - 1, dim))
-    # estimate row plus the innovation
-    predicted[:, 0] = np.einsum("ij,ij->i", theta_hat[:-1], psi[:-1]) + e[:-1]
-    # output-block shift
-    predicted[:, 1 : n + 1] = psi[:-1, 0:n]
-    # gain row
-    predicted[:, n + 1] = np.einsum("ij,ij->i", gains[:-1], psi[:-1])
-    # input-block shift
-    if n >= 2:
-        predicted[:, n + 2 :] = psi[:-1, n + 1 : 2 * n]
+    predicted = np.einsum("tij,tj->ti", closed_loop_matrix(theta_hat[:-1], gains[:-1]), psi[:-1])
+    predicted[:, 0] += e[:-1]  # the innovation enters through e1
     return float(np.abs(predicted - psi[1:]).max())
 
 

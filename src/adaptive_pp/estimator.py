@@ -33,6 +33,7 @@ __all__ = [
     "EstimatorAudit",
     "project_box",
     "predict_error",
+    "projection_step",
     "update_classical",
     "update_ideal",
     "update",
@@ -80,23 +81,32 @@ def predict_error(est: EstimatorState, psi: np.ndarray, ybar_next: float) -> flo
     return float(ybar_next) - float(np.asarray(psi, dtype=float) @ est.theta_hat)
 
 
+def projection_step(
+    theta: np.ndarray, psi: np.ndarray, ybar_next: float, mu: float, box: BoxSet
+) -> tuple[np.ndarray, float]:
+    """One projected update on raw arrays; returns the new estimate and e(t+1).
+
+    The step is psi e / (mu + ||psi||^2) followed by clipping into the box;
+    mu > 0 is the classical law and mu = 0 the ideal law, which leaves the
+    estimate unchanged when the regressor vanishes.
+    """
+    e = float(ybar_next) - float(psi @ theta)
+    denom = mu + float(psi @ psi)
+    if denom == 0.0:
+        return theta, e
+    return project_box(theta + psi * (e / denom), box), e
+
+
 def update_classical(est: EstimatorState, psi: np.ndarray, ybar_next: float) -> EstimatorState:
     """Regularized gradient step followed by clipping into the box."""
-    psi = np.asarray(psi, dtype=float)
-    e = predict_error(est, psi, ybar_next)
-    check = est.theta_hat + psi * (e / (est.mu + float(psi @ psi)))
-    return est.with_theta(project_box(check, est.box))
+    theta, _ = projection_step(est.theta_hat, np.asarray(psi, dtype=float), ybar_next, est.mu, est.box)
+    return est.with_theta(theta)
 
 
 def update_ideal(est: EstimatorState, psi: np.ndarray, ybar_next: float) -> EstimatorState:
     """Exact-interpolation step; the estimate freezes when the regressor vanishes."""
-    psi = np.asarray(psi, dtype=float)
-    norm_sq = float(psi @ psi)
-    if norm_sq == 0.0:
-        return est
-    e = predict_error(est, psi, ybar_next)
-    check = est.theta_hat + psi * (e / norm_sq)
-    return est.with_theta(project_box(check, est.box))
+    theta, _ = projection_step(est.theta_hat, np.asarray(psi, dtype=float), ybar_next, 0.0, est.box)
+    return est if theta is est.theta_hat else est.with_theta(theta)
 
 
 def update(est: EstimatorState, psi: np.ndarray, ybar_next: float) -> EstimatorState:
@@ -108,9 +118,9 @@ class EstimatorAudit:
     """Outcome of checking the update-law energy inequalities on a trajectory.
 
     Slack is the inequality's right side minus its left side; the audits pass
-    when every slack stays above -tol.  Pair checks cover every consecutive
-    step plus all dyadically spaced (tau, t) pairs, which telescoping makes
-    representative of the full pair set.
+    when every slack stays above -tol and every record is finite.  Pair
+    checks cover every consecutive step plus all dyadically spaced (tau, t)
+    pairs, which telescoping makes representative of the full pair set.
     """
 
     theta_err_sq: np.ndarray       # ||thetahat(t) - theta_star||^2 per record
@@ -122,12 +132,16 @@ class EstimatorAudit:
     violations_interval: int
     max_step_excess: float         # worst (step size - |e|/||psi||) on >=mu stretches
     violations_step: int
+    violations_nonfinite: int      # records with a NaN or Inf in any input
     pairs_checked: int
     tol: float
 
     @property
     def violations(self) -> int:
-        return self.violations_energy + self.violations_interval + self.violations_step
+        return (
+            self.violations_energy + self.violations_interval
+            + self.violations_step + self.violations_nonfinite
+        )
 
     @property
     def passed(self) -> bool:
@@ -168,6 +182,8 @@ def estimator_audit(
     if not (e.shape[0] == wbar.shape[0] == theta_hat.shape[0] == steps):
         raise ValueError("trajectory arrays must share their leading length")
 
+    finite = np.isfinite(psi).all(axis=1) & np.isfinite(theta_hat).all(axis=1)
+    finite &= np.isfinite(e) & np.isfinite(wbar)
     err = theta_hat - theta_star
     v = np.einsum("ij,ij->i", err, err)
     psi_sq = np.einsum("ij,ij->i", psi, psi)
@@ -246,6 +262,7 @@ def estimator_audit(
         violations_interval=violations_interval,
         max_step_excess=float(max_step_excess),
         violations_step=violations_step,
+        violations_nonfinite=int((~finite).sum()),
         pairs_checked=pairs,
         tol=tol,
     )

@@ -19,6 +19,9 @@ from fractions import Fraction
 
 import numpy as np
 
+from .controller import closed_loop_layout
+from .polynomial import sylvester_layout
+
 __all__ = [
     "solve_fraction_system",
     "charpoly_fractions",
@@ -89,6 +92,25 @@ def charpoly_fractions(a) -> list[Fraction]:
     return coeffs
 
 
+def _scatter(layout, values: list[Fraction], dim: int) -> np.ndarray:
+    """Object matrix of exact zeros filled by a shared (rows, cols, src) layout."""
+    rows, cols, src = layout
+    out = np.full((dim, dim), Fraction(0), dtype=object)
+    out[rows, cols] = np.array(values, dtype=object)[src]
+    return out
+
+
+def _sylvester_fractions(theta: list[Fraction], n: int) -> np.ndarray:
+    """Exact pole-placement system matrix at an estimate given as fractions."""
+    coeffs = [Fraction(1)] + [-v for v in theta[: n + 1]] + [Fraction(0)] + theta[n + 1 :]
+    return _scatter(sylvester_layout(n), coeffs, 2 * n + 1)
+
+
+def _closed_loop_fractions(theta: list[Fraction], gains: list[Fraction], n: int) -> np.ndarray:
+    """Exact closed-loop matrix for an estimate and gain row given as fractions."""
+    return _scatter(closed_loop_layout(n), theta + gains + [Fraction(1)], 2 * n + 1)
+
+
 def exact_pole_check(theta_hat: np.ndarray, target_lifted: np.ndarray, n: int) -> Fraction:
     """Re-derive the design in rational arithmetic and compare pole sets.
 
@@ -104,36 +126,13 @@ def exact_pole_check(theta_hat: np.ndarray, target_lifted: np.ndarray, n: int) -
     if theta.shape != (dim,) or lifted.shape != (dim + 1,):
         raise ValueError("estimate or target has the wrong length")
 
-    abar = [Fraction(float(v)) for v in theta[: n + 1]]
-    b = [Fraction(float(v)) for v in theta[n + 1 :]]
+    vals = [Fraction(float(v)) for v in theta]
     astar = [Fraction(float(v)) for v in lifted]
+    # right side Astar - Abar on the powers z^{-1}..z^{-(2n+1)}; Abar = 1 - sum abar_k z^{-k}
+    rhs = [astar[k] + (vals[k - 1] if k <= n + 1 else 0) for k in range(1, dim + 1)]
+    x = _eliminate(_sylvester_fractions(vals, n).tolist(), rhs)
+    gains = [-v for v in x[n:]] + [-v for v in x[:n]]
 
-    # delay-operator coefficient sequences of the estimate polynomials
-    ca = [Fraction(1)] + [-v for v in abar]           # degree n+1
-    cb = [Fraction(0)] + list(b)                      # degree n
-
-    m = [[Fraction(0)] * dim for _ in range(dim)]
-    for k in range(1, dim + 1):
-        for j in range(1, n + 1):
-            if 0 <= k - j <= n + 1:
-                m[k - 1][j - 1] = ca[k - j]
-        for j in range(1, n + 2):
-            if 0 <= k - j <= n:
-                m[k - 1][n + j - 1] = cb[k - j]
-    rhs = [astar[k] - (ca[k] if k < len(ca) else Fraction(0)) for k in range(1, dim + 1)]
-
-    x = _eliminate(m, rhs)
-    l_coef, p_coef = x[:n], x[n:]
-
-    gains = [-v for v in p_coef] + [-v for v in l_coef]
-    closed = [[Fraction(0)] * dim for _ in range(dim)]
-    closed[0] = [Fraction(float(v)) for v in theta]
-    for i in range(1, n + 1):
-        closed[i][i - 1] = Fraction(1)
-    closed[n + 1] = gains
-    for i in range(n - 1):
-        closed[n + 2 + i][n + 1 + i] = Fraction(1)
-
-    char = charpoly_fractions(closed)
+    char = charpoly_fractions(_closed_loop_fractions(vals, gains, n).tolist())
     # char is det(zI - A) highest power first; so is the lifted target
     return max(abs(c - t) for c, t in zip(char, astar))

@@ -19,7 +19,7 @@ affine image of the a coefficients and always sum to one.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -256,8 +256,6 @@ class SystemState:
     t: int
     y: np.ndarray
     u: np.ndarray
-    w_prev: float | None = None
-    r: float | None = None
 
     def __post_init__(self):
         y = np.atleast_1d(np.asarray(self.y, dtype=float)).copy()
@@ -282,17 +280,16 @@ class SystemState:
             raise ValueError(f"expected an initial state of length {2 * (n + 1)}")
         return cls(t=t, y=phi[: n + 1], u=phi[n + 1 :])
 
-    def advance(self, y_next: float, u_next: float, w: float | None = None) -> None:
+    def advance(self, y_next: float, u_next: float) -> None:
         """Shift histories one step forward in place."""
         self.y[1:] = self.y[:-1]
         self.y[0] = y_next
         self.u[1:] = self.u[:-1]
         self.u[0] = u_next
-        self.w_prev = w
         self.t += 1
 
     def copy(self) -> "SystemState":
-        return SystemState(self.t, self.y.copy(), self.u.copy(), self.w_prev, self.r)
+        return SystemState(self.t, self.y.copy(), self.u.copy())
 
 
 def plant_step(theta: PlantParameters, state: SystemState, u_t: float, w_t: float) -> float:

@@ -15,6 +15,8 @@ trailing zero coefficients report exact zero roots.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 __all__ = [
@@ -23,6 +25,7 @@ __all__ = [
     "poly_mul",
     "poly_roots",
     "spectral_radius",
+    "sylvester_layout",
     "sylvester_matrix",
     "coprimeness_margin",
     "singularity_threshold",
@@ -204,6 +207,23 @@ def spectral_radius(p: Polynomial, lift_degree: int) -> float:
     return float(np.abs(roots).max())
 
 
+@lru_cache(maxsize=None)
+def sylvester_layout(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Index map (rows, cols, src) of the pole-placement system matrix.
+
+    ``m[rows, cols] = c[src]`` fills the (2n+1) x (2n+1) matrix from the
+    stacked coefficients c = [abar_0..abar_{n+1}, bhat_0..bhat_n]: column
+    l_j holds abar shifted down j-1 rows, column p_j holds bhat shifted down
+    j-1 rows.  Every float, batched, and exact assembly goes through it.
+    """
+    entries = [(j + s, j, s) for j in range(n) for s in range(n + 2)]
+    entries += [(j + s, n + j, n + 2 + s) for j in range(n + 1) for s in range(n + 1)]
+    layout = tuple(np.array(v, dtype=np.intp) for v in zip(*entries))
+    for arr in layout:
+        arr.flags.writeable = False
+    return layout
+
+
 def sylvester_matrix(abar: Polynomial, bhat: Polynomial, n: int) -> np.ndarray:
     """Coefficient matrix of the pole-placement linear system.
 
@@ -219,17 +239,10 @@ def sylvester_matrix(abar: Polynomial, bhat: Polynomial, n: int) -> np.ndarray:
     if bhat.trimmed().degree > n or bhat.coeffs[0] != 0.0:
         raise ValueError(f"bhat must have degree <= {n} and zero constant term")
 
-    ca = abar.coeffs
-    cb = bhat.padded(n).coeffs
-    dim = 2 * n + 1
-    m = np.zeros((dim, dim))
-    for k in range(1, dim + 1):
-        for j in range(1, n + 1):
-            if 0 <= k - j <= n + 1:
-                m[k - 1, j - 1] = ca[k - j]
-        for j in range(1, n + 2):
-            if 0 <= k - j <= n:
-                m[k - 1, n + j - 1] = cb[k - j]
+    rows, cols, src = sylvester_layout(n)
+    coeffs = np.concatenate((abar.coeffs, bhat.padded(n).coeffs))
+    m = np.zeros((2 * n + 1, 2 * n + 1))
+    m[rows, cols] = coeffs[src]
     return m
 
 
@@ -243,13 +256,14 @@ def coprimeness_margin(abar: Polynomial, bhat: Polynomial, n: int) -> float:
     return float(abs(np.linalg.det(sylvester_matrix(abar, bhat, n))))
 
 
-def singularity_threshold(m: np.ndarray) -> float:
+def singularity_threshold(m: np.ndarray) -> float | np.ndarray:
     """Determinant magnitude below which a system matrix counts as singular.
 
     Scaled by the infinity norm (floored at one) so the test is invariant to
-    the size of the coefficients rather than an absolute epsilon.
+    the size of the coefficients rather than an absolute epsilon.  A stack
+    of matrices gets one threshold each.
     """
-    return SINGULAR_REL_THRESHOLD * max(1.0, float(np.linalg.norm(m, np.inf)))
+    return SINGULAR_REL_THRESHOLD * np.maximum(1.0, np.abs(m).sum(axis=-1).max(axis=-1))
 
 
 def sylvester_rcond(m: np.ndarray) -> float:

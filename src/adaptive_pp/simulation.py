@@ -29,36 +29,31 @@ Audits available on any trajectory:
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .controller import (
-    ControllerSolution,
     SingularSylvesterError,
     TargetPolynomial,
     closed_loop_matrix,
-    control_step,
     solve_diophantine,
+    solve_diophantine_batch,
     state_recursion_audit,
 )
-from .estimator import EstimatorAudit, EstimatorState, estimator_audit, update
+from .estimator import estimator_audit, projection_step
 from .plant import (
-    AuxParameters,
     BoxSet,
     PlantParameters,
     SystemState,
     aux_transform,
     image_box,
+    make_regressor,
     plant_step,
 )
-from .polynomial import SINGULAR_REL_THRESHOLD
 
 __all__ = [
     "SignalSpec",
-    "signal_value",
     "SimConfig",
     "Trajectory",
     "TrajectoryFormatError",
@@ -77,7 +72,6 @@ __all__ = [
 ]
 
 SIGNAL_KINDS = ("constant", "sign_flip", "custom")
-THREADS_ENV = "ADAPTIVE_PP_THREADS"
 
 
 class TrajectoryFormatError(ValueError):
@@ -116,11 +110,6 @@ class SignalSpec:
         if not 0 <= elapsed < self.values.size:
             raise IndexError(f"custom signal has no value at elapsed step {elapsed}")
         return float(self.values[elapsed])
-
-
-def signal_value(spec: SignalSpec, elapsed: int) -> float:
-    """Signal value ``elapsed`` steps past the start time."""
-    return spec.value(elapsed)
 
 
 @dataclass(frozen=True)
@@ -335,123 +324,100 @@ class Trajectory:
         )
 
 
+def _design(theta: np.ndarray, cfg: SimConfig, aux_box: BoxSet, t: int):
+    """Solve at theta, nudged once toward the box center if allowed; (theta, solution)."""
+    try:
+        return theta, solve_diophantine(theta, cfg.target)
+    except SingularSylvesterError as err:
+        failure = err
+    if cfg.nudge_singular:
+        nudged = aux_box.clip(theta + 1e-6 * aux_box.width * np.sign(aux_box.center - theta))
+        try:
+            return nudged, solve_diophantine(nudged, cfg.target)
+        except SingularSylvesterError as err:
+            failure = err
+    raise SingularSylvesterError(
+        failure.margin, failure.threshold, failure.rcond, failure.theta_hat, step=t
+    ) from failure
+
+
 def run_closed_loop(cfg: SimConfig, config_hash: str = "") -> Trajectory:
     """Simulate the adaptive loop for cfg.horizon steps.
 
     Raises SingularSylvesterError (annotated with the failing step) if the
     design becomes unsolvable at some estimate; with cfg.nudge_singular the
     estimate is first pushed a millionth of the box width toward the box
-    center and the solve retried once.
+    center and the solve retried once.  The design is re-solved only when
+    the estimate changes.
     """
     cfg.validate()
     n = cfg.n
     dim = 2 * n + 1
     aux_box = cfg.aux_box()
     theta_star = cfg.theta_star()
+    mu = cfg.mu if cfg.estimator_mode == "classical" else 0.0
 
     state = SystemState.from_phi(cfg.phi0, n, cfg.t0)
-    r0 = cfg.reference.value(0)
-    ybar_hist = state.y - r0
-    ubar_hist = state.u[:-1] - state.u[1:]
-    psi = np.concatenate((ybar_hist, ubar_hist))
-
-    est = EstimatorState(cfg.theta0, cfg.mu, aux_box, cfg.estimator_mode)
+    r_t = cfg.reference.value(0)
+    psi = make_regressor(state, r_t)
+    theta = cfg.theta0
 
     steps = int(cfg.horizon)
     out = {
         name: np.empty(steps)
         for name in ("y", "u", "w", "r", "ybar", "ubar", "wbar", "e", "dioph_residual")
     }
-    t_arr = cfg.t0 + np.arange(steps)
     psi_log = np.empty((steps, dim))
     theta_log = np.empty((steps, dim))
     gain_log = np.empty((steps, dim))
     phi_log = np.empty((steps, 2 * (n + 1)))
 
-    cache_key: bytes | None = None
-    cache_sol: ControllerSolution | None = None
-
+    key = None
     for i in range(steps):
-        t = cfg.t0 + i
-        r_t = cfg.reference.value(i)
         w_t = cfg.disturbance.value(i)
-        theta_t = est.theta_hat
-
-        key = theta_t.tobytes()
-        if key != cache_key:
-            try:
-                sol = solve_diophantine(theta_t, cfg.target)
-            except SingularSylvesterError as err:
-                if not cfg.nudge_singular:
-                    raise SingularSylvesterError(
-                        err.margin, err.threshold, err.rcond, err.theta_hat, step=t
-                    ) from err
-                nudged = aux_box.clip(
-                    theta_t + 1e-6 * aux_box.width * np.sign(aux_box.center - theta_t)
-                )
-                try:
-                    sol = solve_diophantine(nudged, cfg.target)
-                except SingularSylvesterError as err2:
-                    raise SingularSylvesterError(
-                        err2.margin, err2.threshold, err2.rcond, err2.theta_hat, step=t
-                    ) from err2
-                theta_t = nudged
-                est = est.with_theta(nudged)
-                key = theta_t.tobytes()
-            cache_key, cache_sol = key, sol
-        sol = cache_sol
+        if theta.tobytes() != key:
+            theta, sol = _design(theta, cfg, aux_box, cfg.t0 + i)
+            key = theta.tobytes()
 
         out["y"][i] = state.y[0]
         out["u"][i] = state.u[0]
         out["w"][i] = w_t
         out["r"][i] = r_t
-        out["ybar"][i] = ybar_hist[0]
-        out["ubar"][i] = ubar_hist[0]
+        out["ybar"][i] = psi[0]
+        out["ubar"][i] = psi[n + 1]
         out["dioph_residual"][i] = sol.residual
         psi_log[i] = psi
-        theta_log[i] = theta_t
+        theta_log[i] = theta
         gain_log[i] = sol.K
         phi_log[i] = state.phi()
 
         y_next = plant_step(cfg.theta_true, state, state.u[0], w_t)
-        r_next = cfg.reference.value(i + 1)
-        ybar_next = y_next - r_next
-        e_next = ybar_next - float(psi @ theta_t)
-        out["e"][i] = e_next
+        r_t = cfg.reference.value(i + 1)
+        ybar_next = y_next - r_t
         out["wbar"][i] = ybar_next - float(psi @ theta_star)
+        theta_next, out["e"][i] = projection_step(theta, psi, ybar_next, mu, aux_box)
+        ubar_next = float(sol.K @ psi)
 
-        est = update(est, psi, ybar_next)
-        ubar_next, u_next = control_step(sol, psi, state.u[0])
-
-        state.advance(y_next, u_next, w_t)
-        state.r = r_next
-        ybar_hist[1:] = ybar_hist[:-1]
-        ybar_hist[0] = ybar_next
-        if n >= 2:
-            ubar_hist[1:] = ubar_hist[:-1]
-        ubar_hist[0] = ubar_next
-        psi = np.concatenate((ybar_hist, ubar_hist))
+        state.advance(y_next, float(state.u[0]) + ubar_next)
+        theta = theta_next
+        # shift the regressor: newest tracking error and input increment in front
+        psi[1 : n + 1] = psi[:n]
+        psi[0] = ybar_next
+        psi[n + 2 :] = psi[n + 1 : dim - 1]
+        psi[n + 1] = ubar_next
 
     return Trajectory(
         n=n,
         t0=cfg.t0,
         mu=cfg.mu,
         estimator_mode=cfg.estimator_mode,
-        t=t_arr,
-        y=out["y"],
-        u=out["u"],
-        w=out["w"],
-        r=out["r"],
-        ybar=out["ybar"],
-        ubar=out["ubar"],
-        wbar=out["wbar"],
-        e=out["e"],
+        t=cfg.t0 + np.arange(steps),
         psi=psi_log,
         theta_hat=theta_log,
         gains=gain_log,
-        dioph_residual=out["dioph_residual"],
         phi=phi_log,
         config_hash=config_hash,
+        **out,
     )
 
 
@@ -467,31 +433,6 @@ class ConstantsEstimate:
     s_bar: float
     samples_used: int
     samples_skipped: int
-
-
-def _batch_gains(thetas: np.ndarray, lifted: np.ndarray, n: int):
-    """Vectorized design solve; returns (ok mask, gain rows for ok samples)."""
-    count = thetas.shape[0]
-    dim = 2 * n + 1
-    ca = np.concatenate((np.ones((count, 1)), -thetas[:, : n + 1]), axis=1)
-    cb = np.concatenate((np.zeros((count, 1)), thetas[:, n + 1 :]), axis=1)
-    m = np.zeros((count, dim, dim))
-    for k in range(1, dim + 1):
-        for j in range(1, n + 1):
-            if 0 <= k - j <= n + 1:
-                m[:, k - 1, j - 1] = ca[:, k - j]
-        for j in range(1, n + 2):
-            if 0 <= k - j <= n:
-                m[:, k - 1, n + j - 1] = cb[:, k - j]
-    margins = np.abs(np.linalg.det(m))
-    inf_norms = np.abs(m).sum(axis=2).max(axis=1)
-    ok = margins > SINGULAR_REL_THRESHOLD * np.maximum(1.0, inf_norms)
-
-    rhs = np.tile(lifted[1:], (count, 1))
-    rhs[:, : n + 1] -= ca[:, 1:]
-    x = np.linalg.solve(m[ok], rhs[ok][:, :, None])[:, :, 0]
-    gains = np.concatenate((-x[:, n:], -x[:, :n]), axis=1)
-    return ok, gains
 
 
 def estimate_constants(
@@ -517,15 +458,9 @@ def estimate_constants(
     draws = aux_box.sample(rng, int(samples)) if samples > 0 else np.empty((0, dim))
     thetas = np.concatenate((draws, aux_box.vertices()), axis=0)
 
-    ok, gains = _batch_gains(thetas, target.lifted_coeffs(), n)
-    good = thetas[ok]
-    count = good.shape[0]
-    mats = np.zeros((count, dim, dim))
-    mats[:, 0, :] = good
-    mats[:, 1 : n + 1, 0:n] = np.eye(n)
-    mats[:, n + 1, :] = gains
-    if n >= 2:
-        mats[:, n + 2 :, n + 1 : 2 * n] = np.eye(n - 1)
+    design = solve_diophantine_batch(thetas, target.lifted_coeffs(), n)
+    count = design.gains.shape[0]
+    mats = closed_loop_matrix(thetas[design.ok], design.gains, n)
     norms = np.linalg.svd(mats, compute_uv=False)[:, 0]
     return ConstantsEstimate(
         alpha_bar=float(norms.max()),
@@ -569,7 +504,8 @@ def crude_bound_audit(
     rhs = (alpha_bar + s_bar) * norms[:-1] + np.abs(traj.wbar[:-1])
     excess = lhs - rhs
     tol_vec = tol * (1.0 + norms[:-1])
-    violations = int((excess > tol_vec).sum())
+    # a NaN or Inf on either side counts, never passes
+    violations = int((~(excess <= tol_vec) | ~np.isfinite(rhs)).sum())
     prev = norms[:-1]
     with np.errstate(divide="ignore", invalid="ignore"):
         needed = np.where(prev > 0.0, (lhs - np.abs(traj.wbar[:-1])) / prev - s_bar, -np.inf)
@@ -606,25 +542,20 @@ def pole_placement_audit(
     polynomial; the coefficients are the well-conditioned object here (the
     placed pole at the origin is repeated with a single Jordan chain, so raw
     eigenvalue positions smear at roughly eps^(1/4) and would say nothing at
-    tight tolerances).  The design residual column is rechecked as well.
+    tight tolerances).  The design residual column is rechecked as well.  Any
+    NaN or Inf in the estimates, gains, or residuals is a violation.
     """
     lifted = target.lifted_coeffs()
     scale = 1.0 + float(np.abs(lifted).max())
-    dim = lifted.size - 1
-    mats = np.zeros((traj.steps, dim, dim))
-    n = traj.n
-    mats[:, 0, :] = traj.theta_hat
-    mats[:, 1 : n + 1, 0:n] = np.eye(n)
-    mats[:, n + 1, :] = traj.gains
-    if n >= 2:
-        mats[:, n + 2 :, n + 1 : 2 * n] = np.eye(n - 1)
-    eig = np.linalg.eigvals(mats)
-    max_err = 0.0
+    finite = np.isfinite(traj.theta_hat).all(axis=1) & np.isfinite(traj.gains).all(axis=1)
+    eig = np.linalg.eigvals(closed_loop_matrix(traj.theta_hat[finite], traj.gains[finite], traj.n))
+    max_err = 0.0 if finite.all() else np.inf  # a non-finite row has no spectrum to match
     for row in eig:
         coeffs = np.poly(row)
         max_err = max(max_err, float(np.abs(coeffs - lifted).max()))
     res_max = float(traj.dioph_residual.max())
-    violations = int(max_err > tol * scale) + int(res_max > tol * scale)
+    # written as "not <=" so that a NaN counts as a violation
+    violations = int(not max_err <= tol * scale) + int(not res_max <= tol * scale)
     return PoleAuditReport(max_coeff_err=max_err, max_residual=res_max, violations=violations)
 
 
@@ -759,7 +690,7 @@ def run_audits(
     if "recursion" in which:
         residual = state_recursion_audit(traj.psi, traj.theta_hat, traj.gains, traj.e)
         scale = 1.0 + float(np.linalg.norm(traj.psi, axis=1).max(initial=0.0))
-        bad = int(residual > tol * scale)
+        bad = int(not residual <= tol * scale)  # a NaN residual is a violation
         results["recursion"] = {"violations": bad, "pass": bad == 0, "max_residual": residual}
     if "poles" in which:
         report = pole_placement_audit(traj, cfg.target, tol=tol)
@@ -815,10 +746,9 @@ def monte_carlo_sweep(
     on: `theta` (True: redraw the plant uniformly from the box), `theta0`
     (True: redraw the initial estimate from the incremental box), `mu`
     ((lo, hi): log-uniform), `phi0` (scale c: uniform on [-c, c]).  Draw
-    parameters are generated up front from the seed, so results do not depend
-    on the worker count; the ADAPTIVE_PP_THREADS environment variable caps
-    thread parallelism.  A draw whose design equation goes singular is
-    reported as aborted rather than killing the sweep.
+    parameters are generated up front from the seed.  A draw whose design
+    equation goes singular is reported as aborted rather than killing the
+    sweep.
     """
     if draws < 1:
         raise ValueError("draws must be >= 1")
@@ -900,9 +830,4 @@ def monte_carlo_sweep(
             seed=seed,
         )
 
-    workers = max(1, int(os.environ.get(THREADS_ENV, "1")))
-    workers = min(workers, draws)
-    if workers == 1:
-        return [one(i) for i in range(draws)]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(one, range(draws)))
+    return [one(i) for i in range(draws)]

@@ -6,7 +6,11 @@ import os
 import numpy as np
 import pytest
 
+from adaptive_pp import ConstantsEstimate, Trajectory, run_audits
 from adaptive_pp.cli import ConfigError, load_config, main
+from conftest import BENCHMARK_CONFIG, ROOT
+
+GOLDEN = os.path.join(ROOT, "out", "benchmark")
 
 FAST = {"horizon": 200, "alpha_samples": 2000}
 
@@ -220,6 +224,28 @@ def test_audit_flags_a_corrupted_trajectory(config_file, tmp_path):
     assert main(["audit", str(tampered), path, "--quiet"]) == 1
 
 
+def test_audit_counts_non_finite_values_as_violations(tmp_path):
+    with open(os.path.join(GOLDEN, "trajectory.csv"), "r", encoding="ascii") as fh:
+        lines = fh.read().splitlines()
+    fields = lines[301].split(",")  # data row 300
+    fields[9:24] = ["nan"] * 15      # its psi, thetahat, and K blocks
+    lines[301] = ",".join(fields)
+    tampered = tmp_path / "nan.csv"
+    tampered.write_text("\n".join(lines) + "\n")
+
+    cfg, _, _ = load_config(BENCHMARK_CONFIG)
+    traj = Trajectory.from_csv(tampered.read_text(), cfg)
+    golden = read_manifest(GOLDEN)["constants"]
+    constants = ConstantsEstimate(**golden)
+    results = run_audits(
+        traj, cfg, which=("estimator", "recursion", "poles", "crude_bound"), constants=constants
+    )
+    for name, res in results.items():
+        assert res["violations"] >= 1 and not res["pass"], name
+
+    assert main(["audit", str(tampered), BENCHMARK_CONFIG, "--quiet"]) == 1
+
+
 def test_audit_rejects_schema_violations_with_exit_2(config_file, tmp_path):
     out = tmp_path / "base"
     path = config_file(horizon=100, audits=["recursion"], alpha_samples=500)
@@ -298,6 +324,17 @@ def test_sweep_reports_aborted_draws_with_exit_3(config_file, tmp_path):
 
 # ---------------------------------------------------------------------------
 # determinism across invocations
+
+
+def test_benchmark_run_reproduces_the_golden_artifacts(tmp_path):
+    out = tmp_path / "bench"
+    assert main(["run", BENCHMARK_CONFIG, "--out", str(out), "--quiet"]) == 0
+    with open(os.path.join(GOLDEN, "trajectory.csv"), "rb") as fh:
+        golden_csv = fh.read()
+    assert (out / "trajectory.csv").read_bytes() == golden_csv
+    manifest, golden = read_manifest(out), read_manifest(GOLDEN)
+    for block in ("constants", "audits", "gain_bound"):
+        assert manifest[block] == golden[block], block
 
 
 def test_repeated_runs_are_byte_identical(config_file, tmp_path):

@@ -14,6 +14,7 @@ from adaptive_pp import (
     poly_mul,
     rank_one_correction,
     solve_diophantine,
+    solve_diophantine_batch,
     state_recursion_audit,
 )
 
@@ -118,6 +119,26 @@ def test_design_raises_on_a_shared_factor():
 def test_design_rejects_wrong_length():
     with pytest.raises(ValueError):
         solve_diophantine(np.zeros(4), BENCH_TARGET)
+    with pytest.raises(ValueError):
+        solve_diophantine(np.zeros((1, 5)), BENCH_TARGET)
+
+
+def test_batched_design_is_a_stack_of_single_solves(example_box):
+    rng = np.random.default_rng(41)
+    thetas = image_box(example_box, 2).sample(rng, 200)
+    thetas[57] = [0.5, -1.0, 1.5, 0.0, 0.0]  # vanishing numerator: singular
+    batch = solve_diophantine_batch(thetas, BENCH_TARGET.lifted_coeffs(), 2)
+    singles = []
+    for vec in thetas:
+        try:
+            singles.append(solve_diophantine(vec, BENCH_TARGET))
+        except SingularSylvesterError:
+            singles.append(None)
+    np.testing.assert_array_equal(batch.ok, [sol is not None for sol in singles])
+    assert not batch.ok[57] and batch.ok.sum() == 199
+    solved = [sol for sol in singles if sol is not None]
+    assert np.array_equal(batch.gains, np.array([sol.K for sol in solved]))
+    assert np.array_equal(batch.margins[batch.ok], [sol.margin for sol in solved])
 
 
 # ---------------------------------------------------------------------------
@@ -149,6 +170,15 @@ def test_closed_loop_matrix_layout():
     np.testing.assert_array_equal(mat[2], [0, 1, 0, 0, 0])
     np.testing.assert_array_equal(mat[3], K)
     np.testing.assert_array_equal(mat[4], [0, 0, 0, 1, 0])
+
+
+def test_closed_loop_matrix_stacks_rows():
+    rng = np.random.default_rng(3)
+    thetas, gains = rng.normal(size=(2, 7, 5))
+    stack = closed_loop_matrix(thetas, gains)
+    assert stack.shape == (7, 5, 5)
+    for theta, K, mat in zip(thetas, gains, stack):
+        np.testing.assert_array_equal(mat, closed_loop_matrix(theta, K))
 
 
 def test_closed_loop_matrix_validates_lengths():

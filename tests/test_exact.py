@@ -10,9 +10,12 @@ from adaptive_pp import (
     Polynomial,
     TargetPolynomial,
     charpoly_fractions,
+    closed_loop_matrix,
     exact_pole_check,
     solve_fraction_system,
+    sylvester_matrix,
 )
+from adaptive_pp.exact import _closed_loop_fractions, _sylvester_fractions
 
 BENCH_TARGET = TargetPolynomial(Polynomial([1.0, -0.6]), 2)
 BENCH_THETA0 = np.array([0.0, -1.0, 2.0, -0.5, -4.0])
@@ -83,6 +86,28 @@ def test_fraction_solve_needs_pivoting():
 def test_fraction_solve_raises_on_singular_systems():
     with pytest.raises(ZeroDivisionError):
         solve_fraction_system(np.array([[1.0, 2.0], [2.0, 4.0]]), np.array([1.0, 1.0]))
+
+
+# ---------------------------------------------------------------------------
+# exact matrices share the float layouts
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_exact_matrices_match_the_float_assembly(n):
+    rng = np.random.default_rng(50 + n)
+    theta = rng.uniform(-2.0, 2.0, 2 * n + 1)
+    gains = rng.uniform(-2.0, 2.0, 2 * n + 1)
+    exact_theta = [Fraction(float(v)) for v in theta]
+    abar = Polynomial(np.concatenate(([1.0], -theta[: n + 1])))
+    bhat = Polynomial(np.concatenate(([0.0], theta[n + 1 :])))
+    np.testing.assert_array_equal(
+        _sylvester_fractions(exact_theta, n).astype(float), sylvester_matrix(abar, bhat, n)
+    )
+    exact_gains = [Fraction(float(v)) for v in gains]
+    np.testing.assert_array_equal(
+        _closed_loop_fractions(exact_theta, exact_gains, n).astype(float),
+        closed_loop_matrix(theta, gains, n),
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -202,10 +202,10 @@ def test_validate_rejects_points_outside_the_box(example_box):
 def test_state_shift_semantics():
     state = SystemState(t=0, y=[1.0, 2.0, 3.0], u=[4.0, 5.0, 6.0])
     assert state.n == 2
-    state.advance(10.0, 20.0, w=0.5)
+    state.advance(10.0, 20.0)
     np.testing.assert_array_equal(state.y, [10.0, 1.0, 2.0])
     np.testing.assert_array_equal(state.u, [20.0, 4.0, 5.0])
-    assert state.t == 1 and state.w_prev == 0.5
+    assert state.t == 1
 
 
 def test_state_phi_roundtrip():
@@ -259,7 +259,7 @@ def test_incremental_model_reproduces_the_plant():
             if w_prev is not None:
                 predicted = aux_predict(psi, theta_star) + (w_t - w_prev)
                 assert (y_next - r) == pytest.approx(predicted, abs=1e-12)
-            state.advance(y_next, float(rng.uniform(-1, 1)), w_t)
+            state.advance(y_next, float(rng.uniform(-1, 1)))
             w_prev = w_t
 
 

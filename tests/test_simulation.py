@@ -488,19 +488,6 @@ def test_sweep_randomization_is_reproducible(example_config):
     assert len({r.mu for r in first}) > 1
 
 
-def test_sweep_results_do_not_depend_on_the_worker_count(example_config, monkeypatch):
-    cfg = example_config(horizon=120)
-    overrides = {"theta": True, "theta0": True, "mu": (1e-6, 1.0), "phi0": 5.0}
-    kw = dict(draws=6, seed=11, overrides=overrides, alpha_samples=1_000,
-              audits=("estimator", "recursion", "poles"))
-    monkeypatch.setenv("ADAPTIVE_PP_THREADS", "1")
-    serial = monte_carlo_sweep(cfg, **kw)
-    monkeypatch.setenv("ADAPTIVE_PP_THREADS", "4")
-    threaded = monte_carlo_sweep(cfg, **kw)
-    assert [r.gamma for r in serial] == [r.gamma for r in threaded]
-    assert [r.mu for r in serial] == [r.mu for r in threaded]
-
-
 def test_sweep_validates_inputs(example_config):
     cfg = example_config(horizon=50)
     with pytest.raises(ValueError, match="draws"):
