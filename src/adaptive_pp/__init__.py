@@ -15,31 +15,22 @@ from .controller import (
     TargetPolynomial,
     closed_loop_layout,
     closed_loop_matrix,
-    control_step,
-    rank_one_correction,
     solve_diophantine,
     solve_diophantine_batch,
     state_recursion_audit,
 )
 from .estimator import (
     EstimatorAudit,
-    EstimatorState,
     estimator_audit,
-    predict_error,
     project_box,
     projection_step,
-    update,
-    update_classical,
-    update_ideal,
 )
 from .exact import charpoly_fractions, exact_pole_check, solve_fraction_system
 from .plant import (
-    AuxParameters,
     BoxSet,
     PlantParameters,
     SystemState,
     aux_param_matrix,
-    aux_predict,
     aux_transform,
     image_box,
     make_regressor,
@@ -48,12 +39,12 @@ from .plant import (
 from .polynomial import (
     Polynomial,
     RootConvergenceError,
-    coprimeness_margin,
-    poly_mul,
     poly_roots,
     singularity_threshold,
     spectral_radius,
+    sylvester_coeffs,
     sylvester_layout,
+    sylvester_margin,
     sylvester_matrix,
     sylvester_rcond,
 )
@@ -82,44 +73,35 @@ __all__ = [
     "__version__",
     "Polynomial",
     "RootConvergenceError",
-    "poly_mul",
     "poly_roots",
     "spectral_radius",
     "sylvester_layout",
+    "sylvester_coeffs",
     "sylvester_matrix",
     "sylvester_rcond",
-    "coprimeness_margin",
     "singularity_threshold",
+    "sylvester_margin",
     "BoxSet",
     "PlantParameters",
-    "AuxParameters",
     "SystemState",
     "aux_param_matrix",
-    "aux_predict",
     "aux_transform",
     "image_box",
     "make_regressor",
     "plant_step",
-    "EstimatorState",
     "EstimatorAudit",
     "estimator_audit",
-    "predict_error",
     "project_box",
     "projection_step",
-    "update",
-    "update_classical",
-    "update_ideal",
     "TargetPolynomial",
     "ControllerSolution",
     "DesignBatch",
     "SingularSylvesterError",
     "solve_diophantine",
     "solve_diophantine_batch",
-    "control_step",
     "closed_loop_layout",
     "closed_loop_matrix",
     "state_recursion_audit",
-    "rank_one_correction",
     "charpoly_fractions",
     "exact_pole_check",
     "solve_fraction_system",

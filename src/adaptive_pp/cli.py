@@ -396,14 +396,17 @@ def cmd_sweep(args) -> int:
     started = time.perf_counter()
 
     audit_names = tuple(a for a in extras["audits"] if a != "tracking")
-    reports = monte_carlo_sweep(
-        cfg, draws,
-        seed=seed,
-        overrides=overrides,
-        horizon=None if horizon is None else int(horizon),
-        alpha_samples=extras["alpha_samples"],
-        audits=audit_names,
-    )
+    try:
+        reports = monte_carlo_sweep(
+            cfg, draws,
+            seed=seed,
+            overrides=overrides,
+            horizon=None if horizon is None else int(horizon),
+            alpha_samples=extras["alpha_samples"],
+            audits=audit_names,
+        )
+    except ValueError as err:
+        raise ConfigError(f"bad sweep: {err}") from err
 
     detail_names = list(audit_names)
     lines = [",".join(SWEEP_COLUMNS + tuple(f"violations_{a}" for a in detail_names))]

@@ -25,12 +25,11 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .plant import AuxParameters
 from .polynomial import (
     Polynomial,
-    singularity_threshold,
     spectral_radius,
-    sylvester_layout,
+    sylvester_coeffs,
+    sylvester_margin,
     sylvester_matrix,
     sylvester_rcond,
 )
@@ -42,11 +41,9 @@ __all__ = [
     "DesignBatch",
     "solve_diophantine_batch",
     "solve_diophantine",
-    "control_step",
     "closed_loop_layout",
     "closed_loop_matrix",
     "state_recursion_audit",
-    "rank_one_correction",
 ]
 
 class SingularSylvesterError(RuntimeError):
@@ -102,7 +99,7 @@ class TargetPolynomial:
 class ControllerSolution:
     """Solved design at one estimate: gain row and diagnostics.
 
-    L and P are read back from the gain row K = [-p_1..-p_{n+1}, -l_1..-l_n].
+    The gain row is K = [-p_1..-p_{n+1}, -l_1..-l_n].
     """
 
     K: np.ndarray
@@ -113,16 +110,6 @@ class ControllerSolution:
         k = np.asarray(self.K, dtype=float).copy()
         k.flags.writeable = False
         object.__setattr__(self, "K", k)
-
-    @property
-    def L(self) -> Polynomial:
-        n = (self.K.size - 1) // 2
-        return Polynomial(np.concatenate(([1.0], -self.K[n + 1 :])))
-
-    @property
-    def P(self) -> Polynomial:
-        n = (self.K.size - 1) // 2
-        return Polynomial(np.concatenate(([0.0], -self.K[: n + 1])))
 
 
 class DesignBatch(NamedTuple):
@@ -136,10 +123,7 @@ class DesignBatch(NamedTuple):
 
 def _estimate_vector(theta_hat, n: int | None) -> np.ndarray:
     """Estimate (or stack of estimates) as floats; n defaults to the one its length implies."""
-    if isinstance(theta_hat, AuxParameters):
-        vec = theta_hat.vector
-    else:
-        vec = np.atleast_1d(np.asarray(theta_hat, dtype=float))
+    vec = np.atleast_1d(np.asarray(theta_hat, dtype=float))
     dim = 2 * ((vec.shape[-1] - 1) // 2 if n is None else n) + 1
     if vec.shape[-1:] != (dim,):
         raise ValueError(f"expected an estimate vector of length {dim}")
@@ -153,22 +137,14 @@ def solve_diophantine_batch(thetas: np.ndarray, lifted: np.ndarray, n: int) -> D
     threshold are masked out of `ok` and get no gain row.
     """
     thetas = np.asarray(thetas, dtype=float)
-    count, dim = thetas.shape
-    if dim != 2 * n + 1:
-        raise ValueError(f"expected estimate rows of length {2 * n + 1}")
-    coeffs = np.concatenate(
-        (np.ones((count, 1)), -thetas[:, : n + 1], np.zeros((count, 1)), thetas[:, n + 1 :]),
-        axis=1,
-    )
-    rows, cols, src = sylvester_layout(n)
-    m = np.zeros((count, dim, dim))
-    m[:, rows, cols] = coeffs[:, src]
-    margins = np.abs(np.linalg.det(m))
-    thresholds = singularity_threshold(m)
-    ok = margins > thresholds
+    if thetas.ndim != 2:
+        raise ValueError("expected a (count, 2n+1) stack of estimates")
+    m = sylvester_matrix(thetas, n)
+    margins, thresholds, ok = sylvester_margin(m)
 
-    rhs = np.tile(lifted[1:], (count, 1))
-    rhs[:, : n + 1] -= coeffs[:, 1 : n + 2]
+    # right side Astar - Abar on the powers z^{-1}..z^{-(2n+1)}
+    rhs = np.tile(lifted[1:], (thetas.shape[0], 1))
+    rhs[:, : n + 1] -= sylvester_coeffs(thetas, n)[:, 1 : n + 2]
     x = np.linalg.solve(m[ok], rhs[ok][:, :, None])[:, :, 0]
     gains = np.concatenate((-x[:, n:], -x[:, :n]), axis=1)
     return DesignBatch(ok, gains, margins, thresholds)
@@ -185,27 +161,18 @@ def solve_diophantine(theta_hat, target: TargetPolynomial) -> ControllerSolution
     if theta.ndim != 1:
         raise ValueError("expected a single estimate vector")
     lifted = target.lifted_coeffs()
-    abar = np.concatenate(([1.0], -theta[: n + 1]))
-    bhat = np.concatenate(([0.0], theta[n + 1 :]))
     batch = solve_diophantine_batch(theta[None, :], lifted, n)
     margin = float(batch.margins[0])
     if not batch.ok[0]:
-        m = sylvester_matrix(Polynomial(abar), Polynomial(bhat), n)
-        raise SingularSylvesterError(margin, float(batch.thresholds[0]), sylvester_rcond(m), theta)
+        rcond = sylvester_rcond(sylvester_matrix(theta, n))
+        raise SingularSylvesterError(margin, float(batch.thresholds[0]), rcond, theta)
     K = batch.gains[0]
+    coeffs = sylvester_coeffs(theta, n)
+    abar, bhat = coeffs[: n + 2], coeffs[n + 2 :]
     recon = np.convolve(abar, np.concatenate(([1.0], -K[n + 1 :])))
     recon += np.convolve(bhat, np.concatenate(([0.0], -K[: n + 1])))
     residual = float(np.abs(recon - lifted).max())
     return ControllerSolution(K=K, residual=residual, margin=margin)
-
-
-def control_step(sol: ControllerSolution, psi_prev: np.ndarray, u_prev: float) -> tuple[float, float]:
-    """Input increment ubar(t) = K psi(t-1) and the applied input u(t)."""
-    psi_prev = np.asarray(psi_prev, dtype=float)
-    if psi_prev.shape != sol.K.shape:
-        raise ValueError("regressor length does not match the gain row")
-    ubar = float(sol.K @ psi_prev)
-    return ubar, float(u_prev) + ubar
 
 
 @lru_cache(maxsize=None)
@@ -270,18 +237,3 @@ def state_recursion_audit(
     predicted = np.einsum("tij,tj->ti", closed_loop_matrix(theta_hat[:-1], gains[:-1]), psi[:-1])
     predicted[:, 0] += e[:-1]  # the innovation enters through e1
     return float(np.abs(predicted - psi[1:]).max())
-
-
-def rank_one_correction(psi: np.ndarray, e_next: float) -> np.ndarray:
-    """Matrix e1 (e(t+1)/||psi(t)||^2) psi(t)' closing the recursion exactly.
-
-    Satisfies (A + correction - e1 thetahat') psi = A psi + e1 e(t+1) - ...,
-    i.e. correction @ psi = e1 e(t+1).  Undefined for a zero regressor.
-    """
-    psi = np.asarray(psi, dtype=float)
-    norm_sq = float(psi @ psi)
-    if norm_sq == 0.0:
-        raise ValueError("the correction is undefined for a zero regressor")
-    out = np.zeros((psi.size, psi.size))
-    out[0, :] = (float(e_next) / norm_sq) * psi
-    return out

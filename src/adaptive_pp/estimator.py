@@ -29,56 +29,16 @@ import numpy as np
 from .plant import BoxSet
 
 __all__ = [
-    "EstimatorState",
     "EstimatorAudit",
     "project_box",
-    "predict_error",
     "projection_step",
-    "update_classical",
-    "update_ideal",
-    "update",
     "estimator_audit",
 ]
-
-MODES = ("classical", "ideal")
 
 
 def project_box(x, box: BoxSet) -> np.ndarray:
     """Euclidean projection onto a box: coordinatewise clipping."""
     return box.clip(x)
-
-
-@dataclass(frozen=True)
-class EstimatorState:
-    """Current estimate, regularizer, parameter box, and update-law choice."""
-
-    theta_hat: np.ndarray
-    mu: float
-    box: BoxSet
-    mode: str = "classical"
-
-    def __post_init__(self):
-        theta = np.atleast_1d(np.asarray(self.theta_hat, dtype=float)).copy()
-        if theta.ndim != 1 or theta.size != self.box.dim:
-            raise ValueError("estimate length must match the box dimension")
-        if not self.box.contains(theta):
-            raise ValueError("initial estimate must lie inside the parameter box")
-        if self.mode not in MODES:
-            raise ValueError(f"mode must be one of {MODES}")
-        if self.mode == "classical" and not self.mu > 0.0:
-            raise ValueError("the classical update needs mu > 0")
-        if self.mu < 0.0:
-            raise ValueError("mu must be nonnegative")
-        theta.flags.writeable = False
-        object.__setattr__(self, "theta_hat", theta)
-
-    def with_theta(self, theta_hat: np.ndarray) -> "EstimatorState":
-        return EstimatorState(theta_hat, self.mu, self.box, self.mode)
-
-
-def predict_error(est: EstimatorState, psi: np.ndarray, ybar_next: float) -> float:
-    """Prediction error e(t+1) = ybar(t+1) - psi(t)' thetahat(t)."""
-    return float(ybar_next) - float(np.asarray(psi, dtype=float) @ est.theta_hat)
 
 
 def projection_step(
@@ -95,22 +55,6 @@ def projection_step(
     if denom == 0.0:
         return theta, e
     return project_box(theta + psi * (e / denom), box), e
-
-
-def update_classical(est: EstimatorState, psi: np.ndarray, ybar_next: float) -> EstimatorState:
-    """Regularized gradient step followed by clipping into the box."""
-    theta, _ = projection_step(est.theta_hat, np.asarray(psi, dtype=float), ybar_next, est.mu, est.box)
-    return est.with_theta(theta)
-
-
-def update_ideal(est: EstimatorState, psi: np.ndarray, ybar_next: float) -> EstimatorState:
-    """Exact-interpolation step; the estimate freezes when the regressor vanishes."""
-    theta, _ = projection_step(est.theta_hat, np.asarray(psi, dtype=float), ybar_next, 0.0, est.box)
-    return est if theta is est.theta_hat else est.with_theta(theta)
-
-
-def update(est: EstimatorState, psi: np.ndarray, ybar_next: float) -> EstimatorState:
-    return update_classical(est, psi, ybar_next) if est.mode == "classical" else update_ideal(est, psi, ybar_next)
 
 
 @dataclass(frozen=True)

@@ -23,19 +23,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .polynomial import Polynomial, singularity_threshold, sylvester_matrix
+from .polynomial import sylvester_margin, sylvester_matrix
 
 __all__ = [
     "BoxSet",
     "PlantParameters",
-    "AuxParameters",
     "SystemState",
     "aux_param_matrix",
     "aux_transform",
     "image_box",
     "plant_step",
     "make_regressor",
-    "aux_predict",
 ]
 
 
@@ -120,14 +118,6 @@ class PlantParameters:
     def vector(self) -> np.ndarray:
         return np.concatenate((self.a, self.b))
 
-    def a_poly(self) -> Polynomial:
-        """A(z^{-1}) = 1 - a_1 z^{-1} - ... - a_n z^{-n}."""
-        return Polynomial(np.concatenate(([1.0], -self.a)))
-
-    def b_poly(self) -> Polynomial:
-        """B(z^{-1}) = b_1 z^{-1} + ... + b_n z^{-n}."""
-        return Polynomial(np.concatenate(([0.0], self.b)))
-
     def b_at_one(self) -> float:
         """B(1), the dc gain numerator; must be nonzero for set-point tracking."""
         return float(self.b.sum())
@@ -142,54 +132,11 @@ class PlantParameters:
             raise ValueError("plant parameters fall outside the declared uncertainty box")
         if self.b_at_one() == 0.0:
             raise ValueError("B(1) = 0: a constant set-point is unreachable")
-        aux = aux_transform(self)
-        m = sylvester_matrix(aux.abar_poly(), aux.b_poly(), self.n)
-        margin = float(abs(np.linalg.det(m)))
-        if margin <= singularity_threshold(m):
+        margin, _, regular = sylvester_margin(sylvester_matrix(aux_transform(self), self.n))
+        if not regular:
             raise ValueError(
                 f"incremental plant pair is not coprime (margin {margin:.3e})"
             )
-
-
-@dataclass(frozen=True)
-class AuxParameters:
-    """Incremental-model parameters abar_1..abar_{n+1} and b_1..b_n."""
-
-    abar: np.ndarray
-    b: np.ndarray
-
-    def __post_init__(self):
-        abar = np.atleast_1d(np.asarray(self.abar, dtype=float))
-        b = np.atleast_1d(np.asarray(self.b, dtype=float))
-        if abar.ndim != 1 or b.ndim != 1 or abar.size != b.size + 1 or b.size < 1:
-            raise ValueError("need n+1 abar coefficients and n >= 1 b coefficients")
-        abar.flags.writeable = False
-        b.flags.writeable = False
-        object.__setattr__(self, "abar", abar)
-        object.__setattr__(self, "b", b)
-
-    @property
-    def n(self) -> int:
-        return self.b.size
-
-    @property
-    def vector(self) -> np.ndarray:
-        """theta_star layout [abar_1..abar_{n+1}, b_1..b_n], length 2n+1."""
-        return np.concatenate((self.abar, self.b))
-
-    @classmethod
-    def from_vector(cls, vec, n: int) -> "AuxParameters":
-        vec = np.asarray(vec, dtype=float)
-        if vec.shape != (2 * n + 1,):
-            raise ValueError(f"expected a vector of length {2 * n + 1}")
-        return cls(vec[: n + 1], vec[n + 1 :])
-
-    def abar_poly(self) -> Polynomial:
-        """(1 - z^{-1}) A(z^{-1}) = 1 - abar_1 z^{-1} - ... - abar_{n+1} z^{-(n+1)}."""
-        return Polynomial(np.concatenate(([1.0], -self.abar)))
-
-    def b_poly(self) -> Polynomial:
-        return Polynomial(np.concatenate(([0.0], self.b)))
 
 
 def aux_param_matrix(n: int) -> np.ndarray:
@@ -213,14 +160,19 @@ def aux_param_matrix(n: int) -> np.ndarray:
     return m
 
 
-def aux_transform(theta: PlantParameters) -> AuxParameters:
-    """Incremental parameters of a plant; the matrix route gives the same result."""
+def aux_transform(theta: PlantParameters) -> np.ndarray:
+    """theta_star = [abar_1..abar_{n+1}, b_1..b_n] of a plant, length 2n+1.
+
+    Abar(z^{-1}) = 1 - sum_k abar_k z^{-k} is (1 - z^{-1}) A(z^{-1}); the
+    matrix route `aux_param_matrix` gives the same result.
+    """
     a = theta.a
-    abar = np.empty(theta.n + 1)
-    abar[0] = 1.0 + a[0]
-    abar[1:-1] = a[1:] - a[:-1]
-    abar[-1] = -a[-1]
-    return AuxParameters(abar, theta.b.copy())
+    out = np.empty(2 * theta.n + 1)
+    out[0] = 1.0 + a[0]
+    out[1 : theta.n] = a[1:] - a[:-1]
+    out[theta.n] = -a[-1]
+    out[theta.n + 1 :] = theta.b
+    return out
 
 
 def image_box(box: BoxSet, n: int) -> BoxSet:
@@ -288,9 +240,6 @@ class SystemState:
         self.u[0] = u_next
         self.t += 1
 
-    def copy(self) -> "SystemState":
-        return SystemState(self.t, self.y.copy(), self.u.copy())
-
 
 def plant_step(theta: PlantParameters, state: SystemState, u_t: float, w_t: float) -> float:
     """One plant update: y(t+1) from the current history, u(t) = u_t and w(t) = w_t.
@@ -318,12 +267,3 @@ def make_regressor(state: SystemState, r: float) -> np.ndarray:
     ybar = state.y - float(r)
     ubar = state.u[:-1] - state.u[1:]
     return np.concatenate((ybar, ubar))
-
-
-def aux_predict(psi: np.ndarray, theta_star) -> float:
-    """Noise-free incremental-model prediction psi(t)' theta_star of ybar(t+1)."""
-    vec = theta_star.vector if isinstance(theta_star, AuxParameters) else np.asarray(theta_star, dtype=float)
-    psi = np.asarray(psi, dtype=float)
-    if psi.shape != vec.shape:
-        raise ValueError("regressor and parameter vector lengths differ")
-    return float(psi @ vec)

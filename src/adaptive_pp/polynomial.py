@@ -1,4 +1,4 @@
-"""Polynomials in the delay operator and the coprimeness machinery built on them.
+"""Polynomials in the delay operator and the pole-placement system matrix.
 
 Everything here works with polynomials in q = z^{-1}, stored lowest power
 first: ``coeffs[k]`` multiplies z^{-k}.  Stability questions are asked about
@@ -22,13 +22,13 @@ import numpy as np
 __all__ = [
     "Polynomial",
     "RootConvergenceError",
-    "poly_mul",
     "poly_roots",
     "spectral_radius",
     "sylvester_layout",
+    "sylvester_coeffs",
     "sylvester_matrix",
-    "coprimeness_margin",
     "singularity_threshold",
+    "sylvester_margin",
     "sylvester_rcond",
 ]
 
@@ -85,49 +85,8 @@ class Polynomial:
         # monic in the delay-operator sense: constant coefficient equal to 1
         return self.coeffs[0] == 1.0
 
-    def __call__(self, x):
-        """Evaluate at x, where x stands for z^{-1} (Horner, highest first)."""
-        acc = 0.0
-        for c in self.coeffs[::-1]:
-            acc = acc * x + c
-        return acc
-
-    def padded(self, degree: int) -> "Polynomial":
-        """Copy with trailing zeros up to the requested degree."""
-        if degree < self.degree:
-            raise ValueError(f"cannot pad degree {self.degree} down to {degree}")
-        out = np.zeros(degree + 1)
-        out[: self.coeffs.size] = self.coeffs
-        return Polynomial(out)
-
-    def trimmed(self) -> "Polynomial":
-        """Copy with trailing zero coefficients removed (zero poly stays [0])."""
-        nz = np.nonzero(self.coeffs)[0]
-        if nz.size == 0:
-            return Polynomial([0.0])
-        return Polynomial(self.coeffs[: nz[-1] + 1])
-
-    def __mul__(self, other):
-        if isinstance(other, Polynomial):
-            return poly_mul(self, other)
-        return NotImplemented
-
     def __repr__(self):
         return f"Polynomial({np.array2string(self.coeffs, separator=', ')})"
-
-
-def poly_mul(a: Polynomial, b: Polynomial, fixed_degree: int | None = None) -> Polynomial:
-    """Product of two delay-operator polynomials.
-
-    The raw convolution has degree deg(a) + deg(b); the result is trimmed
-    unless ``fixed_degree`` asks for an explicit padded degree (which must be
-    at least the trimmed degree of the product).
-    """
-    raw = np.convolve(a.coeffs, b.coeffs)
-    prod = Polynomial(raw).trimmed()
-    if fixed_degree is None:
-        return prod
-    return prod.padded(fixed_degree)
 
 
 def _durand_kerner(monic_low_first: np.ndarray, tol: float, max_iter: int) -> np.ndarray:
@@ -224,36 +183,37 @@ def sylvester_layout(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return layout
 
 
-def sylvester_matrix(abar: Polynomial, bhat: Polynomial, n: int) -> np.ndarray:
-    """Coefficient matrix of the pole-placement linear system.
+def sylvester_coeffs(theta: np.ndarray, n: int) -> np.ndarray:
+    """Coefficients c = [1, -abar_1..-abar_{n+1}, 0, b_1..b_n] of an estimate.
 
-    For abar monic of degree n+1 and bhat of degree at most n with zero
-    constant term, returns the (2n+1) x (2n+1) matrix M with column order
-    [l_1..l_n, p_1..p_{n+1}] such that M @ x lists the coefficients of
-    abar*(L-1) + bhat*P on the powers z^{-1}..z^{-(2n+1)}.
+    c[:n+2] lists Abar(z^{-1}) = 1 - sum_k abar_k z^{-k} and c[n+2:] lists
+    B(z^{-1}) with its zero constant term.  A (..., 2n+1) stack of estimates
+    gives a (..., 2n+2) stack.
+    """
+    lead = np.ones(theta.shape[:-1] + (1,))
+    parts = (lead, -theta[..., : n + 1], np.zeros_like(lead), theta[..., n + 1 :])
+    return np.concatenate(parts, axis=-1)
+
+
+def sylvester_matrix(theta, n: int) -> np.ndarray:
+    """Coefficient matrix of the pole-placement linear system at an estimate.
+
+    For theta = [abar_1..abar_{n+1}, b_1..b_n] returns the (2n+1) x (2n+1)
+    matrix M with column order [l_1..l_n, p_1..p_{n+1}] such that M @ x
+    lists the coefficients of Abar*(L-1) + B*P on the powers
+    z^{-1}..z^{-(2n+1)}.  A (..., 2n+1) stack of estimates gives a
+    (..., 2n+1, 2n+1) stack.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
-    if abar.degree != n + 1 or not abar.is_monic:
-        raise ValueError(f"abar must be monic of degree {n + 1}, got degree {abar.degree}")
-    if bhat.trimmed().degree > n or bhat.coeffs[0] != 0.0:
-        raise ValueError(f"bhat must have degree <= {n} and zero constant term")
-
+    theta = np.asarray(theta, dtype=float)
+    dim = 2 * n + 1
+    if theta.shape[-1:] != (dim,):
+        raise ValueError(f"expected an estimate vector of length {dim}")
     rows, cols, src = sylvester_layout(n)
-    coeffs = np.concatenate((abar.coeffs, bhat.padded(n).coeffs))
-    m = np.zeros((2 * n + 1, 2 * n + 1))
-    m[rows, cols] = coeffs[src]
+    m = np.zeros(theta.shape[:-1] + (dim, dim))
+    m[..., rows, cols] = sylvester_coeffs(theta, n)[..., src]
     return m
-
-
-def coprimeness_margin(abar: Polynomial, bhat: Polynomial, n: int) -> float:
-    """|det| of the pole-placement system matrix.
-
-    Zero exactly when the lifted pair z^{n+1} abar(z^{-1}), z^n bhat(z^{-1})
-    shares a root (the degenerate all-zero bhat counts as sharing every
-    root), so a positive margin certifies solvability for every target.
-    """
-    return float(abs(np.linalg.det(sylvester_matrix(abar, bhat, n))))
 
 
 def singularity_threshold(m: np.ndarray) -> float | np.ndarray:
@@ -264,6 +224,18 @@ def singularity_threshold(m: np.ndarray) -> float | np.ndarray:
     of matrices gets one threshold each.
     """
     return SINGULAR_REL_THRESHOLD * np.maximum(1.0, np.abs(m).sum(axis=-1).max(axis=-1))
+
+
+def sylvester_margin(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """|det|, singularity threshold, and regularity of a system matrix or stack.
+
+    A matrix is regular when |det| exceeds its threshold.  |det| vanishes
+    exactly when the lifted pair z^{n+1} Abar(z^{-1}), z^n B(z^{-1}) shares
+    a root, and a NaN counts as singular.
+    """
+    margins = np.abs(np.linalg.det(m))
+    thresholds = singularity_threshold(m)
+    return margins, thresholds, margins > thresholds
 
 
 def sylvester_rcond(m: np.ndarray) -> float:

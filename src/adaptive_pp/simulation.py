@@ -32,6 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .controller import (
     SingularSylvesterError,
@@ -149,7 +150,7 @@ class SimConfig:
         return image_box(self.box, self.n)
 
     def theta_star(self) -> np.ndarray:
-        return aux_transform(self.theta_true).vector
+        return aux_transform(self.theta_true)
 
     def decay_rate(self) -> float:
         """Decay rate for the gain-bound fit: configured, else the midpoint."""
@@ -185,6 +186,19 @@ class SimConfig:
             floor = self.target.decay_floor()
             if not floor < self.lam < 1.0:
                 raise ValueError(f"lam must lie in ({floor:.6f}, 1)")
+
+
+def _phi_history(y: np.ndarray, u: np.ndarray, phi0: np.ndarray, n: int) -> np.ndarray:
+    """Raw states [y(t)..y(t-n), u(t)..u(t-n)] for every logged row.
+
+    Row 0 is phi0 itself; later rows shift in the logged y and u columns,
+    newest first, with phi0 supplying the history before the first row.
+    """
+    windows = [
+        sliding_window_view(np.concatenate((hist[::-1], col[1:])), n + 1)[:, ::-1]
+        for hist, col in ((phi0[: n + 1], y), (phi0[n + 1 :], u))
+    ]
+    return np.concatenate(windows, axis=1)
 
 
 @dataclass
@@ -292,14 +306,8 @@ class Trajectory:
             raise TrajectoryFormatError("time column does not match the config start and horizon")
 
         y, u = data[:, 1], data[:, 2]
-        state = SystemState.from_phi(cfg.phi0, n, cfg.t0)
-        if y[0] != state.y[0] or u[0] != state.u[0]:
+        if y[0] != cfg.phi0[0] or u[0] != cfg.phi0[n + 1]:
             raise TrajectoryFormatError("first row is inconsistent with the config's phi0")
-        phi = np.empty((len(rows), 2 * (n + 1)))
-        for i in range(len(rows)):
-            if i > 0:
-                state.advance(y[i], u[i])
-            phi[i] = state.phi()
 
         c = 9
         return cls(
@@ -320,7 +328,7 @@ class Trajectory:
             theta_hat=data[:, c + dim : c + 2 * dim].copy(),
             gains=data[:, c + 2 * dim : c + 3 * dim].copy(),
             dioph_residual=data[:, c + 3 * dim].copy(),
-            phi=phi,
+            phi=_phi_history(y, u, cfg.phi0, n),
         )
 
 
@@ -370,7 +378,6 @@ def run_closed_loop(cfg: SimConfig, config_hash: str = "") -> Trajectory:
     psi_log = np.empty((steps, dim))
     theta_log = np.empty((steps, dim))
     gain_log = np.empty((steps, dim))
-    phi_log = np.empty((steps, 2 * (n + 1)))
 
     key = None
     for i in range(steps):
@@ -389,7 +396,6 @@ def run_closed_loop(cfg: SimConfig, config_hash: str = "") -> Trajectory:
         psi_log[i] = psi
         theta_log[i] = theta
         gain_log[i] = sol.K
-        phi_log[i] = state.phi()
 
         y_next = plant_step(cfg.theta_true, state, state.u[0], w_t)
         r_t = cfg.reference.value(i + 1)
@@ -415,7 +421,7 @@ def run_closed_loop(cfg: SimConfig, config_hash: str = "") -> Trajectory:
         psi=psi_log,
         theta_hat=theta_log,
         gains=gain_log,
-        phi=phi_log,
+        phi=_phi_history(out["y"], out["u"], cfg.phi0, n),
         config_hash=config_hash,
         **out,
     )
@@ -446,9 +452,10 @@ def estimate_constants(
     Draws `samples` uniform points plus every box vertex, solves the design
     at each, and takes the largest induced 2-norm of the assembled
     closed-loop matrix.  Samples with a singular design are skipped and
-    counted.  For a fixed seed the draw stream is sequential, so the estimate
-    is monotone nondecreasing in `samples`.  The returned s_bar is the exact
-    box diameter.
+    counted; a box where every one is singular raises ValueError.  For a
+    fixed seed the draw stream is sequential, so the estimate is monotone
+    nondecreasing in `samples`.  The returned s_bar is the exact box
+    diameter.
     """
     n = target.n
     dim = 2 * n + 1
@@ -460,6 +467,10 @@ def estimate_constants(
 
     design = solve_diophantine_batch(thetas, target.lifted_coeffs(), n)
     count = design.gains.shape[0]
+    if count == 0:
+        raise ValueError(
+            f"the design is singular at all {thetas.shape[0]} sampled estimates of the box"
+        )
     mats = closed_loop_matrix(thetas[design.ok], design.gains, n)
     norms = np.linalg.svd(mats, compute_uv=False)[:, 0]
     return ConstantsEstimate(
@@ -713,7 +724,8 @@ def run_audits(
         }
     if "tracking" in which:
         err = tracking_audit(traj, tail=tracking_tail)
-        results["tracking"] = {"violations": 0, "pass": True, "tail_max_error": err}
+        bad = int(not np.isfinite(err))  # a NaN or Inf tail error is a violation
+        results["tracking"] = {"violations": bad, "pass": bad == 0, "tail_max_error": err}
     return results
 
 
@@ -746,12 +758,14 @@ def monte_carlo_sweep(
     on: `theta` (True: redraw the plant uniformly from the box), `theta0`
     (True: redraw the initial estimate from the incremental box), `mu`
     ((lo, hi): log-uniform), `phi0` (scale c: uniform on [-c, c]).  Draw
-    parameters are generated up front from the seed.  A draw whose design
-    equation goes singular is reported as aborted rather than killing the
-    sweep.
+    parameters are generated up front from the seed, after every argument is
+    checked.  A draw whose design equation goes singular is reported as
+    aborted rather than killing the sweep.
     """
     if draws < 1:
         raise ValueError("draws must be >= 1")
+    if horizon is not None and horizon < 1:
+        raise ValueError("horizon must be >= 1")
     cfg.validate()
     seed = cfg.seed if seed is None else int(seed)
     overrides = dict(overrides or {})
@@ -761,6 +775,10 @@ def monte_carlo_sweep(
     use_theta = bool(overrides.get("theta", False))
     use_theta0 = bool(overrides.get("theta0", False))
     mu_range = overrides.get("mu")
+    if mu_range is not None:
+        lo, hi = float(mu_range[0]), float(mu_range[1])
+        if not 0.0 < lo <= hi < np.inf:
+            raise ValueError(f"the mu override needs finite 0 < lo <= hi, got [{lo}, {hi}]")
     phi0_scale = overrides.get("phi0")
 
     n = cfg.n
@@ -773,7 +791,6 @@ def monte_carlo_sweep(
         if mu_range is None:
             mu = cfg.mu
         else:
-            lo, hi = float(mu_range[0]), float(mu_range[1])
             mu = float(np.exp(rng.uniform(np.log(lo), np.log(hi))))
         if phi0_scale is None:
             phi0 = cfg.phi0

@@ -226,24 +226,29 @@ def test_audit_flags_a_corrupted_trajectory(config_file, tmp_path):
 
 def test_audit_counts_non_finite_values_as_violations(tmp_path):
     with open(os.path.join(GOLDEN, "trajectory.csv"), "r", encoding="ascii") as fh:
-        lines = fh.read().splitlines()
-    fields = lines[301].split(",")  # data row 300
-    fields[9:24] = ["nan"] * 15      # its psi, thetahat, and K blocks
-    lines[301] = ",".join(fields)
-    tampered = tmp_path / "nan.csv"
-    tampered.write_text("\n".join(lines) + "\n")
-
+        golden_lines = fh.read().splitlines()
     cfg, _, _ = load_config(BENCHMARK_CONFIG)
-    traj = Trajectory.from_csv(tampered.read_text(), cfg)
-    golden = read_manifest(GOLDEN)["constants"]
-    constants = ConstantsEstimate(**golden)
-    results = run_audits(
-        traj, cfg, which=("estimator", "recursion", "poles", "crude_bound"), constants=constants
-    )
-    for name, res in results.items():
-        assert res["violations"] >= 1 and not res["pass"], name
+    constants = ConstantsEstimate(**read_manifest(GOLDEN)["constants"])
 
-    assert main(["audit", str(tampered), BENCHMARK_CONFIG, "--quiet"]) == 1
+    def tamper(row: int, cols: slice, audits: tuple) -> str:
+        lines = list(golden_lines)
+        fields = lines[row + 1].split(",")
+        fields[cols] = ["nan"] * len(fields[cols])
+        lines[row + 1] = ",".join(fields)
+        tampered = tmp_path / f"nan_{row}.csv"
+        tampered.write_text("\n".join(lines) + "\n")
+        traj = Trajectory.from_csv(tampered.read_text(), cfg)
+        results = run_audits(traj, cfg, which=audits, constants=constants)
+        for name, res in results.items():
+            assert res["violations"] >= 1 and not res["pass"], name
+        return str(tampered)
+
+    # data row 300: its psi, thetahat, and K blocks
+    psi_block = tamper(300, slice(9, 24), ("estimator", "recursion", "poles", "crude_bound"))
+    assert main(["audit", psi_block, BENCHMARK_CONFIG, "--quiet"]) == 1
+    # data row 1950, inside the final 100 rows: its ybar column
+    ybar_tail = tamper(1950, slice(5, 6), ("tracking",))
+    assert main(["audit", ybar_tail, BENCHMARK_CONFIG, "--quiet"]) == 1
 
 
 def test_audit_rejects_schema_violations_with_exit_2(config_file, tmp_path):
@@ -290,6 +295,25 @@ def test_sweep_writes_per_draw_rows(config_file, tmp_path):
     assert manifest["total_violations"] == 0
     assert manifest["aborted_draws"] == 0
     assert manifest["worst_gamma"] > 0.0
+
+
+@pytest.mark.parametrize(
+    "args,overrides",
+    [
+        (["--draws", "0"], None),
+        (["--draws", "2", "--horizon", "0"], None),
+        (["--draws", "2"], {"mu": [0.0, 1.0]}),
+        (["--draws", "2"], {"mu": [1.0, 0.5]}),
+    ],
+    ids=["zero-draws", "zero-horizon", "mu-from-zero", "mu-reversed"],
+)
+def test_sweep_rejects_bad_input_with_exit_2(config_file, tmp_path, capsys, args, overrides):
+    out = tmp_path / "bad_sweep"
+    sweep = {"draws": 2} if overrides is None else {"draws": 2, "overrides": overrides}
+    path = config_file(horizon=100, audits=["recursion"], alpha_samples=500, sweep=sweep)
+    assert main(["sweep", path, "--out", str(out), "--quiet"] + args) == 2
+    assert "error: bad sweep" in capsys.readouterr().err
+    assert not (out / "sweep.csv").exists()
 
 
 def test_sweep_requires_a_draw_count(config_file, tmp_path):

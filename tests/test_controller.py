@@ -9,10 +9,7 @@ from adaptive_pp import (
     SingularSylvesterError,
     TargetPolynomial,
     closed_loop_matrix,
-    control_step,
     image_box,
-    poly_mul,
-    rank_one_correction,
     solve_diophantine,
     solve_diophantine_batch,
     state_recursion_audit,
@@ -20,6 +17,16 @@ from adaptive_pp import (
 
 BENCH_TARGET = TargetPolynomial(Polynomial([1.0, -0.6]), 2)
 BENCH_THETA0 = np.array([0.0, -1.0, 2.0, -0.5, -4.0])
+
+
+def _identity_lhs(theta: np.ndarray, K: np.ndarray) -> np.ndarray:
+    """Abar L + B P through polynomial products, with L and P read from the gain row."""
+    n = (theta.size - 1) // 2
+    abar = np.concatenate(([1.0], -theta[: n + 1]))
+    b_poly = np.concatenate(([0.0], theta[n + 1 :]))
+    L = np.concatenate(([1.0], -K[n + 1 :]))
+    P = np.concatenate(([0.0], -K[: n + 1]))
+    return np.convolve(abar, L) + np.convolve(b_poly, P)
 
 
 # ---------------------------------------------------------------------------
@@ -54,8 +61,7 @@ def test_first_order_design_reads_off_the_coefficients():
     # L + q P = Astar, so L and P are the target's own coefficients.
     target = TargetPolynomial(Polynomial([1.0, 0.3, -0.1, 0.05]), 1)
     sol = solve_diophantine(np.array([0.0, 0.0, 1.0]), target)
-    np.testing.assert_allclose(sol.L.coeffs, [1.0, 0.3], atol=1e-14)
-    np.testing.assert_allclose(sol.P.coeffs, [0.0, -0.1, 0.05], atol=1e-14)
+    # K = [-p_1, -p_2, -l_1] with L = 1 + 0.3 q and P = -0.1 q + 0.05 q^2
     np.testing.assert_allclose(sol.K, [0.1, -0.05, -0.3], atol=1e-14)
     assert sol.residual <= 1e-14
 
@@ -63,19 +69,10 @@ def test_first_order_design_reads_off_the_coefficients():
 def test_design_solves_the_identity_at_the_benchmark_start():
     sol = solve_diophantine(BENCH_THETA0, BENCH_TARGET)
     # independent reconstruction through polynomial products
-    abar_poly = Polynomial(np.concatenate(([1.0], -BENCH_THETA0[:3])))
-    b_poly = Polynomial(np.concatenate(([0.0], BENCH_THETA0[3:])))
-    combo = (
-        poly_mul(abar_poly, sol.L, fixed_degree=5).coeffs
-        + poly_mul(b_poly, sol.P, fixed_degree=5).coeffs
-    )
+    combo = _identity_lhs(BENCH_THETA0, sol.K)
     np.testing.assert_allclose(combo, BENCH_TARGET.lifted_coeffs(), atol=1e-12)
     assert sol.residual <= 1e-12
     assert sol.margin > 1e-6
-    # gain row layout: negated P coefficients first, then negated L tail
-    np.testing.assert_allclose(sol.K, np.concatenate((-sol.P.coeffs[1:], -sol.L.coeffs[1:])), atol=0)
-    assert sol.L.is_monic and sol.L.degree == 2
-    assert sol.P.coeffs[0] == 0.0 and sol.P.degree == 3
 
 
 def test_design_identity_holds_across_the_uncertainty_box(example_box, example_target):
@@ -88,12 +85,7 @@ def test_design_identity_holds_across_the_uncertainty_box(example_box, example_t
             sol = solve_diophantine(vec, example_target)
         except SingularSylvesterError:
             continue
-        abar_poly = Polynomial(np.concatenate(([1.0], -vec[:3])))
-        b_poly = Polynomial(np.concatenate(([0.0], vec[3:])))
-        combo = (
-            poly_mul(abar_poly, sol.L, fixed_degree=5).coeffs
-            + poly_mul(b_poly, sol.P, fixed_degree=5).coeffs
-        )
+        combo = _identity_lhs(vec, sol.K)
         worst = max(worst, float(np.abs(combo - lifted).max()), sol.residual)
     assert worst <= 1e-9
 
@@ -139,22 +131,6 @@ def test_batched_design_is_a_stack_of_single_solves(example_box):
     solved = [sol for sol in singles if sol is not None]
     assert np.array_equal(batch.gains, np.array([sol.K for sol in solved]))
     assert np.array_equal(batch.margins[batch.ok], [sol.margin for sol in solved])
-
-
-# ---------------------------------------------------------------------------
-# gain application
-
-
-def test_control_step_applies_the_gain_row():
-    sol = solve_diophantine(BENCH_THETA0, BENCH_TARGET)
-    psi = np.array([-3.0, -3.0, -3.0, 0.0, 0.0])
-    ubar, u = control_step(sol, psi, 2.0)
-    assert ubar == pytest.approx(float(sol.K @ psi), abs=1e-15)
-    assert u == pytest.approx(2.0 + ubar, abs=1e-15)
-    ubar0, u0 = control_step(sol, np.zeros(5), -1.5)
-    assert ubar0 == 0.0 and u0 == -1.5
-    with pytest.raises(ValueError):
-        control_step(sol, np.zeros(4), 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -209,7 +185,7 @@ def test_spectrum_matches_the_target_in_coefficient_space():
 
 
 # ---------------------------------------------------------------------------
-# recursion audit and the rank-one closure
+# recursion audit
 
 
 def _recursion_rollout(steps: int, seed: int):
@@ -243,14 +219,3 @@ def test_recursion_audit_detects_a_spike():
 
 def test_recursion_audit_trivial_cases():
     assert state_recursion_audit(np.zeros((1, 3)), np.zeros((1, 3)), np.zeros((1, 3)), np.zeros(1)) == 0.0
-
-
-def test_rank_one_correction_closes_the_loop():
-    psi = np.array([1.0, -2.0, 0.5])
-    corr = rank_one_correction(psi, e_next=0.7)
-    out = corr @ psi
-    np.testing.assert_allclose(out, [0.7, 0.0, 0.0], atol=1e-15)
-    assert corr.shape == (3, 3)
-    assert np.all(corr[1:] == 0.0)
-    with pytest.raises(ValueError):
-        rank_one_correction(np.zeros(3), 1.0)

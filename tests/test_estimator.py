@@ -5,17 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from adaptive_pp import (
-    BoxSet,
-    EstimatorState,
-    estimator_audit,
-    image_box,
-    predict_error,
-    project_box,
-    update,
-    update_classical,
-    update_ideal,
-)
+from adaptive_pp import BoxSet, estimator_audit, project_box, projection_step
 
 BENCH_AUX_BOX = BoxSet([-1.0, -3.0, 1.0, -1.0, -5.0], [1.0, 1.0, 3.0, 0.0, -3.0])
 
@@ -51,77 +41,34 @@ def test_projection_is_nonexpansive_toward_box_points(x, anchor):
 
 
 # ---------------------------------------------------------------------------
-# state validation
-
-
-def test_state_rejects_bad_construction():
-    inside = np.zeros(3)
-    box = BoxSet([-1.0, -1.0, -1.0], [1.0, 1.0, 1.0])
-    with pytest.raises(ValueError, match="inside"):
-        EstimatorState(np.array([2.0, 0.0, 0.0]), 0.1, box)
-    with pytest.raises(ValueError, match="length"):
-        EstimatorState(np.zeros(4), 0.1, box)
-    with pytest.raises(ValueError, match="mode"):
-        EstimatorState(inside, 0.1, box, mode="fancy")
-    with pytest.raises(ValueError, match="mu > 0"):
-        EstimatorState(inside, 0.0, box, mode="classical")
-    with pytest.raises(ValueError, match="nonnegative"):
-        EstimatorState(inside, -1.0, box, mode="ideal")
-    # the ideal law is exactly the mu = 0 member
-    EstimatorState(inside, 0.0, box, mode="ideal")
-
-
-def test_state_estimate_is_frozen():
-    box = BoxSet([-1.0] * 3, [1.0] * 3)
-    est = EstimatorState(np.zeros(3), 0.1, box)
-    with pytest.raises(ValueError):
-        est.theta_hat[0] = 0.5
-
-
-# ---------------------------------------------------------------------------
 # update laws
 
 
 def test_classical_update_by_hand():
     box = BoxSet([-1.0] * 3, [1.0] * 3)
-    est = EstimatorState(np.array([0.5, 0.0, 0.0]), 0.5, box)
     psi = np.array([1.0, 2.0, 0.0])
     # e = 1 - 0.5 = 0.5, denom = 0.5 + 5 = 5.5, step = psi / 11
-    new = update_classical(est, psi, 1.0)
-    np.testing.assert_allclose(new.theta_hat, [0.5 + 1 / 11, 2 / 11, 0.0], atol=1e-15)
-    assert predict_error(est, psi, 1.0) == pytest.approx(0.5, abs=1e-15)
+    new, e = projection_step(np.array([0.5, 0.0, 0.0]), psi, 1.0, 0.5, box)
+    np.testing.assert_allclose(new, [0.5 + 1 / 11, 2 / 11, 0.0], atol=1e-15)
+    assert e == pytest.approx(0.5, abs=1e-15)
 
 
 def test_classical_update_clips_to_the_box():
     box = BoxSet([-1.0] * 3, [1.0] * 3)
-    est = EstimatorState(np.array([1.0, 0.0, 0.0]), 1.0, box)
-    new = update_classical(est, np.array([1.0, 0.0, 0.0]), 10.0)
+    new, _ = projection_step(np.array([1.0, 0.0, 0.0]), np.array([1.0, 0.0, 0.0]), 10.0, 1.0, box)
     # the raw step lands at 5.5 and must be clamped back to the face
-    np.testing.assert_array_equal(new.theta_hat, [1.0, 0.0, 0.0])
+    np.testing.assert_array_equal(new, [1.0, 0.0, 0.0])
 
 
 def test_ideal_update_interpolates_and_freezes():
     box = BoxSet([-10.0] * 3, [10.0] * 3)
-    est = EstimatorState(np.array([0.5, 0.0, 0.0]), 0.0, box, mode="ideal")
     psi = np.array([1.0, 2.0, 2.0])
-    new = update_ideal(est, psi, 3.0)
+    new, _ = projection_step(np.array([0.5, 0.0, 0.0]), psi, 3.0, 0.0, box)
     # wide box: no clipping, so the new estimate reproduces the observation
-    assert predict_error(new, psi, 3.0) == pytest.approx(0.0, abs=1e-12)
-    frozen = update_ideal(new, np.zeros(3), 123.0)
-    np.testing.assert_array_equal(frozen.theta_hat, new.theta_hat)
-
-
-def test_update_dispatches_on_mode():
-    box = BoxSet([-10.0] * 3, [10.0] * 3)
-    psi = np.array([1.0, 1.0, 0.0])
-    classical = EstimatorState(np.zeros(3), 0.5, box, mode="classical")
-    ideal = EstimatorState(np.zeros(3), 0.0, box, mode="ideal")
-    np.testing.assert_array_equal(
-        update(classical, psi, 1.0).theta_hat, update_classical(classical, psi, 1.0).theta_hat
-    )
-    np.testing.assert_array_equal(
-        update(ideal, psi, 1.0).theta_hat, update_ideal(ideal, psi, 1.0).theta_hat
-    )
+    assert 3.0 - psi @ new == pytest.approx(0.0, abs=1e-12)
+    frozen, e = projection_step(new, np.zeros(3), 123.0, 0.0, box)
+    np.testing.assert_array_equal(frozen, new)
+    assert e == 123.0
 
 
 @settings(max_examples=200, deadline=None)
@@ -132,15 +79,14 @@ def test_update_dispatches_on_mode():
     st.floats(min_value=1e-6, max_value=10.0),
 )
 def test_update_keeps_membership_and_respects_the_step_cap(start, psi, ybar_next, mu):
-    est = EstimatorState(BENCH_AUX_BOX.clip(np.array(start)), mu, BENCH_AUX_BOX)
+    theta = BENCH_AUX_BOX.clip(np.array(start))
     psi = np.array(psi)
-    new = update_classical(est, psi, ybar_next)
-    assert BENCH_AUX_BOX.contains(new.theta_hat, tol=1e-12)
+    new, e = projection_step(theta, psi, ybar_next, mu, BENCH_AUX_BOX)
+    assert BENCH_AUX_BOX.contains(new, tol=1e-12)
+    assert e == ybar_next - psi @ theta
     norm = np.linalg.norm(psi)
     if norm > 0.0:
-        e = predict_error(est, psi, ybar_next)
-        step = np.linalg.norm(new.theta_hat - est.theta_hat)
-        assert step <= abs(e) / norm + 1e-9
+        assert np.linalg.norm(new - theta) <= abs(e) / norm + 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -152,7 +98,8 @@ def _synthetic_run(mode: str, mu: float, steps: int, seed: int, zero_psi_every: 
     rng = np.random.default_rng(seed)
     box = BENCH_AUX_BOX
     theta_star = box.sample(rng)
-    est = EstimatorState(box.sample(rng), mu, box, mode=mode)
+    theta = box.sample(rng)
+    law_mu = mu if mode == "classical" else 0.0
 
     psi_log = np.empty((steps, box.dim))
     e_log = np.empty(steps)
@@ -164,11 +111,10 @@ def _synthetic_run(mode: str, mu: float, steps: int, seed: int, zero_psi_every: 
             psi = np.zeros(box.dim)
         wbar = float(rng.normal(scale=0.1))
         ybar_next = float(psi @ theta_star) + wbar
-        theta_log[t] = est.theta_hat
+        theta_log[t] = theta
         psi_log[t] = psi
-        e_log[t] = predict_error(est, psi, ybar_next)
         wbar_log[t] = wbar
-        est = update(est, psi, ybar_next)
+        theta, e_log[t] = projection_step(theta, psi, ybar_next, law_mu, box)
     return psi_log, e_log, wbar_log, theta_log, theta_star
 
 

@@ -1,16 +1,16 @@
-"""Delay-operator polynomial arithmetic, root finding, and the design matrix."""
+"""Delay-operator polynomials, root finding, and the design matrix."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from adaptive_pp import (
+    PlantParameters,
     Polynomial,
-    coprimeness_margin,
-    poly_mul,
+    aux_transform,
     poly_roots,
     spectral_radius,
+    sylvester_coeffs,
+    sylvester_margin,
     sylvester_matrix,
     sylvester_rcond,
 )
@@ -23,7 +23,6 @@ def test_coeffs_are_low_first_and_degree_counts_trailing_zeros():
     p = Polynomial([1.0, -0.6, 0.0])
     assert p.degree == 2
     assert p.coeffs.tolist() == [1.0, -0.6, 0.0]
-    assert p.trimmed().degree == 1
 
 
 def test_polynomial_is_immutable():
@@ -52,95 +51,15 @@ def test_monic_means_unit_constant_coefficient():
     assert not Polynomial([0.0, 1e-300]).is_zero
 
 
-def test_call_evaluates_in_the_delay_variable():
-    # p(q) = 1 - 0.6 q at q = 0.5
-    p = Polynomial([1.0, -0.6])
-    assert p(0.5) == pytest.approx(0.7, abs=1e-15)
-    # q^2 at q = 3
-    assert Polynomial([0.0, 0.0, 1.0])(3.0) == pytest.approx(9.0, abs=1e-12)
-
-
-def test_padded_and_trimmed_roundtrip():
-    p = Polynomial([1.0, 2.0])
-    q = p.padded(4)
-    assert q.degree == 4
-    assert q.coeffs.tolist() == [1.0, 2.0, 0.0, 0.0, 0.0]
-    assert q.trimmed().coeffs.tolist() == [1.0, 2.0]
-    with pytest.raises(ValueError):
-        q.trimmed().padded(0)
-    assert Polynomial([0.0, 0.0]).trimmed().coeffs.tolist() == [0.0]
-
-
 # ---------------------------------------------------------------------------
 # products
 
 
 def test_product_against_hand_expansion():
-    # (1 - q)(1 + 0.5 q + 1.5 q^2) = 1 - 0.5 q + q^2 - 1.5 q^3
-    prod = poly_mul(Polynomial([1.0, -1.0]), Polynomial([1.0, 0.5, 1.5]))
-    np.testing.assert_allclose(prod.coeffs, [1.0, -0.5, 1.0, -1.5], atol=1e-15)
-
-    # (1 + 2q)(3 - q) = 3 + 5q - 2q^2
-    prod = poly_mul(Polynomial([1.0, 2.0]), Polynomial([3.0, -1.0]))
-    np.testing.assert_allclose(prod.coeffs, [3.0, 5.0, -2.0], atol=1e-15)
-
-    # q * q^2 = q^3
-    prod = poly_mul(Polynomial([0.0, 1.0]), Polynomial([0.0, 0.0, 1.0]))
-    np.testing.assert_allclose(prod.coeffs, [0.0, 0.0, 0.0, 1.0], atol=0.0)
-
-
-def test_product_by_zero_and_fixed_degree():
-    zero = Polynomial([0.0])
-    prod = poly_mul(zero, Polynomial([1.0, 2.0, 3.0]))
-    assert prod.is_zero and prod.degree == 0
-
-    lifted = poly_mul(Polynomial([1.0, -1.0]), Polynomial([1.0, 1.0]), fixed_degree=5)
-    assert lifted.degree == 5
-    np.testing.assert_allclose(lifted.coeffs, [1.0, 0.0, -1.0, 0.0, 0.0, 0.0], atol=1e-15)
-
-    with pytest.raises(ValueError):
-        poly_mul(Polynomial([1.0, 1.0]), Polynomial([1.0, 1.0]), fixed_degree=1)
-
-
-def test_mul_operator_matches_poly_mul():
-    a = Polynomial([1.0, -0.3, 0.2])
-    b = Polynomial([0.0, 1.0, 1.0])
-    np.testing.assert_array_equal((a * b).coeffs, poly_mul(a, b).coeffs)
-    with pytest.raises(TypeError):
-        a * 2.0
-
-
-coeff = st.floats(min_value=-10.0, max_value=10.0, allow_nan=False, allow_infinity=False)
-coeff_lists = st.lists(coeff, min_size=1, max_size=6)
-
-
-@settings(max_examples=200, deadline=None)
-@given(coeff_lists, coeff_lists)
-def test_product_commutes(a, b):
-    p, q = Polynomial(a), Polynomial(b)
-    left, right = poly_mul(p, q), poly_mul(q, p)
-    assert left.degree == right.degree
-    np.testing.assert_allclose(left.coeffs, right.coeffs, atol=1e-9, rtol=1e-12)
-
-
-@settings(max_examples=200, deadline=None)
-@given(coeff_lists, coeff_lists, coeff_lists)
-def test_product_is_associative(a, b, c):
-    p, q, r = Polynomial(a), Polynomial(b), Polynomial(c)
-    left = poly_mul(poly_mul(p, q), r)
-    right = poly_mul(p, poly_mul(q, r))
-    deg = max(left.degree, right.degree)
-    np.testing.assert_allclose(
-        left.padded(deg).coeffs, right.padded(deg).coeffs, atol=1e-6, rtol=1e-10
-    )
-
-
-@settings(max_examples=200, deadline=None)
-@given(coeff_lists, coeff_lists, st.floats(min_value=-2.0, max_value=2.0))
-def test_product_evaluates_pointwise(a, b, x):
-    p, q = Polynomial(a), Polynomial(b)
-    prod = poly_mul(p, q)
-    assert prod(x) == pytest.approx(p(x) * q(x), abs=1e-6, rel=1e-9)
+    # the benchmark plant A = 1 + 0.5 q + 1.5 q^2 has the incremental
+    # denominator (1 - q) A = 1 - 0.5 q + q^2 - 1.5 q^3
+    theta_star = aux_transform(PlantParameters([-0.5, -1.5], [-0.75, -3.0]))
+    np.testing.assert_allclose(sylvester_coeffs(theta_star, 2)[:4], [1.0, -0.5, 1.0, -1.5], atol=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -149,7 +68,7 @@ def test_product_evaluates_pointwise(a, b, x):
 
 def test_roots_of_lifted_first_order_target():
     # q-polynomial 1 - 0.6 q declared at degree 5 lifts to z^4 (z - 0.6)
-    p = Polynomial([1.0, -0.6]).padded(5)
+    p = Polynomial([1.0, -0.6, 0.0, 0.0, 0.0, 0.0])
     roots = poly_roots(p)
     np.testing.assert_allclose(roots, [0.0, 0.0, 0.0, 0.0, 0.6], atol=1e-12)
     # the four origin roots are deflated exactly, not iterated
@@ -213,65 +132,73 @@ def test_spectral_radius_examples():
 
 def test_sylvester_identity_case():
     # abar = 1 (declared at degree 2), bhat = q: the system matrix is I_3
-    abar = Polynomial([1.0, 0.0, 0.0])
-    bhat = Polynomial([0.0, 1.0])
-    m = sylvester_matrix(abar, bhat, 1)
+    m = sylvester_matrix(np.array([0.0, 0.0, 1.0]), 1)
     np.testing.assert_array_equal(m, np.eye(3))
-    assert coprimeness_margin(abar, bhat, 1) == pytest.approx(1.0, abs=1e-15)
+    margin, _, regular = sylvester_margin(m)
+    assert margin == pytest.approx(1.0, abs=1e-15) and regular
     assert sylvester_rcond(m) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_sylvester_matrix_lists_product_coefficients():
     # For any L, P of the right shape, M @ [l; p] must equal the coefficients
-    # of abar*(L-1) + bhat*P on q^1..q^{2n+1}.
+    # of abar*(L-1) + bhat*P on q^1..q^{2n+1}; a stack of estimates gives the
+    # stack of their matrices.
     rng = np.random.default_rng(3)
     n = 2
-    abar = Polynomial(np.concatenate(([1.0], rng.uniform(-1, 1, n + 1))))
-    bhat = Polynomial(np.concatenate(([0.0], rng.uniform(-1, 1, n))))
-    m = sylvester_matrix(abar, bhat, n)
-    l_coef = rng.uniform(-1, 1, n)
-    p_coef = rng.uniform(-1, 1, n + 1)
-    L = Polynomial(np.concatenate(([1.0], l_coef)))
-    P = Polynomial(np.concatenate(([0.0], p_coef)))
     dim = 2 * n + 1
-    combo = (
-        poly_mul(abar, L, fixed_degree=dim).coeffs
-        - abar.padded(dim).coeffs
-        + poly_mul(bhat, P, fixed_degree=dim).coeffs
-    )
-    np.testing.assert_allclose(m @ np.concatenate((l_coef, p_coef)), combo[1:], atol=1e-12)
+    thetas = rng.uniform(-1, 1, (4, dim))
+    stack = sylvester_matrix(thetas, n)
+    assert stack.shape == (4, dim, dim)
+    for theta, m in zip(thetas, stack):
+        np.testing.assert_array_equal(m, sylvester_matrix(theta, n))
+        abar = np.concatenate(([1.0], -theta[: n + 1]))
+        bhat = np.concatenate(([0.0], theta[n + 1 :]))
+        np.testing.assert_array_equal(sylvester_coeffs(theta, n), np.concatenate((abar, bhat)))
+        l_coef = rng.uniform(-1, 1, n)
+        p_coef = rng.uniform(-1, 1, n + 1)
+        combo = (
+            np.convolve(abar, np.concatenate(([1.0], l_coef)))
+            - np.pad(abar, (0, n))
+            + np.convolve(bhat, np.concatenate(([0.0], p_coef)))
+        )
+        np.testing.assert_allclose(m @ np.concatenate((l_coef, p_coef)), combo[1:], atol=1e-12)
 
 
 def test_sylvester_rejects_malformed_inputs():
-    good_abar = Polynomial([1.0, 0.5, 0.25])
-    good_bhat = Polynomial([0.0, 1.0])
+    # monic abar and the zero constant term of bhat are fixed by the layout;
+    # what can still go wrong is the order and the estimate length
     with pytest.raises(ValueError):
-        sylvester_matrix(good_abar, good_bhat, 0)
+        sylvester_matrix(np.zeros(1), 0)
     with pytest.raises(ValueError):
-        sylvester_matrix(Polynomial([2.0, 0.0, 0.0]), good_bhat, 1)  # not monic
+        sylvester_matrix(np.zeros(4), 1)
     with pytest.raises(ValueError):
-        sylvester_matrix(Polynomial([1.0, 0.0]), good_bhat, 1)  # wrong degree
-    with pytest.raises(ValueError):
-        sylvester_matrix(good_abar, Polynomial([1.0, 1.0]), 1)  # constant term
-    with pytest.raises(ValueError):
-        sylvester_matrix(good_abar, Polynomial([0.0, 1.0, 1.0]), 1)  # degree too high
+        sylvester_matrix(np.zeros((2, 4)), 1)
 
 
 def test_common_factor_collapses_the_margin():
     # abar = (1 - q)(1 + 0.5 q + 1.5 q^2) and bhat = q(1 - q) share a factor,
     # so the design system must be singular.
-    abar = poly_mul(Polynomial([1.0, -1.0]), Polynomial([1.0, 0.5, 1.5]))
-    bhat = Polynomial([0.0, 1.0, -1.0])
-    assert abar.degree == 3 and abar.is_monic
-    margin = coprimeness_margin(abar, bhat, 2)
-    assert margin < 1e-12
-    assert sylvester_rcond(sylvester_matrix(abar, bhat, 2)) < 1e-12
+    theta = np.array([0.5, -1.0, 1.5, 1.0, -1.0])
+    coeffs = sylvester_coeffs(theta, 2)
+    np.testing.assert_array_equal(coeffs[:4], np.convolve([1.0, -1.0], [1.0, 0.5, 1.5]))
+    np.testing.assert_array_equal(coeffs[4:], np.convolve([0.0, 1.0], [1.0, -1.0]))
+    m = sylvester_matrix(theta, 2)
+    margin, threshold, regular = sylvester_margin(m)
+    assert margin < 1e-12 and margin <= threshold and not regular
+    assert sylvester_rcond(m) < 1e-12
 
 
 def test_margin_positive_for_coprime_pair():
-    abar = Polynomial([1.0, -0.5, 0.0, 0.25])
-    bhat = Polynomial([0.0, -0.75, -3.0])
-    assert coprimeness_margin(abar, bhat, 2) > 1e-3
+    # abar = 1 - 0.5 q + 0.25 q^3, bhat = -0.75 q - 3 q^2
+    coprime = np.array([0.5, 0.0, -0.25, -0.75, -3.0])
+    margin, _, regular = sylvester_margin(sylvester_matrix(coprime, 2))
+    assert margin > 1e-3 and regular
+    # one decision per matrix of a stack; a NaN estimate counts as singular
+    shared = np.array([0.5, -1.0, 1.5, 1.0, -1.0])
+    stack = sylvester_matrix(np.array([coprime, shared, np.full(5, np.nan)]), 2)
+    with np.errstate(invalid="ignore"):
+        regular = sylvester_margin(stack)[2]
+    np.testing.assert_array_equal(regular, [True, False, False])
 
 
 def test_rcond_of_exactly_singular_matrix_is_zero():

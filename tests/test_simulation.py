@@ -10,6 +10,7 @@ from adaptive_pp import (
     SignalSpec,
     SimConfig,
     SingularSylvesterError,
+    SystemState,
     TargetPolynomial,
     Trajectory,
     TrajectoryFormatError,
@@ -139,16 +140,19 @@ def test_trajectory_shapes_and_time_axis(bench_run):
 
 
 def test_logged_columns_are_internally_consistent(bench_run):
-    _, traj = bench_run
+    cfg, traj = bench_run
     np.testing.assert_allclose(traj.ybar, traj.y - traj.r, atol=0.0)
     np.testing.assert_allclose(traj.ubar[1:], np.diff(traj.u), atol=1e-12)
     # psi(t) = [ybar(t)..ybar(t-2), ubar(t)..ubar(t-1)] visible once history fills
     for i in range(2, traj.steps):
         np.testing.assert_allclose(traj.psi[i, :3], traj.ybar[i::-1][:3], atol=0.0)
         np.testing.assert_allclose(traj.psi[i, 3:], traj.ubar[i:i - 2:-1], atol=0.0)
-    # phi stacks the raw state
-    np.testing.assert_allclose(traj.phi[:, 0], traj.y, atol=0.0)
-    np.testing.assert_allclose(traj.phi[:, 3], traj.u, atol=0.0)
+    # phi stacks the raw state; replaying the plant history is the reference
+    state = SystemState.from_phi(cfg.phi0, 2, t=0)
+    for i in range(traj.steps):
+        if i > 0:
+            state.advance(traj.y[i], traj.u[i])
+        np.testing.assert_array_equal(traj.phi[i], state.phi())
 
 
 def test_error_and_disturbance_columns_are_the_defining_identities(bench_run):
@@ -323,6 +327,13 @@ def test_constants_reject_a_wrong_box(example_target):
         estimate_constants(BoxSet(np.zeros(4), np.ones(4)), example_target)
 
 
+def test_constants_name_a_box_with_no_regular_design(example_target):
+    # b pinned at zero: every sample and vertex has a vanishing numerator
+    aux_box = BoxSet([-1.0, -3.0, 1.0, 0.0, 0.0], [1.0, 1.0, 3.0, 0.0, 0.0])
+    with pytest.raises(ValueError, match="singular at all 42 sampled estimates"):
+        estimate_constants(aux_box, example_target, samples=10)
+
+
 def test_crude_bound_holds_on_the_benchmark(bench_run, bench_constants):
     _, traj = bench_run
     report = crude_bound_audit(traj, bench_constants.alpha_bar, bench_constants.s_bar)
@@ -494,6 +505,11 @@ def test_sweep_validates_inputs(example_config):
         monte_carlo_sweep(cfg, draws=0)
     with pytest.raises(ValueError, match="override"):
         monte_carlo_sweep(cfg, draws=1, overrides={"sigma": 1.0})
+    with pytest.raises(ValueError, match="horizon"):
+        monte_carlo_sweep(cfg, draws=1, horizon=0)
+    for mu_range in ((0.0, 1.0), (1.0, 0.5), (1e-3, np.inf)):
+        with pytest.raises(ValueError, match="mu override"):
+            monte_carlo_sweep(cfg, draws=1, overrides={"mu": mu_range})
 
 
 def test_sweep_collects_aborted_draws_instead_of_dying():
