@@ -17,6 +17,7 @@ from .controller import (
     closed_loop_matrix,
     solve_diophantine,
     solve_diophantine_batch,
+    spectral_radius,
     state_recursion_audit,
 )
 from .estimator import (
@@ -30,18 +31,13 @@ from .plant import (
     BoxSet,
     PlantParameters,
     SystemState,
-    aux_param_matrix,
     aux_transform,
     image_box,
     make_regressor,
     plant_step,
 )
 from .polynomial import (
-    Polynomial,
-    RootConvergenceError,
-    poly_roots,
     singularity_threshold,
-    spectral_radius,
     sylvester_coeffs,
     sylvester_layout,
     sylvester_margin,
@@ -71,10 +67,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "__version__",
-    "Polynomial",
-    "RootConvergenceError",
-    "poly_roots",
-    "spectral_radius",
     "sylvester_layout",
     "sylvester_coeffs",
     "sylvester_matrix",
@@ -84,7 +76,6 @@ __all__ = [
     "BoxSet",
     "PlantParameters",
     "SystemState",
-    "aux_param_matrix",
     "aux_transform",
     "image_box",
     "make_regressor",
@@ -93,6 +84,7 @@ __all__ = [
     "estimator_audit",
     "project_box",
     "projection_step",
+    "spectral_radius",
     "TargetPolynomial",
     "ControllerSolution",
     "DesignBatch",

@@ -25,7 +25,6 @@ import numpy as np
 from . import __version__
 from .controller import SingularSylvesterError, TargetPolynomial
 from .plant import BoxSet, PlantParameters
-from .polynomial import Polynomial
 from .simulation import (
     AUDIT_NAMES,
     SignalSpec,
@@ -57,6 +56,14 @@ def _expect_keys(obj: dict, where: str, required: tuple, optional: tuple = ()) -
         raise ConfigError(f"missing keys {sorted(missing)} in {where}")
 
 
+def _exact(value, kind: type, where: str):
+    """`value` itself if it is a JSON integer or boolean as `kind` asks; never coerced."""
+    if type(value) is not kind:  # a bool is not an int here, and 300.7 is not 300
+        name = "a boolean" if kind is bool else "an integer"
+        raise ConfigError(f"{where} must be {name}, got {json.dumps(value)}")
+    return value
+
+
 def _floats(value, where: str) -> np.ndarray:
     try:
         arr = np.asarray(value, dtype=float)
@@ -77,7 +84,9 @@ def _signal(obj, where: str) -> SignalSpec:
         if kind == "sign_flip":
             _expect_keys(obj, where, ("kind", "magnitude", "period"), ())
             return SignalSpec(
-                "sign_flip", magnitude=float(obj["magnitude"]), period=int(obj["period"])
+                "sign_flip",
+                magnitude=float(obj["magnitude"]),
+                period=_exact(obj["period"], int, f"{where}.period"),
             )
         if kind == "custom":
             _expect_keys(obj, where, ("kind", "values"), ())
@@ -136,10 +145,7 @@ def load_config(path: str) -> tuple[SimConfig, dict, str]:
     _expect_keys(raw, "config", TOP_KEYS_REQUIRED, TOP_KEYS_OPTIONAL)
     if raw["schema_version"] != 1:
         raise ConfigError("schema_version must be 1")
-    try:
-        n = int(raw["n"])
-    except (TypeError, ValueError) as err:
-        raise ConfigError(f"n must be an integer: {err}") from err
+    n = _exact(raw["n"], int, "n")
 
     _expect_keys(raw["plant"], "plant", ("a", "b"))
     a = _floats(raw["plant"]["a"], "plant.a")
@@ -148,9 +154,8 @@ def load_config(path: str) -> tuple[SimConfig, dict, str]:
         raise ConfigError(f"plant.a and plant.b must each have length n = {n}")
 
     box = _box(raw["parameter_box"], n)
-    target_coeffs = _floats(raw["target_poly"], "target_poly")
     try:
-        target = TargetPolynomial(Polynomial(target_coeffs), n)
+        target = TargetPolynomial(_floats(raw["target_poly"], "target_poly"), n)
     except ValueError as err:
         raise ConfigError(f"bad target_poly: {err}") from err
 
@@ -161,9 +166,15 @@ def load_config(path: str) -> tuple[SimConfig, dict, str]:
     sweep = raw.get("sweep")
     if sweep is not None:
         _expect_keys(sweep, "sweep", ("draws",), SWEEP_KEYS[1:])
+        for key in ("draws", "seed", "horizon"):
+            if key in sweep:
+                _exact(sweep[key], int, f"sweep.{key}")
         overrides = sweep.get("overrides")
         if overrides is not None:
             _expect_keys(overrides, "sweep.overrides", (), OVERRIDE_KEYS)
+            for key in ("theta", "theta0"):
+                if key in overrides:
+                    _exact(overrides[key], bool, f"sweep.overrides.{key}")
 
     try:
         cfg = SimConfig(
@@ -176,11 +187,11 @@ def load_config(path: str) -> tuple[SimConfig, dict, str]:
             phi0=_floats(raw["phi0"], "phi0"),
             reference=_signal(raw["reference"], "reference"),
             disturbance=_signal(raw["disturbance"], "disturbance"),
-            horizon=int(raw["horizon"]),
-            t0=int(raw.get("t0", 0)),
-            seed=int(raw.get("seed", 0)),
+            horizon=_exact(raw["horizon"], int, "horizon"),
+            t0=_exact(raw.get("t0", 0), int, "t0"),
+            seed=_exact(raw.get("seed", 0), int, "seed"),
             estimator_mode=str(raw.get("estimator", "classical")),
-            nudge_singular=bool(raw.get("nudge_singular", False)),
+            nudge_singular=_exact(raw.get("nudge_singular", False), bool, "nudge_singular"),
             lam=None if raw.get("lambda") is None else float(raw["lambda"]),
         )
         cfg.validate()
@@ -189,8 +200,8 @@ def load_config(path: str) -> tuple[SimConfig, dict, str]:
 
     extras = {
         "audits": list(audits),
-        "alpha_samples": int(raw.get("alpha_samples", 100_000)),
-        "tracking_tail": int(raw.get("tracking_tail", 100)),
+        "alpha_samples": _exact(raw.get("alpha_samples", 100_000), int, "alpha_samples"),
+        "tracking_tail": _exact(raw.get("tracking_tail", 100), int, "tracking_tail"),
         "sweep": sweep,
         "out": raw.get("out"),
     }
@@ -387,7 +398,6 @@ def cmd_sweep(args) -> int:
     draws = args.draws if args.draws is not None else sweep_cfg.get("draws")
     if draws is None:
         raise ConfigError("sweep needs --draws or a sweep.draws config entry")
-    draws = int(draws)
     seed = args.seed if args.seed is not None else sweep_cfg.get("seed")
     horizon = args.horizon if args.horizon is not None else sweep_cfg.get("horizon")
     overrides = sweep_cfg.get("overrides")
@@ -401,7 +411,7 @@ def cmd_sweep(args) -> int:
             cfg, draws,
             seed=seed,
             overrides=overrides,
-            horizon=None if horizon is None else int(horizon),
+            horizon=horizon,
             alpha_samples=extras["alpha_samples"],
             audits=audit_names,
         )
@@ -444,7 +454,7 @@ def cmd_sweep(args) -> int:
         "command": "sweep",
         "config_path": os.path.abspath(args.config),
         "config_hash": digest,
-        "seed": cfg.seed if seed is None else int(seed),
+        "seed": cfg.seed if seed is None else seed,
         "draws": draws,
         "outputs": ["sweep.csv"],
         "audits": detail_names,

@@ -26,8 +26,6 @@ from typing import NamedTuple
 import numpy as np
 
 from .polynomial import (
-    Polynomial,
-    spectral_radius,
     sylvester_coeffs,
     sylvester_margin,
     sylvester_matrix,
@@ -36,6 +34,7 @@ from .polynomial import (
 
 __all__ = [
     "SingularSylvesterError",
+    "spectral_radius",
     "TargetPolynomial",
     "ControllerSolution",
     "DesignBatch",
@@ -62,23 +61,45 @@ class SingularSylvesterError(RuntimeError):
         self.step = step
 
 
-@dataclass(frozen=True)
-class TargetPolynomial:
-    """Validated closed-loop target: monic, degree <= 2n+1, strictly stable."""
+def spectral_radius(coeffs) -> float:
+    """Largest root modulus of the lifted form z^d p(z^{-1}), 0 when it has none.
 
-    poly: Polynomial
+    The low-first q-coefficients of p are the highest-first z-coefficients of
+    the lifted form, so they go to `np.roots` as they are; it returns the
+    trailing zeros as exact roots at the origin, which never raise the
+    maximum.
+    """
+    return float(np.abs(np.roots(coeffs)).max(initial=0.0))
+
+
+@dataclass(frozen=True, eq=False)
+class TargetPolynomial:
+    """Validated closed-loop target: monic, degree <= 2n+1, strictly stable.
+
+    `coeffs` lists Astar(z^{-1}) lowest power first as a read-only float
+    array; its length fixes the nominal degree, trailing zeros included.
+    """
+
+    coeffs: np.ndarray
     n: int
 
     def __post_init__(self):
+        coeffs = np.array(self.coeffs, dtype=float, ndmin=1)
+        if coeffs.ndim != 1 or coeffs.size == 0:
+            raise ValueError("the target coefficients must be a nonempty 1-D sequence")
+        if not np.all(np.isfinite(coeffs)):
+            raise ValueError("the target coefficients must be finite")
+        coeffs.flags.writeable = False
+        object.__setattr__(self, "coeffs", coeffs)
         if self.n < 1:
             raise ValueError("n must be at least 1")
-        if not self.poly.is_monic:
+        if coeffs[0] != 1.0:
             raise ValueError("the target polynomial must be monic")
-        if self.poly.degree > 2 * self.n + 1:
+        if coeffs.size > self.dim + 1:
             raise ValueError(
-                f"target degree {self.poly.degree} exceeds the placeable degree {2 * self.n + 1}"
+                f"target degree {coeffs.size - 1} exceeds the placeable degree {self.dim}"
             )
-        radius = spectral_radius(self.poly, 2 * self.n + 1)
+        radius = spectral_radius(coeffs)
         if radius >= 1.0:
             raise ValueError(f"target polynomial is not stable (spectral radius {radius:.6f})")
 
@@ -88,11 +109,11 @@ class TargetPolynomial:
 
     def lifted_coeffs(self) -> np.ndarray:
         """Coefficients padded to the full placeable degree 2n+1."""
-        return np.pad(self.poly.coeffs, (0, self.dim - self.poly.degree))
+        return np.pad(self.coeffs, (0, self.dim + 1 - self.coeffs.size))
 
     def decay_floor(self) -> float:
         """Largest closed-loop pole modulus; any decay rate must exceed it."""
-        return spectral_radius(self.poly, self.dim)
+        return spectral_radius(self.coeffs)
 
 
 @dataclass(frozen=True)

@@ -29,7 +29,6 @@ __all__ = [
     "BoxSet",
     "PlantParameters",
     "SystemState",
-    "aux_param_matrix",
     "aux_transform",
     "image_box",
     "plant_step",
@@ -139,32 +138,10 @@ class PlantParameters:
             )
 
 
-def aux_param_matrix(n: int) -> np.ndarray:
-    """Matrix taking [1, a_1..a_n, b_1..b_n] to [abar_1..abar_{n+1}, b_1..b_n].
-
-    Row structure: abar_1 = 1 + a_1, abar_j = a_j - a_{j-1} for 2 <= j <= n,
-    abar_{n+1} = -a_n, and the b block passes through.  The a block is upper
-    bidiagonal with unit-magnitude diagonal, so the map is always invertible.
-    """
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    dim = 2 * n + 1
-    m = np.zeros((dim, dim))
-    m[0, 0] = 1.0
-    m[0, 1] = 1.0
-    for j in range(2, n + 1):
-        m[j - 1, j] = 1.0
-        m[j - 1, j - 1] = -1.0
-    m[n, n] = -1.0
-    m[n + 1 :, n + 1 :] = np.eye(n)
-    return m
-
-
 def aux_transform(theta: PlantParameters) -> np.ndarray:
     """theta_star = [abar_1..abar_{n+1}, b_1..b_n] of a plant, length 2n+1.
 
-    Abar(z^{-1}) = 1 - sum_k abar_k z^{-k} is (1 - z^{-1}) A(z^{-1}); the
-    matrix route `aux_param_matrix` gives the same result.
+    Abar(z^{-1}) = 1 - sum_k abar_k z^{-k} is (1 - z^{-1}) A(z^{-1}).
     """
     a = theta.a
     out = np.empty(2 * theta.n + 1)

@@ -1,16 +1,12 @@
-"""Polynomials in the delay operator and the pole-placement system matrix.
+"""The pole-placement system matrix and its singularity test.
 
-Everything here works with polynomials in q = z^{-1}, stored lowest power
-first: ``coeffs[k]`` multiplies z^{-k}.  Stability questions are asked about
-the lifted monomial form z^d * p(z^{-1}), a plain polynomial in z, so root
-finding returns points in the z plane and a characteristic polynomial is
-stable when all of them sit strictly inside the unit disk.
-
-The simultaneous (Durand-Kerner) root iteration is implemented directly: the
-degrees involved stay small (at most a few dozen), the iteration needs no
-factorization machinery, and zero roots coming from low-order zero
-coefficients are deflated exactly before iterating so lifted polynomials with
-trailing zero coefficients report exact zero roots.
+Polynomials here are coefficient arrays in q = z^{-1}, lowest power first:
+``c[k]`` multiplies z^{-k}.  An estimate theta = [abar_1..abar_{n+1},
+b_1..b_n] stacks into the coefficients of Abar(z^{-1}) and B(z^{-1}), and
+one index map places them in the (2n+1) x (2n+1) Sylvester matrix of the
+design equation.  The matrix is singular exactly when the lifted pair
+z^{n+1} Abar(z^{-1}), z^n B(z^{-1}) shares a root; the test is a relative
+threshold on |det|.
 """
 
 from __future__ import annotations
@@ -20,10 +16,6 @@ from functools import lru_cache
 import numpy as np
 
 __all__ = [
-    "Polynomial",
-    "RootConvergenceError",
-    "poly_roots",
-    "spectral_radius",
     "sylvester_layout",
     "sylvester_coeffs",
     "sylvester_matrix",
@@ -34,136 +26,6 @@ __all__ = [
 
 # |det| at or below this multiple of max(1, ||M||_inf) counts as singular
 SINGULAR_REL_THRESHOLD = 1e-12
-
-
-class RootConvergenceError(RuntimeError):
-    """Root iteration failed to settle within the iteration cap."""
-
-    def __init__(self, message: str, residual: float):
-        super().__init__(f"{message} (max residual {residual:.3e})")
-        self.residual = residual
-
-
-class Polynomial:
-    """Immutable real polynomial in z^{-1}.
-
-    Parameters
-    ----------
-    coeffs : array_like
-        Coefficients, lowest power first.  The stored length fixes the
-        nominal degree: trailing zeros are kept, so a polynomial can carry
-        an explicit lift degree (useful for characteristic polynomials that
-        are declared degree 2n+1 but have fewer nonzero terms).
-
-    The zero polynomial is represented as ``[0.0]`` with degree 0.
-    """
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs):
-        arr = np.atleast_1d(np.asarray(coeffs, dtype=float)).copy()
-        if arr.ndim != 1 or arr.size == 0:
-            raise ValueError("coefficients must be a nonempty 1-D sequence")
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("coefficients must be finite")
-        arr.flags.writeable = False
-        object.__setattr__(self, "coeffs", arr)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Polynomial is immutable")
-
-    @property
-    def degree(self) -> int:
-        return self.coeffs.size - 1
-
-    @property
-    def is_zero(self) -> bool:
-        return bool(np.all(self.coeffs == 0.0))
-
-    @property
-    def is_monic(self) -> bool:
-        # monic in the delay-operator sense: constant coefficient equal to 1
-        return self.coeffs[0] == 1.0
-
-    def __repr__(self):
-        return f"Polynomial({np.array2string(self.coeffs, separator=', ')})"
-
-
-def _durand_kerner(monic_low_first: np.ndarray, tol: float, max_iter: int) -> np.ndarray:
-    """All roots of a monic polynomial with coefficients c0..c_{d-1} (low first).
-
-    Simultaneous iteration from points on a circle of radius 1 + max|coeff|,
-    stopping when the largest update drops below ``tol``.
-    """
-    d = monic_low_first.size
-    coeffs = np.concatenate((monic_low_first, [1.0])).astype(complex)
-
-    radius = 1.0 + np.abs(monic_low_first).max(initial=0.0)
-    angles = 2.0 * np.pi * np.arange(d) / d + 0.4  # phase offset breaks axis symmetry
-    x = radius * np.exp(1j * angles)
-
-    def evaluate(pts):
-        acc = np.zeros_like(pts)
-        for c in coeffs[::-1]:
-            acc = acc * pts + c
-        return acc
-
-    for _ in range(max_iter):
-        diff = x[:, None] - x[None, :]
-        np.fill_diagonal(diff, 1.0)
-        denom = diff.prod(axis=1)
-        step = evaluate(x) / denom
-        x = x - step
-        if np.abs(step).max() <= tol:
-            return x
-    residual = float(np.abs(evaluate(x)).max())
-    raise RootConvergenceError(
-        f"root iteration did not converge in {max_iter} iterations", residual
-    )
-
-
-def poly_roots(p: Polynomial, tol: float = 1e-12, max_iter: int = 1000) -> np.ndarray:
-    """Roots in z of the lifted polynomial z^{deg(p)} * p(z^{-1}).
-
-    Zero roots contributed by vanishing low-order lifted coefficients are
-    deflated exactly, so multiplicities at the origin are reported without
-    iteration error.  Returned sorted by (real, imag) for determinism.
-    """
-    if p.is_zero:
-        raise ValueError("the zero polynomial has no well-defined root set")
-    # ascending powers of z: coefficient of z^j is coeffs[deg - j]
-    asc = p.coeffs[::-1].copy()
-    # leading zeros of p drop the lifted degree
-    lead = np.nonzero(asc)[0][-1]
-    asc = asc[: lead + 1]
-    # low-order zeros are exact roots at the origin
-    first = np.nonzero(asc)[0][0]
-    zeros_at_origin = np.zeros(first, dtype=complex)
-    core = asc[first:]
-    if core.size == 1:
-        roots = zeros_at_origin
-    else:
-        monic = (core[:-1] / core[-1]).astype(float)
-        found = _durand_kerner(monic, tol, max_iter)
-        roots = np.concatenate((zeros_at_origin, found))
-    order = np.lexsort((roots.imag, roots.real))
-    return roots[order]
-
-
-def spectral_radius(p: Polynomial, lift_degree: int) -> float:
-    """Largest root modulus of z^{lift_degree} * p(z^{-1}).
-
-    Extra zero roots introduced by lifting beyond deg(p) never raise the
-    maximum, so the lift degree only needs validating, not expanding.
-    """
-    if lift_degree < p.degree:
-        raise ValueError(
-            f"lift degree {lift_degree} is below the polynomial degree {p.degree}"
-        )
-    roots = poly_roots(p)
-    if roots.size == 0:
-        return 0.0
-    return float(np.abs(roots).max())
 
 
 @lru_cache(maxsize=None)

@@ -171,8 +171,8 @@ class SimConfig:
             raise ValueError("theta0 must lie inside the incremental parameter box")
         if self.phi0.shape != (2 * (n + 1),):
             raise ValueError(f"phi0 must have length {2 * (n + 1)}")
-        if not self.mu > 0.0:
-            raise ValueError("mu must be positive")
+        if not 0.0 < self.mu < np.inf:
+            raise ValueError("mu must be positive and finite")
         if int(self.horizon) != self.horizon or self.horizon < 1:
             raise ValueError("horizon must be an integer >= 1")
         if self.estimator_mode not in ("classical", "ideal"):

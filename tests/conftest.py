@@ -9,7 +9,6 @@ import pytest
 from adaptive_pp import (
     BoxSet,
     PlantParameters,
-    Polynomial,
     SignalSpec,
     SimConfig,
     TargetPolynomial,
@@ -32,7 +31,7 @@ def example_box() -> BoxSet:
 
 @pytest.fixture(scope="session")
 def example_target() -> TargetPolynomial:
-    return TargetPolynomial(Polynomial([1.0, -0.6]), 2)
+    return TargetPolynomial([1.0, -0.6], 2)
 
 
 @pytest.fixture(scope="session")

@@ -76,6 +76,23 @@ def test_audits_default_when_omitted(config_file):
         dict(reference={"kind": "mystery"}),
         dict(sweep={"draws": 10, "overrides": {"gain": 2}}),
         dict(tracking_tail=0),
+        dict(mu=float("inf")),
+        dict(n=2.0),
+        dict(horizon=300.7),
+        dict(horizon="300"),
+        dict(t0=0.5),
+        dict(seed=False),
+        dict(alpha_samples=1e3),
+        dict(tracking_tail=100.0),
+        dict(reference={"kind": "sign_flip", "magnitude": 2.0, "period": 100.9}),
+        dict(disturbance={"kind": "sign_flip", "magnitude": 0.5, "period": True}),
+        dict(nudge_singular="no"),
+        dict(nudge_singular=0),
+        dict(sweep={"draws": 10.5}),
+        dict(sweep={"draws": 10, "seed": 1.5}),
+        dict(sweep={"draws": 10, "horizon": "400"}),
+        dict(sweep={"draws": 10, "overrides": {"theta": 1}}),
+        dict(sweep={"draws": 10, "overrides": {"theta0": "yes"}}),
     ],
 )
 def test_load_config_rejects_bad_content(config_file, mutation):
@@ -176,6 +193,10 @@ def test_run_nudge_option_recovers_the_singular_start(config_file, tmp_path):
 
 def test_run_exit_2_on_config_errors(config_file, tmp_path):
     assert main(["run", config_file(mu=-1.0), "--quiet"]) == 2
+    # non-integer or non-boolean values are refused, not truncated or coerced
+    assert main(["run", config_file(horizon=300.7), "--quiet"]) == 2
+    assert main(["run", config_file(nudge_singular="no"), "--quiet"]) == 2
+    assert main(["run", config_file(mu=float("inf")), "--quiet"]) == 2
     assert main(["run", str(tmp_path / "nope.json"), "--quiet"]) == 2
     # a tracking window the horizon cannot hold is a config-level error
     bad = config_file(horizon=120, tracking_tail=100, alpha_samples=500)

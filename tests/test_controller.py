@@ -5,7 +5,6 @@ import pytest
 
 from adaptive_pp import (
     BoxSet,
-    Polynomial,
     SingularSylvesterError,
     TargetPolynomial,
     closed_loop_matrix,
@@ -15,7 +14,7 @@ from adaptive_pp import (
     state_recursion_audit,
 )
 
-BENCH_TARGET = TargetPolynomial(Polynomial([1.0, -0.6]), 2)
+BENCH_TARGET = TargetPolynomial([1.0, -0.6], 2)
 BENCH_THETA0 = np.array([0.0, -1.0, 2.0, -0.5, -4.0])
 
 
@@ -36,20 +35,21 @@ def _identity_lhs(theta: np.ndarray, K: np.ndarray) -> np.ndarray:
 def test_target_accepts_the_benchmark_choice():
     assert BENCH_TARGET.dim == 5
     np.testing.assert_array_equal(BENCH_TARGET.lifted_coeffs(), [1.0, -0.6, 0, 0, 0, 0])
-    assert BENCH_TARGET.decay_floor() == pytest.approx(0.6, abs=1e-12)
+    # exact, not approximate: the golden decay rate 0.8 = (0.6 + 1) / 2 rests on it
+    assert BENCH_TARGET.decay_floor() == 0.6
 
 
 def test_target_rejects_bad_polynomials():
     with pytest.raises(ValueError, match="monic"):
-        TargetPolynomial(Polynomial([2.0, -0.6]), 2)
+        TargetPolynomial([2.0, -0.6], 2)
     with pytest.raises(ValueError, match="degree"):
-        TargetPolynomial(Polynomial([1.0, 0, 0, 0, 0, 0, 0.1]), 2)  # degree 6 > 5
+        TargetPolynomial([1.0, 0, 0, 0, 0, 0, 0.1], 2)  # degree 6 > 5
     with pytest.raises(ValueError, match="stable"):
-        TargetPolynomial(Polynomial([1.0, -1.1]), 2)  # pole at 1.1
+        TargetPolynomial([1.0, -1.1], 2)  # pole at 1.1
     with pytest.raises(ValueError, match="stable"):
-        TargetPolynomial(Polynomial([1.0, -1.0]), 1)  # pole on the circle
+        TargetPolynomial([1.0, -1.0], 1)  # pole on the circle
     with pytest.raises(ValueError, match="n must"):
-        TargetPolynomial(Polynomial([1.0, -0.5]), 0)
+        TargetPolynomial([1.0, -0.5], 0)
 
 
 # ---------------------------------------------------------------------------
@@ -59,7 +59,7 @@ def test_target_rejects_bad_polynomials():
 def test_first_order_design_reads_off_the_coefficients():
     # With abarhat = [0, 0] and bhat = [1] the identity collapses to
     # L + q P = Astar, so L and P are the target's own coefficients.
-    target = TargetPolynomial(Polynomial([1.0, 0.3, -0.1, 0.05]), 1)
+    target = TargetPolynomial([1.0, 0.3, -0.1, 0.05], 1)
     sol = solve_diophantine(np.array([0.0, 0.0, 1.0]), target)
     # K = [-p_1, -p_2, -l_1] with L = 1 + 0.3 q and P = -0.1 q + 0.05 q^2
     np.testing.assert_allclose(sol.K, [0.1, -0.05, -0.3], atol=1e-14)
@@ -192,7 +192,7 @@ def _recursion_rollout(steps: int, seed: int):
     """Roll psi forward by the exact recursion with random innovations."""
     rng = np.random.default_rng(seed)
     theta = np.array([0.3, -0.2, 0.4])
-    sol = solve_diophantine(theta, TargetPolynomial(Polynomial([1.0, -0.5]), 1))
+    sol = solve_diophantine(theta, TargetPolynomial([1.0, -0.5], 1))
     psi = np.empty((steps, 3))
     e = rng.normal(size=steps)
     psi[0] = rng.normal(size=3)

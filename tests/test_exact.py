@@ -7,7 +7,6 @@ import pytest
 
 from adaptive_pp import (
     BoxSet,
-    Polynomial,
     TargetPolynomial,
     charpoly_fractions,
     closed_loop_matrix,
@@ -17,7 +16,7 @@ from adaptive_pp import (
 )
 from adaptive_pp.exact import _closed_loop_fractions, _sylvester_fractions
 
-BENCH_TARGET = TargetPolynomial(Polynomial([1.0, -0.6]), 2)
+BENCH_TARGET = TargetPolynomial([1.0, -0.6], 2)
 BENCH_THETA0 = np.array([0.0, -1.0, 2.0, -0.5, -4.0])
 
 

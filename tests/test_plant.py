@@ -9,7 +9,6 @@ from adaptive_pp import (
     BoxSet,
     PlantParameters,
     SystemState,
-    aux_param_matrix,
     aux_transform,
     image_box,
     make_regressor,
@@ -80,22 +79,6 @@ def test_benchmark_incremental_parameters():
     theta_star = aux_transform(PlantParameters(BENCH_A, BENCH_B))
     np.testing.assert_allclose(theta_star[:3], [0.5, -1.0, 1.5], atol=1e-15)
     np.testing.assert_allclose(theta_star[3:], BENCH_B, atol=0.0)
-
-
-def test_matrix_route_matches_direct_transform():
-    rng = np.random.default_rng(11)
-    for n in (1, 2, 3, 5):
-        theta = PlantParameters(rng.uniform(-2, 2, n), rng.uniform(-2, 2, n))
-        via_matrix = aux_param_matrix(n) @ np.concatenate(([1.0], theta.vector))
-        np.testing.assert_allclose(via_matrix, aux_transform(theta), atol=1e-14)
-
-
-def test_aux_matrix_is_invertible():
-    for n in (1, 2, 4):
-        m = aux_param_matrix(n)
-        assert abs(np.linalg.det(m)) == pytest.approx(1.0, abs=1e-12)
-    with pytest.raises(ValueError):
-        aux_param_matrix(0)
 
 
 @settings(max_examples=100, deadline=None)

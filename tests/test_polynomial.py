@@ -1,13 +1,12 @@
-"""Delay-operator polynomials, root finding, and the design matrix."""
+"""Delay-operator coefficient conventions, target root moduli, and the design matrix."""
 
 import numpy as np
 import pytest
 
 from adaptive_pp import (
     PlantParameters,
-    Polynomial,
+    TargetPolynomial,
     aux_transform,
-    poly_roots,
     spectral_radius,
     sylvester_coeffs,
     sylvester_margin,
@@ -16,39 +15,46 @@ from adaptive_pp import (
 )
 
 # ---------------------------------------------------------------------------
-# Polynomial basics
+# target coefficients
 
 
 def test_coeffs_are_low_first_and_degree_counts_trailing_zeros():
-    p = Polynomial([1.0, -0.6, 0.0])
-    assert p.degree == 2
-    assert p.coeffs.tolist() == [1.0, -0.6, 0.0]
+    t = TargetPolynomial([1.0, -0.6, 0.0], 2)
+    assert t.coeffs.tolist() == [1.0, -0.6, 0.0]
+    np.testing.assert_array_equal(t.lifted_coeffs(), [1.0, -0.6, 0.0, 0.0, 0.0, 0.0])
+    # the stored length is the nominal degree: a trailing zero past 2n+1 is refused
+    with pytest.raises(ValueError, match="degree 6"):
+        TargetPolynomial([1.0, -0.6, 0.0, 0.0, 0.0, 0.0, 0.0], 2)
 
 
 def test_polynomial_is_immutable():
-    p = Polynomial([1.0, 2.0])
+    source = np.array([1.0, -0.6])
+    t = TargetPolynomial(source, 2)
+    source[1] = 0.9  # the target keeps its own copy
+    assert t.coeffs.tolist() == [1.0, -0.6]
     with pytest.raises(AttributeError):
-        p.coeffs = np.array([0.0])
+        t.coeffs = np.array([1.0])
     with pytest.raises(ValueError):
-        p.coeffs[0] = 5.0  # the array itself is frozen
+        t.coeffs[0] = 5.0  # the array itself is frozen
 
 
 def test_constructor_rejects_bad_input():
-    with pytest.raises(ValueError):
-        Polynomial([])
-    with pytest.raises(ValueError):
-        Polynomial([[1.0, 2.0], [3.0, 4.0]])
-    with pytest.raises(ValueError):
-        Polynomial([1.0, np.nan])
-    with pytest.raises(ValueError):
-        Polynomial([1.0, np.inf])
+    with pytest.raises(ValueError, match="nonempty 1-D"):
+        TargetPolynomial([], 2)
+    with pytest.raises(ValueError, match="nonempty 1-D"):
+        TargetPolynomial([[1.0, 2.0], [3.0, 4.0]], 2)
+    with pytest.raises(ValueError, match="finite"):
+        TargetPolynomial([1.0, np.nan], 2)
+    with pytest.raises(ValueError, match="finite"):
+        TargetPolynomial([1.0, np.inf], 2)
 
 
 def test_monic_means_unit_constant_coefficient():
-    assert Polynomial([1.0, 5.0]).is_monic
-    assert not Polynomial([2.0, 1.0]).is_monic
-    assert Polynomial([0.0]).is_zero
-    assert not Polynomial([0.0, 1e-300]).is_zero
+    # monic in the delay operator: the q^0 coefficient is exactly 1
+    assert TargetPolynomial([1.0, 0.5], 1).decay_floor() == 0.5
+    for coeffs in ([2.0, 1.0], [1.0 + 1e-15, 0.5], [0.0], [0.0, 1e-300]):
+        with pytest.raises(ValueError, match="monic"):
+            TargetPolynomial(coeffs, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -63,41 +69,44 @@ def test_product_against_hand_expansion():
 
 
 # ---------------------------------------------------------------------------
-# roots of the lifted form
+# root moduli of the lifted form
 
 
 def test_roots_of_lifted_first_order_target():
-    # q-polynomial 1 - 0.6 q declared at degree 5 lifts to z^4 (z - 0.6)
-    p = Polynomial([1.0, -0.6, 0.0, 0.0, 0.0, 0.0])
-    roots = poly_roots(p)
-    np.testing.assert_allclose(roots, [0.0, 0.0, 0.0, 0.0, 0.6], atol=1e-12)
-    # the four origin roots are deflated exactly, not iterated
-    assert np.all(roots[:4] == 0.0)
+    # q-polynomial 1 - 0.6 q declared at degree 5 lifts to z^4 (z - 0.6);
+    # the four origin roots are exact zeros and leave the modulus exactly 0.6
+    assert spectral_radius([1.0, -0.6, 0.0, 0.0, 0.0, 0.0]) == 0.6
+    target = TargetPolynomial([1.0, -0.6], 2)
+    assert target.decay_floor() == spectral_radius(target.lifted_coeffs()) == 0.6
 
 
 def test_roots_symmetric_pair():
-    # 1 - q^2 lifts to z^2 - 1
-    roots = poly_roots(Polynomial([1.0, 0.0, -1.0]))
-    np.testing.assert_allclose(roots, [-1.0, 1.0], atol=1e-12)
+    # 1 - q^2 lifts to z^2 - 1: both roots on the unit circle
+    assert spectral_radius([1.0, 0.0, -1.0]) == pytest.approx(1.0, abs=1e-12)
+    with pytest.raises(ValueError, match="stable"):
+        TargetPolynomial([1.0, 0.0, -1.0], 1)
 
 
 def test_roots_with_zero_constant_coefficient():
     # -0.75 q - 3 q^2 lifts to -0.75 z - 3, root -4; the z^2 lift degree is
     # dropped because the constant-in-z coefficient chain starts lower
-    roots = poly_roots(Polynomial([0.0, -0.75, -3.0]))
-    np.testing.assert_allclose(roots, [-4.0], atol=1e-12)
+    assert spectral_radius([0.0, -0.75, -3.0]) == pytest.approx(4.0, abs=1e-12)
 
 
 def test_roots_reject_zero_polynomial():
-    with pytest.raises(ValueError):
-        poly_roots(Polynomial([0.0, 0.0]))
+    # the zero polynomial has no roots to report, and is no target
+    assert spectral_radius([0.0, 0.0]) == 0.0
+    with pytest.raises(ValueError, match="monic"):
+        TargetPolynomial([0.0, 0.0], 1)
 
 
 def test_roots_are_sorted_deterministically():
-    p = Polynomial([1.0, 0.0, 0.25])  # z^2 + 0.25: roots +-0.5i
-    roots = poly_roots(p)
-    np.testing.assert_allclose(roots.real, [0.0, 0.0], atol=1e-12)
-    np.testing.assert_allclose(roots.imag, [-0.5, 0.5], atol=1e-12)
+    # 1 + 0.25 q^2 lifts to z^2 + 0.25: the conjugate pair +-0.5i, modulus
+    # 0.5, with the same bits on every call
+    target = TargetPolynomial([1.0, 0.0, 0.25], 1)
+    floors = {target.decay_floor() for _ in range(5)}
+    assert len(floors) == 1
+    assert floors.pop() == pytest.approx(0.5, abs=1e-12)
 
 
 def test_random_root_sets_are_recovered():
@@ -106,24 +115,24 @@ def test_random_root_sets_are_recovered():
         size = int(rng.integers(2, 7))
         while True:
             roots = np.sort(rng.uniform(-0.95, 0.95, size=size))
-            if size < 2 or np.diff(roots).min() > 0.15:
+            if np.diff(roots).min() > 0.15:
                 break
         # np.poly gives z^d + c1 z^{d-1} + ...; read as low-first q-coefficients
-        # it is exactly the polynomial whose lift has these roots
-        p = Polynomial(np.poly(roots))
-        got = poly_roots(p)
-        oracle = np.sort(np.roots(np.poly(roots)).real)
-        np.testing.assert_allclose(np.sort(got.real), oracle, atol=1e-8)
-        np.testing.assert_allclose(got.imag, np.zeros(size), atol=1e-8)
+        # it is exactly the target whose lift has these roots, plus zero
+        # roots up to the placeable degree 2n+1 = 7
+        target = TargetPolynomial(np.poly(roots), 3)
+        assert target.decay_floor() == pytest.approx(np.abs(roots).max(), abs=1e-8)
+        assert spectral_radius(target.lifted_coeffs()) == target.decay_floor()
 
 
 def test_spectral_radius_examples():
-    assert spectral_radius(Polynomial([1.0, -0.6]), 5) == pytest.approx(0.6, abs=1e-12)
-    assert spectral_radius(Polynomial([1.0, 0.0, -0.25]), 2) == pytest.approx(0.5, abs=1e-12)
-    # constants have no roots at all once lifted zeros are discounted
-    assert spectral_radius(Polynomial([1.0]), 4) == 0.0
-    with pytest.raises(ValueError):
-        spectral_radius(Polynomial([1.0, 1.0, 1.0]), 1)
+    assert spectral_radius([1.0, -0.6]) == 0.6
+    assert spectral_radius([1.0, 0.0, -0.25]) == pytest.approx(0.5, abs=1e-12)
+    # a constant has no roots once its lift zeros are discounted
+    assert spectral_radius([1.0]) == 0.0
+    assert spectral_radius([1.0, 0.0, 0.0, 0.0]) == 0.0
+    # exact zero roots next to a nonzero pair: z^3 (z^2 - 0.81)
+    assert spectral_radius([1.0, 0.0, -0.81, 0.0, 0.0, 0.0]) == pytest.approx(0.9, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
