@@ -21,6 +21,7 @@ from .controller import (
     state_recursion_audit,
 )
 from .estimator import (
+    AUDIT_TOL,
     EstimatorAudit,
     estimator_audit,
     project_box,
@@ -47,8 +48,6 @@ from .polynomial import (
 from .simulation import (
     BoundReport,
     ConstantsEstimate,
-    CrudeBoundReport,
-    PoleAuditReport,
     SignalSpec,
     SimConfig,
     Trajectory,
@@ -80,6 +79,7 @@ __all__ = [
     "image_box",
     "make_regressor",
     "plant_step",
+    "AUDIT_TOL",
     "EstimatorAudit",
     "estimator_audit",
     "project_box",
@@ -104,9 +104,7 @@ __all__ = [
     "run_closed_loop",
     "ConstantsEstimate",
     "estimate_constants",
-    "CrudeBoundReport",
     "crude_bound_audit",
-    "PoleAuditReport",
     "pole_placement_audit",
     "BoundReport",
     "gain_bound_fit",

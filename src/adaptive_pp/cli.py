@@ -5,10 +5,12 @@ violations, 2 for configuration or trajectory-file problems, 3 when the
 design equation becomes singular and the run aborts.
 
 Configs are strict JSON; unknown keys anywhere are rejected so typos cannot
-silently change an experiment.  Every command writes a `manifest.json`
-summarizing inputs (including a SHA-256 of the canonical config), outputs,
-audit results, and timing; the write is atomic so a crash cannot leave a
-half-written manifest next to finished data.
+silently change an experiment, and every number must be a finite JSON
+number.  Every command writes a `manifest.json` summarizing inputs
+(including a SHA-256 of the canonical config), outputs, audit results, and
+timing; it is standard JSON (a non-finite value is written as null), and the
+write is atomic so a crash cannot leave a half-written manifest next to
+finished data.
 """
 
 from __future__ import annotations
@@ -16,9 +18,11 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import sys
 import time
+from dataclasses import asdict
 
 import numpy as np
 
@@ -64,14 +68,22 @@ def _exact(value, kind: type, where: str):
     return value
 
 
+def _float(value, where: str) -> float:
+    """`value` as a float if it is a finite JSON number; strings and booleans are refused."""
+    if type(value) in (int, float):
+        try:
+            number = float(value)
+        except OverflowError:  # an integer literal beyond the float range
+            number = math.inf
+        if math.isfinite(number):
+            return number
+    raise ConfigError(f"{where} must be a finite number, got {json.dumps(value)}")
+
+
 def _floats(value, where: str) -> np.ndarray:
-    try:
-        arr = np.asarray(value, dtype=float)
-    except (TypeError, ValueError) as err:
-        raise ConfigError(f"{where} must be numeric: {err}") from err
-    if arr.ndim != 1 or not np.all(np.isfinite(arr)):
-        raise ConfigError(f"{where} must be a finite 1-D array")
-    return arr
+    if not isinstance(value, list):
+        raise ConfigError(f"{where} must be a list of numbers, got {json.dumps(value)}")
+    return np.array([_float(v, f"{where}[{k}]") for k, v in enumerate(value)], dtype=float)
 
 
 def _signal(obj, where: str) -> SignalSpec:
@@ -80,12 +92,13 @@ def _signal(obj, where: str) -> SignalSpec:
     try:
         if kind == "constant":
             _expect_keys(obj, where, ("kind",), ("magnitude",))
-            return SignalSpec("constant", magnitude=float(obj.get("magnitude", 0.0)))
+            magnitude = _float(obj.get("magnitude", 0.0), f"{where}.magnitude")
+            return SignalSpec("constant", magnitude=magnitude)
         if kind == "sign_flip":
             _expect_keys(obj, where, ("kind", "magnitude", "period"), ())
             return SignalSpec(
                 "sign_flip",
-                magnitude=float(obj["magnitude"]),
+                magnitude=_float(obj["magnitude"], f"{where}.magnitude"),
                 period=_exact(obj["period"], int, f"{where}.period"),
             )
         if kind == "custom":
@@ -175,6 +188,10 @@ def load_config(path: str) -> tuple[SimConfig, dict, str]:
             for key in ("theta", "theta0"):
                 if key in overrides:
                     _exact(overrides[key], bool, f"sweep.overrides.{key}")
+            if "mu" in overrides and _floats(overrides["mu"], "sweep.overrides.mu").size != 2:
+                raise ConfigError("sweep.overrides.mu must be [lo, hi]")
+            if "phi0" in overrides:
+                _float(overrides["phi0"], "sweep.overrides.phi0")
 
     try:
         cfg = SimConfig(
@@ -182,7 +199,7 @@ def load_config(path: str) -> tuple[SimConfig, dict, str]:
             theta_true=PlantParameters(a, b),
             box=box,
             target=target,
-            mu=float(raw["mu"]),
+            mu=_float(raw["mu"], "mu"),
             theta0=_floats(raw["theta0"], "theta0"),
             phi0=_floats(raw["phi0"], "phi0"),
             reference=_signal(raw["reference"], "reference"),
@@ -192,7 +209,7 @@ def load_config(path: str) -> tuple[SimConfig, dict, str]:
             seed=_exact(raw.get("seed", 0), int, "seed"),
             estimator_mode=str(raw.get("estimator", "classical")),
             nudge_singular=_exact(raw.get("nudge_singular", False), bool, "nudge_singular"),
-            lam=None if raw.get("lambda") is None else float(raw["lambda"]),
+            lam=None if raw.get("lambda") is None else _float(raw["lambda"], "lambda"),
         )
         cfg.validate()
     except (TypeError, ValueError) as err:
@@ -213,30 +230,46 @@ def load_config(path: str) -> tuple[SimConfig, dict, str]:
 
 
 def write_manifest(out_dir: str, payload: dict) -> str:
-    """Atomically write manifest.json (write to a sibling temp file, rename)."""
+    """Atomically write manifest.json (write to a sibling temp file, rename).
+
+    The file is standard JSON: numpy scalars become plain numbers and a NaN
+    or an infinity becomes null.
+    """
     path = os.path.join(out_dir, "manifest.json")
     tmp = path + ".tmp"
     with open(tmp, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
+        json.dump(_json_ready(payload), fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
     os.replace(tmp, path)
     return path
 
 
 def _json_ready(obj):
-    """Recursively convert numpy scalars so json.dump accepts the payload."""
+    """Recursively convert numpy scalars, and non-finite floats to None."""
     if isinstance(obj, dict):
         return {k: _json_ready(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_json_ready(v) for v in obj]
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if isinstance(obj, np.bool_):
-        return bool(obj)
+    if isinstance(obj, np.generic):
+        obj = obj.item()
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return None
     return obj
 
 
-def _signals_plot(n: int) -> str:
+def _manifest(out_dir: str, args, digest: str, started: float, body: dict) -> None:
+    """Write a manifest: the command header, `body`, and the wall time since `started`."""
+    write_manifest(out_dir, {
+        "version": __version__,
+        "command": args.command,
+        "config_path": os.path.abspath(args.config),
+        "config_hash": digest,
+        **body,
+        "wall_time_s": time.perf_counter() - started,
+    })
+
+
+def _signals_plot() -> str:
     return (
         "set datafile separator comma\n"
         "set key autotitle columnhead\n"
@@ -272,7 +305,7 @@ def _estimates_plot(n: int, theta_star: np.ndarray) -> str:
 def _emit_plots(out_dir: str, cfg: SimConfig) -> list[str]:
     names = []
     for name, text in (
-        ("signals.gp", _signals_plot(cfg.n)),
+        ("signals.gp", _signals_plot()),
         ("estimates.gp", _estimates_plot(cfg.n, cfg.theta_star())),
     ):
         path = os.path.join(out_dir, name)
@@ -297,8 +330,8 @@ def _constants(cfg: SimConfig, extras: dict):
 def _audit(traj: Trajectory, cfg: SimConfig, extras: dict, constants, quiet: bool):
     """Run the configured audits and the gain-bound fit and print the verdicts.
 
-    Returns the audit results, the manifest's gain_bound block, and the
-    total violation count.
+    Returns the audit records, the gain_bound block, and the total violation
+    count.
     """
     try:
         results = run_audits(
@@ -317,16 +350,10 @@ def _audit(traj: Trajectory, cfg: SimConfig, extras: dict, constants, quiet: boo
         _say(quiet, f"audit {name}: {flag} ({res['violations']} violations)")
     _say(
         quiet,
-        f"gain bound: gamma = {fit.gamma:.6g} at lambda = {fit.lam:.6g}, "
-        f"residual floor = {fit.residual_floor:.6g}, tail tracking = {fit.tail_tracking:.6g}",
+        f"gain bound: gamma = {fit['gamma']:.6g} at lambda = {fit['lambda']:.6g}, "
+        f"residual floor = {fit['residual_floor']:.6g}, tail tracking = {fit['tail_tracking']:.6g}",
     )
-    bound = {
-        "gamma": fit.gamma,
-        "lambda": fit.lam,
-        "residual_floor": fit.residual_floor,
-        "tail_tracking": fit.tail_tracking,
-    }
-    return results, bound, total
+    return results, fit, total
 
 
 def cmd_run(args) -> int:
@@ -337,19 +364,12 @@ def cmd_run(args) -> int:
     constants = _constants(cfg, extras)
 
     try:
-        traj = run_closed_loop(cfg, config_hash=digest)
+        traj = run_closed_loop(cfg)
     except SingularSylvesterError as err:
         _say(args.quiet, f"aborted: {err}")
-        write_manifest(out_dir, _json_ready({
-            "version": __version__,
-            "command": "run",
-            "config_path": os.path.abspath(args.config),
-            "config_hash": digest,
-            "seed": cfg.seed,
-            "status": "aborted",
-            "error": str(err),
-            "wall_time_s": time.perf_counter() - started,
-        }))
+        _manifest(out_dir, args, digest, started, {
+            "seed": cfg.seed, "status": "aborted", "error": str(err),
+        })
         return 3
 
     csv_path = os.path.join(out_dir, "trajectory.csv")
@@ -359,11 +379,7 @@ def cmd_run(args) -> int:
 
     if args.plots:
         outputs += _emit_plots(out_dir, cfg)
-    payload = {
-        "version": __version__,
-        "command": "run",
-        "config_path": os.path.abspath(args.config),
-        "config_hash": digest,
+    body = {
         "seed": cfg.seed,
         "estimator": cfg.estimator_mode,
         "mu": cfg.mu,
@@ -372,16 +388,10 @@ def cmd_run(args) -> int:
         "audits": results,
         "gain_bound": bound,
         "status": "pass" if total == 0 else "fail",
-        "wall_time_s": time.perf_counter() - started,
     }
     if constants is not None:
-        payload["constants"] = {
-            "alpha_bar": constants.alpha_bar,
-            "s_bar": constants.s_bar,
-            "samples_used": constants.samples_used,
-            "samples_skipped": constants.samples_skipped,
-        }
-    write_manifest(out_dir, _json_ready(payload))
+        body["constants"] = asdict(constants)
+    _manifest(out_dir, args, digest, started, body)
     _say(args.quiet, f"wrote {csv_path}")
     return 0 if total == 0 else 1
 
@@ -449,11 +459,7 @@ def cmd_sweep(args) -> int:
     status = "pass" if total == 0 and aborted == 0 else (
         "aborted" if aborted else "fail"
     )
-    write_manifest(out_dir, _json_ready({
-        "version": __version__,
-        "command": "sweep",
-        "config_path": os.path.abspath(args.config),
-        "config_hash": digest,
+    _manifest(out_dir, args, digest, started, {
         "seed": cfg.seed if seed is None else seed,
         "draws": draws,
         "outputs": ["sweep.csv"],
@@ -462,8 +468,7 @@ def cmd_sweep(args) -> int:
         "aborted_draws": aborted,
         "worst_gamma": worst,
         "status": status,
-        "wall_time_s": time.perf_counter() - started,
-    }))
+    })
     _say(args.quiet, f"wrote {csv_path}")
     if aborted:
         return 3
@@ -486,17 +491,12 @@ def cmd_audit(args) -> int:
     results, bound, total = _audit(traj, cfg, extras, _constants(cfg, extras), args.quiet)
     if args.out:
         os.makedirs(args.out, exist_ok=True)
-        write_manifest(args.out, _json_ready({
-            "version": __version__,
-            "command": "audit",
-            "config_path": os.path.abspath(args.config),
-            "config_hash": digest,
+        _manifest(args.out, args, digest, started, {
             "trajectory": os.path.abspath(args.trajectory),
             "audits": results,
             "gain_bound": bound,
             "status": "pass" if total == 0 else "fail",
-            "wall_time_s": time.perf_counter() - started,
-        }))
+        })
     return 0 if total == 0 else 1
 
 

@@ -25,6 +25,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .estimator import AUDIT_TOL
 from .polynomial import (
     sylvester_coeffs,
     sylvester_margin,
@@ -241,20 +242,25 @@ def state_recursion_audit(
     theta_hat: np.ndarray,
     gains: np.ndarray,
     e: np.ndarray,
-) -> float:
-    """Max infinity-norm residual of psi(t+1) = A psi(t) + e1 e(t+1).
+) -> dict:
+    """Replay psi(t+1) = A psi(t) + e1 e(t+1); the manifest record of the check.
 
     All arguments are per-record arrays; rows t and t+1 of psi bracket the
     transition driven by theta_hat[t], gains[t], and e[t].  The identity is
-    exact by construction, so anything beyond rounding noise means the
-    simulation and the recursion disagree.
+    exact by construction, so a max infinity-norm residual beyond
+    AUDIT_TOL * (1 + max ||psi||) means the simulation and the recursion
+    disagree; a NaN residual is a violation too.
     """
     psi = np.asarray(psi, dtype=float)
     theta_hat = np.asarray(theta_hat, dtype=float)
     gains = np.asarray(gains, dtype=float)
     e = np.asarray(e, dtype=float)
-    if psi.shape[0] < 2:
-        return 0.0
-    predicted = np.einsum("tij,tj->ti", closed_loop_matrix(theta_hat[:-1], gains[:-1]), psi[:-1])
-    predicted[:, 0] += e[:-1]  # the innovation enters through e1
-    return float(np.abs(predicted - psi[1:]).max())
+    residual = 0.0
+    if psi.shape[0] >= 2:
+        mats = closed_loop_matrix(theta_hat[:-1], gains[:-1])
+        predicted = np.einsum("tij,tj->ti", mats, psi[:-1])
+        predicted[:, 0] += e[:-1]  # the innovation enters through e1
+        residual = float(np.abs(predicted - psi[1:]).max())
+    scale = 1.0 + float(np.linalg.norm(psi, axis=1).max(initial=0.0))
+    violations = int(not residual <= AUDIT_TOL * scale)
+    return {"violations": violations, "pass": violations == 0, "max_residual": residual}

@@ -18,6 +18,8 @@ On stretches where ||psi(t)||^2 >= mu the same algebra gives the sharper
 ||thetahat(t+1) - thetahat(t)|| <= |e(t+1)|/||psi(t)||.  `estimator_audit`
 checks all three facts on recorded trajectories; a violation beyond rounding
 tolerance always indicates an implementation bug, never bad data.
+
+`AUDIT_TOL` is that rounding tolerance, shared by every audit in the package.
 """
 
 from __future__ import annotations
@@ -28,7 +30,10 @@ import numpy as np
 
 from .plant import BoxSet
 
+AUDIT_TOL = 1e-9
+
 __all__ = [
+    "AUDIT_TOL",
     "EstimatorAudit",
     "project_box",
     "projection_step",
@@ -62,14 +67,11 @@ class EstimatorAudit:
     """Outcome of checking the update-law energy inequalities on a trajectory.
 
     Slack is the inequality's right side minus its left side; the audits pass
-    when every slack stays above -tol and every record is finite.  Pair
+    when every slack stays above -AUDIT_TOL and every record is finite.  Pair
     checks cover every consecutive step plus all dyadically spaced (tau, t)
     pairs, which telescoping makes representative of the full pair set.
     """
 
-    theta_err_sq: np.ndarray       # ||thetahat(t) - theta_star||^2 per record
-    e_terms: np.ndarray            # e(t+1)^2 / (mu + ||psi(t)||^2) per step
-    w_terms: np.ndarray            # wbar(t)^2 / (mu + ||psi(t)||^2) per step
     min_slack_energy: float        # worst cumulative slack, regularized form
     violations_energy: int
     min_slack_interval: float      # worst cumulative slack on >=mu stretches
@@ -78,7 +80,6 @@ class EstimatorAudit:
     violations_step: int
     violations_nonfinite: int      # records with a NaN or Inf in any input
     pairs_checked: int
-    tol: float
 
     @property
     def violations(self) -> int:
@@ -90,6 +91,17 @@ class EstimatorAudit:
     @property
     def passed(self) -> bool:
         return self.violations == 0
+
+    def record(self) -> dict:
+        """The manifest record: verdict plus the worst slacks and the pair count."""
+        return {
+            "violations": self.violations,
+            "pass": self.passed,
+            "min_slack_energy": self.min_slack_energy,
+            "min_slack_interval": self.min_slack_interval,
+            "max_step_excess": self.max_step_excess,
+            "pairs_checked": self.pairs_checked,
+        }
 
 
 def _dyadic_pairs(length: int):
@@ -107,7 +119,6 @@ def estimator_audit(
     theta_hat: np.ndarray,
     theta_star: np.ndarray,
     mu: float,
-    tol: float = 1e-9,
 ) -> EstimatorAudit:
     """Check the energy inequalities on logged arrays.
 
@@ -148,7 +159,7 @@ def estimator_audit(
         for lag in _dyadic_pairs(steps):
             slack = v[:-lag] - v[lag:] + (prefix[lag:] - prefix[:-lag])
             min_slack_energy = min(min_slack_energy, float(slack.min()))
-            violations_energy += int((slack < -tol).sum())
+            violations_energy += int((slack < -AUDIT_TOL).sum())
             pairs += slack.size
 
     # sharper form on maximal stretches where ||psi||^2 >= mu
@@ -176,7 +187,7 @@ def estimator_audit(
             step = float(np.linalg.norm(theta_hat[j + 1] - theta_hat[j]))
             excess = step - abs(e[j]) / norm
             max_step_excess = max(max_step_excess, excess)
-            if excess > tol:
+            if excess > AUDIT_TOL:
                 violations_step += 1
         hi = min(stop, steps)  # estimates exist for every record in the stretch
         length = hi - start
@@ -193,13 +204,10 @@ def estimator_audit(
             for lag in _dyadic_pairs(length):
                 slack = vv[:-lag] - vv[lag:] + (prefix2[lag:] - prefix2[:-lag])
                 min_slack_interval = min(min_slack_interval, float(slack.min()))
-                violations_interval += int((slack < -tol).sum())
+                violations_interval += int((slack < -AUDIT_TOL).sum())
                 pairs += slack.size
 
     return EstimatorAudit(
-        theta_err_sq=v,
-        e_terms=e_terms,
-        w_terms=w_terms,
         min_slack_energy=float(min_slack_energy),
         violations_energy=violations_energy,
         min_slack_interval=float(min_slack_interval),
@@ -208,5 +216,4 @@ def estimator_audit(
         violations_step=violations_step,
         violations_nonfinite=int((~finite).sum()),
         pairs_checked=pairs,
-        tol=tol,
     )

@@ -24,12 +24,17 @@ Audits available on any trajectory:
   repeated-pole problem is well conditioned,
 * the crude growth bound ||psi(t+1)|| <= (alpha + diam) ||psi(t)|| + |wbar(t)|
   with alpha estimated by sampling the parameter box,
-* a fitted linear-like gain bound and a settled-tracking check.
+* a fitted linear-like gain bound and a tracking check under constant
+  excitation.
+
+Each audit decides its own verdict against the shared rounding tolerance
+`AUDIT_TOL` and returns its manifest record, a plain dict with `violations`,
+`pass` and its diagnostics; a NaN or Inf is a violation, never a pass.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -42,7 +47,7 @@ from .controller import (
     solve_diophantine_batch,
     state_recursion_audit,
 )
-from .estimator import estimator_audit, projection_step
+from .estimator import AUDIT_TOL, estimator_audit, projection_step
 from .plant import (
     BoxSet,
     PlantParameters,
@@ -59,8 +64,6 @@ __all__ = [
     "Trajectory",
     "TrajectoryFormatError",
     "ConstantsEstimate",
-    "CrudeBoundReport",
-    "PoleAuditReport",
     "BoundReport",
     "run_closed_loop",
     "estimate_constants",
@@ -230,9 +233,6 @@ class Trajectory:
     gains: np.ndarray
     dioph_residual: np.ndarray
     phi: np.ndarray
-    config_hash: str = ""
-    alpha_bar: float | None = None
-    s_bar: float | None = None
 
     @property
     def steps(self) -> int:
@@ -349,7 +349,7 @@ def _design(theta: np.ndarray, cfg: SimConfig, aux_box: BoxSet, t: int):
     ) from failure
 
 
-def run_closed_loop(cfg: SimConfig, config_hash: str = "") -> Trajectory:
+def run_closed_loop(cfg: SimConfig) -> Trajectory:
     """Simulate the adaptive loop for cfg.horizon steps.
 
     Raises SingularSylvesterError (annotated with the failing step) if the
@@ -422,7 +422,6 @@ def run_closed_loop(cfg: SimConfig, config_hash: str = "") -> Trajectory:
         theta_hat=theta_log,
         gains=gain_log,
         phi=_phi_history(out["y"], out["u"], cfg.phi0, n),
-        config_hash=config_hash,
         **out,
     )
 
@@ -481,27 +480,7 @@ def estimate_constants(
     )
 
 
-@dataclass(frozen=True)
-class CrudeBoundReport:
-    """Stepwise growth-bound check against sampled constants."""
-
-    violations: int
-    alpha_used: float
-    s_bar: float
-    alpha_required: float  # smallest alpha that would clear every step
-    max_excess: float
-
-    @property
-    def passed(self) -> bool:
-        return self.violations == 0
-
-
-def crude_bound_audit(
-    traj: Trajectory,
-    alpha_bar: float,
-    s_bar: float,
-    tol: float = 1e-9,
-) -> CrudeBoundReport:
+def crude_bound_audit(traj: Trajectory, alpha_bar: float, s_bar: float) -> dict:
     """Check ||psi(t+1)|| <= (alpha + diam) ||psi(t)|| + |wbar(t)| stepwise.
 
     alpha_bar is a sampled lower estimate of the true supremum, so isolated
@@ -509,44 +488,26 @@ def crude_bound_audit(
     `alpha_required` reports how large alpha would have to be.
     """
     norms = np.linalg.norm(traj.psi, axis=1)
-    if norms.size < 2:
-        return CrudeBoundReport(0, alpha_bar, s_bar, 0.0, -np.inf)
-    lhs = norms[1:]
-    rhs = (alpha_bar + s_bar) * norms[:-1] + np.abs(traj.wbar[:-1])
-    excess = lhs - rhs
-    tol_vec = tol * (1.0 + norms[:-1])
-    # a NaN or Inf on either side counts, never passes
-    violations = int((~(excess <= tol_vec) | ~np.isfinite(rhs)).sum())
-    prev = norms[:-1]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        needed = np.where(prev > 0.0, (lhs - np.abs(traj.wbar[:-1])) / prev - s_bar, -np.inf)
-    return CrudeBoundReport(
-        violations=violations,
-        alpha_used=alpha_bar,
-        s_bar=s_bar,
-        alpha_required=float(needed.max()),
-        max_excess=float(excess.max()),
-    )
+    violations = 0
+    alpha_required = 0.0
+    if norms.size >= 2:
+        prev, lhs, wbar = norms[:-1], norms[1:], np.abs(traj.wbar[:-1])
+        rhs = (alpha_bar + s_bar) * prev + wbar
+        # a NaN or Inf on either side counts, never passes
+        violations = int((~(lhs - rhs <= AUDIT_TOL * (1.0 + prev)) | ~np.isfinite(rhs)).sum())
+        with np.errstate(divide="ignore", invalid="ignore"):
+            needed = np.where(prev > 0.0, (lhs - wbar) / prev - s_bar, -np.inf)
+        alpha_required = float(needed.max())
+    return {
+        "violations": violations,
+        "pass": violations == 0,
+        "alpha_bar": alpha_bar,
+        "s_bar": s_bar,
+        "alpha_required": alpha_required,
+    }
 
 
-@dataclass(frozen=True)
-class PoleAuditReport:
-    """Frozen-time pole check in coefficient space, plus design residuals."""
-
-    max_coeff_err: float
-    max_residual: float
-    violations: int
-
-    @property
-    def passed(self) -> bool:
-        return self.violations == 0
-
-
-def pole_placement_audit(
-    traj: Trajectory,
-    target: TargetPolynomial,
-    tol: float = 1e-9,
-) -> PoleAuditReport:
+def pole_placement_audit(traj: Trajectory, target: TargetPolynomial) -> dict:
     """Compare each step's closed-loop characteristic polynomial to the target.
 
     Eigenvalues of the assembled matrix are mapped back to a monic
@@ -566,100 +527,73 @@ def pole_placement_audit(
         max_err = max(max_err, float(np.abs(coeffs - lifted).max()))
     res_max = float(traj.dioph_residual.max())
     # written as "not <=" so that a NaN counts as a violation
-    violations = int(not max_err <= tol * scale) + int(not res_max <= tol * scale)
-    return PoleAuditReport(max_coeff_err=max_err, max_residual=res_max, violations=violations)
+    violations = int(not max_err <= AUDIT_TOL * scale) + int(not res_max <= AUDIT_TOL * scale)
+    return {
+        "violations": violations,
+        "pass": violations == 0,
+        "max_coeff_err": max_err,
+        "max_residual": res_max,
+    }
 
 
 # ---------------------------------------------------------------------------
 # linear-like gain bound and tracking
 
 
-@dataclass(frozen=True)
-class BoundReport:
-    """Fitted linear-like bound and audit tallies for one run or a family."""
+def gain_bound_fit(traj: Trajectory, lam: float, target: TargetPolynomial) -> dict:
+    """Fit the smallest gamma making the linear-like bound hold on one run.
 
-    gamma: float
-    lam: float
-    residual_floor: float
-    tail_tracking: float
-    violations: int = 0
-    details: dict = field(default_factory=dict)
-    draw: int | None = None
-    mu: float | None = None
-    seed: int | None = None
-    aborted: bool = False
-
-    @property
-    def passed(self) -> bool:
-        return self.violations == 0 and not self.aborted
-
-
-def _fit_single(traj: Trajectory, lam: float) -> tuple[float, float, float]:
-    """Minimal gamma, residual floor, and tail tracking error for one run."""
+    The bound compares ||phi(t)|| against gamma times
+    lam^(t-t0) ||phi0|| + (|r| + sqrt(mu)) + sum_j lam^(t-1-j) |w(j)|,
+    so lam must sit strictly between the largest target pole modulus and 1.
+    Returns the manifest's gain_bound block: gamma, lambda, the residual
+    floor (max ||psi|| over the final quarter) and the tail tracking error.
+    """
+    floor = target.decay_floor()
+    if not floor < lam < 1.0:
+        raise ValueError(f"lam must lie in ({floor:.6f}, 1), got {lam}")
     steps = traj.steps
     phi_norm = np.linalg.norm(traj.phi, axis=1)
-    phi0_norm = phi_norm[0]
-    r_mag = float(np.abs(traj.r).max())
-    offset = r_mag + np.sqrt(traj.mu)
+    offset = float(np.abs(traj.r).max()) + np.sqrt(traj.mu)
 
     conv = np.empty(steps)
     conv[0] = 0.0
     for i in range(steps - 1):
         conv[i + 1] = lam * conv[i] + abs(traj.w[i])
-    denom = phi0_norm * lam ** np.arange(steps) + offset + conv
+    denom = phi_norm[0] * lam ** np.arange(steps) + offset + conv
     with np.errstate(divide="ignore", invalid="ignore"):
         ratios = np.where(denom > 0.0, phi_norm / np.where(denom > 0.0, denom, 1.0), 0.0)
-    gamma = float(ratios.max())
 
     psi_norm = np.linalg.norm(traj.psi, axis=1)
-    floor_start = (3 * steps) // 4
-    residual_floor = float(psi_norm[floor_start:].max())
     tail = min(100, max(1, steps // 4))
-    tail_tracking = float(np.abs(traj.ybar[-tail:]).max())
-    return gamma, residual_floor, tail_tracking
+    return {
+        "gamma": float(ratios.max()),
+        "lambda": float(lam),
+        "residual_floor": float(psi_norm[(3 * steps) // 4 :].max()),
+        "tail_tracking": float(np.abs(traj.ybar[-tail:]).max()),
+    }
 
 
-def gain_bound_fit(trajs, lam: float, target: TargetPolynomial) -> BoundReport:
-    """Fit the smallest gamma making the linear-like bound hold on the runs.
+def tracking_audit(traj: Trajectory, tail: int = 100) -> dict:
+    """Largest |ybar| over the final `tail` steps under constant excitation.
 
-    The bound compares ||phi(t)|| against gamma times
-    lam^(t-t0) ||phi0|| + (|r| + sqrt(mu)) + sum_j lam^(t-1-j) |w(j)|,
-    so lam must sit strictly between the largest target pole modulus and 1.
-    """
-    floor = target.decay_floor()
-    if not floor < lam < 1.0:
-        raise ValueError(f"lam must lie in ({floor:.6f}, 1), got {lam}")
-    if isinstance(trajs, Trajectory):
-        trajs = [trajs]
-    if not trajs:
-        raise ValueError("need at least one trajectory")
-    gammas, floors, tails = zip(*(_fit_single(tr, lam) for tr in trajs))
-    return BoundReport(
-        gamma=float(max(gammas)),
-        lam=float(lam),
-        residual_floor=float(max(floors)),
-        tail_tracking=float(max(tails)),
-    )
-
-
-def tracking_audit(traj: Trajectory, tail: int = 100, settle: int | None = None) -> float:
-    """Largest |ybar| over the final `tail` steps of a settled run.
-
-    Demands constant reference and disturbance over the tail plus a settling
-    prefix (default: another `tail` steps), since the asymptotic-tracking
-    guarantee only speaks about constant excitation.
+    Demands constant reference and disturbance over the last 2*tail steps
+    (the audited tail plus an equally long lead-in), since the
+    asymptotic-tracking guarantee only speaks about constant excitation.  A
+    NaN or Inf tail error is a violation.
     """
     if tail < 1:
         raise ValueError("tail must be >= 1")
-    settle = tail if settle is None else settle
-    window = tail + settle
+    window = 2 * tail
     if traj.steps < window:
         raise ValueError(f"trajectory too short: need {window} steps, have {traj.steps}")
     r_win = traj.r[-window:]
     w_win = traj.w[-window:]
     if not (np.all(r_win == r_win[0]) and np.all(w_win == w_win[0])):
         raise ValueError("reference and disturbance must be constant over the audited window")
-    return float(np.abs(traj.ybar[-tail:]).max())
+    err = float(np.abs(traj.ybar[-tail:]).max())
+    violations = int(not np.isfinite(err))
+    return {"violations": violations, "pass": violations == 0, "tail_max_error": err}
 
 
 # ---------------------------------------------------------------------------
@@ -674,59 +608,43 @@ def run_audits(
     which: tuple[str, ...] | list[str] = ("estimator", "recursion", "poles"),
     constants: ConstantsEstimate | None = None,
     tracking_tail: int = 100,
-    tol: float = 1e-9,
 ) -> dict:
-    """Run the selected audits on one trajectory; returns name -> result dict.
+    """Run the selected audits on one trajectory; returns name -> manifest record.
 
-    Every result dict carries `violations` (int) and `pass` (bool) plus
-    audit-specific diagnostics, ready for a manifest.
+    Records come in AUDIT_NAMES order.  The crude bound samples its
+    constants from the config's box unless `constants` is given.
     """
-    results: dict = {}
     for name in which:
         if name not in AUDIT_NAMES:
             raise ValueError(f"unknown audit '{name}'; choose from {AUDIT_NAMES}")
-    if "estimator" in which:
-        mu = cfg.mu if traj.estimator_mode == "classical" else 0.0
-        audit = estimator_audit(
-            traj.psi, traj.e, traj.wbar, traj.theta_hat, cfg.theta_star(), mu, tol=tol
-        )
-        results["estimator"] = {
-            "violations": audit.violations,
-            "pass": audit.passed,
-            "min_slack_energy": audit.min_slack_energy,
-            "min_slack_interval": audit.min_slack_interval,
-            "max_step_excess": audit.max_step_excess,
-            "pairs_checked": audit.pairs_checked,
-        }
-    if "recursion" in which:
-        residual = state_recursion_audit(traj.psi, traj.theta_hat, traj.gains, traj.e)
-        scale = 1.0 + float(np.linalg.norm(traj.psi, axis=1).max(initial=0.0))
-        bad = int(not residual <= tol * scale)  # a NaN residual is a violation
-        results["recursion"] = {"violations": bad, "pass": bad == 0, "max_residual": residual}
-    if "poles" in which:
-        report = pole_placement_audit(traj, cfg.target, tol=tol)
-        results["poles"] = {
-            "violations": report.violations,
-            "pass": report.passed,
-            "max_coeff_err": report.max_coeff_err,
-            "max_residual": report.max_residual,
-        }
-    if "crude_bound" in which:
-        if constants is None:
-            constants = estimate_constants(cfg.aux_box(), cfg.target, seed=cfg.seed)
-        report = crude_bound_audit(traj, constants.alpha_bar, constants.s_bar, tol=tol)
-        results["crude_bound"] = {
-            "violations": report.violations,
-            "pass": report.passed,
-            "alpha_bar": report.alpha_used,
-            "s_bar": report.s_bar,
-            "alpha_required": report.alpha_required,
-        }
-    if "tracking" in which:
-        err = tracking_audit(traj, tail=tracking_tail)
-        bad = int(not np.isfinite(err))  # a NaN or Inf tail error is a violation
-        results["tracking"] = {"violations": bad, "pass": bad == 0, "tail_max_error": err}
-    return results
+    if "crude_bound" in which and constants is None:
+        constants = estimate_constants(cfg.aux_box(), cfg.target, seed=cfg.seed)
+    mu = cfg.mu if traj.estimator_mode == "classical" else 0.0
+    checks = {
+        "estimator": lambda: estimator_audit(
+            traj.psi, traj.e, traj.wbar, traj.theta_hat, cfg.theta_star(), mu
+        ).record(),
+        "recursion": lambda: state_recursion_audit(traj.psi, traj.theta_hat, traj.gains, traj.e),
+        "poles": lambda: pole_placement_audit(traj, cfg.target),
+        "crude_bound": lambda: crude_bound_audit(traj, constants.alpha_bar, constants.s_bar),
+        "tracking": lambda: tracking_audit(traj, tail=tracking_tail),
+    }
+    return {name: check() for name, check in checks.items() if name in which}
+
+
+@dataclass(frozen=True)
+class BoundReport:
+    """One sweep draw: the `sweep.csv` columns plus per-audit violation counts."""
+
+    draw: int
+    mu: float
+    gamma: float
+    lam: float
+    residual_floor: float
+    tail_tracking: float
+    violations: int
+    details: dict
+    aborted: bool = False
 
 
 def _sample_plant(box: BoxSet, n: int, rng: np.random.Generator, tries: int = 100) -> PlantParameters:
@@ -820,31 +738,14 @@ def monte_carlo_sweep(
         try:
             traj = run_closed_loop(c)
         except SingularSylvesterError:
-            return BoundReport(
-                gamma=float("nan"),
-                lam=lam,
-                residual_floor=float("nan"),
-                tail_tracking=float("nan"),
-                violations=0,
-                details={},
-                draw=idx,
-                mu=c.mu,
-                seed=seed,
-                aborted=True,
-            )
+            nan = float("nan")
+            return BoundReport(idx, c.mu, nan, lam, nan, nan, 0, {}, aborted=True)
         results = run_audits(traj, c, which=audits, constants=constants)
         detail = {name: res["violations"] for name, res in results.items()}
         fit = gain_bound_fit(traj, lam, cfg.target)
         return BoundReport(
-            gamma=fit.gamma,
-            lam=lam,
-            residual_floor=fit.residual_floor,
-            tail_tracking=fit.tail_tracking,
-            violations=sum(detail.values()),
-            details=detail,
-            draw=idx,
-            mu=c.mu,
-            seed=seed,
+            idx, c.mu, fit["gamma"], lam, fit["residual_floor"], fit["tail_tracking"],
+            sum(detail.values()), detail,
         )
 
     return [one(i) for i in range(draws)]

@@ -184,7 +184,7 @@ def test_criterion_4_frozen_time_pole_placement(example_run, criterion_report):
 
 
 def test_criterion_5_asymptotic_tracking(tracking_runs, criterion_report):
-    tails = {h: tracking_audit(tr, tail=100) for h, tr in tracking_runs.items()}
+    tails = {h: tracking_audit(tr, tail=100)["tail_max_error"] for h, tr in tracking_runs.items()}
     small = tails[2000] < 1e-4
     monotone = tails[500] >= tails[1000] >= tails[2000]
     _verdict(
@@ -221,7 +221,7 @@ def test_criterion_7_crude_growth_bound(
     alpha, s_bar = norm_constants.alpha_bar, norm_constants.s_bar
     named = [example_run[2], *tracking_runs.values(), *quiescent_runs.values()]
     direct_violations = sum(
-        crude_bound_audit(tr, alpha, s_bar).violations for tr in named
+        crude_bound_audit(tr, alpha, s_bar)["violations"] for tr in named
     )
     sweep_violations = sum(rep.details.get("crude_bound", 0) for rep in sweep_reports)
     ok = (

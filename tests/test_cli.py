@@ -29,9 +29,14 @@ SINGULAR_FIRST_ORDER = dict(
 )
 
 
+def _refuse_constant(name):
+    raise ValueError(f"manifest holds the non-standard JSON constant {name}")
+
+
 def read_manifest(out_dir) -> dict:
+    """Parse manifest.json strictly: NaN and Infinity are not standard JSON."""
     with open(os.path.join(out_dir, "manifest.json"), "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        return json.loads(fh.read(), parse_constant=_refuse_constant)
 
 
 # ---------------------------------------------------------------------------
@@ -93,6 +98,24 @@ def test_audits_default_when_omitted(config_file):
         dict(sweep={"draws": 10, "horizon": "400"}),
         dict(sweep={"draws": 10, "overrides": {"theta": 1}}),
         dict(sweep={"draws": 10, "overrides": {"theta0": "yes"}}),
+        # every number must be a finite JSON number, never a string or a boolean
+        dict(mu="0.1"),
+        dict(mu=True),
+        {"lambda": "0.8"},
+        dict(reference={"kind": "sign_flip", "magnitude": "2", "period": 200}),
+        dict(reference={"kind": "constant", "magnitude": False}),
+        dict(disturbance={"kind": "sign_flip", "magnitude": float("nan"), "period": 250}),
+        dict(disturbance={"kind": "constant", "magnitude": float("inf")}),
+        dict(reference={"kind": "custom", "values": ["2.0"] * 1001}),
+        dict(theta0=["0.0", "-1.0", "2.0", "-0.5", "-4.0"]),
+        dict(phi0=-1.0),
+        dict(target_poly=[True, -0.6]),
+        dict(plant={"a": ["-0.5", -1.5], "b": [-0.75, -3.0]}),
+        dict(parameter_box={"a": [[-2.0, 0.0], [-3.0, "-1"]], "b": [[-1.0, 0.0], [-5.0, -3.0]]}),
+        dict(sweep={"draws": 10, "overrides": {"mu": ["1e-3", 1.0]}}),
+        dict(sweep={"draws": 10, "overrides": {"mu": [1e-3]}}),
+        dict(sweep={"draws": 10, "overrides": {"phi0": "5"}}),
+        dict(mu=10**400),
     ],
 )
 def test_load_config_rejects_bad_content(config_file, mutation):
@@ -197,6 +220,8 @@ def test_run_exit_2_on_config_errors(config_file, tmp_path):
     assert main(["run", config_file(horizon=300.7), "--quiet"]) == 2
     assert main(["run", config_file(nudge_singular="no"), "--quiet"]) == 2
     assert main(["run", config_file(mu=float("inf")), "--quiet"]) == 2
+    nan_signal = {"kind": "sign_flip", "magnitude": float("nan"), "period": 250}
+    assert main(["run", config_file(disturbance=nan_signal), "--quiet"]) == 2
     assert main(["run", str(tmp_path / "nope.json"), "--quiet"]) == 2
     # a tracking window the horizon cannot hold is a config-level error
     bad = config_file(horizon=120, tracking_tail=100, alpha_samples=500)
@@ -205,9 +230,12 @@ def test_run_exit_2_on_config_errors(config_file, tmp_path):
 
 def test_run_single_step_horizon(config_file, tmp_path):
     out = tmp_path / "one"
-    path = config_file(horizon=1, audits=["recursion", "poles"], alpha_samples=500)
+    path = config_file(horizon=1, audits=["estimator", "recursion", "poles"], alpha_samples=500)
     assert main(["run", path, "--out", str(out), "--quiet"]) == 0
     assert len((out / "trajectory.csv").read_text().splitlines()) == 2
+    # one record has no pairs to check: its infinite worst slacks are written as null
+    estimator = read_manifest(out)["audits"]["estimator"]
+    assert estimator["pass"] and estimator["min_slack_energy"] is None
 
 
 # ---------------------------------------------------------------------------
@@ -365,6 +393,7 @@ def test_sweep_reports_aborted_draws_with_exit_3(config_file, tmp_path):
     manifest = read_manifest(out)
     assert manifest["status"] == "aborted"
     assert manifest["aborted_draws"] == 2
+    assert manifest["worst_gamma"] is None  # no finite gamma: null, not NaN
 
 
 # ---------------------------------------------------------------------------

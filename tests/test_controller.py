@@ -207,15 +207,20 @@ def _recursion_rollout(steps: int, seed: int):
 
 def test_recursion_audit_is_exact_on_generated_data():
     psi, theta_log, gains_log, e = _recursion_rollout(200, 4)
-    assert state_recursion_audit(psi, theta_log, gains_log, e) <= 1e-12
+    record = state_recursion_audit(psi, theta_log, gains_log, e)
+    assert record["pass"] and record["max_residual"] <= 1e-12
 
 
 def test_recursion_audit_detects_a_spike():
     psi, theta_log, gains_log, e = _recursion_rollout(200, 4)
     psi = psi.copy()
     psi[100, 1] += 0.5
-    assert state_recursion_audit(psi, theta_log, gains_log, e) >= 0.5 - 1e-9
+    record = state_recursion_audit(psi, theta_log, gains_log, e)
+    assert not record["pass"] and record["violations"] == 1
+    assert record["max_residual"] >= 0.5 - 1e-9
 
 
 def test_recursion_audit_trivial_cases():
-    assert state_recursion_audit(np.zeros((1, 3)), np.zeros((1, 3)), np.zeros((1, 3)), np.zeros(1)) == 0.0
+    zeros = np.zeros((1, 3))
+    record = state_recursion_audit(zeros, zeros, zeros, np.zeros(1))
+    assert record == {"violations": 0, "pass": True, "max_residual": 0.0}

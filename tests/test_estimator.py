@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from adaptive_pp import BoxSet, estimator_audit, project_box, projection_step
+from adaptive_pp import AUDIT_TOL, BoxSet, estimator_audit, project_box, projection_step
 
 BENCH_AUX_BOX = BoxSet([-1.0, -3.0, 1.0, -1.0, -5.0], [1.0, 1.0, 3.0, 0.0, -3.0])
 
@@ -129,8 +129,8 @@ def test_audit_passes_on_faithfully_generated_data(mode, mu, zero_every):
     assert audit.violations == 0
     assert audit.pairs_checked > 400
     # slacks can graze zero from rounding but never sink below the tolerance
-    assert audit.min_slack_energy > -audit.tol
-    assert audit.min_slack_interval > -audit.tol
+    assert audit.min_slack_energy > -AUDIT_TOL
+    assert audit.min_slack_interval > -AUDIT_TOL
 
 
 def test_audit_flags_a_corrupted_estimate_trail():
