@@ -61,9 +61,9 @@ def _expect_keys(obj: dict, where: str, required: tuple, optional: tuple = ()) -
 
 
 def _exact(value, kind: type, where: str):
-    """`value` itself if it is a JSON integer or boolean as `kind` asks; never coerced."""
+    """`value` itself if it is a JSON integer, boolean or string as `kind` asks; never coerced."""
     if type(value) is not kind:  # a bool is not an int here, and 300.7 is not 300
-        name = "a boolean" if kind is bool else "an integer"
+        name = {bool: "a boolean", int: "an integer", str: "a string"}[kind]
         raise ConfigError(f"{where} must be {name}, got {json.dumps(value)}")
     return value
 
@@ -220,7 +220,7 @@ def load_config(path: str) -> tuple[SimConfig, dict, str]:
         "alpha_samples": _exact(raw.get("alpha_samples", 100_000), int, "alpha_samples"),
         "tracking_tail": _exact(raw.get("tracking_tail", 100), int, "tracking_tail"),
         "sweep": sweep,
-        "out": raw.get("out"),
+        "out": None if raw.get("out") is None else _exact(raw["out"], str, "out"),
     }
     if extras["alpha_samples"] < 0 or extras["tracking_tail"] < 1:
         raise ConfigError("alpha_samples must be >= 0 and tracking_tail >= 1")

@@ -28,6 +28,7 @@ import numpy as np
 from .estimator import AUDIT_TOL
 from .polynomial import (
     sylvester_coeffs,
+    sylvester_layout,
     sylvester_margin,
     sylvester_matrix,
     sylvester_rcond,
@@ -103,14 +104,17 @@ class TargetPolynomial:
         radius = spectral_radius(coeffs)
         if radius >= 1.0:
             raise ValueError(f"target polynomial is not stable (spectral radius {radius:.6f})")
+        lifted = np.pad(coeffs, (0, self.dim + 1 - coeffs.size))
+        lifted.flags.writeable = False
+        object.__setattr__(self, "_lifted", lifted)
 
     @property
     def dim(self) -> int:
         return 2 * self.n + 1
 
     def lifted_coeffs(self) -> np.ndarray:
-        """Coefficients padded to the full placeable degree 2n+1."""
-        return np.pad(self.coeffs, (0, self.dim + 1 - self.coeffs.size))
+        """Coefficients padded to the full placeable degree 2n+1 (read-only, built once)."""
+        return self._lifted
 
     def decay_floor(self) -> float:
         """Largest closed-loop pole modulus; any decay rate must exceed it."""
@@ -173,8 +177,10 @@ def solve_diophantine_batch(thetas: np.ndarray, lifted: np.ndarray, n: int) -> D
 
 
 def solve_diophantine(theta_hat, target: TargetPolynomial) -> ControllerSolution:
-    """Solve the pole-placement identity at one estimate (a batch of one).
+    """Solve the pole-placement identity at one estimate.
 
+    The same arithmetic as one row of `solve_diophantine_batch`, on the 2-D
+    system directly, so K and the margin equal the batched ones bit for bit.
     Raises SingularSylvesterError when |det| of the system matrix falls at or
     below the shared relative singularity threshold.
     """
@@ -182,19 +188,25 @@ def solve_diophantine(theta_hat, target: TargetPolynomial) -> ControllerSolution
     theta = _estimate_vector(theta_hat, n)
     if theta.ndim != 1:
         raise ValueError("expected a single estimate vector")
-    lifted = target.lifted_coeffs()
-    batch = solve_diophantine_batch(theta[None, :], lifted, n)
-    margin = float(batch.margins[0])
-    if not batch.ok[0]:
-        rcond = sylvester_rcond(sylvester_matrix(theta, n))
-        raise SingularSylvesterError(margin, float(batch.thresholds[0]), rcond, theta)
-    K = batch.gains[0]
     coeffs = sylvester_coeffs(theta, n)
-    abar, bhat = coeffs[: n + 2], coeffs[n + 2 :]
-    recon = np.convolve(abar, np.concatenate(([1.0], -K[n + 1 :])))
-    recon += np.convolve(bhat, np.concatenate(([0.0], -K[: n + 1])))
-    residual = float(np.abs(recon - lifted).max())
-    return ControllerSolution(K=K, residual=residual, margin=margin)
+    rows, cols, src = sylvester_layout(n)
+    m = np.zeros((target.dim, target.dim))
+    m[rows, cols] = coeffs[src]
+    margin, threshold, regular = sylvester_margin(m)
+    if not regular:
+        raise SingularSylvesterError(float(margin), float(threshold), sylvester_rcond(m), theta)
+    lifted = target.lifted_coeffs()
+    rhs = lifted[1:].copy()
+    rhs[: n + 1] -= coeffs[1 : n + 2]
+    x = np.linalg.solve(m, rhs)  # [l_1..l_n, p_1..p_{n+1}]
+    # residual of Abar L + B P = Astar with L = [1, l], P = [0, p]
+    recon = np.convolve(coeffs[: n + 2], np.concatenate(([1.0], x[:n])))
+    recon += np.convolve(coeffs[n + 2 :], np.concatenate(([0.0], x[n:])))
+    return ControllerSolution(
+        K=np.concatenate((-x[n:], -x[:n])),
+        residual=float(np.abs(recon - lifted).max()),
+        margin=float(margin),
+    )
 
 
 @lru_cache(maxsize=None)

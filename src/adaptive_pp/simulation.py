@@ -34,6 +34,7 @@ Each audit decides its own verdict against the shared rounding tolerance
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -250,19 +251,14 @@ class Trajectory:
 
     def to_csv(self) -> str:
         """Render the documented column schema; floats carry 17 significant digits."""
+        cols = np.column_stack((
+            self.y, self.u, self.w, self.r, self.ybar, self.ubar, self.wbar, self.e,
+            self.psi, self.theta_hat, self.gains, self.dioph_residual,
+        ))
+        # "%.17g" renders a Python float exactly as f"{v:.17g}" does
+        fmt = "%d," + ",".join(["%.17g"] * cols.shape[1])
         lines = [",".join(self.header(self.n))]
-        for i in range(self.steps):
-            row = [str(int(self.t[i]))]
-            scalars = (
-                self.y[i], self.u[i], self.w[i], self.r[i],
-                self.ybar[i], self.ubar[i], self.wbar[i], self.e[i],
-            )
-            row += [f"{v:.17g}" for v in scalars]
-            row += [f"{v:.17g}" for v in self.psi[i]]
-            row += [f"{v:.17g}" for v in self.theta_hat[i]]
-            row += [f"{v:.17g}" for v in self.gains[i]]
-            row.append(f"{self.dioph_residual[i]:.17g}")
-            lines.append(",".join(row))
+        lines += [fmt % (t, *row) for t, row in zip(self.t.tolist(), cols.tolist())]
         return "\n".join(lines) + "\n"
 
     def save(self, path) -> None:
@@ -440,6 +436,41 @@ class ConstantsEstimate:
     samples_skipped: int
 
 
+# estimates per streamed chunk of estimate_constants, and the matrices of
+# largest Frobenius norm whose sigma_max seeds each chunk's pruning bound
+_CHUNK = 8192
+_PROBE = 64
+
+
+def _box_chunks(box: BoxSet, rng: np.random.Generator, samples: int):
+    """`samples` uniform draws, then every box vertex, in chunks of at most _CHUNK rows.
+
+    The chunked draws are the one-shot `box.sample(rng, samples)` stream,
+    value for value, and the vertices come in `BoxSet.vertices` order.
+    """
+    for start in range(0, samples, _CHUNK):
+        yield box.sample(rng, min(_CHUNK, samples - start))
+    corners = itertools.product(*zip(box.lo.tolist(), box.hi.tolist()))
+    while chunk := list(itertools.islice(corners, _CHUNK)):
+        yield np.array(chunk)
+
+
+def _max_sigma(mats: np.ndarray, floor: float) -> float:
+    """max(floor, largest sigma_max in a stack), with an SVD only where it can win.
+
+    sigma_max(A) <= ||A||_F, so once the SVD of the _PROBE matrices of
+    largest Frobenius norm gives a lower bound lo on the answer, a matrix
+    with ||A||_F < lo cannot raise it.  The relative margin keeps a matrix
+    whose rounded norms tie (one near rank one) in the SVD, and a NaN norm
+    is never below the cutoff, so a non-finite matrix still reaches it.
+    """
+    fro = np.linalg.norm(mats, axis=(1, 2))
+    probe = np.argpartition(fro, -_PROBE)[-_PROBE:] if fro.size > _PROBE else slice(None)
+    lo = np.max(np.linalg.svd(mats[probe], compute_uv=False)[:, 0], initial=floor)
+    keep = ~(fro < lo * (1.0 - 1e-12))
+    return float(np.max(np.linalg.svd(mats[keep], compute_uv=False)[:, 0], initial=lo))
+
+
 def estimate_constants(
     aux_box: BoxSet,
     target: TargetPolynomial,
@@ -455,28 +486,36 @@ def estimate_constants(
     fixed seed the draw stream is sequential, so the estimate is monotone
     nondecreasing in `samples`.  The returned s_bar is the exact box
     diameter.
+
+    The estimates stream through in fixed-size chunks, draws first and then
+    the vertices, with a running maximum, so memory stays bounded however
+    many samples or vertices there are.  In each chunk only the matrices
+    whose Frobenius norm reaches the best sigma_max known so far go to the
+    SVD (sigma_max <= ||A||_F; see `_max_sigma`).  The result is the same
+    float as one SVD of every matrix: chunked draws reproduce the one-shot
+    stream, each matrix's LAPACK solve and SVD do not depend on the batch
+    around it, and a maximum does not depend on the order it is taken in.
     """
     n = target.n
     dim = 2 * n + 1
     if aux_box.dim != dim:
         raise ValueError(f"expected an incremental box of dimension {dim}")
     rng = np.random.default_rng(seed)
-    draws = aux_box.sample(rng, int(samples)) if samples > 0 else np.empty((0, dim))
-    thetas = np.concatenate((draws, aux_box.vertices()), axis=0)
-
-    design = solve_diophantine_batch(thetas, target.lifted_coeffs(), n)
-    count = design.gains.shape[0]
-    if count == 0:
-        raise ValueError(
-            f"the design is singular at all {thetas.shape[0]} sampled estimates of the box"
-        )
-    mats = closed_loop_matrix(thetas[design.ok], design.gains, n)
-    norms = np.linalg.svd(mats, compute_uv=False)[:, 0]
+    lifted = target.lifted_coeffs()
+    alpha = -np.inf
+    used = total = 0
+    for thetas in _box_chunks(aux_box, rng, int(samples)):
+        design = solve_diophantine_batch(thetas, lifted, n)
+        alpha = _max_sigma(closed_loop_matrix(thetas[design.ok], design.gains, n), alpha)
+        used += design.gains.shape[0]
+        total += thetas.shape[0]
+    if used == 0:
+        raise ValueError(f"the design is singular at all {total} sampled estimates of the box")
     return ConstantsEstimate(
-        alpha_bar=float(norms.max()),
+        alpha_bar=alpha,
         s_bar=aux_box.diameter(),
-        samples_used=count,
-        samples_skipped=int(thetas.shape[0] - count),
+        samples_used=used,
+        samples_skipped=total - used,
     )
 
 
@@ -514,13 +553,21 @@ def pole_placement_audit(traj: Trajectory, target: TargetPolynomial) -> dict:
     polynomial; the coefficients are the well-conditioned object here (the
     placed pole at the origin is repeated with a single Jordan chain, so raw
     eigenvalue positions smear at roughly eps^(1/4) and would say nothing at
-    tight tolerances).  The design residual column is rechecked as well.  Any
+    tight tolerances).  The estimate is re-solved only when it changes, so
+    most rows repeat: each distinct [thetahat, K] row, keyed on its bytes,
+    is checked once, and the maximum over the distinct rows is the maximum
+    over all of them.  The design residual column is rechecked as well.  Any
     NaN or Inf in the estimates, gains, or residuals is a violation.
     """
     lifted = target.lifted_coeffs()
     scale = 1.0 + float(np.abs(lifted).max())
-    finite = np.isfinite(traj.theta_hat).all(axis=1) & np.isfinite(traj.gains).all(axis=1)
-    eig = np.linalg.eigvals(closed_loop_matrix(traj.theta_hat[finite], traj.gains[finite], traj.n))
+    rows = np.concatenate((traj.theta_hat, traj.gains), axis=1)
+    finite = np.isfinite(rows).all(axis=1)
+    rows = rows[finite]
+    _, first = np.unique(rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))),
+                         return_index=True)
+    dim = traj.theta_hat.shape[1]
+    eig = np.linalg.eigvals(closed_loop_matrix(rows[first, :dim], rows[first, dim:], traj.n))
     max_err = 0.0 if finite.all() else np.inf  # a non-finite row has no spectrum to match
     for row in eig:
         coeffs = np.poly(row)

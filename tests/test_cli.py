@@ -116,6 +116,10 @@ def test_audits_default_when_omitted(config_file):
         dict(sweep={"draws": 10, "overrides": {"mu": [1e-3]}}),
         dict(sweep={"draws": 10, "overrides": {"phi0": "5"}}),
         dict(mu=10**400),
+        # the output directory must be a JSON string
+        dict(out=5),
+        dict(out=True),
+        dict(out=["out"]),
     ],
 )
 def test_load_config_rejects_bad_content(config_file, mutation):
@@ -222,6 +226,7 @@ def test_run_exit_2_on_config_errors(config_file, tmp_path):
     assert main(["run", config_file(mu=float("inf")), "--quiet"]) == 2
     nan_signal = {"kind": "sign_flip", "magnitude": float("nan"), "period": 250}
     assert main(["run", config_file(disturbance=nan_signal), "--quiet"]) == 2
+    assert main(["run", config_file(out=5), "--quiet"]) == 2
     assert main(["run", str(tmp_path / "nope.json"), "--quiet"]) == 2
     # a tracking window the horizon cannot hold is a config-level error
     bad = config_file(horizon=120, tracking_tail=100, alpha_samples=500)

@@ -131,6 +131,12 @@ def test_batched_design_is_a_stack_of_single_solves(example_box):
     solved = [sol for sol in singles if sol is not None]
     assert np.array_equal(batch.gains, np.array([sol.K for sol in solved]))
     assert np.array_equal(batch.margins[batch.ok], [sol.margin for sol in solved])
+    lifted = BENCH_TARGET.lifted_coeffs()
+    residuals = [
+        np.abs(_identity_lhs(vec, sol.K) - lifted).max()
+        for vec, sol in zip(thetas[batch.ok], solved)
+    ]
+    assert np.array_equal(residuals, [sol.residual for sol in solved])
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,13 @@
 """Closed-loop simulation, trajectory serialization, audits, and the sweep."""
 
+import dataclasses
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from adaptive_pp import (
+    AUDIT_TOL,
     BoxSet,
     PlantParameters,
     SignalSpec,
@@ -13,15 +17,19 @@ from adaptive_pp import (
     TargetPolynomial,
     Trajectory,
     TrajectoryFormatError,
+    closed_loop_matrix,
     crude_bound_audit,
     estimate_constants,
     gain_bound_fit,
+    image_box,
     monte_carlo_sweep,
     pole_placement_audit,
     run_audits,
     run_closed_loop,
+    solve_diophantine_batch,
     tracking_audit,
 )
+from adaptive_pp.simulation import _CHUNK, _max_sigma
 
 # ---------------------------------------------------------------------------
 # signals
@@ -257,6 +265,34 @@ def test_csv_roundtrip_is_bit_exact(example_config, tmp_path):
     np.testing.assert_array_equal(back.phi, traj.phi)
 
 
+def _csv_per_field(traj: Trajectory) -> str:
+    """The schema rendered one f-string per field, the reference for to_csv."""
+    lines = [",".join(Trajectory.header(traj.n))]
+    for i in range(traj.steps):
+        scalars = (
+            traj.y[i], traj.u[i], traj.w[i], traj.r[i],
+            traj.ybar[i], traj.ubar[i], traj.wbar[i], traj.e[i],
+        )
+        row = [str(int(traj.t[i]))] + [f"{v:.17g}" for v in scalars]
+        row += [f"{v:.17g}" for v in (*traj.psi[i], *traj.theta_hat[i], *traj.gains[i])]
+        row.append(f"{traj.dioph_residual[i]:.17g}")
+        lines.append(",".join(row))
+    return "\n".join(lines) + "\n"
+
+
+def test_csv_rows_match_the_per_field_rendering(example_config):
+    traj = run_closed_loop(example_config(horizon=40))
+    assert traj.to_csv() == _csv_per_field(traj)
+    y, psi, gains = traj.y.copy(), traj.psi.copy(), traj.gains.copy()
+    y[:5] = [np.nan, np.inf, -np.inf, -0.0, 5e-324]
+    psi[3, 2] = -2.5e-310
+    gains[7] = [np.nan, -0.0, np.inf, 1e-320, -np.inf]
+    odd = dataclasses.replace(traj, y=y, psi=psi, gains=gains)
+    text = odd.to_csv()
+    assert text == _csv_per_field(odd)
+    assert text.splitlines()[1].split(",")[1] == "nan" and ",-0," in text
+
+
 def test_csv_header_layout():
     cols = Trajectory.header(2)
     assert cols[:9] == ["t", "y", "u", "w", "r", "ybar", "ubar", "wbar", "e"]
@@ -335,6 +371,70 @@ def test_constants_name_a_box_with_no_regular_design(example_target):
         estimate_constants(aux_box, example_target, samples=10)
 
 
+def _constants_by_brute_force(aux_box, target, samples, seed):
+    """One-shot draws and vertices, every regular matrix through the SVD."""
+    n = target.n
+    rng = np.random.default_rng(seed)
+    thetas = np.concatenate((aux_box.sample(rng, samples), aux_box.vertices()))
+    design = solve_diophantine_batch(thetas, target.lifted_coeffs(), n)
+    mats = closed_loop_matrix(thetas[design.ok], design.gains, n)
+    alpha = np.linalg.svd(mats, compute_uv=False)[:, 0].max()
+    used = design.gains.shape[0]
+    return float(alpha), used, thetas.shape[0] - used
+
+
+def _seeded_problem(n: int):
+    """A random plant box of order n (all b > 0, so B(1) != 0) and a stable target."""
+    rng = np.random.default_rng(100 + n)
+    lo = np.concatenate((rng.uniform(-1.0, 0.5, n), rng.uniform(0.2, 1.5, n)))
+    box = BoxSet(lo, lo + rng.uniform(0.1, 1.0, 2 * n))
+    return image_box(box, n), TargetPolynomial(np.poly(rng.uniform(-0.7, 0.7, n)), n)
+
+
+@pytest.mark.parametrize("samples", [_CHUNK // 2, _CHUNK, _CHUNK + 1])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_pruned_streamed_constants_equal_a_full_svd(n, samples):
+    aux_box, target = _seeded_problem(n)
+    est = estimate_constants(aux_box, target, samples=samples, seed=n)
+    alpha, used, skipped = _constants_by_brute_force(aux_box, target, samples, seed=n)
+    assert (est.alpha_bar, est.samples_used, est.samples_skipped) == (alpha, used, skipped)
+
+
+def test_pruned_constants_keep_a_near_rank_one_maximum():
+    # b near zero: huge gains, sigma_2/sigma_1 ~ 1e-6, ||A||_F within 3e-13 of sigma_1
+    aux_box = image_box(BoxSet([-0.5, 1e-6], [-0.4, 2e-6]), 1)
+    target = TargetPolynomial([1.0, -0.5], 1)
+    est = estimate_constants(aux_box, target, samples=_CHUNK + 1, seed=3)
+    alpha, used, skipped = _constants_by_brute_force(aux_box, target, _CHUNK + 1, seed=3)
+    assert (est.alpha_bar, est.samples_used, est.samples_skipped) == (alpha, used, skipped)
+    assert alpha > 1e5
+
+
+def test_frobenius_pruning_keeps_a_maximum_outside_the_probe():
+    # 100 identities lead in Frobenius norm (sqrt 5) with sigma_max 1; the rank-one
+    # matrix (Frobenius norm = sigma_max = 1 + 1e-11) is outside the probe and wins
+    u = np.full(5, np.sqrt((1.0 + 1e-11) / 5.0))
+    mats = np.stack([np.eye(5)] * 100 + [np.outer(u, u)])
+    expected = np.linalg.svd(mats, compute_uv=False)[:, 0].max()
+    assert expected > 1.0
+    assert _max_sigma(mats, -np.inf) == expected
+    assert _max_sigma(mats, 2.0) == 2.0
+    mats[0, 0, 0] = np.nan  # a non-finite matrix fails as the full SVD does
+    with pytest.raises(np.linalg.LinAlgError):
+        _max_sigma(mats, -np.inf)
+
+
+def test_constants_memory_does_not_grow_with_samples(example_target):
+    aux_box = BoxSet([-1.0, -3.0, 1.0, -1.0, -5.0], [1.0, 1.0, 3.0, 0.0, -3.0])
+    tracemalloc.start()
+    try:
+        estimate_constants(aux_box, example_target, samples=400_000, seed=0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+
+
 def test_crude_bound_holds_on_the_benchmark(bench_run, bench_constants):
     _, traj = bench_run
     report = crude_bound_audit(traj, bench_constants.alpha_bar, bench_constants.s_bar)
@@ -357,12 +457,43 @@ def test_pole_audit_passes_and_detects_corruption(bench_run, example_target):
     _, traj = bench_run
     assert pole_placement_audit(traj, example_target)["pass"]
 
-    import dataclasses
-
     broken = dataclasses.replace(traj, gains=traj.gains * 1.01)
     report = pole_placement_audit(broken, example_target)
     assert not report["pass"]
     assert report["max_coeff_err"] > 1e-3
+
+
+def _pole_audit_per_row(traj: Trajectory, target: TargetPolynomial) -> dict:
+    """pole_placement_audit's reference: eigvals and np.poly on every finite row."""
+    lifted = target.lifted_coeffs()
+    scale = 1.0 + float(np.abs(lifted).max())
+    finite = np.isfinite(traj.theta_hat).all(axis=1) & np.isfinite(traj.gains).all(axis=1)
+    eig = np.linalg.eigvals(closed_loop_matrix(traj.theta_hat[finite], traj.gains[finite], traj.n))
+    max_err = 0.0 if finite.all() else np.inf
+    for row in eig:
+        max_err = max(max_err, float(np.abs(np.poly(row) - lifted).max()))
+    res_max = float(traj.dioph_residual.max())
+    violations = int(not max_err <= AUDIT_TOL * scale) + int(not res_max <= AUDIT_TOL * scale)
+    return {
+        "violations": violations,
+        "pass": violations == 0,
+        "max_coeff_err": max_err,
+        "max_residual": res_max,
+    }
+
+
+def test_deduplicated_pole_audit_equals_the_per_row_audit(bench_run, example_target):
+    _, traj = bench_run
+    # the rows repeat; corrupt one repeat only, so its estimate comes with two gain rows
+    repeat = int(np.flatnonzero((traj.theta_hat[1:] == traj.theta_hat[:-1]).all(axis=1))[0]) + 1
+    second = traj.gains.copy()
+    second[repeat] *= 1.01
+    nan_row = traj.gains.copy()
+    nan_row[10, 0] = np.nan
+    for gains in (traj.gains, traj.gains * 1.01, second, nan_row):
+        case = dataclasses.replace(traj, gains=gains)
+        assert pole_placement_audit(case, example_target) == _pole_audit_per_row(case, example_target)
+    assert not pole_placement_audit(dataclasses.replace(traj, gains=second), example_target)["pass"]
 
 
 def test_gain_bound_fit_validates_lam(bench_run, example_target):
