@@ -5,17 +5,23 @@ placed zero pole of the regressor recursion has a single Jordan chain, so an
 eps-sized backward error smears the computed cluster to roughly eps^(1/4).
 Every float64 value is an exact rational, though, so the whole chain (system
 matrix, its solve, the closed-loop matrix, its characteristic polynomial) can
-be repeated in fractions.Fraction arithmetic.  When the exact characteristic
+be repeated in exact rational arithmetic.  When the exact characteristic
 polynomial matches z^{2n+1} Astar(z^{-1}) coefficient for coefficient, the
 eigenvalue multiset equals the designed pole multiset identically.
 
-Dimensions stay tiny (2n+1 with n a plant order), so big-rational cost is
-negligible.
+Results are fractions.Fraction values, but the inner loops never touch them:
+each matrix is scaled to Python ints by a common denominator.  The solve runs
+Bareiss fraction-free elimination and the characteristic polynomial runs
+Faddeev-LeVerrier on the scaled integer matrix; every division in either is
+exact by the algebra and is checked to be so.  Fractions appear only where
+inputs are gathered and results assembled.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
+from operator import mul
 
 import numpy as np
 
@@ -29,67 +35,102 @@ __all__ = [
 ]
 
 
-def _eliminate(a: list[list[Fraction]], b: list[Fraction]) -> list[Fraction]:
-    """In-place Gaussian elimination with exact pivoting on fraction data."""
+def _exact_div(num: int, den: int) -> int:
+    """num / den where the algebra guarantees an integer; a remainder is a bug."""
+    quot, rem = divmod(num, den)
+    if rem:
+        raise ArithmeticError(f"inexact integer division {num} / {den}")
+    return quot
+
+
+def _square_rows(a) -> list[list]:
+    """Rows of a square matrix of exact rationals; float arrays convert exactly."""
+    if isinstance(a, np.ndarray):
+        a = np.asarray(a, dtype=float)
+        if a.ndim != 2 or a.shape[0] != a.shape[1]:
+            raise ValueError(f"matrix of shape {a.shape} is not square")
+        return a.tolist()
+    if any(len(row) != len(a) for row in a):
+        raise ValueError("matrix rows are not square")
+    return a
+
+
+def _eliminate(a: list[list], b: list) -> list[Fraction]:
+    """Exact solve of a x = b by Bareiss fraction-free elimination.
+
+    Each augmented row [a_i | b_i] is scaled to integers by the lcm of its
+    denominators, which leaves x unchanged.  Bareiss (Math. Comp. 22, 1968)
+    keeps every entry an integer minor, so dividing by the previous pivot is
+    exact.  An entry is a nonzero multiple of the one plain Gaussian
+    elimination would hold, so the pivot search (first nonzero in the column)
+    swaps the same rows and rejects the same singular systems.  The last
+    pivot is det of the scaled system, and det * x is integral (Cramer), so
+    the back-substitution stays in integers too.
+    """
     dim = len(b)
+    rows = []
+    for row, rhs in zip(a, b):
+        ratios = [v.as_integer_ratio() for v in (*row, rhs)]
+        scale = lcm(*(den for _, den in ratios))
+        rows.append([num * (scale // den) for num, den in ratios])
+    prev = 1
     for col in range(dim):
-        pivot = next((r for r in range(col, dim) if a[r][col] != 0), None)
+        pivot = next((r for r in range(col, dim) if rows[r][col]), None)
         if pivot is None:
             raise ZeroDivisionError("system is exactly singular")
-        if pivot != col:
-            a[col], a[pivot] = a[pivot], a[col]
-            b[col], b[pivot] = b[pivot], b[col]
-        inv = 1 / a[col][col]
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        top = rows[col]
+        head = top[col]
         for r in range(col + 1, dim):
-            factor = a[r][col] * inv
-            if factor == 0:
-                continue
-            for c in range(col, dim):
-                a[r][c] -= factor * a[col][c]
-            b[r] -= factor * b[col]
-    x = [Fraction(0)] * dim
+            row = rows[r]
+            lead = row[col]
+            rows[r] = [0] * (col + 1) + [
+                _exact_div(head * v - lead * t, prev)
+                for v, t in zip(row[col + 1 :], top[col + 1 :])
+            ]
+        prev = head
+    det = rows[-1][-2] if dim else 1
+    x = [0] * dim
     for r in range(dim - 1, -1, -1):
-        acc = b[r]
-        for c in range(r + 1, dim):
-            acc -= a[r][c] * x[c]
-        x[r] = acc / a[r][r]
-    return x
+        row = rows[r]
+        acc = det * row[dim] - sum(map(mul, row[r + 1 : dim], x[r + 1 :]))
+        x[r] = _exact_div(acc, row[r])
+    return [Fraction(v, det) for v in x]
 
 
 def solve_fraction_system(m: np.ndarray, rhs: np.ndarray) -> list[Fraction]:
     """Exact solve of a square float system (entries taken as exact rationals)."""
-    a = [[Fraction(float(v)) for v in row] for row in np.asarray(m, dtype=float)]
-    b = [Fraction(float(v)) for v in np.asarray(rhs, dtype=float)]
-    return _eliminate(a, b)
+    a = _square_rows(np.asarray(m))
+    b = np.asarray(rhs, dtype=float)
+    if b.shape != (len(a),):
+        raise ValueError(f"right-hand side has shape {b.shape}, expected ({len(a)},)")
+    return _eliminate(a, b.tolist())
 
 
 def charpoly_fractions(a) -> list[Fraction]:
     """Characteristic polynomial det(zI - A), highest power first, exactly.
 
-    Faddeev-LeVerrier recursion; divisions are by integers so everything
-    stays rational.
+    Faddeev-LeVerrier on the integer matrix B = s*A, s the lcm of the entry
+    denominators: M_1 = I, c_k = -tr(B M_k) / k, M_{k+1} = B M_k + c_k I.
+    B has integer characteristic coefficients, so every division by k is
+    exact, and the coefficients of A are c_k / s^k.
     """
-    if isinstance(a, np.ndarray):
-        a = [[Fraction(float(v)) for v in row] for row in a]
-    dim = len(a)
+    rows = _square_rows(a)
+    dim = len(rows)
+    ratios = [[v.as_integer_ratio() for v in row] for row in rows]
+    scale = lcm(*(den for row in ratios for _, den in row))
+    b = [[num * (scale // den) for num, den in row] for row in ratios]
 
-    def matmul(x, y):
-        return [
-            [sum(x[i][k] * y[k][j] for k in range(dim)) for j in range(dim)]
-            for i in range(dim)
-        ]
-
-    coeffs = [Fraction(1)]
-    m = [[Fraction(1) if i == j else Fraction(0) for j in range(dim)] for i in range(dim)]
+    coeffs = [1]
+    m = [[int(i == j) for j in range(dim)] for i in range(dim)]
     for k in range(1, dim + 1):
-        if k > 1:
-            m = matmul(a, m)
-            for i in range(dim):
-                m[i][i] += coeffs[-1]
-        am = matmul(a, m)
-        trace = sum(am[i][i] for i in range(dim))
-        coeffs.append(-trace / k)
-    return coeffs
+        cols = list(zip(*m))
+        m = [[sum(map(mul, row, col)) for col in cols] for row in b]
+        trace = sum(m[i][i] for i in range(dim))
+        coeffs.append(-_exact_div(trace, k))
+        for i in range(dim):
+            m[i][i] += coeffs[-1]
+    return [Fraction(c, scale**k) for k, c in enumerate(coeffs)]
 
 
 def _scatter(layout, values: list[Fraction], dim: int) -> np.ndarray:
@@ -125,6 +166,9 @@ def exact_pole_check(theta_hat: np.ndarray, target_lifted: np.ndarray, n: int) -
     dim = 2 * n + 1
     if theta.shape != (dim,) or lifted.shape != (dim + 1,):
         raise ValueError("estimate or target has the wrong length")
+    for name, arr in (("theta_hat", theta), ("target_lifted", lifted)):
+        if not np.isfinite(arr).all():
+            raise ValueError(f"{name} has a non-finite entry; there is nothing exact to certify")
 
     vals = [Fraction(float(v)) for v in theta]
     astar = [Fraction(float(v)) for v in lifted]

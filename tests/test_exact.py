@@ -1,23 +1,83 @@
 """Rational-arithmetic certification of the pole-placement identity."""
 
+import os
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from conftest import BENCHMARK_CONFIG, ROOT
 
 from adaptive_pp import (
     BoxSet,
     TargetPolynomial,
+    Trajectory,
     charpoly_fractions,
     closed_loop_matrix,
     exact_pole_check,
     solve_fraction_system,
     sylvester_matrix,
 )
+from adaptive_pp.cli import load_config
 from adaptive_pp.exact import _closed_loop_fractions, _sylvester_fractions
 
 BENCH_TARGET = TargetPolynomial([1.0, -0.6], 2)
 BENCH_THETA0 = np.array([0.0, -1.0, 2.0, -0.5, -4.0])
+
+
+# ---------------------------------------------------------------------------
+# reference: plain Fraction Gaussian elimination and Faddeev-LeVerrier, the
+# textbook loops the integer kernels must agree with under ==
+
+
+def _reference_solve(a, b):
+    a = [[Fraction(v) for v in row] for row in a]
+    b = [Fraction(v) for v in b]
+    dim = len(b)
+    for col in range(dim):
+        pivot = next((r for r in range(col, dim) if a[r][col] != 0), None)
+        if pivot is None:
+            raise ZeroDivisionError("system is exactly singular")
+        a[col], a[pivot] = a[pivot], a[col]
+        b[col], b[pivot] = b[pivot], b[col]
+        for r in range(col + 1, dim):
+            factor = a[r][col] / a[col][col]
+            for c in range(col, dim):
+                a[r][c] -= factor * a[col][c]
+            b[r] -= factor * b[col]
+    x = [Fraction(0)] * dim
+    for r in range(dim - 1, -1, -1):
+        acc = b[r] - sum(a[r][c] * x[c] for c in range(r + 1, dim))
+        x[r] = acc / a[r][r]
+    return x
+
+
+def _reference_charpoly(a):
+    a = [[Fraction(v) for v in row] for row in a]
+    dim = len(a)
+
+    def matmul(x, y):
+        return [[sum(x[i][k] * y[k][j] for k in range(dim)) for j in range(dim)] for i in range(dim)]
+
+    coeffs = [Fraction(1)]
+    m = [[Fraction(int(i == j)) for j in range(dim)] for i in range(dim)]
+    for k in range(1, dim + 1):
+        if k > 1:
+            m = matmul(a, m)
+            for i in range(dim):
+                m[i][i] += coeffs[-1]
+        coeffs.append(-sum(matmul(a, m)[i][i] for i in range(dim)) / k)
+    return coeffs
+
+
+def _reference_certificate(theta_hat, target_lifted, n):
+    vals = [Fraction(v) for v in theta_hat.tolist()]
+    astar = [Fraction(v) for v in target_lifted.tolist()]
+    dim = 2 * n + 1
+    rhs = [astar[k] + (vals[k - 1] if k <= n + 1 else 0) for k in range(1, dim + 1)]
+    x = _reference_solve(_sylvester_fractions(vals, n).tolist(), rhs)
+    gains = [-v for v in x[n:]] + [-v for v in x[:n]]
+    char = _reference_charpoly(_closed_loop_fractions(vals, gains, n).tolist())
+    return max(abs(c - t) for c, t in zip(char, astar))
 
 
 # ---------------------------------------------------------------------------
@@ -40,6 +100,37 @@ def test_charpoly_accepts_prebuilt_fraction_rows():
     rows = [[Fraction(1, 2), Fraction(0)], [Fraction(0), Fraction(1, 3)]]
     coeffs = charpoly_fractions(rows)
     assert coeffs == [Fraction(1), Fraction(-5, 6), Fraction(1, 6)]
+
+
+def test_charpoly_of_an_empty_matrix_is_one():
+    assert charpoly_fractions(np.zeros((0, 0))) == [Fraction(1)]
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 5, 7])
+def test_charpoly_equals_the_fraction_reference(dim):
+    rng = np.random.default_rng(70 + dim)
+    for scale in (1.0, 1e-8, 1e8):
+        a = rng.uniform(-3.0, 3.0, size=(dim, dim)) * scale
+        assert charpoly_fractions(a) == _reference_charpoly(a.tolist())
+    # entries that share no denominator, some not dyadic and some negative
+    rows = [
+        [Fraction(int(rng.integers(-9, 10)), int(rng.integers(1, 12))) for _ in range(dim)]
+        for _ in range(dim)
+    ]
+    assert charpoly_fractions(rows) == _reference_charpoly(rows)
+
+
+def test_charpoly_of_a_nilpotent_matrix_is_a_pure_power():
+    # strictly triangular: every coefficient but the leading one is exactly zero
+    a = np.triu(np.arange(1.0, 26.0).reshape(5, 5), k=1) / 3.0
+    assert charpoly_fractions(a) == [Fraction(1)] + [Fraction(0)] * 5
+
+
+def test_charpoly_rejects_a_non_square_matrix():
+    with pytest.raises(ValueError, match="square"):
+        charpoly_fractions(np.ones((2, 3)))
+    with pytest.raises(ValueError, match="square"):
+        charpoly_fractions([[Fraction(1), Fraction(2)], [Fraction(3)]])
 
 
 def test_charpoly_is_exact_where_floats_are_not():
@@ -85,6 +176,50 @@ def test_fraction_solve_needs_pivoting():
 def test_fraction_solve_raises_on_singular_systems():
     with pytest.raises(ZeroDivisionError):
         solve_fraction_system(np.array([[1.0, 2.0], [2.0, 4.0]]), np.array([1.0, 1.0]))
+    # singular only after a step of elimination, in a later column
+    with pytest.raises(ZeroDivisionError):
+        solve_fraction_system(np.array([[1.0, 2.0, 3.0], [2.0, 4.0, 6.0], [1.0, 0.0, 1.0]]), np.ones(3))
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 5, 7])
+def test_fraction_solve_equals_the_fraction_reference(dim):
+    rng = np.random.default_rng(90 + dim)
+    for scale in (1.0, 1e-8, 1e8):
+        m = rng.uniform(-3.0, 3.0, size=(dim, dim)) * scale
+        b = rng.uniform(-3.0, 3.0, size=dim)
+        assert solve_fraction_system(m, b) == _reference_solve(m.tolist(), b.tolist())
+
+
+def test_fraction_solve_equals_the_reference_across_pivot_swaps():
+    # column 0 has a zero lead; after eliminating it, column 1 has one too
+    m = np.array([
+        [0.0, 1.0, 2.0, 1.0],
+        [1.0, 1.0, 1.0, 0.5],
+        [2.0, 2.0, 3.0, 0.25],
+        [0.0, 3.0, 0.0, 1.0],
+    ]) / 3.0
+    b = np.array([1.0, -2.0, 0.1, 7.0])
+    x = solve_fraction_system(m, b)
+    assert x == _reference_solve(m.tolist(), b.tolist())
+    mf = [[Fraction(v) for v in row] for row in m.tolist()]
+    assert [sum(r * v for r, v in zip(row, x)) for row in mf] == [Fraction(v) for v in b.tolist()]
+
+
+@pytest.mark.parametrize(
+    "m, rhs",
+    [
+        (np.ones((2, 3)), np.ones(2)),
+        (np.ones((3, 2)), np.ones(3)),
+        (np.eye(3), np.array([1.0, 2.0])),
+        (np.eye(2), np.ones(3)),
+        (np.eye(2), np.ones((2, 1))),
+        (np.ones(4), np.ones(4)),
+    ],
+    ids=["wide", "tall", "short-rhs", "long-rhs", "column-rhs", "vector-matrix"],
+)
+def test_fraction_solve_rejects_malformed_shapes(m, rhs):
+    with pytest.raises(ValueError):
+        solve_fraction_system(m, rhs)
 
 
 # ---------------------------------------------------------------------------
@@ -147,6 +282,47 @@ def test_certificate_validates_lengths():
         exact_pole_check(BENCH_THETA0[:4], BENCH_TARGET.lifted_coeffs(), 2)
     with pytest.raises(ValueError):
         exact_pole_check(BENCH_THETA0, BENCH_TARGET.lifted_coeffs()[:5], 2)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_a_non_finite_input_never_certifies(bad):
+    # a NaN or Inf is never a pass: each position raises, naming the argument,
+    # instead of returning a certificate
+    for i in range(5):
+        theta = BENCH_THETA0.copy()
+        theta[i] = bad
+        with pytest.raises(ValueError, match="theta_hat"):
+            exact_pole_check(theta, BENCH_TARGET.lifted_coeffs(), 2)
+    for i in range(6):
+        lifted = BENCH_TARGET.lifted_coeffs().copy()
+        lifted[i] = bad
+        with pytest.raises(ValueError, match="target_lifted"):
+            exact_pole_check(BENCH_THETA0, lifted, 2)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_certificates_equal_the_fraction_reference(n):
+    rng = np.random.default_rng(110 + n)
+    dim = 2 * n + 1
+    for _ in range(6):
+        theta = rng.uniform(-2.0, 2.0, dim)
+        # a perturbed leading coefficient leaves a nonzero, exactly known gap
+        lifted = np.concatenate(([1.0 + rng.uniform(-1e-6, 1e-6)], rng.uniform(-1.0, 1.0, dim)))
+        cert = exact_pole_check(theta, lifted, n)
+        assert cert != 0
+        assert cert == _reference_certificate(theta, lifted, n)
+        lifted[0] = 1.0
+        assert exact_pole_check(theta, lifted, n) == _reference_certificate(theta, lifted, n) == 0
+
+
+def test_every_benchmark_estimate_certifies_exactly():
+    cfg, _, _ = load_config(BENCHMARK_CONFIG)
+    with open(os.path.join(ROOT, "out", "benchmark", "trajectory.csv"), encoding="ascii") as fh:
+        traj = Trajectory.from_csv(fh.read(), cfg)
+    estimates = np.unique(traj.theta_hat, axis=0)
+    assert len(estimates) == 667
+    lifted = cfg.target.lifted_coeffs()
+    assert all(exact_pole_check(theta, lifted, cfg.n) == 0 for theta in estimates)
 
 
 def test_certificate_raises_cleanly_on_a_singular_design():

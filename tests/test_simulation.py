@@ -293,6 +293,42 @@ def test_csv_rows_match_the_per_field_rendering(example_config):
     assert text.splitlines()[1].split(",")[1] == "nan" and ",-0," in text
 
 
+def test_csv_parse_is_bit_equal_to_per_field_float(example_config):
+    cfg = example_config(horizon=40)
+    traj = run_closed_loop(cfg)
+    y, psi, gains = traj.y.copy(), traj.psi.copy(), traj.gains.copy()
+    y[1:6] = [np.nan, np.inf, -np.inf, -0.0, 5e-324]
+    psi[3, 2] = -2.5e-310
+    gains[7] = [np.nan, -0.0, np.inf, 1e-320, -np.inf]
+    lines = dataclasses.replace(traj, y=y, psi=psi, gains=gains).to_csv().splitlines()
+    # spellings to_csv never writes but float() reads: a signed NaN, a signed
+    # infinity, digit grouping and padding
+    row = lines[9].split(",")
+    row[3:7] = ["-nan", "+inf", "1_000.5", " 2.5 "]
+    lines[9] = ",".join(row)
+    back = Trajectory.from_csv("\n".join(lines) + "\n", cfg)
+    got = np.column_stack((
+        back.t, back.y, back.u, back.w, back.r, back.ybar, back.ubar, back.wbar, back.e,
+        back.psi, back.theta_hat, back.gains, back.dioph_residual,
+    ))
+    ref = np.array([[float(p) for p in ln.split(",")] for ln in lines[1:]])
+    assert np.array_equal(got.view(np.int64), ref.view(np.int64))
+    assert np.signbit(back.w[8]) and np.isnan(back.w[8])
+
+
+def test_csv_rejects_a_field_moved_between_rows(example_config):
+    # the total field count is right, but one row is short and the next long
+    cfg = example_config(horizon=30)
+    lines = run_closed_loop(cfg).to_csv().splitlines()
+    short, long_ = lines[4].split(","), lines[5].split(",")
+    lines[4], lines[5] = ",".join(short[:-1]), ",".join(long_ + short[-1:])
+    with pytest.raises(TrajectoryFormatError, match="row 3 has 24 fields, expected 25"):
+        Trajectory.from_csv("\n".join(lines) + "\n", cfg)
+    lines[4], lines[5] = ",".join(short[:3] + ["oops"] + short[4:]), ",".join(long_)
+    with pytest.raises(TrajectoryFormatError, match="row 3 is not numeric: .*'oops'"):
+        Trajectory.from_csv("\n".join(lines) + "\n", cfg)
+
+
 def test_csv_header_layout():
     cols = Trajectory.header(2)
     assert cols[:9] == ["t", "y", "u", "w", "r", "ybar", "ubar", "wbar", "e"]
