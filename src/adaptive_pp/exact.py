@@ -43,6 +43,13 @@ def _exact_div(num: int, den: int) -> int:
     return quot
 
 
+def _over_common_denominator(values) -> tuple[list[int], int]:
+    """Integers n_i and s, the lcm of the denominators, with values[i] == n_i / s."""
+    ratios = [v.as_integer_ratio() for v in values]
+    scale = lcm(*(den for _, den in ratios))
+    return [num * (scale // den) for num, den in ratios], scale
+
+
 def _square_rows(a) -> list[list]:
     """Rows of a square matrix of exact rationals; float arrays convert exactly."""
     if isinstance(a, np.ndarray):
@@ -68,11 +75,7 @@ def _eliminate(a: list[list], b: list) -> list[Fraction]:
     the back-substitution stays in integers too.
     """
     dim = len(b)
-    rows = []
-    for row, rhs in zip(a, b):
-        ratios = [v.as_integer_ratio() for v in (*row, rhs)]
-        scale = lcm(*(den for _, den in ratios))
-        rows.append([num * (scale // den) for num, den in ratios])
+    rows = [_over_common_denominator((*row, rhs))[0] for row, rhs in zip(a, b)]
     prev = 1
     for col in range(dim):
         pivot = next((r for r in range(col, dim) if rows[r][col]), None)
@@ -117,9 +120,8 @@ def charpoly_fractions(a) -> list[Fraction]:
     """
     rows = _square_rows(a)
     dim = len(rows)
-    ratios = [[v.as_integer_ratio() for v in row] for row in rows]
-    scale = lcm(*(den for row in ratios for _, den in row))
-    b = [[num * (scale // den) for num, den in row] for row in ratios]
+    flat, scale = _over_common_denominator([v for row in rows for v in row])
+    b = [flat[i * dim : (i + 1) * dim] for i in range(dim)]
 
     coeffs = [1]
     m = [[int(i == j) for j in range(dim)] for i in range(dim)]
