@@ -83,20 +83,6 @@ class TrajectoryFormatError(ValueError):
     """A trajectory file does not match the documented schema or the config."""
 
 
-def _scan_rows(rows: list[str], width: int) -> np.ndarray:
-    """Row-by-row parse that names the first malformed row."""
-    data = np.empty((len(rows), width))
-    for i, ln in enumerate(rows):
-        parts = ln.split(",")
-        if len(parts) != width:
-            raise TrajectoryFormatError(f"row {i} has {len(parts)} fields, expected {width}")
-        try:
-            data[i] = [float(p) for p in parts]
-        except ValueError as err:
-            raise TrajectoryFormatError(f"row {i} is not numeric: {err}") from err
-    return data
-
-
 @dataclass(frozen=True)
 class SignalSpec:
     """Exogenous scalar signal: constant, periodic sign flip, or explicit values."""
@@ -301,13 +287,15 @@ class Trajectory:
                 f"expected {cfg.horizon} rows for this config, found {len(rows)}"
             )
         width = len(cls.header(n))
-        try:
-            if any(ln.count(",") != width - 1 for ln in rows):
-                raise ValueError("a row has the wrong field count")
-            # one conversion; numpy parses each str with float(), so the bits match
-            data = np.array(",".join(rows).split(","), dtype=float).reshape(len(rows), width)
-        except ValueError:
-            data = _scan_rows(rows, width)
+        data = np.empty((len(rows), width))
+        for i, ln in enumerate(rows):
+            parts = ln.split(",")
+            if len(parts) != width:
+                raise TrajectoryFormatError(f"row {i} has {len(parts)} fields, expected {width}")
+            try:
+                data[i] = [float(p) for p in parts]
+            except ValueError as err:
+                raise TrajectoryFormatError(f"row {i} is not numeric: {err}") from err
         t = data[:, 0]
         expected_t = cfg.t0 + np.arange(len(rows))
         if not np.array_equal(t, expected_t.astype(float)):
