@@ -9,7 +9,6 @@ gain bounds.  See the README for the command-line entry points.
 """
 
 from .controller import (
-    ControllerSolution,
     DesignBatch,
     SingularSylvesterError,
     TargetPolynomial,
@@ -31,11 +30,8 @@ from .exact import charpoly_fractions, exact_pole_check, solve_fraction_system
 from .plant import (
     BoxSet,
     PlantParameters,
-    SystemState,
     aux_transform,
     image_box,
-    make_regressor,
-    plant_step,
 )
 from .polynomial import (
     singularity_threshold,
@@ -74,11 +70,8 @@ __all__ = [
     "sylvester_margin",
     "BoxSet",
     "PlantParameters",
-    "SystemState",
     "aux_transform",
     "image_box",
-    "make_regressor",
-    "plant_step",
     "AUDIT_TOL",
     "EstimatorAudit",
     "estimator_audit",
@@ -86,7 +79,6 @@ __all__ = [
     "projection_step",
     "spectral_radius",
     "TargetPolynomial",
-    "ControllerSolution",
     "DesignBatch",
     "SingularSylvesterError",
     "solve_diophantine",

@@ -372,10 +372,11 @@ def cmd_run(args) -> int:
         })
         return 3
 
+    # audit first: an audit set-up error (exit 2) must leave out_dir untouched
+    results, bound, total = _audit(traj, cfg, extras, constants, args.quiet)
     csv_path = os.path.join(out_dir, "trajectory.csv")
     traj.save(csv_path)
     outputs = ["trajectory.csv"]
-    results, bound, total = _audit(traj, cfg, extras, constants, args.quiet)
 
     if args.plots:
         outputs += _emit_plots(out_dir, cfg)

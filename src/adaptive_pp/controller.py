@@ -38,7 +38,6 @@ __all__ = [
     "SingularSylvesterError",
     "spectral_radius",
     "TargetPolynomial",
-    "ControllerSolution",
     "DesignBatch",
     "solve_diophantine_batch",
     "solve_diophantine",
@@ -121,23 +120,6 @@ class TargetPolynomial:
         return spectral_radius(self.coeffs)
 
 
-@dataclass(frozen=True)
-class ControllerSolution:
-    """Solved design at one estimate: gain row and diagnostics.
-
-    The gain row is K = [-p_1..-p_{n+1}, -l_1..-l_n].
-    """
-
-    K: np.ndarray
-    residual: float
-    margin: float
-
-    def __post_init__(self):
-        k = np.asarray(self.K, dtype=float).copy()
-        k.flags.writeable = False
-        object.__setattr__(self, "K", k)
-
-
 class DesignBatch(NamedTuple):
     """Outcome of the batched design solve over a stack of estimates."""
 
@@ -176,13 +158,15 @@ def solve_diophantine_batch(thetas: np.ndarray, lifted: np.ndarray, n: int) -> D
     return DesignBatch(ok, gains, margins, thresholds)
 
 
-def solve_diophantine(theta_hat, target: TargetPolynomial) -> ControllerSolution:
-    """Solve the pole-placement identity at one estimate.
+def solve_diophantine(theta_hat, target: TargetPolynomial) -> tuple[np.ndarray, float]:
+    """Solve the pole-placement identity at one estimate; (K, residual).
 
-    The same arithmetic as one row of `solve_diophantine_batch`, on the 2-D
-    system directly, so K and the margin equal the batched ones bit for bit.
-    Raises SingularSylvesterError when |det| of the system matrix falls at or
-    below the shared relative singularity threshold.
+    K = [-p_1..-p_{n+1}, -l_1..-l_n] is the gain row and residual the largest
+    coefficient error of Abar L + B P against Astar.  The same arithmetic as
+    one row of `solve_diophantine_batch`, on the 2-D system directly, so K
+    equals the batched gain row bit for bit.  Raises SingularSylvesterError
+    when |det| of the system matrix falls at or below the shared relative
+    singularity threshold.
     """
     n = target.n
     theta = _estimate_vector(theta_hat, n)
@@ -202,11 +186,7 @@ def solve_diophantine(theta_hat, target: TargetPolynomial) -> ControllerSolution
     # residual of Abar L + B P = Astar with L = [1, l], P = [0, p]
     recon = np.convolve(coeffs[: n + 2], np.concatenate(([1.0], x[:n])))
     recon += np.convolve(coeffs[n + 2 :], np.concatenate(([0.0], x[n:])))
-    return ControllerSolution(
-        K=np.concatenate((-x[n:], -x[:n])),
-        residual=float(np.abs(recon - lifted).max()),
-        margin=float(margin),
-    )
+    return np.concatenate((-x[n:], -x[:n])), float(np.abs(recon - lifted).max())
 
 
 @lru_cache(maxsize=None)

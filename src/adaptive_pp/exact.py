@@ -50,10 +50,15 @@ def _over_common_denominator(values) -> tuple[list[int], int]:
     return [num * (scale // den) for num, den in ratios], scale
 
 
+def _exact_array(a: np.ndarray) -> np.ndarray:
+    """An object array as it is, any other array as float64 (which converts exactly)."""
+    return a if a.dtype == object else np.asarray(a, dtype=float)
+
+
 def _square_rows(a) -> list[list]:
-    """Rows of a square matrix of exact rationals; float arrays convert exactly."""
+    """Rows of a square matrix of exact rationals; entries keep their values exactly."""
     if isinstance(a, np.ndarray):
-        a = np.asarray(a, dtype=float)
+        a = _exact_array(a)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise ValueError(f"matrix of shape {a.shape} is not square")
         return a.tolist()
@@ -102,9 +107,9 @@ def _eliminate(a: list[list], b: list) -> list[Fraction]:
 
 
 def solve_fraction_system(m: np.ndarray, rhs: np.ndarray) -> list[Fraction]:
-    """Exact solve of a square float system (entries taken as exact rationals)."""
+    """Exact solve of a square system of floats or rationals, taken as exact values."""
     a = _square_rows(np.asarray(m))
-    b = np.asarray(rhs, dtype=float)
+    b = _exact_array(np.asarray(rhs))
     if b.shape != (len(a),):
         raise ValueError(f"right-hand side has shape {b.shape}, expected ({len(a)},)")
     return _eliminate(a, b.tolist())

@@ -1,4 +1,4 @@
-"""Plant model, incremental reparameterization, and regressor bookkeeping.
+"""Plant model, parameter boxes, and the incremental reparameterization.
 
 The controlled object is the strictly proper SISO difference model
 
@@ -28,11 +28,8 @@ from .polynomial import sylvester_margin, sylvester_matrix
 __all__ = [
     "BoxSet",
     "PlantParameters",
-    "SystemState",
     "aux_transform",
     "image_box",
-    "plant_step",
-    "make_regressor",
 ]
 
 
@@ -172,75 +169,3 @@ def image_box(box: BoxSet, n: int) -> BoxSet:
     lo[n], hi[n] = -a_hi[n - 1], -a_lo[n - 1]
     lo[n + 1 :], hi[n + 1 :] = b_lo, b_hi
     return BoxSet(lo, hi)
-
-
-@dataclass
-class SystemState:
-    """Rolling plant history: outputs y(t)..y(t-n) and inputs u(t)..u(t-n).
-
-    Histories are stored newest first with fixed length n+1, enough to form
-    phi(t), the regressor, and every input increment down to ubar(t-n+1).
-    """
-
-    t: int
-    y: np.ndarray
-    u: np.ndarray
-
-    def __post_init__(self):
-        y = np.atleast_1d(np.asarray(self.y, dtype=float)).copy()
-        u = np.atleast_1d(np.asarray(self.u, dtype=float)).copy()
-        if y.ndim != 1 or u.ndim != 1 or y.size != u.size or y.size < 2:
-            raise ValueError("y and u histories must be 1-D, equal length, length >= 2")
-        self.y = y
-        self.u = u
-
-    @property
-    def n(self) -> int:
-        return self.y.size - 1
-
-    def phi(self) -> np.ndarray:
-        """Raw state [y(t)..y(t-n), u(t)..u(t-n)], length 2(n+1)."""
-        return np.concatenate((self.y, self.u))
-
-    @classmethod
-    def from_phi(cls, phi, n: int, t: int) -> "SystemState":
-        phi = np.asarray(phi, dtype=float)
-        if phi.shape != (2 * (n + 1),):
-            raise ValueError(f"expected an initial state of length {2 * (n + 1)}")
-        return cls(t=t, y=phi[: n + 1], u=phi[n + 1 :])
-
-    def advance(self, y_next: float, u_next: float) -> None:
-        """Shift histories one step forward in place."""
-        self.y[1:] = self.y[:-1]
-        self.y[0] = y_next
-        self.u[1:] = self.u[:-1]
-        self.u[0] = u_next
-        self.t += 1
-
-
-def plant_step(theta: PlantParameters, state: SystemState, u_t: float, w_t: float) -> float:
-    """One plant update: y(t+1) from the current history, u(t) = u_t and w(t) = w_t.
-
-    The input taken from the state is only u(t-1)..u(t-n+1); the fresh input
-    is always the explicit argument, so callers may probe inputs without
-    mutating the state.
-    """
-    n = theta.n
-    if state.n != n:
-        raise ValueError(f"state order {state.n} does not match plant order {n}")
-    y_term = float(theta.a @ state.y[:n])
-    u_term = float(theta.b[0] * u_t)
-    if n > 1:
-        u_term += float(theta.b[1:] @ state.u[1:n])
-    return y_term + u_term + float(w_t)
-
-
-def make_regressor(state: SystemState, r: float) -> np.ndarray:
-    """Regressor psi(t) = [ybar(t)..ybar(t-n), ubar(t)..ubar(t-n+1)].
-
-    One set-point value is applied to the whole output history, which is the
-    meaningful construction at a start time or under a constant reference.
-    """
-    ybar = state.y - float(r)
-    ubar = state.u[:-1] - state.u[1:]
-    return np.concatenate((ybar, ubar))

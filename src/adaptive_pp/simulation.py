@@ -49,15 +49,7 @@ from .controller import (
     state_recursion_audit,
 )
 from .estimator import AUDIT_TOL, estimator_audit, projection_step
-from .plant import (
-    BoxSet,
-    PlantParameters,
-    SystemState,
-    aux_transform,
-    image_box,
-    make_regressor,
-    plant_step,
-)
+from .plant import BoxSet, PlantParameters, aux_transform, image_box
 
 __all__ = [
     "SignalSpec",
@@ -329,15 +321,15 @@ class Trajectory:
 
 
 def _design(theta: np.ndarray, cfg: SimConfig, aux_box: BoxSet, t: int):
-    """Solve at theta, nudged once toward the box center if allowed; (theta, solution)."""
+    """Solve at theta, nudged once toward the box center if allowed; (theta, K, residual)."""
     try:
-        return theta, solve_diophantine(theta, cfg.target)
+        return theta, *solve_diophantine(theta, cfg.target)
     except SingularSylvesterError as err:
         failure = err
     if cfg.nudge_singular:
         nudged = aux_box.clip(theta + 1e-6 * aux_box.width * np.sign(aux_box.center - theta))
         try:
-            return nudged, solve_diophantine(nudged, cfg.target)
+            return nudged, *solve_diophantine(nudged, cfg.target)
         except SingularSylvesterError as err:
             failure = err
     raise SingularSylvesterError(
@@ -361,9 +353,13 @@ def run_closed_loop(cfg: SimConfig) -> Trajectory:
     theta_star = cfg.theta_star()
     mu = cfg.mu if cfg.estimator_mode == "classical" else 0.0
 
-    state = SystemState.from_phi(cfg.phi0, n, cfg.t0)
+    a, b = cfg.theta_true.a, cfg.theta_true.b
+    # psi(t0) from phi0 under the first set-point; y and u keep the raw
+    # histories y(t)..y(t-n+1) and u(t)..u(t-n+1), newest first
     r_t = cfg.reference.value(0)
-    psi = make_regressor(state, r_t)
+    y, u = cfg.phi0[: n + 1], cfg.phi0[n + 1 :]
+    psi = np.concatenate((y - r_t, u[:-1] - u[1:]))
+    y, u = y[:n].copy(), u[:n].copy()
     theta = cfg.theta0
 
     steps = int(cfg.horizon)
@@ -379,30 +375,36 @@ def run_closed_loop(cfg: SimConfig) -> Trajectory:
     for i in range(steps):
         w_t = cfg.disturbance.value(i)
         if theta.tobytes() != key:
-            theta, sol = _design(theta, cfg, aux_box, cfg.t0 + i)
+            theta, K, residual = _design(theta, cfg, aux_box, cfg.t0 + i)
             key = theta.tobytes()
 
-        out["y"][i] = state.y[0]
-        out["u"][i] = state.u[0]
+        out["y"][i] = y[0]
+        out["u"][i] = u[0]
         out["w"][i] = w_t
         out["r"][i] = r_t
         out["ybar"][i] = psi[0]
         out["ubar"][i] = psi[n + 1]
-        out["dioph_residual"][i] = sol.residual
+        out["dioph_residual"][i] = residual
         psi_log[i] = psi
         theta_log[i] = theta
-        gain_log[i] = sol.K
+        gain_log[i] = K
 
-        y_next = plant_step(cfg.theta_true, state, state.u[0], w_t)
+        # the plant difference equation; the grouping fixes the output bits
+        u_term = float(b[0] * u[0])
+        if n > 1:
+            u_term += float(b[1:] @ u[1:])
+        y_next = float(a @ y) + u_term + w_t
         r_t = cfg.reference.value(i + 1)
         ybar_next = y_next - r_t
         out["wbar"][i] = ybar_next - float(psi @ theta_star)
-        theta_next, out["e"][i] = projection_step(theta, psi, ybar_next, mu, aux_box)
-        ubar_next = float(sol.K @ psi)
+        theta, out["e"][i] = projection_step(theta, psi, ybar_next, mu, aux_box)
+        ubar_next = float(K @ psi)
 
-        state.advance(y_next, float(state.u[0]) + ubar_next)
-        theta = theta_next
-        # shift the regressor: newest tracking error and input increment in front
+        # shift the histories and the regressor: newest values in front
+        y[1:] = y[:-1]
+        y[0] = y_next
+        u[1:] = u[:-1]
+        u[0] += ubar_next
         psi[1 : n + 1] = psi[:n]
         psi[0] = ybar_next
         psi[n + 2 :] = psi[n + 1 : dim - 1]

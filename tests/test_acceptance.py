@@ -167,9 +167,9 @@ def test_criterion_4_frozen_time_pole_placement(example_run, criterion_report):
     worst_coeff = 0.0
     exact_failures = 0
     for vec in aux_box.sample(rng, 100):
-        sol = solve_diophantine(vec, cfg.target)
-        worst_residual = max(worst_residual, sol.residual)
-        coeffs = np.poly(np.linalg.eigvals(closed_loop_matrix(vec, sol.K)))
+        K, residual = solve_diophantine(vec, cfg.target)
+        worst_residual = max(worst_residual, residual)
+        coeffs = np.poly(np.linalg.eigvals(closed_loop_matrix(vec, K)))
         worst_coeff = max(worst_coeff, float(np.abs(coeffs - lifted).max()))
         if exact_pole_check(vec, lifted, cfg.n) != 0:
             exact_failures += 1

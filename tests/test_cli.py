@@ -228,9 +228,15 @@ def test_run_exit_2_on_config_errors(config_file, tmp_path):
     assert main(["run", config_file(disturbance=nan_signal), "--quiet"]) == 2
     assert main(["run", config_file(out=5), "--quiet"]) == 2
     assert main(["run", str(tmp_path / "nope.json"), "--quiet"]) == 2
-    # a tracking window the horizon cannot hold is a config-level error
-    bad = config_file(horizon=120, tracking_tail=100, alpha_samples=500)
-    assert main(["run", bad, "--out", str(tmp_path / "x"), "--quiet"]) == 2
+    # a tracking window the horizon cannot hold is a config-level error, and
+    # it leaves the files of an earlier run in the same directory as they were
+    out = tmp_path / "x"
+    good = config_file(horizon=120, audits=["recursion"], alpha_samples=500)
+    assert main(["run", good, "--out", str(out), "--quiet"]) == 0
+    before = {name: (out / name).read_bytes() for name in ("trajectory.csv", "manifest.json")}
+    bad = config_file(horizon=150, tracking_tail=140, alpha_samples=500)
+    assert main(["run", bad, "--out", str(out), "--quiet"]) == 2
+    assert {name: (out / name).read_bytes() for name in before} == before
 
 
 def test_run_single_step_horizon(config_file, tmp_path):

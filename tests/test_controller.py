@@ -60,19 +60,20 @@ def test_first_order_design_reads_off_the_coefficients():
     # With abarhat = [0, 0] and bhat = [1] the identity collapses to
     # L + q P = Astar, so L and P are the target's own coefficients.
     target = TargetPolynomial([1.0, 0.3, -0.1, 0.05], 1)
-    sol = solve_diophantine(np.array([0.0, 0.0, 1.0]), target)
+    K, residual = solve_diophantine(np.array([0.0, 0.0, 1.0]), target)
     # K = [-p_1, -p_2, -l_1] with L = 1 + 0.3 q and P = -0.1 q + 0.05 q^2
-    np.testing.assert_allclose(sol.K, [0.1, -0.05, -0.3], atol=1e-14)
-    assert sol.residual <= 1e-14
+    np.testing.assert_allclose(K, [0.1, -0.05, -0.3], atol=1e-14)
+    assert residual <= 1e-14
 
 
 def test_design_solves_the_identity_at_the_benchmark_start():
-    sol = solve_diophantine(BENCH_THETA0, BENCH_TARGET)
+    K, residual = solve_diophantine(BENCH_THETA0, BENCH_TARGET)
     # independent reconstruction through polynomial products
-    combo = _identity_lhs(BENCH_THETA0, sol.K)
+    combo = _identity_lhs(BENCH_THETA0, K)
     np.testing.assert_allclose(combo, BENCH_TARGET.lifted_coeffs(), atol=1e-12)
-    assert sol.residual <= 1e-12
-    assert sol.margin > 1e-6
+    assert residual <= 1e-12
+    batch = solve_diophantine_batch(BENCH_THETA0[None], BENCH_TARGET.lifted_coeffs(), 2)
+    assert batch.margins[0] > 1e-6
 
 
 def test_design_identity_holds_across_the_uncertainty_box(example_box, example_target):
@@ -82,11 +83,11 @@ def test_design_identity_holds_across_the_uncertainty_box(example_box, example_t
     worst = 0.0
     for vec in aux_box.sample(rng, 300):
         try:
-            sol = solve_diophantine(vec, example_target)
+            K, residual = solve_diophantine(vec, example_target)
         except SingularSylvesterError:
             continue
-        combo = _identity_lhs(vec, sol.K)
-        worst = max(worst, float(np.abs(combo - lifted).max()), sol.residual)
+        combo = _identity_lhs(vec, K)
+        worst = max(worst, float(np.abs(combo - lifted).max()), residual)
     assert worst <= 1e-9
 
 
@@ -129,14 +130,13 @@ def test_batched_design_is_a_stack_of_single_solves(example_box):
     np.testing.assert_array_equal(batch.ok, [sol is not None for sol in singles])
     assert not batch.ok[57] and batch.ok.sum() == 199
     solved = [sol for sol in singles if sol is not None]
-    assert np.array_equal(batch.gains, np.array([sol.K for sol in solved]))
-    assert np.array_equal(batch.margins[batch.ok], [sol.margin for sol in solved])
+    assert np.array_equal(batch.gains, np.array([K for K, _ in solved]))
     lifted = BENCH_TARGET.lifted_coeffs()
     residuals = [
-        np.abs(_identity_lhs(vec, sol.K) - lifted).max()
-        for vec, sol in zip(thetas[batch.ok], solved)
+        np.abs(_identity_lhs(vec, K) - lifted).max()
+        for vec, (K, _) in zip(thetas[batch.ok], solved)
     ]
-    assert np.array_equal(residuals, [sol.residual for sol in solved])
+    assert np.array_equal(residuals, [residual for _, residual in solved])
 
 
 # ---------------------------------------------------------------------------
@@ -182,10 +182,10 @@ def test_spectrum_matches_the_target_in_coefficient_space():
     lifted = BENCH_TARGET.lifted_coeffs()
     for vec in aux_box.sample(rng, 50):
         try:
-            sol = solve_diophantine(vec, BENCH_TARGET)
+            K, _ = solve_diophantine(vec, BENCH_TARGET)
         except SingularSylvesterError:
             continue
-        mat = closed_loop_matrix(vec, sol.K)
+        mat = closed_loop_matrix(vec, K)
         coeffs = np.poly(np.linalg.eigvals(mat))
         np.testing.assert_allclose(coeffs, lifted, atol=1e-10)
 
@@ -198,16 +198,16 @@ def _recursion_rollout(steps: int, seed: int):
     """Roll psi forward by the exact recursion with random innovations."""
     rng = np.random.default_rng(seed)
     theta = np.array([0.3, -0.2, 0.4])
-    sol = solve_diophantine(theta, TargetPolynomial([1.0, -0.5], 1))
+    K, _ = solve_diophantine(theta, TargetPolynomial([1.0, -0.5], 1))
     psi = np.empty((steps, 3))
     e = rng.normal(size=steps)
     psi[0] = rng.normal(size=3)
-    mat = closed_loop_matrix(theta, sol.K)
+    mat = closed_loop_matrix(theta, K)
     for t in range(steps - 1):
         psi[t + 1] = mat @ psi[t]
         psi[t + 1, 0] += e[t]
     theta_log = np.tile(theta, (steps, 1))
-    gains_log = np.tile(sol.K, (steps, 1))
+    gains_log = np.tile(K, (steps, 1))
     return psi, theta_log, gains_log, e
 
 

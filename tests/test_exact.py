@@ -141,6 +141,16 @@ def test_charpoly_is_exact_where_floats_are_not():
     assert coeffs[1] != Fraction(1, 10)
 
 
+def test_object_arrays_of_fractions_stay_exact():
+    # 1/3 has no float64 value; an object array must not round it through one
+    third = np.array([[Fraction(1, 3)]], dtype=object)
+    assert charpoly_fractions(third) == [Fraction(1), Fraction(-1, 3)]
+    assert solve_fraction_system(third, np.array([1])) == [Fraction(3)]
+    rhs = np.array([Fraction(1, 7), Fraction(2, 3)], dtype=object)
+    m = np.array([[Fraction(1, 3), Fraction(0)], [Fraction(1, 5), Fraction(1)]], dtype=object)
+    assert solve_fraction_system(m, rhs) == [Fraction(3, 7), Fraction(2, 3) - Fraction(3, 35)]
+
+
 # ---------------------------------------------------------------------------
 # exact linear solve
 

@@ -8,11 +8,9 @@ from hypothesis import strategies as st
 from adaptive_pp import (
     BoxSet,
     PlantParameters,
-    SystemState,
     aux_transform,
     image_box,
-    make_regressor,
-    plant_step,
+    run_closed_loop,
     sylvester_coeffs,
 )
 
@@ -168,46 +166,21 @@ def test_validate_rejects_points_outside_the_box(example_box):
 
 
 # ---------------------------------------------------------------------------
-# state and the plant recursion
+# the plant recursion
 
 
-def test_state_shift_semantics():
-    state = SystemState(t=0, y=[1.0, 2.0, 3.0], u=[4.0, 5.0, 6.0])
-    assert state.n == 2
-    state.advance(10.0, 20.0)
-    np.testing.assert_array_equal(state.y, [10.0, 1.0, 2.0])
-    np.testing.assert_array_equal(state.u, [20.0, 4.0, 5.0])
-    assert state.t == 1
-
-
-def test_state_phi_roundtrip():
-    phi = np.array([-1.0, -1.0, -1.0, 0.0, 0.0, 0.0])
-    state = SystemState.from_phi(phi, 2, t=0)
-    np.testing.assert_array_equal(state.phi(), phi)
-    with pytest.raises(ValueError):
-        SystemState.from_phi(phi, 1, t=0)
-
-
-def test_benchmark_first_output_by_hand(example_phi0):
+def test_benchmark_first_output_by_hand(example_config):
     # y(1) = a1 y(0) + a2 y(-1) + b1 u(0) + b2 u(-1) + w(0)
     #      = (-0.5)(-1) + (-1.5)(-1) + 0 + 0 + 0.5 = 2.5
-    theta = PlantParameters(BENCH_A, BENCH_B)
-    state = SystemState.from_phi(example_phi0, 2, t=0)
-    assert plant_step(theta, state, state.u[0], 0.5) == pytest.approx(2.5, abs=1e-15)
+    traj = run_closed_loop(example_config(horizon=2))
+    assert traj.w[0] == 0.5 and traj.u[0] == 0.0
+    assert traj.y[1] == pytest.approx(2.5, abs=1e-15)
 
 
-def test_plant_step_uses_the_probe_input_not_the_state():
-    theta = PlantParameters([0.0], [2.0])
-    state = SystemState(t=0, y=[0.0, 0.0], u=[99.0, 0.0])
-    # n = 1: only the explicit u matters
-    assert plant_step(theta, state, 3.0, 0.0) == pytest.approx(6.0, abs=1e-15)
-    with pytest.raises(ValueError):
-        plant_step(PlantParameters([0.1, 0.2], [1.0, 1.0]), state, 0.0, 0.0)
-
-
-def test_benchmark_initial_regressor(example_phi0):
-    state = SystemState.from_phi(example_phi0, 2, t=0)
-    np.testing.assert_array_equal(make_regressor(state, 2.0), [-3.0, -3.0, -3.0, 0.0, 0.0])
+def test_benchmark_initial_regressor(example_config):
+    # psi(0) = [y(0..-2) - r(0), ubar(0..-1)] with phi0 = [-1, -1, -1, 0, 0, 0], r(0) = 2
+    traj = run_closed_loop(example_config(horizon=1))
+    np.testing.assert_array_equal(traj.psi[0], [-3.0, -3.0, -3.0, 0.0, 0.0])
 
 
 def test_incremental_model_reproduces_the_plant():
@@ -218,14 +191,16 @@ def test_incremental_model_reproduces_the_plant():
         theta = PlantParameters(rng.uniform(-0.5, 0.5, n), rng.uniform(0.5, 1.5, n))
         theta_star = aux_transform(theta)
         r = 1.3
-        state = SystemState.from_phi(rng.uniform(-1, 1, 2 * (n + 1)), n, t=0)
+        # raw histories newest first: y(t)..y(t-n) and u(t)..u(t-n)
+        y, u = rng.uniform(-1, 1, n + 1), rng.uniform(-1, 1, n + 1)
         w_prev = None
         for step in range(8):
-            psi = make_regressor(state, r)
+            psi = np.concatenate((y - r, u[:-1] - u[1:]))
             w_t = float(rng.uniform(-1, 1))
-            y_next = plant_step(theta, state, state.u[0], w_t)
+            y_next = float(theta.a @ y[:n] + theta.b @ u[:n]) + w_t
             if w_prev is not None:
                 predicted = psi @ theta_star + (w_t - w_prev)
                 assert (y_next - r) == pytest.approx(predicted, abs=1e-12)
-            state.advance(y_next, float(rng.uniform(-1, 1)))
+            y = np.concatenate(([y_next], y[:-1]))
+            u = np.concatenate(([rng.uniform(-1, 1)], u[:-1]))
             w_prev = w_t

@@ -13,7 +13,6 @@ from adaptive_pp import (
     SignalSpec,
     SimConfig,
     SingularSylvesterError,
-    SystemState,
     TargetPolynomial,
     Trajectory,
     TrajectoryFormatError,
@@ -157,11 +156,46 @@ def test_logged_columns_are_internally_consistent(bench_run):
         np.testing.assert_allclose(traj.psi[i, :3], traj.ybar[i::-1][:3], atol=0.0)
         np.testing.assert_allclose(traj.psi[i, 3:], traj.ubar[i:i - 2:-1], atol=0.0)
     # phi stacks the raw state; replaying the plant history is the reference
-    state = SystemState.from_phi(cfg.phi0, 2, t=0)
+    y_hist, u_hist = cfg.phi0[:3], cfg.phi0[3:]
     for i in range(traj.steps):
         if i > 0:
-            state.advance(traj.y[i], traj.u[i])
-        np.testing.assert_array_equal(traj.phi[i], state.phi())
+            y_hist = np.concatenate(([traj.y[i]], y_hist[:-1]))
+            u_hist = np.concatenate(([traj.u[i]], u_hist[:-1]))
+        np.testing.assert_array_equal(traj.phi[i], np.concatenate((y_hist, u_hist)))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_loop_outputs_follow_the_plant_difference_equation(n):
+    # a seeded order-n plant in a box of half-width 0.1, the loop starting at its center
+    rng = np.random.default_rng(60 + n)
+    plant = PlantParameters(rng.uniform(-0.5, 0.5, n), rng.uniform(0.5, 1.5, n))
+    box = BoxSet(plant.vector - 0.1, plant.vector + 0.1)
+    cfg = SimConfig(
+        n=n,
+        theta_true=plant,
+        box=box,
+        target=TargetPolynomial([1.0, -0.5], n),
+        mu=0.1,
+        theta0=image_box(box, n).center,
+        phi0=rng.uniform(-1, 1, 2 * (n + 1)),
+        reference=SignalSpec("sign_flip", magnitude=1.0, period=30),
+        disturbance=SignalSpec("custom", values=rng.uniform(-0.2, 0.2, 81)),
+        horizon=80,
+        nudge_singular=True,
+    )
+    traj = run_closed_loop(cfg)
+    a, b = plant.a, plant.b
+    # oldest first: y(t0-n)..y(t0-1) from phi0, then the logged column; u alike
+    y = np.concatenate((cfg.phi0[1 : n + 1][::-1], traj.y))
+    u = np.concatenate((cfg.phi0[n + 2 :][::-1], traj.u))
+    replay = [
+        a @ y[i + 1 : i + n + 1][::-1] + b @ u[i + 1 : i + n + 1][::-1] + traj.w[i]
+        for i in range(traj.steps - 1)
+    ]
+    np.testing.assert_allclose(traj.y[1:], replay, rtol=0.0, atol=1e-12)
+    # psi(t0) = [y(t0..t0-n) - r(t0), u(t0..t0-n+1) - u(t0-1..t0-n)] from phi0
+    y0, u0 = cfg.phi0[: n + 1], cfg.phi0[n + 1 :]
+    np.testing.assert_array_equal(traj.psi[0], np.concatenate((y0 - traj.r[0], u0[:-1] - u0[1:])))
 
 
 def test_error_and_disturbance_columns_are_the_defining_identities(bench_run):
