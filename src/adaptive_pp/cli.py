@@ -22,7 +22,8 @@ import math
 import os
 import sys
 import time
-from dataclasses import asdict
+from collections.abc import Callable
+from dataclasses import asdict, fields
 
 import numpy as np
 
@@ -31,6 +32,7 @@ from .controller import SingularSylvesterError, TargetPolynomial
 from .plant import BoxSet, PlantParameters
 from .simulation import (
     AUDIT_NAMES,
+    BoundReport,
     SignalSpec,
     SimConfig,
     Trajectory,
@@ -269,7 +271,14 @@ def _manifest(out_dir: str, args, digest: str, started: float, body: dict) -> No
     })
 
 
-def _signals_plot() -> str:
+def _using(n: int) -> Callable[[str], str]:
+    """`using <t>:<col> with lines` for a trajectory.csv column name, at its header position."""
+    col = {name: i for i, name in enumerate(Trajectory.header(n), start=1)}
+    return lambda name: f"using {col['t']}:{col[name]} with lines"
+
+
+def _signals_plot(n: int) -> str:
+    use = _using(n)
     return (
         "set datafile separator comma\n"
         "set key autotitle columnhead\n"
@@ -277,17 +286,17 @@ def _signals_plot() -> str:
         "set output 'signals.png'\n"
         "set multiplot layout 3,1\n"
         "set xlabel 't'\n"
-        "plot 'trajectory.csv' using 1:2 with lines, '' using 1:5 with lines\n"
-        "plot 'trajectory.csv' using 1:3 with lines\n"
-        "plot 'trajectory.csv' using 1:4 with lines\n"
+        f"plot 'trajectory.csv' {use('y')}, '' {use('r')}\n"
+        f"plot 'trajectory.csv' {use('u')}\n"
+        f"plot 'trajectory.csv' {use('w')}\n"
         "unset multiplot\n"
     )
 
 
 def _estimates_plot(n: int, theta_star: np.ndarray) -> str:
     dim = 2 * n + 1
-    first = 10 + dim  # thetahat_1 column, 1-based: after t..e (9) and psi block
-    curves = [f"'trajectory.csv' using 1:{first + i} with lines" for i in range(dim)]
+    use = _using(n)
+    curves = [f"'trajectory.csv' {use(f'thetahat_{i}')}" for i in range(1, dim + 1)]
     refs = [
         f"{theta_star[i]:.17g} with lines dashtype 2 title 'true_{i + 1}'"
         for i in range(dim)
@@ -305,7 +314,7 @@ def _estimates_plot(n: int, theta_star: np.ndarray) -> str:
 def _emit_plots(out_dir: str, cfg: SimConfig) -> list[str]:
     names = []
     for name, text in (
-        ("signals.gp", _signals_plot()),
+        ("signals.gp", _signals_plot(cfg.n)),
         ("estimates.gp", _estimates_plot(cfg.n, cfg.theta_star())),
     ):
         path = os.path.join(out_dir, name)
@@ -367,6 +376,11 @@ def cmd_run(args) -> int:
         traj = run_closed_loop(cfg)
     except SingularSylvesterError as err:
         _say(args.quiet, f"aborted: {err}")
+        # an earlier run's outputs must not stand beside this run's manifest
+        for name in ("trajectory.csv", "signals.gp", "estimates.gp"):
+            path = os.path.join(out_dir, name)
+            if os.path.exists(path):
+                os.remove(path)
         _manifest(out_dir, args, digest, started, {
             "seed": cfg.seed, "status": "aborted", "error": str(err),
         })
@@ -397,12 +411,6 @@ def cmd_run(args) -> int:
     return 0 if total == 0 else 1
 
 
-SWEEP_COLUMNS = (
-    "draw", "mu", "gamma", "lam", "residual_floor", "tail_tracking",
-    "violations", "aborted",
-)
-
-
 def cmd_sweep(args) -> int:
     cfg, extras, digest = load_config(args.config)
     sweep_cfg = extras["sweep"] or {}
@@ -430,18 +438,12 @@ def cmd_sweep(args) -> int:
         raise ConfigError(f"bad sweep: {err}") from err
 
     detail_names = list(audit_names)
-    lines = [",".join(SWEEP_COLUMNS + tuple(f"violations_{a}" for a in detail_names))]
+    # the BoundReport fields in order, then one violation count per audit
+    columns = [field.name for field in fields(BoundReport) if field.name != "details"]
+    lines = [",".join(columns + [f"violations_{a}" for a in detail_names])]
     for rep in reports:
-        row = [
-            str(rep.draw),
-            f"{rep.mu:.17g}",
-            f"{rep.gamma:.17g}",
-            f"{rep.lam:.17g}",
-            f"{rep.residual_floor:.17g}",
-            f"{rep.tail_tracking:.17g}",
-            str(rep.violations),
-            str(int(rep.aborted)),
-        ]
+        values = [getattr(rep, name) for name in columns]
+        row = [f"{v:.17g}" if isinstance(v, float) else str(int(v)) for v in values]
         row += [str(rep.details.get(a, 0)) for a in detail_names]
         lines.append(",".join(row))
     csv_path = os.path.join(out_dir, "sweep.csv")

@@ -207,7 +207,7 @@ def closed_loop_layout(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return layout
 
 
-def closed_loop_matrix(theta_hat, K: np.ndarray, n: int | None = None) -> np.ndarray:
+def closed_loop_matrix(theta_hat, K: np.ndarray) -> np.ndarray:
     """Frozen-estimate transition matrix of the regressor recursion.
 
     Rows, top to bottom: the estimate row (produces ybar(t+1) up to the
@@ -216,7 +216,7 @@ def closed_loop_matrix(theta_hat, K: np.ndarray, n: int | None = None) -> np.nda
     z^{2n+1} Astar(z^{-1}) whenever K solves the design at theta_hat.
     Stacked (..., 2n+1) estimates and gain rows give a (..., 2n+1, 2n+1) stack.
     """
-    vec = _estimate_vector(theta_hat, n)
+    vec = _estimate_vector(theta_hat, None)
     dim = vec.shape[-1]
     K = np.asarray(K, dtype=float)
     if K.shape != vec.shape:

@@ -83,10 +83,9 @@ class BoxSet:
             return rng.uniform(self.lo, self.hi)
         return rng.uniform(self.lo, self.hi, size=(size, self.dim))
 
-    def vertices(self) -> np.ndarray:
-        """All 2^dim corners, one per row."""
-        cols = [(float(l), float(h)) for l, h in zip(self.lo, self.hi)]
-        return np.array(list(itertools.product(*cols)))
+    def vertices(self) -> itertools.product:
+        """All 2^dim corners, lazily, one tuple each; the last coordinate varies fastest."""
+        return itertools.product(*zip(self.lo.tolist(), self.hi.tolist()))
 
 
 @dataclass(frozen=True)

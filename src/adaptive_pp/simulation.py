@@ -197,6 +197,17 @@ def _phi_history(y: np.ndarray, u: np.ndarray, phi0: np.ndarray, n: int) -> np.n
     return np.concatenate(windows, axis=1)
 
 
+# The trajectory.csv schema, in column order: each entry names the
+# `Trajectory` field a column holds and, for the three (2n+1)-wide blocks, the
+# prefix of their columns <prefix>_1..<prefix>_{2n+1}; a scalar column is
+# named after its field.
+TRAJECTORY_COLUMNS = (
+    ("t", None), ("y", None), ("u", None), ("w", None), ("r", None),
+    ("ybar", None), ("ubar", None), ("wbar", None), ("e", None),
+    ("psi", "psi"), ("theta_hat", "thetahat"), ("gains", "K"), ("dioph_residual", None),
+)
+
+
 @dataclass
 class Trajectory:
     """Per-step record of one closed-loop run.
@@ -233,24 +244,19 @@ class Trajectory:
 
     @staticmethod
     def header(n: int) -> list[str]:
-        dim = 2 * n + 1
-        cols = ["t", "y", "u", "w", "r", "ybar", "ubar", "wbar", "e"]
-        cols += [f"psi_{i}" for i in range(1, dim + 1)]
-        cols += [f"thetahat_{i}" for i in range(1, dim + 1)]
-        cols += [f"K_{i}" for i in range(1, dim + 1)]
-        cols.append("dioph_residual")
+        cols = []
+        for field, prefix in TRAJECTORY_COLUMNS:
+            cols += [field] if prefix is None else [f"{prefix}_{i}" for i in range(1, 2 * n + 2)]
         return cols
 
     def to_csv(self) -> str:
         """Render the documented column schema; floats carry 17 significant digits."""
-        cols = np.column_stack((
-            self.y, self.u, self.w, self.r, self.ybar, self.ubar, self.wbar, self.e,
-            self.psi, self.theta_hat, self.gains, self.dioph_residual,
-        ))
-        # "%.17g" renders a Python float exactly as f"{v:.17g}" does
-        fmt = "%d," + ",".join(["%.17g"] * cols.shape[1])
+        cols = np.column_stack([getattr(self, field) for field, _ in TRAJECTORY_COLUMNS])
+        # "%d" renders the integral time axis; "%.17g" renders a Python float
+        # exactly as f"{v:.17g}" does
+        fmt = "%d," + ",".join(["%.17g"] * (cols.shape[1] - 1))
         lines = [",".join(self.header(self.n))]
-        lines += [fmt % (t, *row) for t, row in zip(self.t.tolist(), cols.tolist())]
+        lines += [fmt % tuple(row) for row in cols.tolist()]
         return "\n".join(lines) + "\n"
 
     def save(self, path) -> None:
@@ -266,7 +272,6 @@ class Trajectory:
         columns seeded with the config's phi0.
         """
         n = cfg.n
-        dim = 2 * n + 1
         lines = [ln for ln in text.split("\n") if ln != ""]
         if not lines:
             raise TrajectoryFormatError("empty trajectory file")
@@ -278,7 +283,7 @@ class Trajectory:
             raise TrajectoryFormatError(
                 f"expected {cfg.horizon} rows for this config, found {len(rows)}"
             )
-        width = len(cls.header(n))
+        width = len(header)
         data = np.empty((len(rows), width))
         for i, ln in enumerate(rows):
             parts = ln.split(",")
@@ -288,35 +293,28 @@ class Trajectory:
                 data[i] = [float(p) for p in parts]
             except ValueError as err:
                 raise TrajectoryFormatError(f"row {i} is not numeric: {err}") from err
-        t = data[:, 0]
+        widths = [1 if prefix is None else 2 * n + 1 for _, prefix in TRAJECTORY_COLUMNS]
+        blocks = np.split(data, np.cumsum(widths)[:-1], axis=1)
+        cols = {
+            field: block[:, 0] if prefix is None else block
+            for (field, prefix), block in zip(TRAJECTORY_COLUMNS, blocks)
+        }
         expected_t = cfg.t0 + np.arange(len(rows))
-        if not np.array_equal(t, expected_t.astype(float)):
+        if not np.array_equal(cols["t"], expected_t.astype(float)):
             raise TrajectoryFormatError("time column does not match the config start and horizon")
+        cols["t"] = expected_t
 
-        y, u = data[:, 1], data[:, 2]
+        y, u = cols["y"], cols["u"]
         if y[0] != cfg.phi0[0] or u[0] != cfg.phi0[n + 1]:
             raise TrajectoryFormatError("first row is inconsistent with the config's phi0")
 
-        c = 9
         return cls(
             n=n,
             t0=cfg.t0,
             mu=cfg.mu,
             estimator_mode=cfg.estimator_mode,
-            t=t.astype(int),
-            y=y.copy(),
-            u=u.copy(),
-            w=data[:, 3].copy(),
-            r=data[:, 4].copy(),
-            ybar=data[:, 5].copy(),
-            ubar=data[:, 6].copy(),
-            wbar=data[:, 7].copy(),
-            e=data[:, 8].copy(),
-            psi=data[:, c : c + dim].copy(),
-            theta_hat=data[:, c + dim : c + 2 * dim].copy(),
-            gains=data[:, c + 2 * dim : c + 3 * dim].copy(),
-            dioph_residual=data[:, c + 3 * dim].copy(),
             phi=_phi_history(y, u, cfg.phi0, n),
+            **cols,
         )
 
 
@@ -363,13 +361,12 @@ def run_closed_loop(cfg: SimConfig) -> Trajectory:
     theta = cfg.theta0
 
     steps = int(cfg.horizon)
+    # one log per schema column but the time axis, which is known up front
     out = {
-        name: np.empty(steps)
-        for name in ("y", "u", "w", "r", "ybar", "ubar", "wbar", "e", "dioph_residual")
+        field: np.empty(steps if prefix is None else (steps, dim))
+        for field, prefix in TRAJECTORY_COLUMNS
+        if field != "t"
     }
-    psi_log = np.empty((steps, dim))
-    theta_log = np.empty((steps, dim))
-    gain_log = np.empty((steps, dim))
 
     key = None
     for i in range(steps):
@@ -385,9 +382,9 @@ def run_closed_loop(cfg: SimConfig) -> Trajectory:
         out["ybar"][i] = psi[0]
         out["ubar"][i] = psi[n + 1]
         out["dioph_residual"][i] = residual
-        psi_log[i] = psi
-        theta_log[i] = theta
-        gain_log[i] = K
+        out["psi"][i] = psi
+        out["theta_hat"][i] = theta
+        out["gains"][i] = K
 
         # the plant difference equation; the grouping fixes the output bits
         u_term = float(b[0] * u[0])
@@ -416,9 +413,6 @@ def run_closed_loop(cfg: SimConfig) -> Trajectory:
         mu=cfg.mu,
         estimator_mode=cfg.estimator_mode,
         t=cfg.t0 + np.arange(steps),
-        psi=psi_log,
-        theta_hat=theta_log,
-        gains=gain_log,
         phi=_phi_history(out["y"], out["u"], cfg.phi0, n),
         **out,
     )
@@ -448,11 +442,11 @@ def _box_chunks(box: BoxSet, rng: np.random.Generator, samples: int):
     """`samples` uniform draws, then every box vertex, in chunks of at most _CHUNK rows.
 
     The chunked draws are the one-shot `box.sample(rng, samples)` stream,
-    value for value, and the vertices come in `BoxSet.vertices` order.
+    value for value, and the vertices are drawn from `box.vertices()`.
     """
     for start in range(0, samples, _CHUNK):
         yield box.sample(rng, min(_CHUNK, samples - start))
-    corners = itertools.product(*zip(box.lo.tolist(), box.hi.tolist()))
+    corners = box.vertices()
     while chunk := list(itertools.islice(corners, _CHUNK)):
         yield np.array(chunk)
 
@@ -508,7 +502,7 @@ def estimate_constants(
     used = total = 0
     for thetas in _box_chunks(aux_box, rng, int(samples)):
         design = solve_diophantine_batch(thetas, lifted, n)
-        alpha = _max_sigma(closed_loop_matrix(thetas[design.ok], design.gains, n), alpha)
+        alpha = _max_sigma(closed_loop_matrix(thetas[design.ok], design.gains), alpha)
         used += design.gains.shape[0]
         total += thetas.shape[0]
     if used == 0:
@@ -569,7 +563,7 @@ def pole_placement_audit(traj: Trajectory, target: TargetPolynomial) -> dict:
     _, first = np.unique(rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))),
                          return_index=True)
     dim = traj.theta_hat.shape[1]
-    eig = np.linalg.eigvals(closed_loop_matrix(rows[first, :dim], rows[first, dim:], traj.n))
+    eig = np.linalg.eigvals(closed_loop_matrix(rows[first, :dim], rows[first, dim:]))
     max_err = 0.0 if finite.all() else np.inf  # a non-finite row has no spectrum to match
     for row in eig:
         coeffs = np.poly(row)
@@ -683,7 +677,7 @@ def run_audits(
 
 @dataclass(frozen=True)
 class BoundReport:
-    """One sweep draw: the `sweep.csv` columns plus per-audit violation counts."""
+    """One sweep draw: the `sweep.csv` columns in field order, then per-audit violation counts."""
 
     draw: int
     mu: float
@@ -692,8 +686,8 @@ class BoundReport:
     residual_floor: float
     tail_tracking: float
     violations: int
+    aborted: bool
     details: dict
-    aborted: bool = False
 
 
 def _sample_plant(box: BoxSet, n: int, rng: np.random.Generator, tries: int = 100) -> PlantParameters:
@@ -788,13 +782,13 @@ def monte_carlo_sweep(
             traj = run_closed_loop(c)
         except SingularSylvesterError:
             nan = float("nan")
-            return BoundReport(idx, c.mu, nan, lam, nan, nan, 0, {}, aborted=True)
+            return BoundReport(idx, c.mu, nan, lam, nan, nan, 0, True, {})
         results = run_audits(traj, c, which=audits, constants=constants)
         detail = {name: res["violations"] for name, res in results.items()}
         fit = gain_bound_fit(traj, lam, cfg.target)
         return BoundReport(
             idx, c.mu, fit["gamma"], lam, fit["residual_floor"], fit["tail_tracking"],
-            sum(detail.values()), detail,
+            sum(detail.values()), False, detail,
         )
 
     return [one(i) for i in range(draws)]

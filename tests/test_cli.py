@@ -2,11 +2,12 @@
 
 import json
 import os
+import re
 
 import numpy as np
 import pytest
 
-from adaptive_pp import ConstantsEstimate, Trajectory, run_audits
+from adaptive_pp import BoxSet, ConstantsEstimate, Trajectory, image_box, run_audits
 from adaptive_pp.cli import ConfigError, load_config, main
 from conftest import BENCHMARK_CONFIG, ROOT
 
@@ -163,18 +164,40 @@ def test_run_writes_csv_and_manifest(config_file, tmp_path):
     assert manifest["wall_time_s"] > 0.0
 
 
-def test_run_emits_plot_scripts(config_file, tmp_path):
+def _order_n(n: int) -> dict:
+    """Config entries for a seeded order-n plant, its box and a start at the box center."""
+    rng = np.random.default_rng(60 + n)
+    plant = np.concatenate((rng.uniform(-0.5, 0.5, n), rng.uniform(0.5, 1.5, n)))
+    box = BoxSet(plant - 0.1, plant + 0.1)
+    bounds = [[lo, hi] for lo, hi in zip(box.lo.tolist(), box.hi.tolist())]
+    return dict(
+        n=n,
+        plant={"a": plant[:n].tolist(), "b": plant[n:].tolist()},
+        parameter_box={"a": bounds[:n], "b": bounds[n:]},
+        target_poly=[1.0, -0.5],
+        theta0=image_box(box, n).center.tolist(),
+        phi0=rng.uniform(-1.0, 1.0, 2 * (n + 1)).tolist(),
+        audits=["recursion", "poles"],
+    )
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_run_emits_plot_scripts(n, config_file, tmp_path):
     out = tmp_path / "plots"
-    code = main(["run", config_file(**FAST), "--out", str(out), "--plots", "--quiet"])
+    path = config_file(**FAST, **({} if n == 2 else _order_n(n)))
+    code = main(["run", path, "--out", str(out), "--plots", "--quiet"])
     assert code == 0
     manifest = read_manifest(out)
     assert manifest["outputs"] == ["trajectory.csv", "signals.gp", "estimates.gp"]
     signals = (out / "signals.gp").read_text()
     estimates = (out / "estimates.gp").read_text()
-    assert "set terminal pngcairo" in signals
-    assert "trajectory.csv" in signals and "using 1:2" in signals
-    # estimate curves start at the thetahat block (1-based column 15 for n=2)
-    assert "using 1:15" in estimates and "using 1:19" in estimates
+    assert "set terminal pngcairo" in signals and "trajectory.csv" in signals
+    # every curve is plotted against t from the column its name has in the header
+    col = {name: i for i, name in enumerate(Trajectory.header(n), start=1)}
+    using = re.compile(r"using (\d+):(\d+) with lines")
+    assert using.findall(signals) == [(str(col["t"]), str(col[name])) for name in "yruw"]
+    first = col["thetahat_1"]
+    assert using.findall(estimates) == [(str(col["t"]), str(first + i)) for i in range(2 * n + 1)]
     assert "dashtype 2" in estimates  # true-parameter reference lines
 
 
@@ -202,13 +225,16 @@ def test_run_uses_the_config_out_directory(config_file, tmp_path, monkeypatch):
 
 def test_run_aborts_with_exit_3_on_a_singular_design(config_file, tmp_path):
     out = tmp_path / "sing"
+    # an earlier good run into the same directory must not outlive the abort
+    good = config_file(horizon=120, audits=["recursion"], alpha_samples=500)
+    assert main(["run", good, "--out", str(out), "--plots", "--quiet"]) == 0
     path = config_file(**SINGULAR_FIRST_ORDER)
     code = main(["run", path, "--out", str(out), "--quiet"])
     assert code == 3
     manifest = read_manifest(out)
     assert manifest["status"] == "aborted"
     assert "singular" in manifest["error"]
-    assert not (out / "trajectory.csv").exists()
+    assert sorted(os.listdir(out)) == ["manifest.json"]
 
 
 def test_run_nudge_option_recovers_the_singular_start(config_file, tmp_path):

@@ -172,7 +172,7 @@ def test_closed_loop_matrix_validates_lengths():
 
 def test_zero_design_is_nilpotent():
     # n = 1, all-zero estimate and gains: the shift structure alone
-    mat = closed_loop_matrix(np.zeros(3), np.zeros(3), n=1)
+    mat = closed_loop_matrix(np.zeros(3), np.zeros(3))
     np.testing.assert_array_equal(np.linalg.matrix_power(mat, 3), np.zeros((3, 3)))
 
 

@@ -248,7 +248,7 @@ def test_exact_matrices_match_the_float_assembly(n):
     exact_gains = [Fraction(float(v)) for v in gains]
     np.testing.assert_array_equal(
         _closed_loop_fractions(exact_theta, exact_gains, n).astype(float),
-        closed_loop_matrix(theta, gains, n),
+        closed_loop_matrix(theta, gains),
     )
 
 

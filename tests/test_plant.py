@@ -32,7 +32,7 @@ def test_box_basic_geometry():
 
 def test_box_vertices_and_samples():
     box = BoxSet([0.0, 0.0, 0.0], [1.0, 1.0, 1.0])
-    verts = box.vertices()
+    verts = np.array(list(box.vertices()))
     assert verts.shape == (8, 3)
     assert {tuple(v) for v in verts} == {tuple(map(float, v)) for v in np.ndindex(2, 2, 2)}
     rng = np.random.default_rng(0)
@@ -117,7 +117,7 @@ def test_image_box_contains_every_transformed_point():
         lo = rng.uniform(-3, 0, 2 * n)
         box = BoxSet(lo, lo + rng.uniform(0.1, 2, 2 * n))
         img = image_box(box, n)
-        for vec in np.vstack((box.sample(rng, 200), box.vertices())):
+        for vec in np.vstack((box.sample(rng, 200), np.array(list(box.vertices())))):
             theta = PlantParameters(vec[:n], vec[n:])
             assert img.contains(aux_transform(theta), tol=1e-12)
 

@@ -164,13 +164,12 @@ def test_logged_columns_are_internally_consistent(bench_run):
         np.testing.assert_array_equal(traj.phi[i], np.concatenate((y_hist, u_hist)))
 
 
-@pytest.mark.parametrize("n", [1, 2, 3])
-def test_loop_outputs_follow_the_plant_difference_equation(n):
-    # a seeded order-n plant in a box of half-width 0.1, the loop starting at its center
+def _seeded_cfg(n: int) -> SimConfig:
+    """A seeded order-n plant in a box of half-width 0.1, the loop starting at its center."""
     rng = np.random.default_rng(60 + n)
     plant = PlantParameters(rng.uniform(-0.5, 0.5, n), rng.uniform(0.5, 1.5, n))
     box = BoxSet(plant.vector - 0.1, plant.vector + 0.1)
-    cfg = SimConfig(
+    return SimConfig(
         n=n,
         theta_true=plant,
         box=box,
@@ -183,8 +182,13 @@ def test_loop_outputs_follow_the_plant_difference_equation(n):
         horizon=80,
         nudge_singular=True,
     )
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_loop_outputs_follow_the_plant_difference_equation(n):
+    cfg = _seeded_cfg(n)
     traj = run_closed_loop(cfg)
-    a, b = plant.a, plant.b
+    a, b = cfg.theta_true.a, cfg.theta_true.b
     # oldest first: y(t0-n)..y(t0-1) from phi0, then the logged column; u alike
     y = np.concatenate((cfg.phi0[1 : n + 1][::-1], traj.y))
     u = np.concatenate((cfg.phi0[n + 2 :][::-1], traj.u))
@@ -286,17 +290,19 @@ def test_nudge_recovers_a_singular_start():
 # CSV round trip
 
 
-def test_csv_roundtrip_is_bit_exact(example_config, tmp_path):
-    cfg = example_config(horizon=50)
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_csv_roundtrip_is_bit_exact(n, example_config, tmp_path):
+    cfg = example_config(horizon=50) if n == 2 else _seeded_cfg(n)
     traj = run_closed_loop(cfg)
     path = tmp_path / "traj.csv"
     traj.save(path)
     text = path.read_text()
     back = Trajectory.from_csv(text, cfg)
     assert back.to_csv() == text
-    np.testing.assert_array_equal(back.psi, traj.psi)
-    np.testing.assert_array_equal(back.theta_hat, traj.theta_hat)
-    np.testing.assert_array_equal(back.phi, traj.phi)
+    # every field, bit for bit, with its dtype and shape
+    for field in dataclasses.fields(Trajectory):
+        old, new = np.asarray(getattr(traj, field.name)), np.asarray(getattr(back, field.name))
+        assert (new.dtype, new.shape, new.tobytes()) == (old.dtype, old.shape, old.tobytes()), field.name
 
 
 def _csv_per_field(traj: Trajectory) -> str:
@@ -445,9 +451,9 @@ def _constants_by_brute_force(aux_box, target, samples, seed):
     """One-shot draws and vertices, every regular matrix through the SVD."""
     n = target.n
     rng = np.random.default_rng(seed)
-    thetas = np.concatenate((aux_box.sample(rng, samples), aux_box.vertices()))
+    thetas = np.concatenate((aux_box.sample(rng, samples), np.array(list(aux_box.vertices()))))
     design = solve_diophantine_batch(thetas, target.lifted_coeffs(), n)
-    mats = closed_loop_matrix(thetas[design.ok], design.gains, n)
+    mats = closed_loop_matrix(thetas[design.ok], design.gains)
     alpha = np.linalg.svd(mats, compute_uv=False)[:, 0].max()
     used = design.gains.shape[0]
     return float(alpha), used, thetas.shape[0] - used
@@ -538,7 +544,7 @@ def _pole_audit_per_row(traj: Trajectory, target: TargetPolynomial) -> dict:
     lifted = target.lifted_coeffs()
     scale = 1.0 + float(np.abs(lifted).max())
     finite = np.isfinite(traj.theta_hat).all(axis=1) & np.isfinite(traj.gains).all(axis=1)
-    eig = np.linalg.eigvals(closed_loop_matrix(traj.theta_hat[finite], traj.gains[finite], traj.n))
+    eig = np.linalg.eigvals(closed_loop_matrix(traj.theta_hat[finite], traj.gains[finite]))
     max_err = 0.0 if finite.all() else np.inf
     for row in eig:
         max_err = max(max_err, float(np.abs(np.poly(row) - lifted).max()))
