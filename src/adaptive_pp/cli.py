@@ -311,17 +311,25 @@ def _estimates_plot(n: int, theta_star: np.ndarray) -> str:
     )
 
 
+# every file `run` can write besides manifest.json: the trajectory, then the
+# plot scripts; a run removes each of them it does not write itself
+RUN_OUTPUTS = ("trajectory.csv", "signals.gp", "estimates.gp")
+
+
 def _emit_plots(out_dir: str, cfg: SimConfig) -> list[str]:
-    names = []
-    for name, text in (
-        ("signals.gp", _signals_plot(cfg.n)),
-        ("estimates.gp", _estimates_plot(cfg.n, cfg.theta_star())),
-    ):
-        path = os.path.join(out_dir, name)
-        with open(path, "w", encoding="ascii") as fh:
+    names = list(RUN_OUTPUTS[1:])
+    for name, text in zip(names, (_signals_plot(cfg.n), _estimates_plot(cfg.n, cfg.theta_star()))):
+        with open(os.path.join(out_dir, name), "w", encoding="ascii") as fh:
             fh.write(text)
-        names.append(name)
     return names
+
+
+def _remove_stale(out_dir: str, written: list[str]) -> None:
+    """Delete an earlier run's outputs, so none stands beside this run's manifest."""
+    for name in RUN_OUTPUTS:
+        path = os.path.join(out_dir, name)
+        if name not in written and os.path.exists(path):
+            os.remove(path)
 
 
 def _say(quiet: bool, *parts) -> None:
@@ -376,11 +384,7 @@ def cmd_run(args) -> int:
         traj = run_closed_loop(cfg)
     except SingularSylvesterError as err:
         _say(args.quiet, f"aborted: {err}")
-        # an earlier run's outputs must not stand beside this run's manifest
-        for name in ("trajectory.csv", "signals.gp", "estimates.gp"):
-            path = os.path.join(out_dir, name)
-            if os.path.exists(path):
-                os.remove(path)
+        _remove_stale(out_dir, [])
         _manifest(out_dir, args, digest, started, {
             "seed": cfg.seed, "status": "aborted", "error": str(err),
         })
@@ -388,12 +392,12 @@ def cmd_run(args) -> int:
 
     # audit first: an audit set-up error (exit 2) must leave out_dir untouched
     results, bound, total = _audit(traj, cfg, extras, constants, args.quiet)
-    csv_path = os.path.join(out_dir, "trajectory.csv")
+    csv_path = os.path.join(out_dir, RUN_OUTPUTS[0])
     traj.save(csv_path)
-    outputs = ["trajectory.csv"]
-
+    outputs = [RUN_OUTPUTS[0]]
     if args.plots:
         outputs += _emit_plots(out_dir, cfg)
+    _remove_stale(out_dir, outputs)
     body = {
         "seed": cfg.seed,
         "estimator": cfg.estimator_mode,

@@ -13,11 +13,14 @@ non-expansive toward any box member the parameter error obeys, step by step,
     ||err(t+1)||^2 <= ||err(t)||^2 - e^2/(2(mu+||psi||^2)) + 2 wbar^2/(mu+||psi||^2),
 
 where wbar is the disturbance increment the incremental model actually saw.
-On stretches where ||psi(t)||^2 >= mu the same algebra gives the sharper
--e^2/(4||psi||^2) + 2 wbar^2/||psi||^2 form and the step-size cap
-||thetahat(t+1) - thetahat(t)|| <= |e(t+1)|/||psi(t)||.  `estimator_audit`
-checks all three facts on recorded trajectories; a violation beyond rounding
-tolerance always indicates an implementation bug, never bad data.
+On stretches where ||psi(t)||^2 >= mu (and psi(t) != 0) the paper states the
+psi-normalized form -e^2/(4||psi||^2) + 2 wbar^2/||psi||^2 and the step-size
+cap ||thetahat(t+1) - thetahat(t)|| <= |e(t+1)|/||psi(t)||.  There
+mu + ||psi||^2 <= 2||psi||^2, so the psi-normalized form is implied by the
+regularized one; it is checked in its own right all the same.
+`estimator_audit` checks all three facts on recorded trajectories; a
+violation beyond rounding tolerance always indicates an implementation bug,
+never bad data.
 
 `AUDIT_TOL` is that rounding tolerance, shared by every audit in the package.
 """
@@ -72,9 +75,9 @@ class EstimatorAudit:
     pairs, which telescoping makes representative of the full pair set.
     """
 
-    min_slack_energy: float        # worst cumulative slack, regularized form
+    min_slack_energy: float        # worst window slack, regularized form
     violations_energy: int
-    min_slack_interval: float      # worst cumulative slack on >=mu stretches
+    min_slack_interval: float      # worst window slack on >=mu stretches
     violations_interval: int
     max_step_excess: float         # worst (step size - |e|/||psi||) on >=mu stretches
     violations_step: int
@@ -104,12 +107,24 @@ class EstimatorAudit:
         }
 
 
-def _dyadic_pairs(length: int):
-    """Lags 1, 2, 4, ... shorter than the index range."""
-    lag = 1
-    while lag < length:
-        yield lag
+def _window_slacks(v: np.ndarray, d: np.ndarray) -> tuple[float, int, int]:
+    """Worst slack, violation count and pair count of v[tau] - v[tau+L] + sum(d[tau:tau+L]).
+
+    L runs over the dyadic lags 1, 2, 4, ... shorter than v.  Each lag's
+    window sums are two of the previous lag's added, W_2L[tau] = W_L[tau] +
+    W_L[tau+L] from W_1 = d, so a window only ever adds terms inside it and one
+    huge term cannot cost a distant window its precision.
+    """
+    worst, violations, pairs = np.inf, 0, 0
+    window, lag = d, 1
+    while lag < v.size:
+        slack = v[:-lag] - v[lag:] + window
+        worst = float(np.fmin.reduce(slack, initial=worst))
+        violations += int((slack < -AUDIT_TOL).sum())
+        pairs += slack.size
+        window = window[:-lag] + window[lag:]
         lag *= 2
+    return worst, violations, pairs
 
 
 def estimator_audit(
@@ -125,95 +140,57 @@ def estimator_audit(
     Row t of the arrays belongs to absolute step t0+t: psi[t] is the
     regressor, e[t] the prediction error produced while stepping to t+1,
     wbar[t] the matching disturbance increment, theta_hat[t] the estimate the
-    step started from.  mu = 0 selects the ideal-law form (steps with a zero
-    regressor contribute nothing and must leave the estimate unchanged).
+    step started from.  mu is the update law's regularizer and must lie in
+    [0, inf); mu = 0 selects the ideal-law form (steps with a zero regressor
+    contribute nothing and must leave the estimate unchanged).
     """
-    psi = np.asarray(psi, dtype=float)
-    e = np.asarray(e, dtype=float)
-    wbar = np.asarray(wbar, dtype=float)
-    theta_hat = np.asarray(theta_hat, dtype=float)
-    theta_star = np.asarray(theta_star, dtype=float)
+    if not 0.0 <= mu < np.inf:
+        raise ValueError(f"mu must lie in [0, inf), got {mu}")
+    psi, e, wbar, theta_hat = (np.asarray(x, dtype=float) for x in (psi, e, wbar, theta_hat))
     steps = psi.shape[0]
     if not (e.shape[0] == wbar.shape[0] == theta_hat.shape[0] == steps):
         raise ValueError("trajectory arrays must share their leading length")
 
     finite = np.isfinite(psi).all(axis=1) & np.isfinite(theta_hat).all(axis=1)
     finite &= np.isfinite(e) & np.isfinite(wbar)
-    err = theta_hat - theta_star
+    err = theta_hat - np.asarray(theta_star, dtype=float)
     v = np.einsum("ij,ij->i", err, err)
     psi_sq = np.einsum("ij,ij->i", psi, psi)
 
+    # regularized form over the whole log; a zero denominator (mu = 0 and a
+    # zero regressor) is a frozen step that contributes nothing
     denom = mu + psi_sq
-    safe = denom > 0.0
-    e_terms = np.where(safe, e**2 / np.where(safe, denom, 1.0), 0.0)
-    w_terms = np.where(safe, wbar**2 / np.where(safe, denom, 1.0), 0.0)
+    denom[denom == 0.0] = np.inf
+    d = (-0.5 * e**2 / denom + 2.0 * wbar**2 / denom)[: steps - 1]
+    min_slack_energy, violations_energy, pairs = _window_slacks(v, d)
 
-    pairs = 0
-    min_slack_energy = np.inf
-    violations_energy = 0
-    if steps >= 2:
-        # decrease terms for the step t -> t+1, defined for t = 0..steps-2
-        d = (-0.5 * e_terms + 2.0 * w_terms)[: steps - 1]
-        prefix = np.concatenate(([0.0], np.cumsum(d)))
-        # slack(tau, t) = v[tau] - v[t] + sum_{j=tau}^{t-1} d[j]
-        for lag in _dyadic_pairs(steps):
-            slack = v[:-lag] - v[lag:] + (prefix[lag:] - prefix[:-lag])
-            min_slack_energy = min(min_slack_energy, float(slack.min()))
-            violations_energy += int((slack < -AUDIT_TOL).sum())
-            pairs += slack.size
+    # psi-normalized form on each maximal stretch [start, stop) where
+    # ||psi||^2 >= mu and psi != 0
+    active = (psi_sq >= mu) & (psi_sq > 0.0)
+    edges = np.flatnonzero(np.diff(active, prepend=False, append=False))
+    min_slack_interval, violations_interval = np.inf, 0
+    for start, stop in zip(edges[::2], edges[1::2]):
+        span = slice(start, stop - 1)
+        d = -0.25 * e[span] ** 2 / psi_sq[span] + 2.0 * wbar[span] ** 2 / psi_sq[span]
+        slack, bad, count = _window_slacks(v[start:stop], d)
+        min_slack_interval = min(min_slack_interval, slack)
+        violations_interval += bad
+        pairs += count
 
-    # sharper form on maximal stretches where ||psi||^2 >= mu
-    min_slack_interval = np.inf
-    violations_interval = 0
-    max_step_excess = -np.inf
-    violations_step = 0
-    active = psi_sq >= mu
-    if mu == 0.0:
-        active = psi_sq > 0.0
-    t = 0
-    while t < steps:
-        if not active[t]:
-            t += 1
-            continue
-        start = t
-        while t < steps and active[t]:
-            t += 1
-        stop = t  # stretch [start, stop)
-        # step-size cap needs the next estimate, so the last record is exempt
-        for j in range(start, min(stop, steps - 1)):
-            norm = float(np.sqrt(psi_sq[j]))
-            if norm == 0.0:
-                continue
-            step = float(np.linalg.norm(theta_hat[j + 1] - theta_hat[j]))
-            excess = step - abs(e[j]) / norm
-            max_step_excess = max(max_step_excess, excess)
-            if excess > AUDIT_TOL:
-                violations_step += 1
-        hi = min(stop, steps)  # estimates exist for every record in the stretch
-        length = hi - start
-        if length >= 2:
-            with np.errstate(divide="ignore", invalid="ignore"):
-                d2 = np.where(
-                    psi_sq[start : hi - 1] > 0.0,
-                    -0.25 * e[start : hi - 1] ** 2 / psi_sq[start : hi - 1]
-                    + 2.0 * wbar[start : hi - 1] ** 2 / psi_sq[start : hi - 1],
-                    0.0,
-                )
-            prefix2 = np.concatenate(([0.0], np.cumsum(d2)))
-            vv = v[start:hi]
-            for lag in _dyadic_pairs(length):
-                slack = vv[:-lag] - vv[lag:] + (prefix2[lag:] - prefix2[:-lag])
-                min_slack_interval = min(min_slack_interval, float(slack.min()))
-                violations_interval += int((slack < -AUDIT_TOL).sum())
-                pairs += slack.size
+    # step-size cap on every active record that has a next estimate
+    j = np.flatnonzero(active[:-1])
+    step = theta_hat[j + 1] - theta_hat[j]
+    # the stacked matmul reproduces the bits of the per-row np.linalg.norm
+    size = np.sqrt((step[:, None, :] @ step[:, :, None])[:, 0, 0])
+    excess = size - np.abs(e[j]) / np.sqrt(psi_sq[j])
 
     return EstimatorAudit(
-        min_slack_energy=float(min_slack_energy),
+        min_slack_energy=min_slack_energy,
         violations_energy=violations_energy,
-        min_slack_interval=float(min_slack_interval),
+        min_slack_interval=min_slack_interval,
         violations_interval=violations_interval,
-        max_step_excess=float(max_step_excess),
-        violations_step=violations_step,
+        max_step_excess=float(np.fmax.reduce(excess, initial=-np.inf)),
+        violations_step=int((excess > AUDIT_TOL).sum()),
         violations_nonfinite=int((~finite).sum()),
         pairs_checked=pairs,
     )

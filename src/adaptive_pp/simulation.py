@@ -148,6 +148,10 @@ class SimConfig:
     def theta_star(self) -> np.ndarray:
         return aux_transform(self.theta_true)
 
+    def law_mu(self) -> float:
+        """The update law's regularizer: mu for the classical law, 0 for the ideal one."""
+        return self.mu if self.estimator_mode == "classical" else 0.0
+
     def decay_rate(self) -> float:
         """Decay rate for the gain-bound fit: configured, else the midpoint."""
         if self.lam is not None:
@@ -212,7 +216,7 @@ TRAJECTORY_COLUMNS = (
 class Trajectory:
     """Per-step record of one closed-loop run.
 
-    Row i belongs to absolute time t0+i and carries the signals at that time,
+    Row i belongs to absolute time t[i] = t0+i and carries the signals then,
     the regressor psi(t), the estimate thetahat(t) the step started from, the
     gain row solved from that estimate (it produces the next input
     increment), the prediction error e(t+1), and the design residual at that
@@ -220,9 +224,7 @@ class Trajectory:
     """
 
     n: int
-    t0: int
     mu: float
-    estimator_mode: str
     t: np.ndarray
     y: np.ndarray
     u: np.ndarray
@@ -310,9 +312,7 @@ class Trajectory:
 
         return cls(
             n=n,
-            t0=cfg.t0,
             mu=cfg.mu,
-            estimator_mode=cfg.estimator_mode,
             phi=_phi_history(y, u, cfg.phi0, n),
             **cols,
         )
@@ -349,7 +349,7 @@ def run_closed_loop(cfg: SimConfig) -> Trajectory:
     dim = 2 * n + 1
     aux_box = cfg.aux_box()
     theta_star = cfg.theta_star()
-    mu = cfg.mu if cfg.estimator_mode == "classical" else 0.0
+    mu = cfg.law_mu()
 
     a, b = cfg.theta_true.a, cfg.theta_true.b
     # psi(t0) from phi0 under the first set-point; y and u keep the raw
@@ -409,9 +409,7 @@ def run_closed_loop(cfg: SimConfig) -> Trajectory:
 
     return Trajectory(
         n=n,
-        t0=cfg.t0,
         mu=cfg.mu,
-        estimator_mode=cfg.estimator_mode,
         t=cfg.t0 + np.arange(steps),
         phi=_phi_history(out["y"], out["u"], cfg.phi0, n),
         **out,
@@ -654,18 +652,17 @@ def run_audits(
 ) -> dict:
     """Run the selected audits on one trajectory; returns name -> manifest record.
 
-    Records come in AUDIT_NAMES order.  The crude bound samples its
-    constants from the config's box unless `constants` is given.
+    Records come in AUDIT_NAMES order.  The crude bound needs the sampled
+    `constants` (see `estimate_constants`).
     """
     for name in which:
         if name not in AUDIT_NAMES:
             raise ValueError(f"unknown audit '{name}'; choose from {AUDIT_NAMES}")
     if "crude_bound" in which and constants is None:
-        constants = estimate_constants(cfg.aux_box(), cfg.target, seed=cfg.seed)
-    mu = cfg.mu if traj.estimator_mode == "classical" else 0.0
+        raise ValueError("the crude_bound audit needs the sampled constants")
     checks = {
         "estimator": lambda: estimator_audit(
-            traj.psi, traj.e, traj.wbar, traj.theta_hat, cfg.theta_star(), mu
+            traj.psi, traj.e, traj.wbar, traj.theta_hat, cfg.theta_star(), cfg.law_mu()
         ).record(),
         "recursion": lambda: state_recursion_audit(traj.psi, traj.theta_hat, traj.gains, traj.e),
         "poles": lambda: pole_placement_audit(traj, cfg.target),

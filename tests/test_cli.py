@@ -237,6 +237,24 @@ def test_run_aborts_with_exit_3_on_a_singular_design(config_file, tmp_path):
     assert sorted(os.listdir(out)) == ["manifest.json"]
 
 
+def test_plain_run_removes_the_plot_scripts_of_an_earlier_run(config_file, tmp_path):
+    out = tmp_path / "rerun"
+    order3 = config_file(**FAST, **_order_n(3))
+    assert main(["run", order3, "--out", str(out), "--plots", "--quiet"]) == 0
+    assert main(["run", config_file(**FAST), "--out", str(out), "--quiet"]) == 0
+    present = sorted(os.listdir(out))
+    assert not [name for name in present if name.endswith(".gp")]
+    assert sorted(read_manifest(out)["outputs"]) == [n for n in present if n != "manifest.json"]
+
+
+def test_run_ideal_law_example_passes_the_estimator_audit(config_file, tmp_path):
+    out = tmp_path / "ideal"
+    assert main(["run", config_file(estimator="ideal"), "--out", str(out), "--quiet"]) == 0
+    manifest = read_manifest(out)
+    assert manifest["estimator"] == "ideal"
+    assert manifest["audits"]["estimator"]["violations"] == 0
+
+
 def test_run_nudge_option_recovers_the_singular_start(config_file, tmp_path):
     out = tmp_path / "nudged"
     path = config_file(nudge_singular=True, **SINGULAR_FIRST_ORDER)

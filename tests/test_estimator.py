@@ -1,5 +1,7 @@
 """Projection estimator updates and the energy-inequality audit."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -133,13 +135,64 @@ def test_audit_passes_on_faithfully_generated_data(mode, mu, zero_every):
     assert audit.min_slack_interval > -AUDIT_TOL
 
 
+def _fsum_windows(v, d):
+    """Loop reference: worst v[tau] - v[tau+L] + sum(d[tau:tau+L]) over dyadic L, by math.fsum."""
+    worst, pairs, lag = math.inf, 0, 1
+    while lag < len(v):
+        for tau in range(len(v) - lag):
+            worst = min(worst, math.fsum([v[tau], -v[tau + lag], *d[tau : tau + lag]]))
+            pairs += 1
+        lag *= 2
+    return worst, pairs
+
+
+@pytest.mark.parametrize("mode,mu,zero_every", [("classical", 0.5, 0), ("ideal", 0.0, 7)])
+def test_audit_matches_a_per_record_reference(mode, mu, zero_every):
+    # the window sums are added in another order than a per-window fsum, so
+    # the worst slacks agree to a tolerance; the step cap is the same arithmetic
+    psi, e, wbar, theta_hat, theta_star = _synthetic_run(mode, mu, 90, 5, zero_every)
+    audit = estimator_audit(psi, e, wbar, theta_hat, theta_star, mu)
+    v = [float(np.dot(x, x)) for x in theta_hat - theta_star]
+    psi_sq = [float(np.dot(p, p)) for p in psi]
+    d = [(-0.5 * e[t] ** 2 + 2 * wbar[t] ** 2) / (mu + psi_sq[t]) if mu + psi_sq[t] else 0.0
+         for t in range(len(v) - 1)]
+    energy, pairs = _fsum_windows(v, d)
+    interval, excess = math.inf, -math.inf
+    active = [0.0 < q and mu <= q for q in psi_sq] + [False]
+    start = None
+    for t, on in enumerate(active):
+        if on and start is None:
+            start = t
+        if not on and start is not None:
+            d = [(-0.25 * e[j] ** 2 + 2 * wbar[j] ** 2) / psi_sq[j] for j in range(start, t - 1)]
+            worst, count = _fsum_windows(v[start:t], d)
+            interval, pairs, start = min(interval, worst), pairs + count, None
+        if on and t + 1 < len(v):
+            step = np.linalg.norm(theta_hat[t + 1] - theta_hat[t])
+            excess = max(excess, step - abs(e[t]) / np.sqrt(psi_sq[t]))
+    assert audit.passed and audit.pairs_checked == pairs
+    assert audit.min_slack_energy == pytest.approx(energy, abs=1e-12)
+    assert audit.min_slack_interval == pytest.approx(interval, abs=1e-12)
+    assert audit.max_step_excess == excess
+
+
 def test_audit_flags_a_corrupted_estimate_trail():
     psi, e, wbar, theta_hat, theta_star = _synthetic_run("classical", 0.1, 200, 3)
     theta_hat = theta_hat.copy()
     theta_hat[120] += 1.0  # an update no projection law could have produced
     audit = estimator_audit(psi, e, wbar, theta_hat, theta_star, 0.1)
     assert not audit.passed
-    assert audit.violations > 0
+    assert audit.violations_energy > 0 and audit.violations_interval > 0
+
+
+def test_audit_flags_a_step_longer_than_the_cap():
+    # halving one recorded error leaves the energy decrease intact but makes
+    # the step that error drove exceed |e| / ||psi||
+    psi, e, wbar, theta_hat, theta_star = _synthetic_run("classical", 0.1, 200, 3)
+    e = e.copy()
+    e[120] *= 0.5
+    audit = estimator_audit(psi, e, wbar, theta_hat, theta_star, 0.1)
+    assert (audit.violations_energy, audit.violations_interval, audit.violations_step) == (0, 0, 1)
 
 
 def test_audit_flags_the_wrong_regularizer():
@@ -151,6 +204,13 @@ def test_audit_flags_the_wrong_regularizer():
     right = estimator_audit(psi, e, wbar, theta_hat, theta_star, 10.0)
     assert right.passed
     assert not wrong.passed
+
+
+@pytest.mark.parametrize("mu", [-0.1, float("nan"), float("inf")])
+def test_audit_rejects_a_regularizer_outside_zero_to_infinity(mu):
+    psi, e, wbar, theta_hat, theta_star = _synthetic_run("classical", 0.1, 10, 1)
+    with pytest.raises(ValueError, match="mu"):
+        estimator_audit(psi, e, wbar, theta_hat, theta_star, mu)
 
 
 def test_audit_rejects_mismatched_lengths():

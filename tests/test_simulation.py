@@ -652,6 +652,12 @@ def test_run_audits_rejects_unknown_names(bench_run):
         run_audits(traj, cfg, which=("spectral",))
 
 
+def test_run_audits_needs_constants_for_the_crude_bound(bench_run):
+    cfg, traj = bench_run
+    with pytest.raises(ValueError, match="constants"):
+        run_audits(traj, cfg, which=("crude_bound",))
+
+
 def test_run_audits_tracking_section(example_config):
     cfg = example_config(
         reference=SignalSpec("constant", magnitude=2.0),
