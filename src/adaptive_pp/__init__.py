@@ -14,6 +14,7 @@ from .controller import (
     TargetPolynomial,
     closed_loop_layout,
     closed_loop_matrix,
+    design_rhs,
     solve_diophantine,
     solve_diophantine_batch,
     spectral_radius,
@@ -36,6 +37,7 @@ from .plant import (
 from .polynomial import (
     singularity_threshold,
     sylvester_coeffs,
+    sylvester_gather,
     sylvester_layout,
     sylvester_margin,
     sylvester_matrix,
@@ -64,6 +66,7 @@ __all__ = [
     "__version__",
     "sylvester_layout",
     "sylvester_coeffs",
+    "sylvester_gather",
     "sylvester_matrix",
     "sylvester_rcond",
     "singularity_threshold",
@@ -80,6 +83,7 @@ __all__ = [
     "spectral_radius",
     "TargetPolynomial",
     "DesignBatch",
+    "design_rhs",
     "SingularSylvesterError",
     "solve_diophantine",
     "solve_diophantine_batch",

@@ -28,7 +28,7 @@ import numpy as np
 from .estimator import AUDIT_TOL
 from .polynomial import (
     sylvester_coeffs,
-    sylvester_layout,
+    sylvester_gather,
     sylvester_margin,
     sylvester_matrix,
     sylvester_rcond,
@@ -39,6 +39,7 @@ __all__ = [
     "spectral_radius",
     "TargetPolynomial",
     "DesignBatch",
+    "design_rhs",
     "solve_diophantine_batch",
     "solve_diophantine",
     "closed_loop_layout",
@@ -129,13 +130,15 @@ class DesignBatch(NamedTuple):
     thresholds: np.ndarray  # (count,) singularity threshold of each
 
 
-def _estimate_vector(theta_hat, n: int | None) -> np.ndarray:
-    """Estimate (or stack of estimates) as floats; n defaults to the one its length implies."""
-    vec = np.atleast_1d(np.asarray(theta_hat, dtype=float))
-    dim = 2 * ((vec.shape[-1] - 1) // 2 if n is None else n) + 1
-    if vec.shape[-1:] != (dim,):
-        raise ValueError(f"expected an estimate vector of length {dim}")
-    return vec
+def design_rhs(thetas: np.ndarray, lifted: np.ndarray, n: int) -> np.ndarray:
+    """Right side Astar - Abar of the design system on the powers z^{-1}..z^{-(2n+1)}.
+
+    One row per estimate of a (..., 2n+1) stack; Abar's coefficients are the
+    negated abar_k, so the first n+1 entries add them.
+    """
+    rhs = np.tile(lifted[1:], thetas.shape[:-1] + (1,))
+    rhs[..., : n + 1] += thetas[..., : n + 1]
+    return rhs
 
 
 def solve_diophantine_batch(thetas: np.ndarray, lifted: np.ndarray, n: int) -> DesignBatch:
@@ -149,10 +152,7 @@ def solve_diophantine_batch(thetas: np.ndarray, lifted: np.ndarray, n: int) -> D
         raise ValueError("expected a (count, 2n+1) stack of estimates")
     m = sylvester_matrix(thetas, n)
     margins, thresholds, ok = sylvester_margin(m)
-
-    # right side Astar - Abar on the powers z^{-1}..z^{-(2n+1)}
-    rhs = np.tile(lifted[1:], (thetas.shape[0], 1))
-    rhs[:, : n + 1] -= sylvester_coeffs(thetas, n)[:, 1 : n + 2]
+    rhs = design_rhs(thetas, lifted, n)
     x = np.linalg.solve(m[ok], rhs[ok][:, :, None])[:, :, 0]
     gains = np.concatenate((-x[:, n:], -x[:, :n]), axis=1)
     return DesignBatch(ok, gains, margins, thresholds)
@@ -169,20 +169,16 @@ def solve_diophantine(theta_hat, target: TargetPolynomial) -> tuple[np.ndarray, 
     singularity threshold.
     """
     n = target.n
-    theta = _estimate_vector(theta_hat, n)
-    if theta.ndim != 1:
-        raise ValueError("expected a single estimate vector")
+    theta = np.asarray(theta_hat, dtype=float)
+    if theta.shape != (target.dim,):
+        raise ValueError(f"expected a single estimate vector of length {target.dim}")
     coeffs = sylvester_coeffs(theta, n)
-    rows, cols, src = sylvester_layout(n)
-    m = np.zeros((target.dim, target.dim))
-    m[rows, cols] = coeffs[src]
+    m = coeffs[sylvester_gather(n)]
     margin, threshold, regular = sylvester_margin(m)
     if not regular:
         raise SingularSylvesterError(float(margin), float(threshold), sylvester_rcond(m), theta)
     lifted = target.lifted_coeffs()
-    rhs = lifted[1:].copy()
-    rhs[: n + 1] -= coeffs[1 : n + 2]
-    x = np.linalg.solve(m, rhs)  # [l_1..l_n, p_1..p_{n+1}]
+    x = np.linalg.solve(m, design_rhs(theta, lifted, n))  # [l_1..l_n, p_1..p_{n+1}]
     # residual of Abar L + B P = Astar with L = [1, l], P = [0, p]
     recon = np.convolve(coeffs[: n + 2], np.concatenate(([1.0], x[:n])))
     recon += np.convolve(coeffs[n + 2 :], np.concatenate(([0.0], x[n:])))
@@ -216,11 +212,11 @@ def closed_loop_matrix(theta_hat, K: np.ndarray) -> np.ndarray:
     z^{2n+1} Astar(z^{-1}) whenever K solves the design at theta_hat.
     Stacked (..., 2n+1) estimates and gain rows give a (..., 2n+1, 2n+1) stack.
     """
-    vec = _estimate_vector(theta_hat, None)
+    vec = np.atleast_1d(np.asarray(theta_hat, dtype=float))
     dim = vec.shape[-1]
     K = np.asarray(K, dtype=float)
-    if K.shape != vec.shape:
-        raise ValueError(f"expected a gain row of length {dim}")
+    if K.shape != vec.shape or dim % 2 == 0:
+        raise ValueError(f"expected an odd-length estimate and a gain row of its length {dim}")
 
     rows, cols, src = closed_loop_layout((dim - 1) // 2)
     v = np.concatenate((vec, K, np.ones(vec.shape[:-1] + (1,))), axis=-1)

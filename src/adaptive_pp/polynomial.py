@@ -17,6 +17,7 @@ import numpy as np
 
 __all__ = [
     "sylvester_layout",
+    "sylvester_gather",
     "sylvester_coeffs",
     "sylvester_matrix",
     "singularity_threshold",
@@ -45,12 +46,27 @@ def sylvester_layout(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return layout
 
 
+@lru_cache(maxsize=None)
+def sylvester_gather(n: int) -> np.ndarray:
+    """Gather index of the system matrix: ``m = c[..., sylvester_gather(n)]``.
+
+    Entry (i, j) names the coefficient `sylvester_layout` puts at m[i, j];
+    the entries the layout leaves empty read c[n+2], the zero constant term
+    of B, so one gather assembles a matrix or a whole stack.
+    """
+    rows, cols, src = sylvester_layout(n)
+    index = np.full((2 * n + 1, 2 * n + 1), n + 2, dtype=np.intp)
+    index[rows, cols] = src
+    index.flags.writeable = False
+    return index
+
+
 def sylvester_coeffs(theta: np.ndarray, n: int) -> np.ndarray:
     """Coefficients c = [1, -abar_1..-abar_{n+1}, 0, b_1..b_n] of an estimate.
 
     c[:n+2] lists Abar(z^{-1}) = 1 - sum_k abar_k z^{-k} and c[n+2:] lists
     B(z^{-1}) with its zero constant term.  A (..., 2n+1) stack of estimates
-    gives a (..., 2n+2) stack.
+    gives a (..., 2n+3) stack.
     """
     lead = np.ones(theta.shape[:-1] + (1,))
     parts = (lead, -theta[..., : n + 1], np.zeros_like(lead), theta[..., n + 1 :])
@@ -69,13 +85,9 @@ def sylvester_matrix(theta, n: int) -> np.ndarray:
     if n < 1:
         raise ValueError("n must be at least 1")
     theta = np.asarray(theta, dtype=float)
-    dim = 2 * n + 1
-    if theta.shape[-1:] != (dim,):
-        raise ValueError(f"expected an estimate vector of length {dim}")
-    rows, cols, src = sylvester_layout(n)
-    m = np.zeros(theta.shape[:-1] + (dim, dim))
-    m[..., rows, cols] = sylvester_coeffs(theta, n)[..., src]
-    return m
+    if theta.shape[-1:] != (2 * n + 1,):
+        raise ValueError(f"expected an estimate vector of length {2 * n + 1}")
+    return sylvester_coeffs(theta, n)[..., sylvester_gather(n)]
 
 
 def singularity_threshold(m: np.ndarray) -> float | np.ndarray:

@@ -20,8 +20,10 @@ Audits available on any trajectory:
 
 * estimator energy inequalities (see `estimator.estimator_audit`),
 * exact one-step state recursion (see `controller.state_recursion_audit`),
-* frozen-time pole placement, compared in coefficient space where the
-  repeated-pole problem is well conditioned,
+* frozen-time pole placement: a proven bound on the characteristic
+  coefficient error of every logged (thetahat, K) row, read off the design
+  system without building a closed-loop matrix, and a Rouche certificate
+  that every frozen pole lies inside the decay radius,
 * the crude growth bound ||psi(t+1)|| <= (alpha + diam) ||psi(t)|| + |wbar(t)|
   with alpha estimated by sampling the parameter box,
 * a fitted linear-like gain bound and a tracking check under constant
@@ -44,12 +46,14 @@ from .controller import (
     SingularSylvesterError,
     TargetPolynomial,
     closed_loop_matrix,
+    design_rhs,
     solve_diophantine,
     solve_diophantine_batch,
     state_recursion_audit,
 )
 from .estimator import AUDIT_TOL, estimator_audit, projection_step
 from .plant import BoxSet, PlantParameters, aux_transform, image_box
+from .polynomial import sylvester_matrix
 
 __all__ = [
     "SignalSpec",
@@ -430,8 +434,8 @@ class ConstantsEstimate:
     samples_skipped: int
 
 
-# estimates per streamed chunk of estimate_constants, and the matrices of
-# largest Frobenius norm whose sigma_max seeds each chunk's pruning bound
+# estimates per streamed chunk of estimate_constants, and the rows of largest
+# sigma_max bound whose SVD seeds each chunk's pruning cutoff
 _CHUNK = 8192
 _PROBE = 64
 
@@ -449,20 +453,37 @@ def _box_chunks(box: BoxSet, rng: np.random.Generator, samples: int):
         yield np.array(chunk)
 
 
-def _max_sigma(mats: np.ndarray, floor: float) -> float:
-    """max(floor, largest sigma_max in a stack), with an SVD only where it can win.
+def _sigma_bound(thetas: np.ndarray, gains: np.ndarray) -> np.ndarray:
+    """Upper bound on sigma_max of the closed-loop matrix of each (theta, K) row.
 
-    sigma_max(A) <= ||A||_F, so once the SVD of the _PROBE matrices of
-    largest Frobenius norm gives a lower bound lo on the answer, a matrix
-    with ||A||_F < lo cannot raise it.  The relative margin keeps a matrix
-    whose rounded norms tie (one near rank one) in the SVD, and a NaN norm
-    is never below the cutoff, so a non-finite matrix still reaches it.
+    Every row of A(theta, K) is theta, K or one of the 2n-1 shift rows, which
+    are distinct unit vectors, so A'A = D + theta theta' + K K' with D a 0/1
+    diagonal.  By Weyl, sigma_max(A)^2 <= 1 + lambda_max(G), G the 2x2 Gram
+    matrix of theta and K: three row dot products per row.
     """
-    fro = np.linalg.norm(mats, axis=(1, 2))
-    probe = np.argpartition(fro, -_PROBE)[-_PROBE:] if fro.size > _PROBE else slice(None)
-    lo = np.max(np.linalg.svd(mats[probe], compute_uv=False)[:, 0], initial=floor)
-    keep = ~(fro < lo * (1.0 - 1e-12))
-    return float(np.max(np.linalg.svd(mats[keep], compute_uv=False)[:, 0], initial=lo))
+    pairs = ((thetas, thetas), (gains, gains), (thetas, gains))
+    tt, kk, tk = (np.einsum("ij,ij->i", a, b) for a, b in pairs)
+    half = 0.5 * (tt - kk)
+    return np.sqrt(1.0 + 0.5 * (tt + kk) + np.sqrt(half * half + tk * tk))
+
+
+def _max_sigma(thetas: np.ndarray, gains: np.ndarray, floor: float) -> float:
+    """max(floor, largest sigma_max of the rows' closed-loop matrices), SVD only where it can win.
+
+    Only the _PROBE rows of largest `_sigma_bound` and the rows whose bound
+    reaches the best sigma_max so far are assembled into matrices for the
+    SVD.  The relative margin keeps a row whose rounded bound ties the
+    maximum, and a NaN bound is never below the cutoff, so a non-finite row
+    still reaches the SVD.
+    """
+    bound = _sigma_bound(thetas, gains)
+    probe = np.argpartition(bound, -_PROBE)[-_PROBE:] if bound.size > _PROBE else slice(None)
+    mats = closed_loop_matrix(thetas[probe], gains[probe])
+    lo = np.max(np.linalg.svd(mats, compute_uv=False)[:, 0], initial=floor)
+    keep = ~(bound < lo * (1.0 - 1e-12))
+    keep[probe] = False
+    mats = closed_loop_matrix(thetas[keep], gains[keep])
+    return float(np.max(np.linalg.svd(mats, compute_uv=False)[:, 0], initial=lo))
 
 
 def estimate_constants(
@@ -483,12 +504,13 @@ def estimate_constants(
 
     The estimates stream through in fixed-size chunks, draws first and then
     the vertices, with a running maximum, so memory stays bounded however
-    many samples or vertices there are.  In each chunk only the matrices
-    whose Frobenius norm reaches the best sigma_max known so far go to the
-    SVD (sigma_max <= ||A||_F; see `_max_sigma`).  The result is the same
-    float as one SVD of every matrix: chunked draws reproduce the one-shot
-    stream, each matrix's LAPACK solve and SVD do not depend on the batch
-    around it, and a maximum does not depend on the order it is taken in.
+    many samples or vertices there are.  A chunk's closed-loop matrices are
+    never built as a whole: a Gram bound on sigma_max from the estimate and
+    gain rows picks the few that can raise the maximum, and only those are
+    assembled for the SVD (see `_max_sigma`).  The result is the same float
+    as one SVD of every matrix: chunked draws reproduce the one-shot stream,
+    each matrix's LAPACK solve and SVD do not depend on the batch around it,
+    and a maximum does not depend on the order it is taken in.
     """
     n = target.n
     dim = 2 * n + 1
@@ -500,7 +522,7 @@ def estimate_constants(
     used = total = 0
     for thetas in _box_chunks(aux_box, rng, int(samples)):
         design = solve_diophantine_batch(thetas, lifted, n)
-        alpha = _max_sigma(closed_loop_matrix(thetas[design.ok], design.gains), alpha)
+        alpha = _max_sigma(thetas[design.ok], design.gains, alpha)
         used += design.gains.shape[0]
         total += thetas.shape[0]
     if used == 0:
@@ -540,40 +562,85 @@ def crude_bound_audit(traj: Trajectory, alpha_bar: float, s_bar: float) -> dict:
     }
 
 
-def pole_placement_audit(traj: Trajectory, target: TargetPolynomial) -> dict:
-    """Compare each step's closed-loop characteristic polynomial to the target.
+def _gamma(k: int) -> float:
+    """Higham's gamma_k = k u / (1 - k u), u the unit roundoff.
 
-    Eigenvalues of the assembled matrix are mapped back to a monic
-    polynomial; the coefficients are the well-conditioned object here (the
-    placed pole at the origin is repeated with a single Jordan chain, so raw
-    eigenvalue positions smear at roughly eps^(1/4) and would say nothing at
-    tight tolerances).  The estimate is re-solved only when it changes, so
-    most rows repeat: each distinct [thetahat, K] row, keyed on its bytes,
-    is checked once, and the maximum over the distinct rows is the maximum
-    over all of them.  The design residual column is rechecked as well.  Any
-    NaN or Inf in the estimates, gains, or residuals is a violation.
+    It bounds the relative rounding error of a k-term sum of products.
     """
+    u = np.finfo(float).eps / 2
+    return k * u / (1.0 - k * u)
+
+
+def _rouche_margin(target: TargetPolynomial, lam: float) -> float:
+    """Proven lower bound on min |z^{2n+1} Astar(1/z)| over the circle |z| = lam.
+
+    That is lam^(2n+1-d) min |q|, q the target without trailing zeros and d
+    its degree.  |q| is symmetric about the real axis, so arcs + 1 samples
+    of the upper half circle leave every point within an arc lam pi/(2 arcs)
+    of one; |q'| <= sum_k k|q_k| lam^(k-1) turns that into a Lipschitz
+    slack, and gamma_{16(2n+1)} sum_k |q_k| lam^k covers the rounding.  The
+    arcs double from 2^11 until the slack is at most half the sampled
+    minimum, which keeps at least half of it for a target root near the
+    circle; at 2^20 arcs the bound is returned as it is, and a nonpositive
+    one certifies nothing.
+    """
+    q = np.trim_zeros(target.coeffs, "b")
+    lipschitz = np.polyval(np.polyder(np.abs(q)), lam) * np.pi * lam / 2
+    rounding = _gamma(16 * target.dim) * np.polyval(np.abs(q), lam)
+    arcs = 2048
+    while True:
+        circle = lam * np.exp(1j * np.pi / arcs * np.arange(arcs + 1))
+        lowest = np.abs(np.polyval(q, circle)).min()
+        if lipschitz / arcs <= 0.5 * lowest or arcs >= 2**20:
+            return float(lam ** (target.dim + 1 - q.size) * (lowest - lipschitz / arcs - rounding))
+        arcs *= 2
+
+
+def pole_placement_audit(traj: Trajectory, target: TargetPolynomial, lam: float) -> dict:
+    """Prove that every logged (thetahat, K) row places the target poles, inside |z| < lam.
+
+    det(zI - A(theta, K)) is the z-lift of Abar L + B P, with
+    [L, P] = [1, l, 0, p] and x = [l; p] = [-K[n+1:], -K[:n+1]] for any
+    gain row.  So the coefficient error of every row is
+    r = M(theta) x - (Astar - Abar), with the design matrix M and no
+    closed-loop matrix built.  Its 2n+1 products and two rounded terms make
+    |r| + gamma_{2n+3} (|M||x| + |Astar - Abar| + |Astar|) a bound on the
+    exact error (Higham, Accuracy and Stability of Numerical Algorithms,
+    section 3.1); a factor 1 + 2 gamma_{2n+3} covers the bound's own rounding,
+    and its largest entry is the proven `max_coeff_err` eps.
+
+    Violations: eps beyond AUDIT_TOL * (1 + max|Astar|); the design
+    residual column beyond the same; and a failed radius certificate.  By
+    Rouche's theorem all frozen poles lie in |z| < lam when every target
+    pole does and eps * sum_{j<=2n} lam^j is below `rouche_margin` (see
+    `_rouche_margin`).  A NaN or Inf is a violation.
+    """
+    lam = float(lam)
+    n, k = target.n, 2 * target.n + 3
     lifted = target.lifted_coeffs()
     scale = 1.0 + float(np.abs(lifted).max())
-    rows = np.concatenate((traj.theta_hat, traj.gains), axis=1)
-    finite = np.isfinite(rows).all(axis=1)
-    rows = rows[finite]
-    _, first = np.unique(rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))),
-                         return_index=True)
-    dim = traj.theta_hat.shape[1]
-    eig = np.linalg.eigvals(closed_loop_matrix(rows[first, :dim], rows[first, dim:]))
-    max_err = 0.0 if finite.all() else np.inf  # a non-finite row has no spectrum to match
-    for row in eig:
-        coeffs = np.poly(row)
-        max_err = max(max_err, float(np.abs(coeffs - lifted).max()))
+    m = sylvester_matrix(traj.theta_hat, n)
+    rhs = design_rhs(traj.theta_hat, lifted, n)
+    x = np.concatenate((-traj.gains[:, n + 1 :], -traj.gains[:, : n + 1]), axis=1)[:, :, None]
+    margin = _rouche_margin(target, lam)
+    with np.errstate(invalid="ignore", over="ignore"):
+        r = (m @ x)[:, :, 0] - rhs
+        bound = (np.abs(m) @ np.abs(x))[:, :, 0] + np.abs(rhs) + np.abs(lifted[1:])
+        err = np.abs(r) + _gamma(k) * bound
+        eps = float(np.max(err)) * (1.0 + 2.0 * _gamma(k))
+        radius = eps * np.polyval(np.ones(2 * n + 1), lam)
     res_max = float(traj.dioph_residual.max())
-    # written as "not <=" so that a NaN counts as a violation
-    violations = int(not max_err <= AUDIT_TOL * scale) + int(not res_max <= AUDIT_TOL * scale)
+    # a NaN fails every comparison, so it counts as a violation
+    checks = (eps <= AUDIT_TOL * scale, res_max <= AUDIT_TOL * scale,
+              target.decay_floor() < lam and radius < margin)
+    violations = sum(not ok for ok in checks)
     return {
         "violations": violations,
         "pass": violations == 0,
-        "max_coeff_err": max_err,
+        "max_coeff_err": eps,
         "max_residual": res_max,
+        "lambda": lam,
+        "rouche_margin": margin,
     }
 
 
@@ -665,7 +732,7 @@ def run_audits(
             traj.psi, traj.e, traj.wbar, traj.theta_hat, cfg.theta_star(), cfg.law_mu()
         ).record(),
         "recursion": lambda: state_recursion_audit(traj.psi, traj.theta_hat, traj.gains, traj.e),
-        "poles": lambda: pole_placement_audit(traj, cfg.target),
+        "poles": lambda: pole_placement_audit(traj, cfg.target, cfg.decay_rate()),
         "crude_bound": lambda: crude_bound_audit(traj, constants.alpha_bar, constants.s_bar),
         "tracking": lambda: tracking_audit(traj, tail=tracking_tail),
     }

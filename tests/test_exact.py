@@ -1,5 +1,6 @@
 """Rational-arithmetic certification of the pole-placement identity."""
 
+import dataclasses
 import os
 from fractions import Fraction
 
@@ -14,6 +15,7 @@ from adaptive_pp import (
     charpoly_fractions,
     closed_loop_matrix,
     exact_pole_check,
+    pole_placement_audit,
     solve_fraction_system,
     sylvester_matrix,
 )
@@ -339,3 +341,50 @@ def test_certificate_raises_cleanly_on_a_singular_design():
     theta = np.array([0.5, -1.0, 1.5, 0.0, 0.0])  # zero numerator
     with pytest.raises(ZeroDivisionError):
         exact_pole_check(theta, BENCH_TARGET.lifted_coeffs(), 2)
+
+
+# ---------------------------------------------------------------------------
+# the pole audit: the closed loop's characteristic polynomial is the design
+# polynomial, and the audit's float bound covers its exact coefficient error
+
+
+def _design_polynomial(theta, gains, n) -> list[Fraction]:
+    """Abar L + B P lowest power first, exactly, with L = [1, -K[n+1:]] and P = [0, -K[:n+1]]."""
+    t = [Fraction(float(v)) for v in theta]
+    k = [Fraction(float(v)) for v in gains]
+    pairs = (
+        ([Fraction(1)] + [-v for v in t[: n + 1]], [Fraction(1)] + [-v for v in k[n + 1 :]]),
+        ([Fraction(0)] + t[n + 1 :], [Fraction(0)] + [-v for v in k[: n + 1]]),
+    )
+    out = [Fraction(0)] * (2 * n + 2)
+    for a, b in pairs:
+        for i, x in enumerate(a):
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return out
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_closed_loop_charpoly_is_the_design_polynomial(n):
+    # det(zI - A(theta, K)) is the z-lift of Abar L + B P for any estimate and
+    # any gain row, solved or not; the lift lists the same coefficients
+    rng = np.random.default_rng(70 + n)
+    for _ in range(200):
+        theta, gains = rng.uniform(-3.0, 3.0, (2, 2 * n + 1))
+        charpoly = charpoly_fractions(closed_loop_matrix(theta, gains))
+        assert charpoly == _design_polynomial(theta, gains, n)
+
+
+def test_pole_audit_bound_covers_the_exact_error_on_every_golden_row():
+    cfg, _, _ = load_config(BENCHMARK_CONFIG)
+    with open(os.path.join(ROOT, "out", "benchmark", "trajectory.csv"), encoding="ascii") as fh:
+        traj = Trajectory.from_csv(fh.read(), cfg)
+    lifted = [Fraction(float(v)) for v in cfg.target.lifted_coeffs()]
+    worst = Fraction(0)
+    for i in range(traj.steps):
+        poly = _design_polynomial(traj.theta_hat[i], traj.gains[i], cfg.n)
+        exact = max(abs(c - a) for c, a in zip(poly, lifted))
+        row = dataclasses.replace(traj, theta_hat=traj.theta_hat[i : i + 1], gains=traj.gains[i : i + 1])
+        assert pole_placement_audit(row, cfg.target, cfg.decay_rate())["max_coeff_err"] >= exact
+        worst = max(worst, exact)
+    assert 0 < worst <= pole_placement_audit(traj, cfg.target, cfg.decay_rate())["max_coeff_err"]

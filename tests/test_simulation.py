@@ -18,6 +18,7 @@ from adaptive_pp import (
     TrajectoryFormatError,
     closed_loop_matrix,
     crude_bound_audit,
+    design_rhs,
     estimate_constants,
     gain_bound_fit,
     image_box,
@@ -28,7 +29,7 @@ from adaptive_pp import (
     solve_diophantine_batch,
     tracking_audit,
 )
-from adaptive_pp.simulation import _CHUNK, _max_sigma
+from adaptive_pp.simulation import _CHUNK, _max_sigma, _rouche_margin, _sigma_bound
 
 # ---------------------------------------------------------------------------
 # signals
@@ -486,18 +487,45 @@ def test_pruned_constants_keep_a_near_rank_one_maximum():
     assert alpha > 1e5
 
 
-def test_frobenius_pruning_keeps_a_maximum_outside_the_probe():
-    # 100 identities lead in Frobenius norm (sqrt 5) with sigma_max 1; the rank-one
-    # matrix (Frobenius norm = sigma_max = 1 + 1e-11) is outside the probe and wins
-    u = np.full(5, np.sqrt((1.0 + 1e-11) / 5.0))
-    mats = np.stack([np.eye(5)] * 100 + [np.outer(u, u)])
-    expected = np.linalg.svd(mats, compute_uv=False)[:, 0].max()
-    assert expected > 1.0
-    assert _max_sigma(mats, -np.inf) == expected
-    assert _max_sigma(mats, 2.0) == 2.0
-    mats[0, 0, 0] = np.nan  # a non-finite matrix fails as the full SVD does
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_gram_bound_dominates_sigma_max(n):
+    # 25k rows per order: random (theta, K), K not solved, each row scaled
+    # log-uniformly within 1e-3..1e6; in the first 100 rows theta lies on a
+    # column the shift rows read and K = 0, which makes the bound exact
+    rng = np.random.default_rng(40 + n)
+    dim = 2 * n + 1
+    thetas, gains = (
+        rng.normal(size=(25_000, dim)) * 10.0 ** rng.uniform(-3.0, 6.0, (25_000, 1)) for _ in "tk"
+    )
+    thetas[:100, :] = gains[:100, :] = 0.0
+    thetas[:100, 0] = 10.0 ** rng.uniform(-3.0, 6.0, 100)
+    sigma = np.linalg.svd(closed_loop_matrix(thetas, gains), compute_uv=False)[:, 0]
+    bound = _sigma_bound(thetas, gains)
+    # the pruning keeps a row unless its bound is below best * (1 - 1e-12),
+    # so this is the property it needs; rounding of the bound and of the SVD
+    # can leave the bound an ulp or two under a tight sigma_max, never more
+    assert np.all(bound >= sigma * (1.0 - 1e-12))
+    assert np.all(bound >= sigma * (1.0 - 4 * np.finfo(float).eps))
+
+
+def test_gram_pruning_keeps_a_maximum_outside_the_probe():
+    # n = 2: columns 2 and 4 carry no shift row.  100 rows with theta = 2 e_2
+    # have sigma_max 2 but the largest bound, sqrt(5); the row with
+    # theta = sqrt(3.5) e_0 has a tight bound sqrt(4.5), sits outside the
+    # probe, and wins
+    thetas = np.zeros((101, 5))
+    thetas[:100, 2] = 2.0
+    thetas[100, 0] = np.sqrt(3.5)
+    gains = np.zeros((101, 5))
+    bound = _sigma_bound(thetas, gains)
+    assert 100 not in np.argpartition(bound, -64)[-64:]
+    expected = np.linalg.svd(closed_loop_matrix(thetas, gains), compute_uv=False)[:, 0].max()
+    assert expected == pytest.approx(np.sqrt(4.5), rel=1e-15)
+    assert _max_sigma(thetas, gains, -np.inf) == expected
+    assert _max_sigma(thetas, gains, 3.0) == 3.0
+    thetas[0, 0] = np.nan  # a non-finite row fails as the full SVD does
     with pytest.raises(np.linalg.LinAlgError):
-        _max_sigma(mats, -np.inf)
+        _max_sigma(thetas, gains, -np.inf)
 
 
 def test_constants_memory_does_not_grow_with_samples(example_target):
@@ -531,45 +559,96 @@ def test_crude_bound_flags_an_impossible_constant(bench_run):
 
 def test_pole_audit_passes_and_detects_corruption(bench_run, example_target):
     _, traj = bench_run
-    assert pole_placement_audit(traj, example_target)["pass"]
+    assert pole_placement_audit(traj, example_target, 0.8)["pass"]
 
     broken = dataclasses.replace(traj, gains=traj.gains * 1.01)
-    report = pole_placement_audit(broken, example_target)
+    report = pole_placement_audit(broken, example_target, 0.8)
     assert not report["pass"]
     assert report["max_coeff_err"] > 1e-3
 
 
-def _pole_audit_per_row(traj: Trajectory, target: TargetPolynomial) -> dict:
-    """pole_placement_audit's reference: eigvals and np.poly on every finite row."""
-    lifted = target.lifted_coeffs()
-    scale = 1.0 + float(np.abs(lifted).max())
-    finite = np.isfinite(traj.theta_hat).all(axis=1) & np.isfinite(traj.gains).all(axis=1)
-    eig = np.linalg.eigvals(closed_loop_matrix(traj.theta_hat[finite], traj.gains[finite]))
-    max_err = 0.0 if finite.all() else np.inf
-    for row in eig:
-        max_err = max(max_err, float(np.abs(np.poly(row) - lifted).max()))
-    res_max = float(traj.dioph_residual.max())
-    violations = int(not max_err <= AUDIT_TOL * scale) + int(not res_max <= AUDIT_TOL * scale)
-    return {
-        "violations": violations,
-        "pass": violations == 0,
-        "max_coeff_err": max_err,
-        "max_residual": res_max,
-    }
-
-
-def test_deduplicated_pole_audit_equals_the_per_row_audit(bench_run, example_target):
+def test_pole_audit_flags_a_non_finite_row_and_a_single_nudged_gain(bench_run, example_target):
     _, traj = bench_run
-    # the rows repeat; corrupt one repeat only, so its estimate comes with two gain rows
-    repeat = int(np.flatnonzero((traj.theta_hat[1:] == traj.theta_hat[:-1]).all(axis=1))[0]) + 1
-    second = traj.gains.copy()
-    second[repeat] *= 1.01
     nan_row = traj.gains.copy()
     nan_row[10, 0] = np.nan
-    for gains in (traj.gains, traj.gains * 1.01, second, nan_row):
-        case = dataclasses.replace(traj, gains=gains)
-        assert pole_placement_audit(case, example_target) == _pole_audit_per_row(case, example_target)
-    assert not pole_placement_audit(dataclasses.replace(traj, gains=second), example_target)["pass"]
+    inf_row = traj.gains.copy()
+    inf_row[20, 1] = np.inf
+    nudged = traj.gains.copy()
+    nudged[317, 2] += 1e-6  # one row of 600, by a millionth
+    for gains in (nan_row, inf_row, nudged, traj.gains * 1.01):
+        report = pole_placement_audit(dataclasses.replace(traj, gains=gains), example_target, 0.8)
+        assert report["violations"] >= 1
+        assert not report["pass"]
+    report = pole_placement_audit(dataclasses.replace(traj, gains=nudged), example_target, 0.8)
+    assert report["max_coeff_err"] > 1e-7
+
+
+def test_pole_audit_certifies_the_decay_radius(bench_run, example_target):
+    _, traj = bench_run
+    report = pole_placement_audit(traj, example_target, 0.8)
+    assert report["lambda"] == 0.8
+    # a proven lower bound just under the exact minimum lam^4 (lam - 0.6)
+    assert 0.99 * 0.8**4 * 0.2 < report["rouche_margin"] < 0.8**4 * 0.2
+    assert report["max_coeff_err"] * sum(0.8**j for j in range(5)) < report["rouche_margin"]
+    assert report["violations"] == 0
+
+
+def test_pole_audit_fails_the_radius_check_past_the_rouche_margin(bench_run, example_target):
+    _, traj = bench_run
+    sum_powers = sum(0.8**j for j in range(5))
+    margin = pole_placement_audit(traj, example_target, 0.8)["rouche_margin"]
+    # scaling one gain row by 1 + d moves its coefficient error by d M x, and
+    # M x = Astar - Abar up to rounding: put eps just under and just over
+    # margin / sum lam^j, both far past AUDIT_TOL, which is one violation
+    rhs = design_rhs(traj.theta_hat[5], example_target.lifted_coeffs(), 2)
+    counts = []
+    for factor in (0.5, 2.0):
+        scaled = traj.gains.copy()
+        scaled[5] *= 1.0 + factor * margin / sum_powers / np.abs(rhs).max()
+        report = pole_placement_audit(dataclasses.replace(traj, gains=scaled), example_target, 0.8)
+        assert report["max_coeff_err"] > AUDIT_TOL
+        counts.append((report["max_coeff_err"] * sum_powers >= margin, report["violations"]))
+    assert counts == [(False, 1), (True, 2)]
+    # finer samples certify a radius a millionth above the target pole; one
+    # closer than the finest 2^20 arcs resolve leaves no certifiable margin,
+    # and one inside the pole certifies nothing even where the margin is positive
+    assert pole_placement_audit(traj, example_target, 0.6 + 1e-6)["violations"] == 0
+    for lam in (0.6 + 1e-9, 0.5):
+        report = pole_placement_audit(traj, example_target, lam)
+        assert report["violations"] == 1
+    assert report["rouche_margin"] > 0.0
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_rouche_margin_is_a_lower_bound_on_the_circle(n):
+    rng = np.random.default_rng(60 + n)
+    for _ in range(5):
+        roots = rng.uniform(0.3, 0.7, n) * np.exp(1j * rng.uniform(0.0, np.pi, n))
+        coeffs = np.real(np.poly(np.concatenate((roots, roots.conj()))))
+        target = TargetPolynomial(coeffs, n)
+        lam = rng.uniform(target.decay_floor() + 0.05, 0.99)
+        z = lam * np.exp(1j * np.linspace(0.0, 2.0 * np.pi, 400_001))
+        lifted = np.polyval(target.lifted_coeffs(), z)
+        dense = np.abs(lifted).min()
+        margin = _rouche_margin(target, lam)
+        assert 0.0 < margin <= dense
+        assert margin > 0.5 * dense
+
+
+@pytest.mark.parametrize("power", [2, 3])
+def test_pole_audit_certifies_a_repeated_pole_near_the_circle(power):
+    # (1 - 0.9 z^-1)^power at the default decay rate 0.95: min |q| on the
+    # circle is 0.05^power, below the slack of the first 2^11 samples
+    cfg = dataclasses.replace(_seeded_cfg(1), target=TargetPolynomial(np.poly([0.9] * power), 1))
+    lam = cfg.decay_rate()
+    assert lam == pytest.approx(0.95, rel=1e-5)
+    z = lam * np.exp(1j * np.linspace(0.0, np.pi, 400_001))
+    dense = np.abs(np.polyval(cfg.target.lifted_coeffs(), z)).min()
+    margin = _rouche_margin(cfg.target, lam)
+    assert 0.4 * dense < margin <= dense
+    report = pole_placement_audit(run_closed_loop(cfg), cfg.target, lam)
+    assert report["pass"]
+    assert report["rouche_margin"] == margin
 
 
 def test_gain_bound_fit_validates_lam(bench_run, example_target):
