@@ -130,14 +130,23 @@ class DesignBatch(NamedTuple):
     thresholds: np.ndarray  # (count,) singularity threshold of each
 
 
+@lru_cache(maxsize=None)
+def _gain_order(n: int) -> np.ndarray:
+    """Index taking a solution [l_1..l_n, p_1..p_{n+1}] to the order [p, l] of the gain row."""
+    order = np.r_[n : 2 * n + 1, :n]
+    order.flags.writeable = False
+    return order
+
+
 def design_rhs(thetas: np.ndarray, lifted: np.ndarray, n: int) -> np.ndarray:
     """Right side Astar - Abar of the design system on the powers z^{-1}..z^{-(2n+1)}.
 
     One row per estimate of a (..., 2n+1) stack; Abar's coefficients are the
     negated abar_k, so the first n+1 entries add them.
     """
-    rhs = np.tile(lifted[1:], thetas.shape[:-1] + (1,))
-    rhs[..., : n + 1] += thetas[..., : n + 1]
+    rhs = np.empty(thetas.shape[:-1] + (2 * n + 1,))
+    np.add(thetas[..., : n + 1], lifted[1 : n + 2], out=rhs[..., : n + 1])
+    rhs[..., n + 1 :] = lifted[n + 2 :]
     return rhs
 
 
@@ -153,9 +162,10 @@ def solve_diophantine_batch(thetas: np.ndarray, lifted: np.ndarray, n: int) -> D
     m = sylvester_matrix(thetas, n)
     margins, thresholds, ok = sylvester_margin(m)
     rhs = design_rhs(thetas, lifted, n)
-    x = np.linalg.solve(m[ok], rhs[ok][:, :, None])[:, :, 0]
-    gains = np.concatenate((-x[:, n:], -x[:, :n]), axis=1)
-    return DesignBatch(ok, gains, margins, thresholds)
+    if not ok.all():
+        m, rhs = m[ok], rhs[ok]
+    x = np.linalg.solve(m, rhs[:, :, None])[:, :, 0]
+    return DesignBatch(ok, -x[:, _gain_order(n)], margins, thresholds)
 
 
 def solve_diophantine(theta_hat, target: TargetPolynomial) -> tuple[np.ndarray, float]:
@@ -182,7 +192,7 @@ def solve_diophantine(theta_hat, target: TargetPolynomial) -> tuple[np.ndarray, 
     # residual of Abar L + B P = Astar with L = [1, l], P = [0, p]
     recon = np.convolve(coeffs[: n + 2], np.concatenate(([1.0], x[:n])))
     recon += np.convolve(coeffs[n + 2 :], np.concatenate(([0.0], x[n:])))
-    return np.concatenate((-x[n:], -x[:n])), float(np.abs(recon - lifted).max())
+    return -x[_gain_order(n)], float(np.abs(recon - lifted).max())
 
 
 @lru_cache(maxsize=None)
@@ -234,10 +244,12 @@ def state_recursion_audit(
     """Replay psi(t+1) = A psi(t) + e1 e(t+1); the manifest record of the check.
 
     All arguments are per-record arrays; rows t and t+1 of psi bracket the
-    transition driven by theta_hat[t], gains[t], and e[t].  The identity is
-    exact by construction, so a max infinity-norm residual beyond
-    AUDIT_TOL * (1 + max ||psi||) means the simulation and the recursion
-    disagree; a NaN residual is a violation too.
+    transition driven by theta_hat[t], gains[t], and e[t].  A's estimate and
+    gain rows are replayed as stacked row products, which have the bits of
+    the loop's own dot products, and its other rows as a shift; no matrix is
+    built.  The identity is exact by construction, so a max infinity-norm
+    residual beyond AUDIT_TOL * (1 + max ||psi||) means the simulation and
+    the recursion disagree; a NaN residual is a violation too.
     """
     psi = np.asarray(psi, dtype=float)
     theta_hat = np.asarray(theta_hat, dtype=float)
@@ -245,9 +257,13 @@ def state_recursion_audit(
     e = np.asarray(e, dtype=float)
     residual = 0.0
     if psi.shape[0] >= 2:
-        mats = closed_loop_matrix(theta_hat[:-1], gains[:-1])
-        predicted = np.einsum("tij,tj->ti", mats, psi[:-1])
-        predicted[:, 0] += e[:-1]  # the innovation enters through e1
+        n = (psi.shape[1] - 1) // 2
+        rows = psi[:-1, None, :]
+        predicted = np.empty_like(psi[1:])
+        predicted[:, 1:] = psi[:-1, :-1]
+        # the innovation enters through e1
+        predicted[:, 0] = (rows @ theta_hat[:-1, :, None])[:, 0, 0] + e[:-1]
+        predicted[:, n + 1] = (rows @ gains[:-1, :, None])[:, 0, 0]
         residual = float(np.abs(predicted - psi[1:]).max())
     scale = 1.0 + float(np.linalg.norm(psi, axis=1).max(initial=0.0))
     violations = int(not residual <= AUDIT_TOL * scale)

@@ -68,9 +68,12 @@ def sylvester_coeffs(theta: np.ndarray, n: int) -> np.ndarray:
     B(z^{-1}) with its zero constant term.  A (..., 2n+1) stack of estimates
     gives a (..., 2n+3) stack.
     """
-    lead = np.ones(theta.shape[:-1] + (1,))
-    parts = (lead, -theta[..., : n + 1], np.zeros_like(lead), theta[..., n + 1 :])
-    return np.concatenate(parts, axis=-1)
+    c = np.empty(theta.shape[:-1] + (2 * n + 3,))
+    c[..., 0] = 1.0
+    np.negative(theta[..., : n + 1], out=c[..., 1 : n + 2])
+    c[..., n + 2] = 0.0
+    c[..., n + 3 :] = theta[..., n + 1 :]
+    return c
 
 
 def sylvester_matrix(theta, n: int) -> np.ndarray:

@@ -256,13 +256,26 @@ class Trajectory:
         return cols
 
     def to_csv(self) -> str:
-        """Render the documented column schema; floats carry 17 significant digits."""
-        cols = np.column_stack([getattr(self, field) for field, _ in TRAJECTORY_COLUMNS])
+        """Render the documented column schema; floats carry 17 significant digits.
+
+        The closing (thetahat, K, dioph_residual) block is formatted once per
+        run of consecutive rows with the same bits (a uint64 view keeps -0.0
+        and NaN apart).
+        """
+        head, block = (
+            np.column_stack([getattr(self, field) for field, _ in part])
+            for part in (TRAJECTORY_COLUMNS[:-3], TRAJECTORY_COLUMNS[-3:])
+        )
+        bits = block.view(np.uint64)
+        fresh = np.r_[True, (bits[1:] != bits[:-1]).any(axis=1)][: len(bits)]
         # "%d" renders the integral time axis; "%.17g" renders a Python float
         # exactly as f"{v:.17g}" does
-        fmt = "%d," + ",".join(["%.17g"] * (cols.shape[1] - 1))
+        fmt = ",%.17g" * block.shape[1]
+        blocks = [fmt % tuple(row) for row in block[fresh].tolist()]
+        fmt = "%d" + ",%.17g" * (head.shape[1] - 1)
+        runs = (np.cumsum(fresh) - 1).tolist()
         lines = [",".join(self.header(self.n))]
-        lines += [fmt % tuple(row) for row in cols.tolist()]
+        lines += [fmt % tuple(row) + blocks[k] for row, k in zip(head.tolist(), runs)]
         return "\n".join(lines) + "\n"
 
     def save(self, path) -> None:
@@ -347,76 +360,69 @@ def run_closed_loop(cfg: SimConfig) -> Trajectory:
     estimate is first pushed a millionth of the box width toward the box
     center and the solve retried once.  The design is re-solved only when
     the estimate changes.
+
+    The loop logs what each step computes: y, u, e, and psi(t+1) as the
+    next row of the regressor log it works in.  Each fresh solve logs one
+    (thetahat, K, residual) row and its first step; the other columns are
+    derived after the loop, with the bits a per-step copy would have.
     """
     cfg.validate()
     n = cfg.n
-    dim = 2 * n + 1
     aux_box = cfg.aux_box()
-    theta_star = cfg.theta_star()
     mu = cfg.law_mu()
+    steps = int(cfg.horizon)
+    w = [cfg.disturbance.value(i) for i in range(steps)]
+    r = [cfg.reference.value(i) for i in range(steps + 1)]
 
     a, b = cfg.theta_true.a, cfg.theta_true.b
     # psi(t0) from phi0 under the first set-point; y and u keep the raw
     # histories y(t)..y(t-n+1) and u(t)..u(t-n+1), newest first
-    r_t = cfg.reference.value(0)
     y, u = cfg.phi0[: n + 1], cfg.phi0[n + 1 :]
-    psi = np.concatenate((y - r_t, u[:-1] - u[1:]))
+    psi = np.empty((steps + 1, 2 * n + 1))
+    psi[0] = np.concatenate((y - r[0], u[:-1] - u[1:]))
     y, u = y[:n].copy(), u[:n].copy()
     theta = cfg.theta0
 
-    steps = int(cfg.horizon)
-    # one log per schema column but the time axis, which is known up front
-    out = {
-        field: np.empty(steps if prefix is None else (steps, dim))
-        for field, prefix in TRAJECTORY_COLUMNS
-        if field != "t"
-    }
-
+    y_log, u_log, e = np.empty(steps), np.empty(steps), np.empty(steps)
+    solves, starts = [], []
     key = None
     for i in range(steps):
-        w_t = cfg.disturbance.value(i)
         if theta.tobytes() != key:
             theta, K, residual = _design(theta, cfg, aux_box, cfg.t0 + i)
             key = theta.tobytes()
-
-        out["y"][i] = y[0]
-        out["u"][i] = u[0]
-        out["w"][i] = w_t
-        out["r"][i] = r_t
-        out["ybar"][i] = psi[0]
-        out["ubar"][i] = psi[n + 1]
-        out["dioph_residual"][i] = residual
-        out["psi"][i] = psi
-        out["theta_hat"][i] = theta
-        out["gains"][i] = K
+            solves.append((theta, K, residual))
+            starts.append(i)
+        y_log[i] = y[0]
+        u_log[i] = u[0]
 
         # the plant difference equation; the grouping fixes the output bits
         u_term = float(b[0] * u[0])
         if n > 1:
             u_term += float(b[1:] @ u[1:])
-        y_next = float(a @ y) + u_term + w_t
-        r_t = cfg.reference.value(i + 1)
-        ybar_next = y_next - r_t
-        out["wbar"][i] = ybar_next - float(psi @ theta_star)
-        theta, out["e"][i] = projection_step(theta, psi, ybar_next, mu, aux_box)
-        ubar_next = float(K @ psi)
+        y_next = float(a @ y) + u_term + w[i]
+        ybar_next = y_next - r[i + 1]
+        now, nxt = psi[i], psi[i + 1]
+        theta, e[i] = projection_step(theta, now, ybar_next, mu, aux_box)
+        ubar_next = float(K @ now)
 
         # shift the histories and the regressor: newest values in front
         y[1:] = y[:-1]
         y[0] = y_next
         u[1:] = u[:-1]
         u[0] += ubar_next
-        psi[1 : n + 1] = psi[:n]
-        psi[0] = ybar_next
-        psi[n + 2 :] = psi[n + 1 : dim - 1]
-        psi[n + 1] = ubar_next
+        nxt[1:] = now[:-1]
+        nxt[0] = ybar_next
+        nxt[n + 1] = ubar_next
 
+    solve_of = np.repeat(np.arange(len(starts)), np.diff(starts + [steps]))
+    thetas, gains, residuals = (np.array(col)[solve_of] for col in zip(*solves))
+    # the stacked row product has the bits of each step's psi @ theta_star
+    seen = (psi[:-1, None, :] @ cfg.theta_star()[:, None])[:, 0, 0]
     return Trajectory(
-        n=n,
-        mu=cfg.mu,
-        t=cfg.t0 + np.arange(steps),
-        phi=_phi_history(out["y"], out["u"], cfg.phi0, n),
-        **out,
+        n=n, mu=cfg.mu, t=cfg.t0 + np.arange(steps), y=y_log, u=u_log, w=np.array(w),
+        r=np.array(r[:-1]), ybar=psi[:-1, 0].copy(), ubar=psi[:-1, n + 1].copy(),
+        wbar=psi[1:, 0] - seen, e=e, psi=psi[:-1], theta_hat=thetas, gains=gains,
+        dioph_residual=residuals, phi=_phi_history(y_log, u_log, cfg.phi0, n),
     )
 
 
@@ -437,7 +443,7 @@ class ConstantsEstimate:
 # estimates per streamed chunk of estimate_constants, and the rows of largest
 # sigma_max bound whose SVD seeds each chunk's pruning cutoff
 _CHUNK = 8192
-_PROBE = 64
+_PROBE = 8
 
 
 def _box_chunks(box: BoxSet, rng: np.random.Generator, samples: int):

@@ -226,6 +226,20 @@ def test_recursion_audit_detects_a_spike():
     assert record["max_residual"] >= 0.5 - 1e-9
 
 
+def test_recursion_audit_detects_a_wrong_gain_row_and_a_nan():
+    psi, theta_log, gains_log, e = _recursion_rollout(200, 4)
+    wrong = gains_log.copy()
+    wrong[50, 2] += 1e-3
+    record = state_recursion_audit(psi, theta_log, wrong, e)
+    assert not record["pass"] and record["max_residual"] >= 1e-3 * abs(psi[50, 2]) * 0.5
+    for log in (psi, theta_log, gains_log):
+        bad = log.copy()
+        bad[120, 0] = np.nan
+        args = [bad if arr is log else arr for arr in (psi, theta_log, gains_log)]
+        record = state_recursion_audit(*args, e)
+        assert not record["pass"] and record["violations"] == 1
+
+
 def test_recursion_audit_trivial_cases():
     zeros = np.zeros((1, 3))
     record = state_recursion_audit(zeros, zeros, zeros, np.zeros(1))

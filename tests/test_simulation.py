@@ -29,7 +29,16 @@ from adaptive_pp import (
     solve_diophantine_batch,
     tracking_audit,
 )
-from adaptive_pp.simulation import _CHUNK, _max_sigma, _rouche_margin, _sigma_bound
+from adaptive_pp.estimator import projection_step
+from adaptive_pp.simulation import (
+    TRAJECTORY_COLUMNS,
+    _CHUNK,
+    _design,
+    _max_sigma,
+    _phi_history,
+    _rouche_margin,
+    _sigma_bound,
+)
 
 # ---------------------------------------------------------------------------
 # signals
@@ -287,6 +296,125 @@ def test_nudge_recovers_a_singular_start():
     assert clean.theta_hat[0, 2] == 2.0
 
 
+def _per_step_loop(cfg: SimConfig) -> Trajectory:
+    """The loop logging every column at every step: the reference for run_closed_loop."""
+    cfg.validate()
+    n = cfg.n
+    dim = 2 * n + 1
+    aux_box = cfg.aux_box()
+    theta_star = cfg.theta_star()
+    mu = cfg.law_mu()
+    a, b = cfg.theta_true.a, cfg.theta_true.b
+    r_t = cfg.reference.value(0)
+    y, u = cfg.phi0[: n + 1], cfg.phi0[n + 1 :]
+    psi = np.concatenate((y - r_t, u[:-1] - u[1:]))
+    y, u = y[:n].copy(), u[:n].copy()
+    theta = cfg.theta0
+    steps = int(cfg.horizon)
+    out = {
+        field: np.empty(steps if prefix is None else (steps, dim))
+        for field, prefix in TRAJECTORY_COLUMNS
+        if field != "t"
+    }
+    key = None
+    for i in range(steps):
+        w_t = cfg.disturbance.value(i)
+        if theta.tobytes() != key:
+            theta, K, residual = _design(theta, cfg, aux_box, cfg.t0 + i)
+            key = theta.tobytes()
+        out["y"][i] = y[0]
+        out["u"][i] = u[0]
+        out["w"][i] = w_t
+        out["r"][i] = r_t
+        out["ybar"][i] = psi[0]
+        out["ubar"][i] = psi[n + 1]
+        out["dioph_residual"][i] = residual
+        out["psi"][i] = psi
+        out["theta_hat"][i] = theta
+        out["gains"][i] = K
+        u_term = float(b[0] * u[0])
+        if n > 1:
+            u_term += float(b[1:] @ u[1:])
+        y_next = float(a @ y) + u_term + w_t
+        r_t = cfg.reference.value(i + 1)
+        ybar_next = y_next - r_t
+        out["wbar"][i] = ybar_next - float(psi @ theta_star)
+        theta, out["e"][i] = projection_step(theta, psi, ybar_next, mu, aux_box)
+        ubar_next = float(K @ psi)
+        y[1:] = y[:-1]
+        y[0] = y_next
+        u[1:] = u[:-1]
+        u[0] += ubar_next
+        psi[1 : n + 1] = psi[:n]
+        psi[0] = ybar_next
+        psi[n + 2 :] = psi[n + 1 : dim - 1]
+        psi[n + 1] = ubar_next
+    return Trajectory(
+        n=n, mu=cfg.mu, t=cfg.t0 + np.arange(steps),
+        phi=_phi_history(out["y"], out["u"], cfg.phi0, n), **out,
+    )
+
+
+def _kicked_first_order_cfg(nudge: bool) -> SimConfig:
+    """A first-order loop whose gain estimate is clipped onto b = 0, a singular design, at step 12."""
+    return SimConfig(
+        n=1,
+        theta_true=PlantParameters([0.5], [0.2]),
+        box=BoxSet([0.3, 0.0], [0.7, 4.0]),
+        target=TargetPolynomial([1.0, -0.5], 1),
+        mu=0.1,
+        theta0=np.array([1.5, -0.5, 0.3]),
+        phi0=np.zeros(4),
+        reference=SignalSpec("constant", magnitude=1.0),
+        disturbance=SignalSpec("custom", values=np.random.default_rng(2).uniform(-2, 2, 41)),
+        horizon=40,
+        nudge_singular=nudge,
+    )
+
+
+def _oracle_cases():
+    for n in (1, 2, 3, 4):
+        for law in ("classical", "ideal"):
+            yield pytest.param(n, law, id=f"n{n}-{law}")
+
+
+def _assert_bit_equal(new: Trajectory, old: Trajectory) -> None:
+    for field in dataclasses.fields(Trajectory):
+        a, b = np.asarray(getattr(new, field.name)), np.asarray(getattr(old, field.name))
+        assert (a.dtype, a.shape) == (b.dtype, b.shape), field.name
+        assert np.array_equal(a.view(np.uint64), b.view(np.uint64)), field.name
+
+
+@pytest.mark.parametrize("n, law", _oracle_cases())
+def test_loop_equals_the_per_step_oracle(n, law):
+    cfg = dataclasses.replace(_seeded_cfg(n), estimator_mode=law)
+    _assert_bit_equal(run_closed_loop(cfg), _per_step_loop(cfg))
+    # a custom reference too, without the nudge
+    rng = np.random.default_rng(n)
+    cfg = dataclasses.replace(
+        cfg, reference=SignalSpec("custom", values=rng.uniform(-1, 1, 81)), nudge_singular=False
+    )
+    _assert_bit_equal(run_closed_loop(cfg), _per_step_loop(cfg))
+
+
+def test_loop_equals_the_oracle_through_singular_designs():
+    for b0 in (0.0, 2.0):
+        cfg = _first_order_cfg(b0, nudge=True)
+        _assert_bit_equal(run_closed_loop(cfg), _per_step_loop(cfg))
+    # the estimate is clipped onto the singular b = 0 face mid-run
+    kicked = _kicked_first_order_cfg(nudge=True)
+    traj = run_closed_loop(kicked)
+    # nudged a millionth of the box width off the face
+    assert traj.theta_hat[12, 2] == pytest.approx(4e-6, rel=1e-9)
+    _assert_bit_equal(traj, _per_step_loop(kicked))
+    with pytest.raises(SingularSylvesterError) as new:
+        run_closed_loop(_kicked_first_order_cfg(nudge=False))
+    with pytest.raises(SingularSylvesterError) as old:
+        _per_step_loop(_kicked_first_order_cfg(nudge=False))
+    assert new.value.step == old.value.step == 12
+    assert str(new.value) == str(old.value)
+
+
 # ---------------------------------------------------------------------------
 # CSV round trip
 
@@ -332,6 +460,52 @@ def test_csv_rows_match_the_per_field_rendering(example_config):
     text = odd.to_csv()
     assert text == _csv_per_field(odd)
     assert text.splitlines()[1].split(",")[1] == "nan" and ",-0," in text
+
+
+def _csv_per_row(traj: Trajectory) -> str:
+    """The schema rendered with one "%d," + "%.17g"... format per row, block runs not shared."""
+    cols = np.column_stack([getattr(traj, field) for field, _ in TRAJECTORY_COLUMNS])
+    fmt = "%d," + ",".join(["%.17g"] * (cols.shape[1] - 1))
+    lines = [",".join(Trajectory.header(traj.n))]
+    lines += [fmt % tuple(row) for row in cols.tolist()]
+    return "\n".join(lines) + "\n"
+
+
+def _hand_built(block: np.ndarray) -> Trajectory:
+    """An n = 1 trajectory with the given (thetahat, K, residual) rows and random other columns."""
+    steps = block.shape[0]
+    rng = np.random.default_rng(steps)
+    col = lambda: rng.normal(size=steps)  # noqa: E731
+    return Trajectory(
+        n=1, mu=0.1, t=np.arange(steps), y=col(), u=col(), w=col(), r=col(), ybar=col(),
+        ubar=col(), wbar=col(), e=col(), psi=rng.normal(size=(steps, 3)),
+        theta_hat=block[:, :3], gains=block[:, 3:6], dioph_residual=block[:, 6],
+        phi=rng.normal(size=(steps, 4)),
+    )
+
+
+def _estimate_blocks(case: str) -> np.ndarray:
+    rng = np.random.default_rng(7)
+    if case == "distinct":
+        return rng.normal(size=(9, 7))
+    if case == "equal":
+        return np.tile(rng.normal(size=7), (9, 1))
+    block = np.zeros((9, 7))
+    if case == "signed_zero":
+        # equal under == to the rows around them, but not bit for bit
+        block[2, 1] = block[5, 6] = -0.0
+        block[7, 3:6] = -0.0
+    else:
+        block[1:4, 0] = np.nan
+        block[3, 4] = block[6, 2] = np.inf
+        block[4:6, 5] = block[8, 6] = -np.inf
+    return block
+
+
+@pytest.mark.parametrize("case", ["signed_zero", "non_finite", "distinct", "equal"])
+def test_csv_equals_the_per_row_rendering_on_hand_built_estimate_runs(case):
+    traj = _hand_built(_estimate_blocks(case))
+    assert traj.to_csv() == _csv_per_row(traj)
 
 
 def test_csv_parse_is_bit_equal_to_per_field_float(example_config):
