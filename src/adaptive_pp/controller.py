@@ -27,6 +27,7 @@ import numpy as np
 
 from .estimator import AUDIT_TOL
 from .polynomial import (
+    SINGULAR_REL_THRESHOLD,
     sylvester_coeffs,
     sylvester_gather,
     sylvester_margin,
@@ -141,10 +142,11 @@ def _gain_order(n: int) -> np.ndarray:
 def design_rhs(thetas: np.ndarray, lifted: np.ndarray, n: int) -> np.ndarray:
     """Right side Astar - Abar of the design system on the powers z^{-1}..z^{-(2n+1)}.
 
-    One row per estimate of a (..., 2n+1) stack; Abar's coefficients are the
-    negated abar_k, so the first n+1 entries add them.
+    One row per estimate of a (..., 2n+1) stack, in the stack's memory order;
+    Abar's coefficients are the negated abar_k, so the first n+1 entries add
+    them.
     """
-    rhs = np.empty(thetas.shape[:-1] + (2 * n + 1,))
+    rhs = np.empty_like(thetas, dtype=float)
     np.add(thetas[..., : n + 1], lifted[1 : n + 2], out=rhs[..., : n + 1])
     rhs[..., n + 1 :] = lifted[n + 2 :]
     return rhs
@@ -166,6 +168,101 @@ def solve_diophantine_batch(thetas: np.ndarray, lifted: np.ndarray, n: int) -> D
         m, rhs = m[ok], rhs[ok]
     x = np.linalg.solve(m, rhs[:, :, None])[:, :, 0]
     return DesignBatch(ok, -x[:, _gain_order(n)], margins, thresholds)
+
+
+def _gamma(k: int) -> float:
+    """Higham's gamma_k = k u / (1 - k u), u the unit roundoff.
+
+    It bounds the relative rounding error of a k-term sum of products.
+    """
+    u = np.finfo(float).eps / 2
+    return k * u / (1.0 - k * u)
+
+
+def _certified_design(thetas: np.ndarray, lifted: np.ndarray, n: int):
+    """Prove LAPACK's design verdict and bound its gain row at every row of a stack, without it.
+
+    Returns (decided, regular, gains, slack) over a (count, 2n+1) stack.
+    Where `decided`, `regular` is the verdict `solve_diophantine_batch`
+    gives; where it is also regular, the gain row K_L that LAPACK's solve
+    returns is within `slack` of `gains` in the 2-norm.
+
+    All rows are eliminated at once, entry by entry across the stack.  Abar
+    is monic, so by `sylvester_layout` the top-left n x n block of M is unit
+    lower triangular: n pivot-free steps leave an (n+1) x (n+1) Schur
+    complement, eliminated with partial pivoting, the right side b attached.
+    That is an LU factorization L'U' of a row permutation of M, so with
+    d = 2n+1 and any pivot and summation order (Higham, Accuracy and
+    Stability of Numerical Algorithms, Thms 9.3-9.4) the computed x' solves
+    (M + F')x' = b and det(M + E') is exactly the product of the pivots, with
+    ||E'||, ||F'|| <= phi' = gamma_3d ||L'||_F ||U'||_F, and by AM-GM
+    ||L'||_F ||U'||_F <= (||L'||_F^2 + ||U'||_F^2) / 2.  LAPACK's getrf (inside
+    det) and gesv pivot partially, so |l| <= 1 and |u| <= 2^(d-1) max|m_ij|,
+    and the same holds for its x_L and pivot product with
+    phi_L = gamma_3d d(d+1)/2 2^(d-1) max|m_ij|.  Both are doubled for their
+    own rounding and for LAPACK's rounded growth.
+
+    * sigma_min(M) >= s: the singular values of M + E' multiply to the
+      pivot product, within gamma_d of its computed modulus D', and by AM-GM
+      the largest d-1 multiply to at most (||M + E'||_F^2/(d-1))^n; Weyl then
+      gives s = D' (1 - 1e-12) ((d-1)/(||M||_F + phi')^2)^n - phi', the
+      guard covering D' and the norm's rounding.
+    * With r = phi/s, ||M^-1 E|| <= r, and det(M + E) = det M det(I + M^-1 E)
+      puts |det(M + E)| / |det M| in [(1-r)^d, (1+r)^d].  So LAPACK's pivot
+      product lies in D' [(1-r_L)^d/(1+r')^d, (1+r_L)^d/(1-r')^d], and for
+      r', r_L < 1/(2d) and w = d(r' + r_L) < 1 in D' [1-w, 1+3w]: Bernoulli's
+      inequality below, exp(1.2 w) above.  numpy's det is the exp of a sum of
+      logs of the pivots; the guard 1 +- 1e-10 covers that, the rounding of
+      D' and of the bracket, and the summation order of the threshold.  A
+      bracket wholly above the threshold, or wholly at or below it, is
+      LAPACK's verdict.
+    * x_L - x' = (M + F_L)^-1 (F' - F_L) x', so ||K_L - K'|| = ||x_L - x'||
+      <= ||x'|| (r' + r_L) / (1 - r_L), the slack.
+
+    A row is undecided unless s > 0, r', r_L < 1/(2d), the partial pivot
+    products and the AM-GM factor are normal numbers, and the bracket and
+    slack are finite; a NaN or Inf in the row fails these.
+    """
+    d = 2 * n + 1
+    cols = np.ascontiguousarray(thetas.T).T  # each entry's stack contiguous
+    # [M | b] in one gather, one (count,) array per entry
+    gather = np.column_stack((sylvester_gather(n), np.arange(2 * n + 3, 4 * n + 4)))
+    a = np.concatenate((sylvester_coeffs(cols, n).T, design_rhs(cols, lifted, n).T))[gather]
+    thr = np.abs(a[:, 0])  # singularity_threshold's row sums, a column at a time
+    for j in range(1, d):
+        thr += np.abs(a[:, j])
+    thr = SINGULAR_REL_THRESHOLD * np.maximum(1.0, thr.max(axis=0))
+    frob = np.sqrt(np.einsum("ijc,ijc->c", a[:, :d], a[:, :d]))
+    peak = np.abs(a[:, [0, n]]).max(axis=(0, 1))  # columns 0 and n hold every coefficient
+    tiny = np.finfo(float).tiny
+    with np.errstate(all="ignore"):
+        for k in range(d):
+            if k >= n:  # partial pivoting on the Schur complement
+                for r in range(k + 1, d):
+                    hit = np.abs(a[r, k]) > np.abs(a[k, k])
+                    a[k, k:], a[r, k:] = np.where(hit, a[r, k:], a[k, k:]), np.where(hit, a[k, k:], a[r, k:])
+                a[k + 1 :, k] /= a[k, k]
+            j = max(k + 1, n)  # row k < n of U' is e_k up to column n
+            a[k + 1 :, j:] -= a[k + 1 :, k, None] * a[k, None, j:]
+        x = a[:, d]  # back substitution in place
+        for k in range(d - 1, -1, -1):
+            x[k] = (x[k] - np.einsum("jc,jc->c", a[k, k + 1 : d], x[k + 1 :])) / a[k, k]
+        partial = np.cumprod(a[range(n, d), range(n, d)], axis=0)
+        g = 2.0 * _gamma(3 * d)
+        phi = g * (d + np.einsum("ijc,ijc->c", a[:, :d], a[:, :d])) / 2
+        phi_l = g * d * (d + 1) / 2 * 2.0 ** (d - 1) * peak
+        piv = np.abs(partial[-1])
+        amgm = ((d - 1) / np.square(frob + phi)) ** n
+        s = piv * (1.0 - 1e-12) * amgm - phi
+        r, r_l = phi / s, phi_l / s
+        w = d * (r + r_l)
+        slack = np.sqrt(np.einsum("ic,ic->c", x, x)) * (r + r_l) / (1.0 - r_l)
+        sound = (s > 0.0) & (np.maximum(r, r_l) < 0.5 / d) & np.isfinite(piv) & np.isfinite(slack)
+        sound &= (np.abs(partial).min(axis=0) >= tiny) & (amgm >= tiny)
+    regular = sound & (piv * (1.0 - w) * (1.0 - 1e-10) > thr)
+    singular = sound & (piv * (1.0 + 3.0 * w) * (1.0 + 1e-10) <= thr)
+    np.negative(x, out=x)
+    return regular | singular, regular, x[_gain_order(n)].T, slack
 
 
 def solve_diophantine(theta_hat, target: TargetPolynomial) -> tuple[np.ndarray, float]:
@@ -190,8 +287,11 @@ def solve_diophantine(theta_hat, target: TargetPolynomial) -> tuple[np.ndarray, 
     lifted = target.lifted_coeffs()
     x = np.linalg.solve(m, design_rhs(theta, lifted, n))  # [l_1..l_n, p_1..p_{n+1}]
     # residual of Abar L + B P = Astar with L = [1, l], P = [0, p]
-    recon = np.convolve(coeffs[: n + 2], np.concatenate(([1.0], x[:n])))
-    recon += np.convolve(coeffs[n + 2 :], np.concatenate(([0.0], x[n:])))
+    lp = np.empty(2 * n + 3)
+    lp[0], lp[n + 1] = 1.0, 0.0
+    lp[1 : n + 1], lp[n + 2 :] = x[:n], x[n:]
+    recon = np.convolve(coeffs[: n + 2], lp[: n + 1])
+    recon += np.convolve(coeffs[n + 2 :], lp[n + 1 :])
     return -x[_gain_order(n)], float(np.abs(recon - lifted).max())
 
 

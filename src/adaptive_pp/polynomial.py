@@ -66,9 +66,9 @@ def sylvester_coeffs(theta: np.ndarray, n: int) -> np.ndarray:
 
     c[:n+2] lists Abar(z^{-1}) = 1 - sum_k abar_k z^{-k} and c[n+2:] lists
     B(z^{-1}) with its zero constant term.  A (..., 2n+1) stack of estimates
-    gives a (..., 2n+3) stack.
+    gives a (..., 2n+3) stack in the stack's memory order.
     """
-    c = np.empty(theta.shape[:-1] + (2 * n + 3,))
+    c = np.empty_like(theta, dtype=float, shape=theta.shape[:-1] + (2 * n + 3,))
     c[..., 0] = 1.0
     np.negative(theta[..., : n + 1], out=c[..., 1 : n + 2])
     c[..., n + 2] = 0.0

@@ -45,6 +45,8 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .controller import (
     SingularSylvesterError,
     TargetPolynomial,
+    _certified_design,
+    _gamma,
     closed_loop_matrix,
     design_rhs,
     solve_diophantine,
@@ -441,7 +443,7 @@ class ConstantsEstimate:
 
 
 # estimates per streamed chunk of estimate_constants, and the rows of largest
-# sigma_max bound whose SVD seeds each chunk's pruning cutoff
+# sigma_max bound whose solve and SVD seed each chunk's pruning cutoff
 _CHUNK = 8192
 _PROBE = 8
 
@@ -459,18 +461,25 @@ def _box_chunks(box: BoxSet, rng: np.random.Generator, samples: int):
         yield np.array(chunk)
 
 
-def _sigma_bound(thetas: np.ndarray, gains: np.ndarray) -> np.ndarray:
+def _sigma_bound(thetas: np.ndarray, gains: np.ndarray, slack: float | np.ndarray = 0.0) -> np.ndarray:
     """Upper bound on sigma_max of the closed-loop matrix of each (theta, K) row.
 
     Every row of A(theta, K) is theta, K or one of the 2n-1 shift rows, which
     are distinct unit vectors, so A'A = D + theta theta' + K K' with D a 0/1
     diagonal.  By Weyl, sigma_max(A)^2 <= 1 + lambda_max(G), G the 2x2 Gram
-    matrix of theta and K: three row dot products per row.
+    matrix of theta and K: three row dot products per row.  sqrt(lambda_max)
+    is the 2-norm of the stacked rows [theta; K], so it grows by at most
+    `slack` when K moves by at most that much; the bound holds for every
+    such K.  G's entries are (2n+1)-term dot products, which moves
+    lambda_max by at most 2 gamma_{2n+1} lambda_max (Higham, section 3.1),
+    and a dozen roundings form the bound from G, so a factor
+    1 + 2 gamma_{2n+10} covers its own rounding.
     """
     pairs = ((thetas, thetas), (gains, gains), (thetas, gains))
     tt, kk, tk = (np.einsum("ij,ij->i", a, b) for a, b in pairs)
     half = 0.5 * (tt - kk)
-    return np.sqrt(1.0 + 0.5 * (tt + kk) + np.sqrt(half * half + tk * tk))
+    top = np.sqrt(0.5 * (tt + kk) + np.sqrt(half * half + tk * tk)) + slack
+    return np.sqrt(1.0 + top * top) * (1.0 + 2.0 * _gamma(thetas.shape[-1] + 9))
 
 
 def _max_sigma(thetas: np.ndarray, gains: np.ndarray, floor: float) -> float:
@@ -510,13 +519,15 @@ def estimate_constants(
 
     The estimates stream through in fixed-size chunks, draws first and then
     the vertices, with a running maximum, so memory stays bounded however
-    many samples or vertices there are.  A chunk's closed-loop matrices are
-    never built as a whole: a Gram bound on sigma_max from the estimate and
-    gain rows picks the few that can raise the maximum, and only those are
-    assembled for the SVD (see `_max_sigma`).  The result is the same float
-    as one SVD of every matrix: chunked draws reproduce the one-shot stream,
-    each matrix's LAPACK solve and SVD do not depend on the batch around it,
-    and a maximum does not depend on the order it is taken in.
+    many samples or vertices there are.  `controller._certified_design`
+    proves LAPACK's verdict at nearly every row of a chunk and, with
+    `_sigma_bound`, bounds sigma_max for LAPACK's gain row.  LAPACK solves
+    only the undecided rows, the _PROBE rows of largest bound, and the rows
+    whose bound reaches the maximum so far, and `_max_sigma` takes only its
+    gain rows.  The result is the same float as one LAPACK solve and SVD of
+    every row: chunked draws reproduce the one-shot stream, each matrix's
+    solve and SVD do not depend on the batch around it, a pruned row's
+    sigma_max is below the maximum, and a maximum does not depend on order.
     """
     n = target.n
     dim = 2 * n + 1
@@ -527,9 +538,18 @@ def estimate_constants(
     alpha = -np.inf
     used = total = 0
     for thetas in _box_chunks(aux_box, rng, int(samples)):
-        design = solve_diophantine_batch(thetas, lifted, n)
-        alpha = _max_sigma(thetas[design.ok], design.gains, alpha)
-        used += design.gains.shape[0]
+        decided, ok, gains, slack = _certified_design(thetas, lifted, n)
+        bound = np.where(ok, _sigma_bound(thetas, gains, slack), -np.inf)
+        lapack, done = ~decided, np.zeros_like(ok)
+        lapack[np.argpartition(bound, -_PROBE)[-_PROBE:] if bound.size > _PROBE else slice(None)] = True
+        while lapack.any():
+            design = solve_diophantine_batch(thetas[lapack], lifted, n)
+            ok[lapack] = design.ok
+            alpha = _max_sigma(thetas[lapack][design.ok], design.gains, alpha)
+            done |= lapack
+            # the rows whose bound reaches the maximum; a NaN bound is never below it
+            lapack = ok & ~done & ~(bound < alpha * (1.0 - 1e-12))
+        used += int(ok.sum())
         total += thetas.shape[0]
     if used == 0:
         raise ValueError(f"the design is singular at all {total} sampled estimates of the box")
@@ -566,15 +586,6 @@ def crude_bound_audit(traj: Trajectory, alpha_bar: float, s_bar: float) -> dict:
         "s_bar": s_bar,
         "alpha_required": alpha_required,
     }
-
-
-def _gamma(k: int) -> float:
-    """Higham's gamma_k = k u / (1 - k u), u the unit roundoff.
-
-    It bounds the relative rounding error of a k-term sum of products.
-    """
-    u = np.finfo(float).eps / 2
-    return k * u / (1.0 - k * u)
 
 
 def _rouche_margin(target: TargetPolynomial, lam: float) -> float:

@@ -1,5 +1,7 @@
 """Pole-placement design, gain application, and the closed-loop recursion."""
 
+import functools
+
 import numpy as np
 import pytest
 
@@ -8,11 +10,16 @@ from adaptive_pp import (
     SingularSylvesterError,
     TargetPolynomial,
     closed_loop_matrix,
+    design_rhs,
     image_box,
+    singularity_threshold,
     solve_diophantine,
     solve_diophantine_batch,
     state_recursion_audit,
+    sylvester_matrix,
 )
+from adaptive_pp.controller import _certified_design, _gamma
+from adaptive_pp.simulation import _sigma_bound
 
 BENCH_TARGET = TargetPolynomial([1.0, -0.6], 2)
 BENCH_THETA0 = np.array([0.0, -1.0, 2.0, -0.5, -4.0])
@@ -137,6 +144,110 @@ def test_batched_design_is_a_stack_of_single_solves(example_box):
         for vec, (K, _) in zip(thetas[batch.ok], solved)
     ]
     assert np.array_equal(residuals, [residual for _, residual in solved])
+
+
+# ---------------------------------------------------------------------------
+# the certified fast design pass, with LAPACK as the oracle
+
+
+def _spread_target(n: int) -> TargetPolynomial:
+    return TargetPolynomial(np.poly(np.linspace(-0.5, 0.5, n)), n)
+
+
+def _certificate_rows(n: int, count: int, seed: int) -> np.ndarray:
+    """Estimates of order n: a third generic, a third near a common root, a third with huge gains.
+
+    Generic rows are uniform in [-2, 2].  The next third start from Abar and
+    B sharing a factor (1 - rho q), or from B = 0 when n = 1, and are then
+    moved by 1e-12 to 1e-6.  The last third scale b down by 1e-2 to 1e-7.
+    """
+    rng = np.random.default_rng(seed)
+    thetas = rng.uniform(-2.0, 2.0, (count, 2 * n + 1))
+    third = count // 3
+    rho = rng.uniform(-1.5, 1.5, (third, 1))
+    abar = np.zeros((third, n + 2))
+    abar[:, 0] = 1.0
+    abar[:, 1 : n + 1] = rng.uniform(-1.0, 1.0, (third, n))
+    abar[:, 1:] -= rho * abar[:, :-1]
+    b = np.zeros((third, n + 1))
+    b[:, 1:n] = rng.uniform(-2.0, 2.0, (third, n - 1))
+    b[:, 2:] -= rho * b[:, 1:-1]
+    near = np.concatenate((-abar[:, 1:], b[:, 1:]), axis=1)
+    near += 10.0 ** rng.uniform(-12.0, -6.0, (third, 1)) * rng.normal(size=near.shape)
+    thetas[third : 2 * third] = near
+    thetas[2 * third :, n + 1 :] *= 10.0 ** rng.uniform(-7.0, -2.0, (count - 2 * third, 1))
+    return thetas
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_certified_design_agrees_with_lapack(n):
+    # 25k rows per order, 1e5 in all
+    target = _spread_target(n)
+    thetas = _certificate_rows(n, 25_000, seed=n)
+    decided, regular, gains, slack = _certified_design(thetas, target.lifted_coeffs(), n)
+    design = solve_diophantine_batch(thetas, target.lifted_coeffs(), n)
+    np.testing.assert_array_equal(regular[decided], design.ok[decided])
+    assert decided[: 25_000 // 3].all() and not decided.all()
+    if n == 1:
+        assert (decided & ~regular).any()  # some singular verdicts are proven too
+    lapack = np.full_like(thetas, np.nan)
+    lapack[design.ok] = design.gains
+    K, th = lapack[regular], thetas[regular]
+    assert np.all(np.linalg.norm(K - gains[regular], axis=1) <= slack[regular])
+    sigma = np.linalg.svd(closed_loop_matrix(th, K), compute_uv=False)[:, 0]
+    assert np.all(_sigma_bound(th, gains[regular], slack[regular]) >= sigma * (1.0 - 1e-12))
+    assert np.abs(K).max() > 1e6
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_certificate_covers_any_solve_within_lapacks_error_bound(n):
+    # the proof uses only LAPACK's backward error bound phi_L, so the slack
+    # must cover a solve of M + F for any ||F|| <= phi_L; near the identity,
+    # where the AM-GM bound on sigma_min is nearly tight, F = 0.9 phi_L
+    # u_min x'^T / ||x'|| moves the solution by about 0.9 phi_L ||x'|| / sigma_min
+    dim = 2 * n + 1
+    rng = np.random.default_rng(60 + n)
+    thetas = 0.05 * rng.normal(size=(200, dim))
+    thetas[0] = 0.0
+    thetas[:, -1] += 1.0  # Abar = 1 and B = q^n give M = I
+    lifted = _spread_target(n).lifted_coeffs()
+    _, regular, gains, slack = _certified_design(thetas, lifted, n)
+    assert regular.all()
+    m = sylvester_matrix(thetas, n)
+    x = np.concatenate((-gains[:, n + 1 :], -gains[:, : n + 1]), axis=1)
+    left = np.linalg.svd(m)[0][:, :, -1]
+    phi_l = _gamma(3 * dim) * dim * (dim + 1) / 2 * 2.0 ** (dim - 1) * np.abs(m).max(axis=(1, 2))
+    push = 0.9 * phi_l[:, None, None] * left[:, :, None] * (x / np.linalg.norm(x, axis=1, keepdims=True))[:, None, :]
+    moved = np.linalg.solve(m + push, design_rhs(thetas, lifted, n)[:, :, None])[:, :, 0]
+    assert np.all(np.linalg.norm(moved - x, axis=1) <= slack)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_certified_design_leaves_the_hard_rows_to_lapack(n):
+    dim = 2 * n + 1
+    rows = []
+    # Abar = 1 and B = b q^n make M diagonal with det b^(n+1), and every row
+    # sum is at most 1, so the threshold is 1e-12: |det| within 1e-9 of it
+    for t in (-9e-10, -1e-10, -1e-12, 0.0, 1e-12, 1e-10, 9e-10):
+        theta = np.zeros(dim)
+        theta[-1] = (1e-12 * (1.0 + t)) ** (1.0 / (n + 1))
+        rows.append(theta)
+    m = sylvester_matrix(np.array(rows), n)
+    assert np.all(np.abs(np.abs(np.linalg.det(m)) / singularity_threshold(m) - 1.0) < 1e-9)
+    generic = np.random.default_rng(7).uniform(-2.0, 2.0, dim)
+    for bad in (np.nan, np.inf, -np.inf):
+        for j in (0, dim - 1):
+            rows.append(generic.copy())
+            rows[-1][j] = bad
+    rows.append(np.concatenate((generic[: n + 1], np.zeros(n))))  # vanishing numerator
+    if n >= 2:
+        # Abar = (1 - q/2)(1 + q/2)^n and B = q (1 - q/2)(1 + q/4)^(n-2): exactly representable, a common root
+        abar = functools.reduce(np.convolve, [[1.0, 0.5]] * n, [1.0, -0.5])
+        b = functools.reduce(np.convolve, [[1.0, 0.25]] * (n - 2), [1.0, -0.5])
+        rows.append(np.concatenate((-abar[1:], b)))
+        assert abs(np.linalg.det(sylvester_matrix(rows[-1], n))) <= singularity_threshold(sylvester_matrix(rows[-1], n))
+    decided, regular, _, _ = _certified_design(np.array(rows), _spread_target(n).lifted_coeffs(), n)
+    assert not decided.any() and not regular.any()
 
 
 # ---------------------------------------------------------------------------

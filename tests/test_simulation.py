@@ -29,6 +29,7 @@ from adaptive_pp import (
     solve_diophantine_batch,
     tracking_audit,
 )
+from adaptive_pp import simulation
 from adaptive_pp.estimator import projection_step
 from adaptive_pp.simulation import (
     TRAJECTORY_COLUMNS,
@@ -643,12 +644,47 @@ def _seeded_problem(n: int):
 
 
 @pytest.mark.parametrize("samples", [_CHUNK // 2, _CHUNK, _CHUNK + 1])
-@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_pruned_streamed_constants_equal_a_full_svd(n, samples):
     aux_box, target = _seeded_problem(n)
     est = estimate_constants(aux_box, target, samples=samples, seed=n)
     alpha, used, skipped = _constants_by_brute_force(aux_box, target, samples, seed=n)
     assert (est.alpha_bar, est.samples_used, est.samples_skipped) == (alpha, used, skipped)
+
+
+def test_benchmark_constants_equal_a_full_svd(bench_constants, example_target):
+    aux_box = BoxSet([-1.0, -3.0, 1.0, -1.0, -5.0], [1.0, 1.0, 3.0, 0.0, -3.0])
+    alpha, used, skipped = _constants_by_brute_force(aux_box, example_target, 100_000, seed=0)
+    est = bench_constants
+    assert (est.alpha_bar, est.samples_used, est.samples_skipped) == (alpha, used, skipped)
+
+
+def test_benchmark_constants_send_few_rows_to_lapack(monkeypatch, example_target):
+    # the certificate decides nearly every row, so a silent fallback to
+    # LAPACK fails here and not only in the benchmark
+    solved = []
+
+    def counting(thetas, lifted, n):
+        solved.append(thetas.shape[0])
+        return solve_diophantine_batch(thetas, lifted, n)
+
+    monkeypatch.setattr(simulation, "solve_diophantine_batch", counting)
+    aux_box = BoxSet([-1.0, -3.0, 1.0, -1.0, -5.0], [1.0, 1.0, 3.0, 0.0, -3.0])
+    est = estimate_constants(aux_box, example_target, samples=100_000, seed=0)
+    assert est.samples_used == 100_032
+    assert 0 < sum(solved) <= 0.01 * 100_032
+
+
+def test_constants_with_skipped_samples_equal_a_full_svd():
+    # b straddles 0: the draws with |b| below about 1e-6 have a singular
+    # design, and the certificate proves some of those verdicts and leaves
+    # the rest to LAPACK
+    aux_box = image_box(BoxSet([-0.5, -1e-4], [-0.4, 1e-4]), 1)
+    target = TargetPolynomial([1.0, -0.5], 1)
+    est = estimate_constants(aux_box, target, samples=_CHUNK + 1, seed=3)
+    alpha, used, skipped = _constants_by_brute_force(aux_box, target, _CHUNK + 1, seed=3)
+    assert (est.alpha_bar, est.samples_used, est.samples_skipped) == (alpha, used, skipped)
+    assert skipped > 0
 
 
 def test_pruned_constants_keep_a_near_rank_one_maximum():
