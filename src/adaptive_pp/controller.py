@@ -127,8 +127,6 @@ class DesignBatch(NamedTuple):
 
     ok: np.ndarray          # (count,) True where the system is regular
     gains: np.ndarray       # (ok.sum(), 2n+1) gain rows of the regular systems
-    margins: np.ndarray     # (count,) |det| of each system matrix
-    thresholds: np.ndarray  # (count,) singularity threshold of each
 
 
 @lru_cache(maxsize=None)
@@ -162,12 +160,12 @@ def solve_diophantine_batch(thetas: np.ndarray, lifted: np.ndarray, n: int) -> D
     if thetas.ndim != 2:
         raise ValueError("expected a (count, 2n+1) stack of estimates")
     m = sylvester_matrix(thetas, n)
-    margins, thresholds, ok = sylvester_margin(m)
+    _, _, ok = sylvester_margin(m)
     rhs = design_rhs(thetas, lifted, n)
     if not ok.all():
         m, rhs = m[ok], rhs[ok]
     x = np.linalg.solve(m, rhs[:, :, None])[:, :, 0]
-    return DesignBatch(ok, -x[:, _gain_order(n)], margins, thresholds)
+    return DesignBatch(ok, -x[:, _gain_order(n)])
 
 
 def _gamma(k: int) -> float:

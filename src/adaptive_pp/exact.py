@@ -25,7 +25,7 @@ from operator import mul
 
 import numpy as np
 
-from .controller import closed_loop_layout
+from .controller import _gain_order, closed_loop_layout
 from .polynomial import sylvester_layout
 
 __all__ = [
@@ -182,7 +182,7 @@ def exact_pole_check(theta_hat: np.ndarray, target_lifted: np.ndarray, n: int) -
     # right side Astar - Abar on the powers z^{-1}..z^{-(2n+1)}; Abar = 1 - sum abar_k z^{-k}
     rhs = [astar[k] + (vals[k - 1] if k <= n + 1 else 0) for k in range(1, dim + 1)]
     x = _eliminate(_sylvester_fractions(vals, n).tolist(), rhs)
-    gains = [-v for v in x[n:]] + [-v for v in x[:n]]
+    gains = [-x[k] for k in _gain_order(n)]
 
     char = charpoly_fractions(_closed_loop_fractions(vals, gains, n).tolist())
     # char is det(zI - A) highest power first; so is the lifted target

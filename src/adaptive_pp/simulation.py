@@ -46,6 +46,7 @@ from .controller import (
     SingularSylvesterError,
     TargetPolynomial,
     _certified_design,
+    _gain_order,
     _gamma,
     closed_loop_matrix,
     design_rhs,
@@ -461,7 +462,7 @@ def _box_chunks(box: BoxSet, rng: np.random.Generator, samples: int):
         yield np.array(chunk)
 
 
-def _sigma_bound(thetas: np.ndarray, gains: np.ndarray, slack: float | np.ndarray = 0.0) -> np.ndarray:
+def _sigma_bound(thetas: np.ndarray, gains: np.ndarray, slack: float | np.ndarray) -> np.ndarray:
     """Upper bound on sigma_max of the closed-loop matrix of each (theta, K) row.
 
     Every row of A(theta, K) is theta, K or one of the 2n-1 shift rows, which
@@ -480,25 +481,6 @@ def _sigma_bound(thetas: np.ndarray, gains: np.ndarray, slack: float | np.ndarra
     half = 0.5 * (tt - kk)
     top = np.sqrt(0.5 * (tt + kk) + np.sqrt(half * half + tk * tk)) + slack
     return np.sqrt(1.0 + top * top) * (1.0 + 2.0 * _gamma(thetas.shape[-1] + 9))
-
-
-def _max_sigma(thetas: np.ndarray, gains: np.ndarray, floor: float) -> float:
-    """max(floor, largest sigma_max of the rows' closed-loop matrices), SVD only where it can win.
-
-    Only the _PROBE rows of largest `_sigma_bound` and the rows whose bound
-    reaches the best sigma_max so far are assembled into matrices for the
-    SVD.  The relative margin keeps a row whose rounded bound ties the
-    maximum, and a NaN bound is never below the cutoff, so a non-finite row
-    still reaches the SVD.
-    """
-    bound = _sigma_bound(thetas, gains)
-    probe = np.argpartition(bound, -_PROBE)[-_PROBE:] if bound.size > _PROBE else slice(None)
-    mats = closed_loop_matrix(thetas[probe], gains[probe])
-    lo = np.max(np.linalg.svd(mats, compute_uv=False)[:, 0], initial=floor)
-    keep = ~(bound < lo * (1.0 - 1e-12))
-    keep[probe] = False
-    mats = closed_loop_matrix(thetas[keep], gains[keep])
-    return float(np.max(np.linalg.svd(mats, compute_uv=False)[:, 0], initial=lo))
 
 
 def estimate_constants(
@@ -523,11 +505,12 @@ def estimate_constants(
     proves LAPACK's verdict at nearly every row of a chunk and, with
     `_sigma_bound`, bounds sigma_max for LAPACK's gain row.  LAPACK solves
     only the undecided rows, the _PROBE rows of largest bound, and the rows
-    whose bound reaches the maximum so far, and `_max_sigma` takes only its
-    gain rows.  The result is the same float as one LAPACK solve and SVD of
-    every row: chunked draws reproduce the one-shot stream, each matrix's
-    solve and SVD do not depend on the batch around it, a pruned row's
-    sigma_max is below the maximum, and a maximum does not depend on order.
+    whose bound reaches the maximum so far, and every regular row it solves
+    goes to the SVD with LAPACK's gain row.  The result is the same float as
+    one LAPACK solve and SVD of every row: chunked draws reproduce the
+    one-shot stream, each matrix's solve and SVD do not depend on the batch
+    around it, a pruned row's sigma_max is below the maximum, and a maximum
+    does not depend on order.
     """
     n = target.n
     dim = 2 * n + 1
@@ -545,9 +528,11 @@ def estimate_constants(
         while lapack.any():
             design = solve_diophantine_batch(thetas[lapack], lifted, n)
             ok[lapack] = design.ok
-            alpha = _max_sigma(thetas[lapack][design.ok], design.gains, alpha)
+            mats = closed_loop_matrix(thetas[lapack][design.ok], design.gains)
+            alpha = float(np.max(np.linalg.svd(mats, compute_uv=False)[:, 0], initial=alpha))
             done |= lapack
-            # the rows whose bound reaches the maximum; a NaN bound is never below it
+            # the rows whose bound reaches the maximum; the relative margin keeps a
+            # row whose rounded bound ties it, and a NaN bound is never below it
             lapack = ok & ~done & ~(bound < alpha * (1.0 - 1e-12))
         used += int(ok.sum())
         total += thetas.shape[0]
@@ -638,7 +623,8 @@ def pole_placement_audit(traj: Trajectory, target: TargetPolynomial, lam: float)
     scale = 1.0 + float(np.abs(lifted).max())
     m = sylvester_matrix(traj.theta_hat, n)
     rhs = design_rhs(traj.theta_hat, lifted, n)
-    x = np.concatenate((-traj.gains[:, n + 1 :], -traj.gains[:, : n + 1]), axis=1)[:, :, None]
+    x = np.empty(traj.gains.shape + (1,))
+    x[:, _gain_order(n), 0] = -traj.gains
     margin = _rouche_margin(target, lam)
     with np.errstate(invalid="ignore", over="ignore"):
         r = (m @ x)[:, :, 0] - rhs

@@ -35,7 +35,6 @@ from adaptive_pp.simulation import (
     TRAJECTORY_COLUMNS,
     _CHUNK,
     _design,
-    _max_sigma,
     _phi_history,
     _rouche_margin,
     _sigma_bound,
@@ -710,7 +709,7 @@ def test_gram_bound_dominates_sigma_max(n):
     thetas[:100, :] = gains[:100, :] = 0.0
     thetas[:100, 0] = 10.0 ** rng.uniform(-3.0, 6.0, 100)
     sigma = np.linalg.svd(closed_loop_matrix(thetas, gains), compute_uv=False)[:, 0]
-    bound = _sigma_bound(thetas, gains)
+    bound = _sigma_bound(thetas, gains, 0.0)
     # the pruning keeps a row unless its bound is below best * (1 - 1e-12),
     # so this is the property it needs; rounding of the bound and of the SVD
     # can leave the bound an ulp or two under a tight sigma_max, never more
@@ -718,24 +717,25 @@ def test_gram_bound_dominates_sigma_max(n):
     assert np.all(bound >= sigma * (1.0 - 4 * np.finfo(float).eps))
 
 
-def test_gram_pruning_keeps_a_maximum_outside_the_probe():
-    # n = 2: columns 2 and 4 carry no shift row.  100 rows with theta = 2 e_2
-    # have sigma_max 2 but the largest bound, sqrt(5); the row with
-    # theta = sqrt(3.5) e_0 has a tight bound sqrt(4.5), sits outside the
-    # probe, and wins
-    thetas = np.zeros((101, 5))
-    thetas[:100, 2] = 2.0
-    thetas[100, 0] = np.sqrt(3.5)
-    gains = np.zeros((101, 5))
-    bound = _sigma_bound(thetas, gains)
-    assert 100 not in np.argpartition(bound, -64)[-64:]
-    expected = np.linalg.svd(closed_loop_matrix(thetas, gains), compute_uv=False)[:, 0].max()
-    assert expected == pytest.approx(np.sqrt(4.5), rel=1e-15)
-    assert _max_sigma(thetas, gains, -np.inf) == expected
-    assert _max_sigma(thetas, gains, 3.0) == 3.0
-    thetas[0, 0] = np.nan  # a non-finite row fails as the full SVD does
-    with pytest.raises(np.linalg.LinAlgError):
-        _max_sigma(thetas, gains, -np.inf)
+@pytest.mark.parametrize("fake", ["chunk_max", "nan"])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_constants_loop_past_a_one_row_probe(monkeypatch, n, fake):
+    # a bound that is the same on every row of a chunk ranks nothing, so the
+    # one-row probe is an arbitrary row and the maximum lies outside it: the
+    # loop must solve and SVD past the probe.  The chunk's largest true bound
+    # is still a valid bound; a NaN bound is never pruned
+    true_bound = simulation._sigma_bound
+
+    def flat(*args):
+        bound = true_bound(*args)
+        return np.full_like(bound, bound.max() if fake == "chunk_max" else np.nan)
+
+    monkeypatch.setattr(simulation, "_PROBE", 1)
+    monkeypatch.setattr(simulation, "_sigma_bound", flat)
+    aux_box, target = _seeded_problem(n)
+    est = estimate_constants(aux_box, target, samples=_CHUNK + 1, seed=n)
+    alpha, used, skipped = _constants_by_brute_force(aux_box, target, _CHUNK + 1, seed=n)
+    assert (est.alpha_bar, est.samples_used, est.samples_skipped) == (alpha, used, skipped)
 
 
 def test_constants_memory_does_not_grow_with_samples(example_target):
