@@ -38,7 +38,6 @@ from .polynomial import (
     singularity_threshold,
     sylvester_coeffs,
     sylvester_gather,
-    sylvester_layout,
     sylvester_margin,
     sylvester_matrix,
     sylvester_rcond,
@@ -64,7 +63,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "__version__",
-    "sylvester_layout",
     "sylvester_coeffs",
     "sylvester_gather",
     "sylvester_matrix",

@@ -32,6 +32,7 @@ from .controller import SingularSylvesterError, TargetPolynomial
 from .plant import BoxSet, PlantParameters
 from .simulation import (
     AUDIT_NAMES,
+    OVERRIDE_KEYS,
     BoundReport,
     SignalSpec,
     SimConfig,
@@ -139,7 +140,6 @@ TOP_KEYS_OPTIONAL = (
     "audits", "alpha_samples", "tracking_tail", "sweep", "out",
 )
 SWEEP_KEYS = ("draws", "seed", "horizon", "overrides")
-OVERRIDE_KEYS = ("theta", "theta0", "mu", "phi0")
 
 
 def load_config(path: str) -> tuple[SimConfig, dict, str]:
@@ -178,12 +178,18 @@ def load_config(path: str) -> tuple[SimConfig, dict, str]:
     if not isinstance(audits, list) or any(name not in AUDIT_NAMES for name in audits):
         raise ConfigError(f"audits must be a list drawn from {AUDIT_NAMES}")
 
+    # numpy's generators refuse a negative seed
+    seed = _exact(raw.get("seed", 0), int, "seed")
+    if seed < 0:
+        raise ConfigError(f"seed must be a non-negative integer, got {seed}")
     sweep = raw.get("sweep")
     if sweep is not None:
         _expect_keys(sweep, "sweep", ("draws",), SWEEP_KEYS[1:])
         for key in ("draws", "seed", "horizon"):
             if key in sweep:
                 _exact(sweep[key], int, f"sweep.{key}")
+        if sweep.get("seed", 0) < 0:
+            raise ConfigError(f"sweep.seed must be a non-negative integer, got {sweep['seed']}")
         overrides = sweep.get("overrides")
         if overrides is not None:
             _expect_keys(overrides, "sweep.overrides", (), OVERRIDE_KEYS)
@@ -208,7 +214,7 @@ def load_config(path: str) -> tuple[SimConfig, dict, str]:
             disturbance=_signal(raw["disturbance"], "disturbance"),
             horizon=_exact(raw["horizon"], int, "horizon"),
             t0=_exact(raw.get("t0", 0), int, "t0"),
-            seed=_exact(raw.get("seed", 0), int, "seed"),
+            seed=seed,
             estimator_mode=str(raw.get("estimator", "classical")),
             nudge_singular=_exact(raw.get("nudge_singular", False), bool, "nudge_singular"),
             lam=None if raw.get("lambda") is None else _float(raw["lambda"], "lambda"),

@@ -142,9 +142,10 @@ def design_rhs(thetas: np.ndarray, lifted: np.ndarray, n: int) -> np.ndarray:
 
     One row per estimate of a (..., 2n+1) stack, in the stack's memory order;
     Abar's coefficients are the negated abar_k, so the first n+1 entries add
-    them.
+    them.  Object arrays of Fractions give exact sums in an object array; both
+    must hold Fractions, since a Fraction plus a float is a float.
     """
-    rhs = np.empty_like(thetas, dtype=float)
+    rhs = np.empty_like(thetas, dtype=np.result_type(thetas, lifted))
     np.add(thetas[..., : n + 1], lifted[1 : n + 2], out=rhs[..., : n + 1])
     rhs[..., n + 1 :] = lifted[n + 2 :]
     return rhs
@@ -186,7 +187,7 @@ def _certified_design(thetas: np.ndarray, lifted: np.ndarray, n: int):
     returns is within `slack` of `gains` in the 2-norm.
 
     All rows are eliminated at once, entry by entry across the stack.  Abar
-    is monic, so by `sylvester_layout` the top-left n x n block of M is unit
+    is monic, so by `sylvester_gather` the top-left n x n block of M is unit
     lower triangular: n pivot-free steps leave an (n+1) x (n+1) Schur
     complement, eliminated with partial pivoting, the right side b attached.
     That is an LU factorization L'U' of a row permutation of M, so with
@@ -225,13 +226,14 @@ def _certified_design(thetas: np.ndarray, lifted: np.ndarray, n: int):
     cols = np.ascontiguousarray(thetas.T).T  # each entry's stack contiguous
     # [M | b] in one gather, one (count,) array per entry
     gather = np.column_stack((sylvester_gather(n), np.arange(2 * n + 3, 4 * n + 4)))
-    a = np.concatenate((sylvester_coeffs(cols, n).T, design_rhs(cols, lifted, n).T))[gather]
+    a = np.concatenate((sylvester_coeffs(cols, n).T, design_rhs(cols, lifted, n).T))
+    peak = np.abs(a[: 2 * n + 3]).max(axis=0)  # M's entries are the coefficients, 1 and 0 included
+    a = a[gather]
     thr = np.abs(a[:, 0])  # singularity_threshold's row sums, a column at a time
     for j in range(1, d):
         thr += np.abs(a[:, j])
     thr = SINGULAR_REL_THRESHOLD * np.maximum(1.0, thr.max(axis=0))
     frob = np.sqrt(np.einsum("ijc,ijc->c", a[:, :d], a[:, :d]))
-    peak = np.abs(a[:, [0, n]]).max(axis=(0, 1))  # columns 0 and n hold every coefficient
     tiny = np.finfo(float).tiny
     with np.errstate(all="ignore"):
         for k in range(d):
@@ -318,17 +320,18 @@ def closed_loop_matrix(theta_hat, K: np.ndarray) -> np.ndarray:
     prediction error), the output-block shift, the gain row (produces
     ubar(t+1)), and the input-block shift.  Its characteristic polynomial is
     z^{2n+1} Astar(z^{-1}) whenever K solves the design at theta_hat.
-    Stacked (..., 2n+1) estimates and gain rows give a (..., 2n+1, 2n+1) stack.
+    Stacked (..., 2n+1) estimates and gain rows give a (..., 2n+1, 2n+1) stack,
+    and a gain row of Fractions in an object array gives an exact object matrix.
     """
     vec = np.atleast_1d(np.asarray(theta_hat, dtype=float))
     dim = vec.shape[-1]
-    K = np.asarray(K, dtype=float)
+    K = np.asarray(K)
     if K.shape != vec.shape or dim % 2 == 0:
         raise ValueError(f"expected an odd-length estimate and a gain row of its length {dim}")
 
     rows, cols, src = closed_loop_layout((dim - 1) // 2)
     v = np.concatenate((vec, K, np.ones(vec.shape[:-1] + (1,))), axis=-1)
-    a = np.zeros(vec.shape[:-1] + (dim, dim))
+    a = np.zeros(vec.shape[:-1] + (dim, dim), dtype=v.dtype)
     a[..., rows, cols] = v[..., src]
     return a
 

@@ -14,7 +14,10 @@ each matrix is scaled to Python ints by a common denominator.  The solve runs
 Bareiss fraction-free elimination and the characteristic polynomial runs
 Faddeev-LeVerrier on the scaled integer matrix; every division in either is
 exact by the algebra and is checked to be so.  Fractions appear only where
-inputs are gathered and results assembled.
+inputs are gathered and results assembled.  The system, its right side and
+the closed loop come from the float core's own builders: every entry of the
+system matrix is 1, 0 or +-theta_k, and the right side and the closed loop
+keep the object dtype of Fraction inputs, so nothing is rounded.
 """
 
 from __future__ import annotations
@@ -25,8 +28,8 @@ from operator import mul
 
 import numpy as np
 
-from .controller import _gain_order, closed_loop_layout
-from .polynomial import sylvester_layout
+from .controller import _gain_order, closed_loop_matrix, design_rhs
+from .polynomial import sylvester_matrix
 
 __all__ = [
     "solve_fraction_system",
@@ -67,10 +70,11 @@ def _square_rows(a) -> list[list]:
     return a
 
 
-def _eliminate(a: list[list], b: list) -> list[Fraction]:
-    """Exact solve of a x = b by Bareiss fraction-free elimination.
+def solve_fraction_system(m: np.ndarray, rhs: np.ndarray) -> list[Fraction]:
+    """Exact solve of m x = rhs by Bareiss fraction-free elimination.
 
-    Each augmented row [a_i | b_i] is scaled to integers by the lcm of its
+    Floats and rationals in m and rhs are taken as exact values.  Each
+    augmented row [a_i | b_i] is scaled to integers by the lcm of its
     denominators, which leaves x unchanged.  Bareiss (Math. Comp. 22, 1968)
     keeps every entry an integer minor, so dividing by the previous pivot is
     exact.  An entry is a nonzero multiple of the one plain Gaussian
@@ -79,8 +83,12 @@ def _eliminate(a: list[list], b: list) -> list[Fraction]:
     pivot is det of the scaled system, and det * x is integral (Cramer), so
     the back-substitution stays in integers too.
     """
-    dim = len(b)
-    rows = [_over_common_denominator((*row, rhs))[0] for row, rhs in zip(a, b)]
+    a = _square_rows(np.asarray(m))
+    b = _exact_array(np.asarray(rhs))
+    dim = len(a)
+    if b.shape != (dim,):
+        raise ValueError(f"right-hand side has shape {b.shape}, expected ({dim},)")
+    rows = [_over_common_denominator((*row, v))[0] for row, v in zip(a, b.tolist())]
     prev = 1
     for col in range(dim):
         pivot = next((r for r in range(col, dim) if rows[r][col]), None)
@@ -104,15 +112,6 @@ def _eliminate(a: list[list], b: list) -> list[Fraction]:
         acc = det * row[dim] - sum(map(mul, row[r + 1 : dim], x[r + 1 :]))
         x[r] = _exact_div(acc, row[r])
     return [Fraction(v, det) for v in x]
-
-
-def solve_fraction_system(m: np.ndarray, rhs: np.ndarray) -> list[Fraction]:
-    """Exact solve of a square system of floats or rationals, taken as exact values."""
-    a = _square_rows(np.asarray(m))
-    b = _exact_array(np.asarray(rhs))
-    if b.shape != (len(a),):
-        raise ValueError(f"right-hand side has shape {b.shape}, expected ({len(a)},)")
-    return _eliminate(a, b.tolist())
 
 
 def charpoly_fractions(a) -> list[Fraction]:
@@ -140,25 +139,6 @@ def charpoly_fractions(a) -> list[Fraction]:
     return [Fraction(c, scale**k) for k, c in enumerate(coeffs)]
 
 
-def _scatter(layout, values: list[Fraction], dim: int) -> np.ndarray:
-    """Object matrix of exact zeros filled by a shared (rows, cols, src) layout."""
-    rows, cols, src = layout
-    out = np.full((dim, dim), Fraction(0), dtype=object)
-    out[rows, cols] = np.array(values, dtype=object)[src]
-    return out
-
-
-def _sylvester_fractions(theta: list[Fraction], n: int) -> np.ndarray:
-    """Exact pole-placement system matrix at an estimate given as fractions."""
-    coeffs = [Fraction(1)] + [-v for v in theta[: n + 1]] + [Fraction(0)] + theta[n + 1 :]
-    return _scatter(sylvester_layout(n), coeffs, 2 * n + 1)
-
-
-def _closed_loop_fractions(theta: list[Fraction], gains: list[Fraction], n: int) -> np.ndarray:
-    """Exact closed-loop matrix for an estimate and gain row given as fractions."""
-    return _scatter(closed_loop_layout(n), theta + gains + [Fraction(1)], 2 * n + 1)
-
-
 def exact_pole_check(theta_hat: np.ndarray, target_lifted: np.ndarray, n: int) -> Fraction:
     """Re-derive the design in rational arithmetic and compare pole sets.
 
@@ -177,13 +157,11 @@ def exact_pole_check(theta_hat: np.ndarray, target_lifted: np.ndarray, n: int) -
         if not np.isfinite(arr).all():
             raise ValueError(f"{name} has a non-finite entry; there is nothing exact to certify")
 
-    vals = [Fraction(float(v)) for v in theta]
-    astar = [Fraction(float(v)) for v in lifted]
-    # right side Astar - Abar on the powers z^{-1}..z^{-(2n+1)}; Abar = 1 - sum abar_k z^{-k}
-    rhs = [astar[k] + (vals[k - 1] if k <= n + 1 else 0) for k in range(1, dim + 1)]
-    x = _eliminate(_sylvester_fractions(vals, n).tolist(), rhs)
-    gains = [-x[k] for k in _gain_order(n)]
+    vals = np.array([Fraction(v) for v in theta.tolist()], dtype=object)
+    astar = np.array([Fraction(v) for v in lifted.tolist()], dtype=object)
+    x = solve_fraction_system(sylvester_matrix(theta, n), design_rhs(vals, astar, n))
+    gains = -np.array(x, dtype=object)[_gain_order(n)]
 
-    char = charpoly_fractions(_closed_loop_fractions(vals, gains, n).tolist())
+    char = charpoly_fractions(closed_loop_matrix(theta, gains))
     # char is det(zI - A) highest power first; so is the lifted target
     return max(abs(c - t) for c, t in zip(char, astar))

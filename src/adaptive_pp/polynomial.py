@@ -16,7 +16,6 @@ from functools import lru_cache
 import numpy as np
 
 __all__ = [
-    "sylvester_layout",
     "sylvester_gather",
     "sylvester_coeffs",
     "sylvester_matrix",
@@ -30,33 +29,20 @@ SINGULAR_REL_THRESHOLD = 1e-12
 
 
 @lru_cache(maxsize=None)
-def sylvester_layout(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Index map (rows, cols, src) of the pole-placement system matrix.
-
-    ``m[rows, cols] = c[src]`` fills the (2n+1) x (2n+1) matrix from the
-    stacked coefficients c = [abar_0..abar_{n+1}, bhat_0..bhat_n]: column
-    l_j holds abar shifted down j-1 rows, column p_j holds bhat shifted down
-    j-1 rows.  Every float, batched, and exact assembly goes through it.
-    """
-    entries = [(j + s, j, s) for j in range(n) for s in range(n + 2)]
-    entries += [(j + s, n + j, n + 2 + s) for j in range(n + 1) for s in range(n + 1)]
-    layout = tuple(np.array(v, dtype=np.intp) for v in zip(*entries))
-    for arr in layout:
-        arr.flags.writeable = False
-    return layout
-
-
-@lru_cache(maxsize=None)
 def sylvester_gather(n: int) -> np.ndarray:
     """Gather index of the system matrix: ``m = c[..., sylvester_gather(n)]``.
 
-    Entry (i, j) names the coefficient `sylvester_layout` puts at m[i, j];
-    the entries the layout leaves empty read c[n+2], the zero constant term
-    of B, so one gather assembles a matrix or a whole stack.
+    Entry (i, j) names the coefficient of c = [abar_0..abar_{n+1},
+    bhat_0..bhat_n] at m[i, j]: column l_j holds abar shifted down j-1 rows,
+    column p_j holds bhat shifted down j-1 rows.  The other entries read
+    c[n+2], the zero constant term of B, so one gather assembles a matrix or
+    a whole stack.  Every float, batched, and exact assembly goes through it.
     """
-    rows, cols, src = sylvester_layout(n)
     index = np.full((2 * n + 1, 2 * n + 1), n + 2, dtype=np.intp)
-    index[rows, cols] = src
+    for j in range(n):
+        index[j : j + n + 2, j] = np.arange(n + 2)
+    for j in range(n + 1):
+        index[j : j + n + 1, n + j] = np.arange(n + 2, 2 * n + 3)
     index.flags.writeable = False
     return index
 

@@ -770,6 +770,9 @@ def _sample_plant(box: BoxSet, n: int, rng: np.random.Generator, tries: int = 10
     raise RuntimeError(f"no admissible plant found in {tries} draws from the box")
 
 
+OVERRIDE_KEYS = ("theta", "theta0", "mu", "phi0")
+
+
 def monte_carlo_sweep(
     cfg: SimConfig,
     draws: int,
@@ -797,7 +800,7 @@ def monte_carlo_sweep(
     cfg.validate()
     seed = cfg.seed if seed is None else int(seed)
     overrides = dict(overrides or {})
-    unknown = set(overrides) - {"theta", "theta0", "mu", "phi0"}
+    unknown = set(overrides) - set(OVERRIDE_KEYS)
     if unknown:
         raise ValueError(f"unknown override keys: {sorted(unknown)}")
     use_theta = bool(overrides.get("theta", False))

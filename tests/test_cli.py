@@ -283,6 +283,23 @@ def test_run_exit_2_on_config_errors(config_file, tmp_path):
     assert {name: (out / name).read_bytes() for name in before} == before
 
 
+def test_a_negative_seed_is_a_config_error(config_file, tmp_path):
+    # numpy's generators refuse a negative seed, so the loader refuses it first:
+    # exit 2 and nothing written, never the audit-violation exit 1
+    fast = dict(horizon=100, audits=["recursion", "crude_bound"], alpha_samples=500)
+    good = tmp_path / "good"
+    assert main(["run", config_file(**fast), "--out", str(good), "--quiet"]) == 0
+    csv = str(good / "trajectory.csv")
+    for bad in (config_file(seed=-1, **fast), config_file(sweep={"draws": 2, "seed": -1}, **fast)):
+        with pytest.raises(ConfigError, match="non-negative"):
+            load_config(bad)
+        out = tmp_path / "out"
+        assert main(["run", bad, "--out", str(out), "--quiet"]) == 2
+        assert main(["audit", csv, bad, "--out", str(out), "--quiet"]) == 2
+        assert main(["sweep", bad, "--out", str(out), "--quiet"]) == 2
+        assert not out.exists()
+
+
 def test_run_single_step_horizon(config_file, tmp_path):
     out = tmp_path / "one"
     path = config_file(horizon=1, audits=["estimator", "recursion", "poles"], alpha_samples=500)

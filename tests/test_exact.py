@@ -14,13 +14,13 @@ from adaptive_pp import (
     Trajectory,
     charpoly_fractions,
     closed_loop_matrix,
+    design_rhs,
     exact_pole_check,
     pole_placement_audit,
     solve_fraction_system,
     sylvester_matrix,
 )
 from adaptive_pp.cli import load_config
-from adaptive_pp.exact import _closed_loop_fractions, _sylvester_fractions
 
 BENCH_TARGET = TargetPolynomial([1.0, -0.6], 2)
 BENCH_THETA0 = np.array([0.0, -1.0, 2.0, -0.5, -4.0])
@@ -76,9 +76,9 @@ def _reference_certificate(theta_hat, target_lifted, n):
     astar = [Fraction(v) for v in target_lifted.tolist()]
     dim = 2 * n + 1
     rhs = [astar[k] + (vals[k - 1] if k <= n + 1 else 0) for k in range(1, dim + 1)]
-    x = _reference_solve(_sylvester_fractions(vals, n).tolist(), rhs)
-    gains = [-v for v in x[n:]] + [-v for v in x[:n]]
-    char = _reference_charpoly(_closed_loop_fractions(vals, gains, n).tolist())
+    x = _reference_solve(sylvester_matrix(theta_hat, n).tolist(), rhs)
+    gains = np.array([-v for v in x[n:]] + [-v for v in x[:n]], dtype=object)
+    char = _reference_charpoly(closed_loop_matrix(theta_hat, gains).tolist())
     return max(abs(c - t) for c, t in zip(char, astar))
 
 
@@ -235,23 +235,37 @@ def test_fraction_solve_rejects_malformed_shapes(m, rhs):
 
 
 # ---------------------------------------------------------------------------
-# exact matrices share the float layouts
+# the float core's builders keep Fraction inputs exact
 
 
-@pytest.mark.parametrize("n", [1, 2, 3])
-def test_exact_matrices_match_the_float_assembly(n):
-    rng = np.random.default_rng(50 + n)
-    theta = rng.uniform(-2.0, 2.0, 2 * n + 1)
-    gains = rng.uniform(-2.0, 2.0, 2 * n + 1)
-    exact_theta = [Fraction(float(v)) for v in theta]
-    np.testing.assert_array_equal(
-        _sylvester_fractions(exact_theta, n).astype(float), sylvester_matrix(theta, n)
-    )
-    exact_gains = [Fraction(float(v)) for v in gains]
-    np.testing.assert_array_equal(
-        _closed_loop_fractions(exact_theta, exact_gains, n).astype(float),
-        closed_loop_matrix(theta, gains),
-    )
+def test_design_rhs_sums_fractions_exactly():
+    # 0.1 + 0.2 rounds in float64; on Fractions the sum must be the exact one,
+    # whether the Fractions hold the floats' values or true decimals
+    n = 1
+    for tenth, fifth in ((Fraction(0.1), Fraction(0.2)), (Fraction(1, 10), Fraction(1, 5))):
+        theta = np.array([tenth, fifth, Fraction(3)], dtype=object)
+        lifted = np.array([Fraction(1), fifth, Fraction(0), Fraction(1, 7)], dtype=object)
+        rhs = design_rhs(theta, lifted, n)
+        assert rhs.dtype == object
+        assert rhs.tolist() == [tenth + fifth, fifth, Fraction(1, 7)]
+    assert Fraction(0.1) + Fraction(0.2) != Fraction(0.1 + 0.2)
+    floats = design_rhs(np.array([0.1, 0.2, 3.0]), np.array([1.0, 0.2, 0.0, 0.5]), n)
+    assert floats.dtype == np.float64
+    assert floats.tolist() == [0.1 + 0.2, 0.2, 0.5]
+
+
+def test_closed_loop_matrix_keeps_a_fraction_gain_row_exact():
+    n = 1
+    theta = np.array([0.5, -1.0, 2.0])
+    gains = np.array([Fraction(1, 3), Fraction(-2, 7), Fraction(5)], dtype=object)
+    a = closed_loop_matrix(theta, gains)
+    assert a.dtype == object
+    assert a[0].tolist() == theta.tolist()
+    assert a[n + 1].tolist() == gains.tolist()
+    floats = closed_loop_matrix(theta, gains.astype(float))
+    assert floats.dtype == np.float64
+    np.testing.assert_array_equal(floats, a.astype(float))
+    assert a[n + 1, 0] != Fraction(floats[n + 1, 0])
 
 
 # ---------------------------------------------------------------------------

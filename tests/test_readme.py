@@ -1,0 +1,21 @@
+"""The README's code examples run as written."""
+
+import os
+import re
+
+from conftest import ROOT
+
+
+def _python_block(section: str) -> str:
+    """The first ```python block under the README heading `section`."""
+    with open(os.path.join(ROOT, "README.md"), encoding="utf-8") as fh:
+        text = fh.read()
+    body = text.split(f"\n## {section}\n", 1)[1].split("\n## ", 1)[0]
+    match = re.search(r"```python\n(.*?)```", body, re.S)
+    assert match, f"no python block under '## {section}'"
+    return match.group(1)
+
+
+def test_library_use_snippet_runs():
+    # the block ends in an assert that every audit passes
+    exec(compile(_python_block("Library use"), "README.md", "exec"), {})
