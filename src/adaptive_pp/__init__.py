@@ -14,9 +14,11 @@ from .controller import (
     TargetPolynomial,
     closed_loop_layout,
     closed_loop_matrix,
+    design_residual,
     design_rhs,
     solve_diophantine,
     solve_diophantine_batch,
+    solve_gains,
     spectral_radius,
     state_recursion_audit,
 )
@@ -83,6 +85,8 @@ __all__ = [
     "DesignBatch",
     "design_rhs",
     "SingularSylvesterError",
+    "solve_gains",
+    "design_residual",
     "solve_diophantine",
     "solve_diophantine_batch",
     "closed_loop_layout",

@@ -421,14 +421,24 @@ def cmd_run(args) -> int:
     return 0 if total == 0 else 1
 
 
+def _sweep_setting(args, sweep_cfg: dict, key: str, least: int):
+    """The --<key> flag, else the config's sweep.<key>; below `least` it is refused by name."""
+    flag = getattr(args, key)
+    value, where = (sweep_cfg.get(key), f"sweep.{key}") if flag is None else (flag, f"--{key}")
+    if value is not None and value < least:
+        raise ConfigError(f"bad sweep: {where} must be an integer >= {least}, got {value}")
+    return value
+
+
 def cmd_sweep(args) -> int:
     cfg, extras, digest = load_config(args.config)
     sweep_cfg = extras["sweep"] or {}
-    draws = args.draws if args.draws is not None else sweep_cfg.get("draws")
+    # checked before out_dir is made, so a refused setting writes nothing
+    draws = _sweep_setting(args, sweep_cfg, "draws", 1)
     if draws is None:
         raise ConfigError("sweep needs --draws or a sweep.draws config entry")
-    seed = args.seed if args.seed is not None else sweep_cfg.get("seed")
-    horizon = args.horizon if args.horizon is not None else sweep_cfg.get("horizon")
+    seed = _sweep_setting(args, sweep_cfg, "seed", 0)
+    horizon = _sweep_setting(args, sweep_cfg, "horizon", 1)
     overrides = sweep_cfg.get("overrides")
     out_dir = args.out or extras["out"] or "out"
     os.makedirs(out_dir, exist_ok=True)

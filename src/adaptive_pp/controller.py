@@ -42,6 +42,8 @@ __all__ = [
     "DesignBatch",
     "design_rhs",
     "solve_diophantine_batch",
+    "solve_gains",
+    "design_residual",
     "solve_diophantine",
     "closed_loop_layout",
     "closed_loop_matrix",
@@ -265,34 +267,81 @@ def _certified_design(thetas: np.ndarray, lifted: np.ndarray, n: int):
     return regular | singular, regular, x[_gain_order(n)].T, slack
 
 
-def solve_diophantine(theta_hat, target: TargetPolynomial) -> tuple[np.ndarray, float]:
-    """Solve the pole-placement identity at one estimate; (K, residual).
+def solve_gains(theta_hat, target: TargetPolynomial) -> np.ndarray:
+    """Solve the pole-placement identity at one estimate; the gain row K.
 
-    K = [-p_1..-p_{n+1}, -l_1..-l_n] is the gain row and residual the largest
-    coefficient error of Abar L + B P against Astar.  The same arithmetic as
-    one row of `solve_diophantine_batch`, on the 2-D system directly, so K
-    equals the batched gain row bit for bit.  Raises SingularSylvesterError
-    when |det| of the system matrix falls at or below the shared relative
-    singularity threshold.
+    K = [-p_1..-p_{n+1}, -l_1..-l_n].  The same arithmetic as one row of
+    `solve_diophantine_batch`, on the 2-D system directly, so K equals the
+    batched gain row bit for bit.  Raises SingularSylvesterError when |det|
+    of the system matrix falls at or below the shared relative singularity
+    threshold.
     """
     n = target.n
     theta = np.asarray(theta_hat, dtype=float)
     if theta.shape != (target.dim,):
         raise ValueError(f"expected a single estimate vector of length {target.dim}")
-    coeffs = sylvester_coeffs(theta, n)
-    m = coeffs[sylvester_gather(n)]
+    m = sylvester_coeffs(theta, n)[sylvester_gather(n)]
     margin, threshold, regular = sylvester_margin(m)
     if not regular:
         raise SingularSylvesterError(float(margin), float(threshold), sylvester_rcond(m), theta)
-    lifted = target.lifted_coeffs()
-    x = np.linalg.solve(m, design_rhs(theta, lifted, n))  # [l_1..l_n, p_1..p_{n+1}]
-    # residual of Abar L + B P = Astar with L = [1, l], P = [0, p]
-    lp = np.empty(2 * n + 3)
-    lp[0], lp[n + 1] = 1.0, 0.0
-    lp[1 : n + 1], lp[n + 2 :] = x[:n], x[n:]
-    recon = np.convolve(coeffs[: n + 2], lp[: n + 1])
-    recon += np.convolve(coeffs[n + 2 :], lp[n + 1 :])
-    return -x[_gain_order(n)], float(np.abs(recon - lifted).max())
+    x = np.linalg.solve(m, design_rhs(theta, target.lifted_coeffs(), n))  # [l_1..l_n, p_1..p_{n+1}]
+    return -x[_gain_order(n)]
+
+
+def _convolve_rows(a: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """`np.convolve` of every row pair of two (count, k) stacks, with its bits; len(a) >= len(v).
+
+    np.convolve forms each output where v overlaps a fully as a running sum
+    of products (numpy's small-kernel path, up to 11 terms) and every other
+    output as a BLAS dot.  A stacked matmul of C-contiguous rows is that same
+    dot, and the running sum is one elementwise product and add per term.
+    """
+    la, lv = a.shape[1], v.shape[1]
+    out = np.empty((a.shape[0], la + lv - 1))
+    for k in range(la + lv - 1):
+        lo, hi = max(0, k - lv + 1), min(k, la - 1)
+        if lv - 1 <= k <= la - 1 and lv <= 11:
+            acc = 0.0  # the sum starts from +0.0, so a -0.0 product sum reads +0.0
+            for i in range(lo, hi + 1):
+                acc = acc + a[:, i] * v[:, k - i]
+            out[:, k] = acc
+        else:
+            rows = np.ascontiguousarray(a[:, lo : hi + 1])
+            terms = np.ascontiguousarray(v[:, k - lo : (k - hi - 1 if k > hi else None) : -1])
+            out[:, k] = (rows[:, None, :] @ terms[:, :, None])[:, 0, 0]
+    return out
+
+
+def design_residual(theta_hat, gains, target: TargetPolynomial) -> np.ndarray:
+    """Largest coefficient error of Abar L + B P against Astar, per (thetahat, K) row.
+
+    L = [1, l] and P = [0, p] with [l, p] = [-K[n+1:], -K[:n+1]], the
+    solution of the design system a gain row was read from.  A (..., 2n+1)
+    stack of estimates and gain rows gives a (...) array; each row's value
+    has the bits of `np.convolve` on that row alone.
+    """
+    n = target.n
+    thetas = np.asarray(theta_hat, dtype=float)
+    shape = thetas.shape[:-1]
+    c = sylvester_coeffs(thetas.reshape(-1, target.dim), n)
+    K = np.asarray(gains, dtype=float).reshape(-1, target.dim)
+    lp = np.empty((K.shape[0], 2 * n + 3))  # [1, l, 0, p]: L = [1, l] and P = [0, p]
+    lp[:, 0], lp[:, n + 1] = 1.0, 0.0
+    np.negative(K[:, n + 1 :], out=lp[:, 1 : n + 1])
+    np.negative(K[:, : n + 1], out=lp[:, n + 2 :])
+    recon = _convolve_rows(c[:, : n + 2], lp[:, : n + 1])
+    recon += _convolve_rows(lp[:, n + 1 :], c[:, n + 2 :])
+    return np.abs(recon - target.lifted_coeffs()).max(axis=-1).reshape(shape)
+
+
+def solve_diophantine(theta_hat, target: TargetPolynomial) -> tuple[np.ndarray, float]:
+    """Solve the pole-placement identity at one estimate; (K, residual).
+
+    K is the gain row of `solve_gains` and residual its `design_residual`,
+    the largest coefficient error of Abar L + B P against Astar.
+    """
+    K = solve_gains(theta_hat, target)
+    return K, float(design_residual(theta_hat, K, target))
 
 
 @lru_cache(maxsize=None)

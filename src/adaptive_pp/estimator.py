@@ -58,8 +58,9 @@ def projection_step(
     mu > 0 is the classical law and mu = 0 the ideal law, which leaves the
     estimate unchanged when the regressor vanishes.
     """
-    e = float(ybar_next) - float(psi @ theta)
-    denom = mu + float(psi @ psi)
+    # ndarray.dot calls the same BLAS dot as `@`, with less dispatch
+    e = float(ybar_next) - float(psi.dot(theta))
+    denom = mu + float(psi.dot(psi))
     if denom == 0.0:
         return theta, e
     return project_box(theta + psi * (e / denom), box), e

@@ -75,7 +75,8 @@ class BoxSet:
         return bool(np.all(x >= self.lo - tol) and np.all(x <= self.hi + tol))
 
     def clip(self, x) -> np.ndarray:
-        return np.clip(np.asarray(x, dtype=float), self.lo, self.hi)
+        # the method runs np.clip's ufunc without its dispatch layers
+        return np.asarray(x, dtype=float).clip(self.lo, self.hi)
 
     def sample(self, rng: np.random.Generator, size: int | None = None) -> np.ndarray:
         """Uniform draws; shape (dim,) for size None, else (size, dim)."""

@@ -86,7 +86,9 @@ def singularity_threshold(m: np.ndarray) -> float | np.ndarray:
     the size of the coefficients rather than an absolute epsilon.  A stack
     of matrices gets one threshold each.
     """
-    return SINGULAR_REL_THRESHOLD * np.maximum(1.0, np.abs(m).sum(axis=-1).max(axis=-1))
+    rows = np.add.reduce(np.abs(m), axis=-1)
+    # the floor at one as the reduction's initial value; a NaN row sum still wins
+    return SINGULAR_REL_THRESHOLD * np.maximum.reduce(rows, axis=-1, initial=1.0)
 
 
 def sylvester_margin(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -96,7 +98,7 @@ def sylvester_margin(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     exactly when the lifted pair z^{n+1} Abar(z^{-1}), z^n B(z^{-1}) shares
     a root, and a NaN counts as singular.
     """
-    margins = np.abs(np.linalg.det(m))
+    margins = abs(np.linalg.det(m))  # a numpy scalar's own abs for a single matrix
     thresholds = singularity_threshold(m)
     return margins, thresholds, margins > thresholds
 

@@ -49,9 +49,10 @@ from .controller import (
     _gain_order,
     _gamma,
     closed_loop_matrix,
+    design_residual,
     design_rhs,
-    solve_diophantine,
     solve_diophantine_batch,
+    solve_gains,
     state_recursion_audit,
 )
 from .estimator import AUDIT_TOL, estimator_audit, projection_step
@@ -105,15 +106,22 @@ class SignalSpec:
             vals.flags.writeable = False
             object.__setattr__(self, "values", vals)
 
-    def value(self, elapsed: int) -> float:
+    def series(self, count: int) -> np.ndarray:
+        """The signal at elapsed steps 0..count-1, as a new float array.
+
+        A sign flip is +magnitude in even periods and -magnitude in odd ones.
+        A custom signal with fewer than `count` values raises IndexError.
+        """
+        if count < 0:
+            raise ValueError(f"count must be >= 0, got {count}")
         if self.kind == "constant":
-            return float(self.magnitude)
+            return np.full(count, float(self.magnitude))
         if self.kind == "sign_flip":
-            flips = elapsed // int(self.period)
-            return float(self.magnitude) * (1.0 if flips % 2 == 0 else -1.0)
-        if not 0 <= elapsed < self.values.size:
-            raise IndexError(f"custom signal has no value at elapsed step {elapsed}")
-        return float(self.values[elapsed])
+            signs = np.where(np.arange(count) // int(self.period) % 2 == 0, 1.0, -1.0)
+            return float(self.magnitude) * signs
+        if count > self.values.size:
+            raise IndexError(f"custom signal has {self.values.size} values, {count} asked for")
+        return self.values[:count].copy()
 
 
 @dataclass(frozen=True)
@@ -217,6 +225,20 @@ TRAJECTORY_COLUMNS = (
     ("ybar", None), ("ubar", None), ("wbar", None), ("e", None),
     ("psi", "psi"), ("theta_hat", "thetahat"), ("gains", "K"), ("dioph_residual", None),
 )
+# the columns whose values recur: ybar and ubar are psi columns, the other psi
+# columns hold them a row later, and w and r are piecewise constant
+_POOLED = ("w", "r", "ybar", "ubar", "psi")
+
+
+def _pooled_texts(values: np.ndarray) -> np.ndarray:
+    """A 2-D float array as an object array of "%.17g" strings, each distinct bit pattern formatted once.
+
+    Bits are compared as uint64, which keeps -0.0 and 0.0, and NaN payloads,
+    apart; "%.17g" renders a Python float exactly as f"{v:.17g}" does.
+    """
+    bits, cell = np.unique(values.view(np.uint64), return_inverse=True)
+    texts = np.array(list(map("%.17g".__mod__, bits.view(float).tolist())), dtype=object)
+    return texts[cell.reshape(values.shape)]
 
 
 @dataclass
@@ -261,24 +283,35 @@ class Trajectory:
     def to_csv(self) -> str:
         """Render the documented column schema; floats carry 17 significant digits.
 
-        The closing (thetahat, K, dioph_residual) block is formatted once per
-        run of consecutive rows with the same bits (a uint64 view keeps -0.0
-        and NaN apart).
+        Each distinct value of the w, r, ybar, ubar and psi columns is
+        formatted once (see `_pooled_texts`), and the closing (thetahat, K,
+        dioph_residual) block once per run of consecutive rows with the same
+        bits (a uint64 view keeps -0.0 and NaN apart).
         """
-        head, block = (
-            np.column_stack([getattr(self, field) for field, _ in part])
-            for part in (TRAJECTORY_COLUMNS[:-3], TRAJECTORY_COLUMNS[-3:])
-        )
+        head = TRAJECTORY_COLUMNS[:-3]
+        # a line is a row of cells in column order: a pooled string, or a
+        # number and its format ("%d" for the integral time axis)
+        specs, at = [], {True: [], False: []}
+        for field, prefix in head:
+            width = 1 if prefix is None else 2 * self.n + 1
+            at[field in _POOLED] += range(len(specs), len(specs) + width)
+            specs += ["%s" if field in _POOLED else "%d" if field == "t" else "%.17g"] * width
+        cells = np.empty((self.steps, len(specs) + 1), dtype=object)
+        for pooled, convert in ((True, _pooled_texts), (False, np.asarray)):
+            group = [getattr(self, field) for field, _ in head if (field in _POOLED) == pooled]
+            # a column of another length fails the stack or this assignment
+            cells[:, at[pooled]] = convert(np.column_stack(group))
+
+        block = np.column_stack([getattr(self, field) for field, _ in TRAJECTORY_COLUMNS[-3:]])
         bits = block.view(np.uint64)
         fresh = np.r_[True, (bits[1:] != bits[:-1]).any(axis=1)][: len(bits)]
-        # "%d" renders the integral time axis; "%.17g" renders a Python float
-        # exactly as f"{v:.17g}" does
         fmt = ",%.17g" * block.shape[1]
-        blocks = [fmt % tuple(row) for row in block[fresh].tolist()]
-        fmt = "%d" + ",%.17g" * (head.shape[1] - 1)
-        runs = (np.cumsum(fresh) - 1).tolist()
+        runs = np.array([fmt % tuple(row) for row in block[fresh].tolist()], dtype=object)
+        cells[:, -1] = runs[np.cumsum(fresh) - 1]
+        fmt = ",".join(specs) + "%s"
         lines = [",".join(self.header(self.n))]
-        lines += [fmt % tuple(row) + blocks[k] for row, k in zip(head.tolist(), runs)]
+        lines += [fmt % tuple(row) for row in cells.tolist()]
+        del cells  # freed before the join, which holds the text twice
         return "\n".join(lines) + "\n"
 
     def save(self, path) -> None:
@@ -339,15 +372,15 @@ class Trajectory:
 
 
 def _design(theta: np.ndarray, cfg: SimConfig, aux_box: BoxSet, t: int):
-    """Solve at theta, nudged once toward the box center if allowed; (theta, K, residual)."""
+    """Solve at theta, nudged once toward the box center if allowed; (theta, K)."""
     try:
-        return theta, *solve_diophantine(theta, cfg.target)
+        return theta, solve_gains(theta, cfg.target)
     except SingularSylvesterError as err:
         failure = err
     if cfg.nudge_singular:
         nudged = aux_box.clip(theta + 1e-6 * aux_box.width * np.sign(aux_box.center - theta))
         try:
-            return nudged, *solve_diophantine(nudged, cfg.target)
+            return nudged, solve_gains(nudged, cfg.target)
         except SingularSylvesterError as err:
             failure = err
     raise SingularSylvesterError(
@@ -366,24 +399,27 @@ def run_closed_loop(cfg: SimConfig) -> Trajectory:
 
     The loop logs what each step computes: y, u, e, and psi(t+1) as the
     next row of the regressor log it works in.  Each fresh solve logs one
-    (thetahat, K, residual) row and its first step; the other columns are
-    derived after the loop, with the bits a per-step copy would have.
+    (thetahat, K) row and its first step; the other columns, the design
+    residual of every solve included, are derived after the loop, with the
+    bits a per-step copy would have.
     """
     cfg.validate()
     n = cfg.n
     aux_box = cfg.aux_box()
     mu = cfg.law_mu()
     steps = int(cfg.horizon)
-    w = [cfg.disturbance.value(i) for i in range(steps)]
-    r = [cfg.reference.value(i) for i in range(steps + 1)]
+    w_col, r_col = cfg.disturbance.series(steps), cfg.reference.series(steps + 1)
+    w, r = w_col.tolist(), r_col.tolist()
 
     a, b = cfg.theta_true.a, cfg.theta_true.b
+    b0, b_tail = float(b[0]), b[1:]
     # psi(t0) from phi0 under the first set-point; y and u keep the raw
     # histories y(t)..y(t-n+1) and u(t)..u(t-n+1), newest first
     y, u = cfg.phi0[: n + 1], cfg.phi0[n + 1 :]
     psi = np.empty((steps + 1, 2 * n + 1))
     psi[0] = np.concatenate((y - r[0], u[:-1] - u[1:]))
     y, u = y[:n].copy(), u[:n].copy()
+    u_tail = u[1:]  # a view: the shifts below keep it current
     theta = cfg.theta0
 
     y_log, u_log, e = np.empty(steps), np.empty(steps), np.empty(steps)
@@ -391,41 +427,44 @@ def run_closed_loop(cfg: SimConfig) -> Trajectory:
     key = None
     for i in range(steps):
         if theta.tobytes() != key:
-            theta, K, residual = _design(theta, cfg, aux_box, cfg.t0 + i)
+            theta, K = _design(theta, cfg, aux_box, cfg.t0 + i)
             key = theta.tobytes()
-            solves.append((theta, K, residual))
+            solves.append((theta, K))
             starts.append(i)
         y_log[i] = y[0]
-        u_log[i] = u[0]
+        u_log[i] = u0 = float(u[0])
 
         # the plant difference equation; the grouping fixes the output bits
-        u_term = float(b[0] * u[0])
+        # (ndarray.dot is the BLAS dot of `@`, with less dispatch)
+        u_term = b0 * u0
         if n > 1:
-            u_term += float(b[1:] @ u[1:])
-        y_next = float(a @ y) + u_term + w[i]
+            u_term += float(b_tail.dot(u_tail))
+        y_next = float(a.dot(y)) + u_term + w[i]
         ybar_next = y_next - r[i + 1]
         now, nxt = psi[i], psi[i + 1]
         theta, e[i] = projection_step(theta, now, ybar_next, mu, aux_box)
-        ubar_next = float(K @ now)
+        ubar_next = float(K.dot(now))
 
         # shift the histories and the regressor: newest values in front
         y[1:] = y[:-1]
         y[0] = y_next
         u[1:] = u[:-1]
-        u[0] += ubar_next
+        u[0] = u0 + ubar_next
         nxt[1:] = now[:-1]
         nxt[0] = ybar_next
         nxt[n + 1] = ubar_next
 
+    thetas, gains = (np.array(col) for col in zip(*solves))
+    residuals = design_residual(thetas, gains, cfg.target)
     solve_of = np.repeat(np.arange(len(starts)), np.diff(starts + [steps]))
-    thetas, gains, residuals = (np.array(col)[solve_of] for col in zip(*solves))
     # the stacked row product has the bits of each step's psi @ theta_star
     seen = (psi[:-1, None, :] @ cfg.theta_star()[:, None])[:, 0, 0]
     return Trajectory(
-        n=n, mu=cfg.mu, t=cfg.t0 + np.arange(steps), y=y_log, u=u_log, w=np.array(w),
-        r=np.array(r[:-1]), ybar=psi[:-1, 0].copy(), ubar=psi[:-1, n + 1].copy(),
-        wbar=psi[1:, 0] - seen, e=e, psi=psi[:-1], theta_hat=thetas, gains=gains,
-        dioph_residual=residuals, phi=_phi_history(y_log, u_log, cfg.phi0, n),
+        n=n, mu=cfg.mu, t=cfg.t0 + np.arange(steps), y=y_log, u=u_log, w=w_col,
+        r=r_col[:-1], ybar=psi[:-1, 0].copy(), ubar=psi[:-1, n + 1].copy(),
+        wbar=psi[1:, 0] - seen, e=e, psi=psi[:-1], theta_hat=thetas[solve_of],
+        gains=gains[solve_of], dioph_residual=residuals[solve_of],
+        phi=_phi_history(y_log, u_log, cfg.phi0, n),
     )
 
 
@@ -667,11 +706,12 @@ def gain_bound_fit(traj: Trajectory, lam: float, target: TargetPolynomial) -> di
     phi_norm = np.linalg.norm(traj.phi, axis=1)
     offset = float(np.abs(traj.r).max()) + np.sqrt(traj.mu)
 
-    conv = np.empty(steps)
-    conv[0] = 0.0
-    for i in range(steps - 1):
-        conv[i + 1] = lam * conv[i] + abs(traj.w[i])
-    denom = phi_norm[0] * lam ** np.arange(steps) + offset + conv
+    # the recursion on Python floats: the same roundings as on numpy scalars
+    lam = float(lam)
+    conv = [0.0]
+    for w in np.abs(traj.w[:-1]).tolist():
+        conv.append(lam * conv[-1] + w)
+    denom = phi_norm[0] * lam ** np.arange(steps) + offset + np.array(conv)
     with np.errstate(divide="ignore", invalid="ignore"):
         ratios = np.where(denom > 0.0, phi_norm / np.where(denom > 0.0, denom, 1.0), 0.0)
 
@@ -679,7 +719,7 @@ def gain_bound_fit(traj: Trajectory, lam: float, target: TargetPolynomial) -> di
     tail = min(100, max(1, steps // 4))
     return {
         "gamma": float(ratios.max()),
-        "lambda": float(lam),
+        "lambda": lam,
         "residual_floor": float(psi_norm[(3 * steps) // 4 :].max()),
         "tail_tracking": float(np.abs(traj.ybar[-tail:]).max()),
     }

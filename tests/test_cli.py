@@ -437,6 +437,29 @@ def test_sweep_rejects_bad_input_with_exit_2(config_file, tmp_path, capsys, args
     assert not (out / "sweep.csv").exists()
 
 
+@pytest.mark.parametrize(
+    "args, sweep",
+    [
+        (["--seed", "-1"], {"draws": 2}),
+        (["--draws", "0"], None),
+        (["--draws", "-3"], None),
+        (["--horizon", "0"], {"draws": 2}),
+        ([], {"draws": 0}),
+        ([], {"draws": 2, "horizon": 0}),
+    ],
+    ids=["seed", "draws-zero", "draws-negative", "horizon", "config-draws", "config-horizon"],
+)
+def test_sweep_refuses_a_bad_setting_before_writing(config_file, tmp_path, capsys, args, sweep):
+    out = tmp_path / "never"
+    path = config_file(horizon=100, audits=["recursion"], alpha_samples=500, sweep=sweep)
+    assert main(["sweep", path, "--out", str(out), "--quiet"] + args) == 2
+    err = capsys.readouterr().err
+    name = args[0] if args else "sweep." + next(k for k, v in sweep.items() if v < 1)
+    assert f"error: bad sweep: {name} must be an integer >= " in err, err
+    assert "expected non-negative integer" not in err
+    assert not out.exists()
+
+
 def test_sweep_requires_a_draw_count(config_file, tmp_path):
     path = config_file(drop=("sweep",), horizon=100)
     assert main(["sweep", path, "--out", str(tmp_path / "s"), "--quiet"]) == 2

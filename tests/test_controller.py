@@ -10,16 +10,18 @@ from adaptive_pp import (
     SingularSylvesterError,
     TargetPolynomial,
     closed_loop_matrix,
+    design_residual,
     design_rhs,
     image_box,
     singularity_threshold,
     solve_diophantine,
     solve_diophantine_batch,
+    solve_gains,
     state_recursion_audit,
     sylvester_margin,
     sylvester_matrix,
 )
-from adaptive_pp.controller import _certified_design, _gamma
+from adaptive_pp.controller import _certified_design, _convolve_rows, _gamma
 from adaptive_pp.simulation import _sigma_bound
 
 BENCH_TARGET = TargetPolynomial([1.0, -0.6], 2)
@@ -144,6 +146,39 @@ def test_batched_design_is_a_stack_of_single_solves(example_box):
         for vec, (K, _) in zip(thetas[batch.ok], solved)
     ]
     assert np.array_equal(residuals, [residual for _, residual in solved])
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_batched_residual_has_the_bits_of_each_single_solve(n):
+    # seeded generic, near-common-root and huge-gain estimates of order n
+    target = _spread_target(n)
+    thetas = _certificate_rows(n, 600, seed=80 + n)
+    design = solve_diophantine_batch(thetas, target.lifted_coeffs(), n)
+    thetas = thetas[design.ok]
+    gains = np.array([solve_gains(vec, target) for vec in thetas])
+    assert np.array_equal(gains.view(np.uint64), design.gains.view(np.uint64))
+    singles = np.array([solve_diophantine(vec, target)[1] for vec in thetas])
+    lifted = target.lifted_coeffs()
+    by_convolve = np.array([np.abs(_identity_lhs(vec, K) - lifted).max() for vec, K in zip(thetas, gains)])
+    stacked = design_residual(thetas, gains, target)
+    for got in (singles, stacked):
+        assert np.array_equal(got.view(np.uint64), by_convolve.view(np.uint64))
+    # a (..., 2n+1) stack keeps its leading shape, and one row gives a 0-d array
+    assert design_residual(thetas[:6].reshape(2, 3, -1), gains[:6].reshape(2, 3, -1), target).shape == (2, 3)
+    assert design_residual(thetas[0], gains[0], target).shape == ()
+
+
+@pytest.mark.parametrize("lv", range(2, 14))
+def test_row_convolution_has_the_bits_of_np_convolve(lv):
+    # both of np.convolve's paths: a running sum where the shorter row overlaps
+    # fully (up to 11 terms) and a BLAS dot elsewhere; signed zeros included
+    rng = np.random.default_rng(lv)
+    for la in (lv, lv + 1, lv + 3):
+        a, v = rng.normal(size=(400, la)), rng.normal(size=(400, lv))
+        a[rng.random(a.shape) < 0.2] = -0.0
+        v[rng.random(v.shape) < 0.2] = 0.0
+        want = np.array([np.convolve(x, y) for x, y in zip(a, v)])
+        assert np.array_equal(_convolve_rows(a, v).view(np.uint64), want.view(np.uint64)), la
 
 
 # ---------------------------------------------------------------------------

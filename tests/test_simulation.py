@@ -1,6 +1,7 @@
 """Closed-loop simulation, trajectory serialization, audits, and the sweep."""
 
 import dataclasses
+import os
 import tracemalloc
 
 import numpy as np
@@ -26,10 +27,12 @@ from adaptive_pp import (
     pole_placement_audit,
     run_audits,
     run_closed_loop,
+    solve_diophantine,
     solve_diophantine_batch,
     tracking_audit,
 )
 from adaptive_pp import simulation
+from adaptive_pp.cli import load_config
 from adaptive_pp.estimator import projection_step
 from adaptive_pp.simulation import (
     TRAJECTORY_COLUMNS,
@@ -39,28 +42,70 @@ from adaptive_pp.simulation import (
     _rouche_margin,
     _sigma_bound,
 )
+from conftest import BENCHMARK_CONFIG, ROOT
 
 # ---------------------------------------------------------------------------
 # signals
 
 
 def test_sign_flip_schedule():
-    r = SignalSpec("sign_flip", magnitude=2.0, period=200)
-    assert r.value(0) == 2.0
-    assert r.value(199) == 2.0
-    assert r.value(200) == -2.0
-    assert r.value(399) == -2.0
-    assert r.value(400) == 2.0
-    w = SignalSpec("sign_flip", magnitude=0.5, period=250)
-    assert w.value(499) == -0.5
+    r = SignalSpec("sign_flip", magnitude=2.0, period=200).series(401)
+    assert r[0] == 2.0
+    assert r[199] == 2.0
+    assert r[200] == -2.0
+    assert r[399] == -2.0
+    assert r[400] == 2.0
+    w = SignalSpec("sign_flip", magnitude=0.5, period=250).series(500)
+    assert w[499] == -0.5
 
 
 def test_constant_and_custom_signals():
-    assert SignalSpec("constant", magnitude=-1.5).value(1000) == -1.5
+    assert SignalSpec("constant", magnitude=-1.5).series(1001)[1000] == -1.5
     custom = SignalSpec("custom", values=[0.0, 1.0, 4.0])
-    assert custom.value(2) == 4.0
+    assert custom.series(3)[2] == 4.0
     with pytest.raises(IndexError):
-        custom.value(3)
+        custom.series(4)
+
+
+def _signal_at(spec: SignalSpec, elapsed: int) -> float:
+    """The signal at one elapsed step, element by element: the reference for SignalSpec.series."""
+    if spec.kind == "constant":
+        return float(spec.magnitude)
+    if spec.kind == "sign_flip":
+        flips = elapsed // int(spec.period)
+        return float(spec.magnitude) * (1.0 if flips % 2 == 0 else -1.0)
+    if not 0 <= elapsed < spec.values.size:
+        raise IndexError(f"custom signal has no value at elapsed step {elapsed}")
+    return float(spec.values[elapsed])
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        SignalSpec("constant", magnitude=-1.5),
+        SignalSpec("constant", magnitude=0.0),
+        SignalSpec("sign_flip", magnitude=0.75, period=1),
+        SignalSpec("sign_flip", magnitude=-2.0, period=7),
+        SignalSpec("sign_flip", magnitude=0.0, period=7),  # -0.0 in odd periods
+        SignalSpec("sign_flip", magnitude=3.0, period=500),  # longer than the count
+        SignalSpec("custom", values=np.random.default_rng(3).normal(size=60)),
+    ],
+    ids=["constant", "constant-zero", "flip-1", "flip-7", "flip-zero", "flip-long", "custom"],
+)
+def test_signal_series_is_the_element_wise_signal(spec):
+    for count in (0, 1, 59, 60):
+        got = spec.series(count)
+        want = np.array([_signal_at(spec, i) for i in range(count)], dtype=float)
+        assert (got.dtype, got.shape) == (want.dtype, want.shape)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), count
+    if spec.kind == "custom":
+        with pytest.raises(IndexError, match="60 values, 61 asked for"):
+            spec.series(61)
+        # a copy: the spec's own values stay read-only and untouched
+        spec.series(60)[0] = 99.0
+        assert spec.values[0] != 99.0
+    with pytest.raises(ValueError, match="count"):
+        spec.series(-1)
 
 
 def test_signal_validation():
@@ -305,7 +350,7 @@ def _per_step_loop(cfg: SimConfig) -> Trajectory:
     theta_star = cfg.theta_star()
     mu = cfg.law_mu()
     a, b = cfg.theta_true.a, cfg.theta_true.b
-    r_t = cfg.reference.value(0)
+    r_t = _signal_at(cfg.reference, 0)
     y, u = cfg.phi0[: n + 1], cfg.phi0[n + 1 :]
     psi = np.concatenate((y - r_t, u[:-1] - u[1:]))
     y, u = y[:n].copy(), u[:n].copy()
@@ -318,9 +363,12 @@ def _per_step_loop(cfg: SimConfig) -> Trajectory:
     }
     key = None
     for i in range(steps):
-        w_t = cfg.disturbance.value(i)
+        w_t = _signal_at(cfg.disturbance, i)
         if theta.tobytes() != key:
-            theta, K, residual = _design(theta, cfg, aux_box, cfg.t0 + i)
+            theta, K = _design(theta, cfg, aux_box, cfg.t0 + i)
+            # the residual of a single solve at the (possibly nudged) estimate
+            K_single, residual = solve_diophantine(theta, cfg.target)
+            assert np.array_equal(K_single.view(np.uint64), K.view(np.uint64))
             key = theta.tobytes()
         out["y"][i] = y[0]
         out["u"][i] = u[0]
@@ -336,7 +384,7 @@ def _per_step_loop(cfg: SimConfig) -> Trajectory:
         if n > 1:
             u_term += float(b[1:] @ u[1:])
         y_next = float(a @ y) + u_term + w_t
-        r_t = cfg.reference.value(i + 1)
+        r_t = _signal_at(cfg.reference, i + 1)
         ybar_next = y_next - r_t
         out["wbar"][i] = ybar_next - float(psi @ theta_star)
         theta, out["e"][i] = projection_step(theta, psi, ybar_next, mu, aux_box)
@@ -460,6 +508,20 @@ def test_csv_rows_match_the_per_field_rendering(example_config):
     text = odd.to_csv()
     assert text == _csv_per_field(odd)
     assert text.splitlines()[1].split(",")[1] == "nan" and ",-0," in text
+    # the run's layout broken: psi drawn at random; ybar, psi_1 and the
+    # shifted psi_2 apart only by the sign of a zero; NaN and +-Inf in w, r, psi
+    rng = np.random.default_rng(40)
+    assert (traj.ybar == traj.psi[:, 0]).all() and (traj.psi[1:, 1] == traj.psi[:-1, 0]).all()
+    w, r, ybar, ubar, psi = (np.array(v) for v in (traj.w, traj.r, traj.ybar, traj.ubar, traj.psi))
+    ybar[11], psi[11, 0], psi[12, 1] = -0.0, 0.0, -0.0
+    ubar[13], psi[13, 3], psi[14, 4] = 0.0, -0.0, 0.0
+    signed = dataclasses.replace(traj, ybar=ybar, ubar=ubar, psi=psi)
+    w, r, psi = w.copy(), r.copy(), psi.copy()
+    w[3], w[4], r[5], r[6] = np.nan, np.inf, -np.inf, -np.nan
+    psi[7, 0], psi[8, 1], psi[9, 4] = np.nan, -np.inf, np.inf
+    odd = dataclasses.replace(signed, w=w, r=r, psi=psi)
+    for broken in (dataclasses.replace(traj, psi=rng.normal(size=traj.psi.shape)), signed, odd):
+        assert broken.to_csv() == _csv_per_field(broken)
 
 
 def _csv_per_row(traj: Trajectory) -> str:
@@ -471,14 +533,40 @@ def _csv_per_row(traj: Trajectory) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _hand_built(block: np.ndarray) -> Trajectory:
-    """An n = 1 trajectory with the given (thetahat, K, residual) rows and random other columns."""
+def _hand_built(block: np.ndarray, shared: str = "random") -> Trajectory:
+    """An n = 1 trajectory with the given (thetahat, K, residual) rows.
+
+    `shared` sets the w, r, ybar, ubar and psi columns: "random"; "shifted",
+    laid out as a run logs them (ybar and ubar are psi_1 and psi_3, psi_2 is
+    psi_1 a row later, w and r repeat each value for three rows); or that
+    layout broken: "psi_random", "zero_sign" (values apart only by the sign
+    of a zero where the layout repeats one) or "non_finite" (NaN and +-Inf in
+    w, r and psi).
+    """
     steps = block.shape[0]
     rng = np.random.default_rng(steps)
     col = lambda: rng.normal(size=steps)  # noqa: E731
+    cols = dict(
+        y=col(), u=col(), w=col(), r=col(), ybar=col(), ubar=col(), wbar=col(), e=col(),
+        psi=rng.normal(size=(steps, 3)),
+    )
+    if shared != "random":
+        ybar, ubar = cols["ybar"], cols["ubar"]
+        w, r = (np.repeat(cols[key][::3], 3)[:steps] for key in ("w", "r"))
+        psi = np.column_stack((ybar, np.r_[cols["psi"][0, 1], ybar[:-1]], ubar))
+        if shared == "psi_random":
+            psi = rng.normal(size=(steps, 3))
+        elif shared == "zero_sign":
+            ybar[2], psi[2, 0], psi[3, 1] = -0.0, 0.0, -0.0
+            ubar[5], psi[5, 2] = 0.0, -0.0
+            w[3], w[4], r[6], r[7] = -0.0, 0.0, 0.0, -0.0
+        elif shared == "non_finite":
+            w[1], r[4], r[5] = np.nan, np.inf, -np.inf
+            ybar[6] = psi[6, 0] = psi[7, 1] = np.nan
+            psi[2, 1], psi[8, 2] = -np.inf, np.inf
+        cols.update(w=w, r=r, psi=psi)
     return Trajectory(
-        n=1, mu=0.1, t=np.arange(steps), y=col(), u=col(), w=col(), r=col(), ybar=col(),
-        ubar=col(), wbar=col(), e=col(), psi=rng.normal(size=(steps, 3)),
+        n=1, mu=0.1, t=np.arange(steps), **cols,
         theta_hat=block[:, :3], gains=block[:, 3:6], dioph_residual=block[:, 6],
         phi=rng.normal(size=(steps, 4)),
     )
@@ -502,10 +590,41 @@ def _estimate_blocks(case: str) -> np.ndarray:
     return block
 
 
-@pytest.mark.parametrize("case", ["signed_zero", "non_finite", "distinct", "equal"])
-def test_csv_equals_the_per_row_rendering_on_hand_built_estimate_runs(case):
-    traj = _hand_built(_estimate_blocks(case))
+@pytest.mark.parametrize(
+    "case, shared",
+    [
+        pytest.param("signed_zero", "random", id="signed_zero"),
+        pytest.param("non_finite", "random", id="non_finite"),
+        pytest.param("distinct", "random", id="distinct"),
+        pytest.param("equal", "random", id="equal"),
+        pytest.param("distinct", "shifted", id="shifted"),
+        pytest.param("equal", "psi_random", id="psi_random"),
+        pytest.param("equal", "zero_sign", id="zero_sign"),
+        pytest.param("non_finite", "non_finite", id="non_finite_shared"),
+    ],
+)
+def test_csv_equals_the_per_row_rendering_on_hand_built_estimate_runs(case, shared):
+    traj = _hand_built(_estimate_blocks(case), shared)
     assert traj.to_csv() == _csv_per_row(traj)
+
+
+def test_csv_refuses_columns_of_different_lengths(example_config):
+    traj = run_closed_loop(example_config(horizon=20))
+    short = lambda *fields: {field: getattr(traj, field)[:-1] for field in fields}  # noqa: E731
+    for cut in (
+        short("y"),
+        short("w", "r", "ybar", "ubar", "psi"),
+        short("theta_hat", "gains", "dioph_residual"),
+    ):
+        with pytest.raises(ValueError):
+            dataclasses.replace(traj, **cut).to_csv()
+
+
+def test_benchmark_trajectory_renders_the_golden_csv():
+    cfg, _, _ = load_config(BENCHMARK_CONFIG)
+    with open(os.path.join(ROOT, "out", "benchmark", "trajectory.csv"), "rb") as fh:
+        golden = fh.read()
+    assert run_closed_loop(cfg).to_csv().encode("ascii") == golden
 
 
 def test_csv_parse_is_bit_equal_to_per_field_float(example_config):
