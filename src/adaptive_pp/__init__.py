@@ -16,7 +16,6 @@ from .controller import (
     closed_loop_matrix,
     design_residual,
     design_rhs,
-    solve_diophantine,
     solve_diophantine_batch,
     solve_gains,
     spectral_radius,
@@ -87,7 +86,6 @@ __all__ = [
     "SingularSylvesterError",
     "solve_gains",
     "design_residual",
-    "solve_diophantine",
     "solve_diophantine_batch",
     "closed_loop_layout",
     "closed_loop_matrix",

@@ -196,8 +196,13 @@ def load_config(path: str) -> tuple[SimConfig, dict, str]:
             for key in ("theta", "theta0"):
                 if key in overrides:
                     _exact(overrides[key], bool, f"sweep.overrides.{key}")
-            if "mu" in overrides and _floats(overrides["mu"], "sweep.overrides.mu").size != 2:
-                raise ConfigError("sweep.overrides.mu must be [lo, hi]")
+            if "mu" in overrides:
+                lo_hi = _floats(overrides["mu"], "sweep.overrides.mu")
+                if lo_hi.size != 2 or not 0.0 < lo_hi[0] <= lo_hi[1]:
+                    raise ConfigError(
+                        f"bad sweep: sweep.overrides.mu must be [lo, hi] with 0 < lo <= hi, "
+                        f"got {json.dumps(overrides['mu'])}"
+                    )
             if "phi0" in overrides:
                 _float(overrides["phi0"], "sweep.overrides.phi0")
 

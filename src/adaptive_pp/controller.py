@@ -44,7 +44,6 @@ __all__ = [
     "solve_diophantine_batch",
     "solve_gains",
     "design_residual",
-    "solve_diophantine",
     "closed_loop_layout",
     "closed_loop_matrix",
     "state_recursion_audit",
@@ -288,60 +287,33 @@ def solve_gains(theta_hat, target: TargetPolynomial) -> np.ndarray:
     return -x[_gain_order(n)]
 
 
-def _convolve_rows(a: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """`np.convolve` of every row pair of two (count, k) stacks, with its bits; len(a) >= len(v).
+def _design_identity(theta_hat, gains, target: TargetPolynomial):
+    """The design identity at every (thetahat, K) row of a (..., 2n+1) stack: (M, x, r).
 
-    np.convolve forms each output where v overlaps a fully as a running sum
-    of products (numpy's small-kernel path, up to 11 terms) and every other
-    output as a BLAS dot.  A stacked matmul of C-contiguous rows is that same
-    dot, and the running sum is one elementwise product and add per term.
+    M is the system matrix stack, C-contiguous; x = [l; p] = [-K[n+1:],
+    -K[:n+1]] is the solution a gain row was read from; and
+    r = M x - (Astar - Abar) is the coefficient error of Abar L + B P
+    against Astar on z^{-1}..z^{-(2n+1)}.  The contiguity sends each row's
+    product through the same BLAS matrix-vector call as a one-row stack, so
+    a row's r has the same bits whatever stack it sits in.
     """
-    la, lv = a.shape[1], v.shape[1]
-    out = np.empty((a.shape[0], la + lv - 1))
-    for k in range(la + lv - 1):
-        lo, hi = max(0, k - lv + 1), min(k, la - 1)
-        if lv - 1 <= k <= la - 1 and lv <= 11:
-            acc = 0.0  # the sum starts from +0.0, so a -0.0 product sum reads +0.0
-            for i in range(lo, hi + 1):
-                acc = acc + a[:, i] * v[:, k - i]
-            out[:, k] = acc
-        else:
-            rows = np.ascontiguousarray(a[:, lo : hi + 1])
-            terms = np.ascontiguousarray(v[:, k - lo : (k - hi - 1 if k > hi else None) : -1])
-            out[:, k] = (rows[:, None, :] @ terms[:, :, None])[:, 0, 0]
-    return out
+    n = target.n
+    thetas = np.asarray(theta_hat, dtype=float)
+    m = np.ascontiguousarray(sylvester_matrix(thetas, n))
+    x = np.empty(np.shape(gains))
+    x[..., _gain_order(n)] = np.negative(gains)
+    r = (m @ x[..., None])[..., 0] - design_rhs(thetas, target.lifted_coeffs(), n)
+    return m, x, r
 
 
 def design_residual(theta_hat, gains, target: TargetPolynomial) -> np.ndarray:
     """Largest coefficient error of Abar L + B P against Astar, per (thetahat, K) row.
 
-    L = [1, l] and P = [0, p] with [l, p] = [-K[n+1:], -K[:n+1]], the
-    solution of the design system a gain row was read from.  A (..., 2n+1)
-    stack of estimates and gain rows gives a (...) array; each row's value
-    has the bits of `np.convolve` on that row alone.
+    The row-wise max |r| of `_design_identity`, r = M x - (Astar - Abar).  A
+    (..., 2n+1) stack of estimates and gain rows gives a (...) array, and
+    each row's value has the bits of a one-row call.
     """
-    n = target.n
-    thetas = np.asarray(theta_hat, dtype=float)
-    shape = thetas.shape[:-1]
-    c = sylvester_coeffs(thetas.reshape(-1, target.dim), n)
-    K = np.asarray(gains, dtype=float).reshape(-1, target.dim)
-    lp = np.empty((K.shape[0], 2 * n + 3))  # [1, l, 0, p]: L = [1, l] and P = [0, p]
-    lp[:, 0], lp[:, n + 1] = 1.0, 0.0
-    np.negative(K[:, n + 1 :], out=lp[:, 1 : n + 1])
-    np.negative(K[:, : n + 1], out=lp[:, n + 2 :])
-    recon = _convolve_rows(c[:, : n + 2], lp[:, : n + 1])
-    recon += _convolve_rows(lp[:, n + 1 :], c[:, n + 2 :])
-    return np.abs(recon - target.lifted_coeffs()).max(axis=-1).reshape(shape)
-
-
-def solve_diophantine(theta_hat, target: TargetPolynomial) -> tuple[np.ndarray, float]:
-    """Solve the pole-placement identity at one estimate; (K, residual).
-
-    K is the gain row of `solve_gains` and residual its `design_residual`,
-    the largest coefficient error of Abar L + B P against Astar.
-    """
-    K = solve_gains(theta_hat, target)
-    return K, float(design_residual(theta_hat, K, target))
+    return np.abs(_design_identity(theta_hat, gains, target)[2]).max(axis=-1)
 
 
 @lru_cache(maxsize=None)

@@ -46,7 +46,7 @@ from .controller import (
     SingularSylvesterError,
     TargetPolynomial,
     _certified_design,
-    _gain_order,
+    _design_identity,
     _gamma,
     closed_loop_matrix,
     design_residual,
@@ -57,7 +57,6 @@ from .controller import (
 )
 from .estimator import AUDIT_TOL, estimator_audit, projection_step
 from .plant import BoxSet, PlantParameters, aux_transform, image_box
-from .polynomial import sylvester_matrix
 
 __all__ = [
     "SignalSpec",
@@ -482,8 +481,8 @@ class ConstantsEstimate:
     samples_skipped: int
 
 
-# estimates per streamed chunk of estimate_constants, and the rows of largest
-# sigma_max bound whose solve and SVD seed each chunk's pruning cutoff
+# estimates per streamed chunk of estimate_constants, and the most rows of
+# largest sigma_max bound whose solve and SVD raise the cutoff before the rest
 _CHUNK = 8192
 _PROBE = 8
 
@@ -542,14 +541,15 @@ def estimate_constants(
     the vertices, with a running maximum, so memory stays bounded however
     many samples or vertices there are.  `controller._certified_design`
     proves LAPACK's verdict at nearly every row of a chunk and, with
-    `_sigma_bound`, bounds sigma_max for LAPACK's gain row.  LAPACK solves
-    only the undecided rows, the _PROBE rows of largest bound, and the rows
-    whose bound reaches the maximum so far, and every regular row it solves
-    goes to the SVD with LAPACK's gain row.  The result is the same float as
-    one LAPACK solve and SVD of every row: chunked draws reproduce the
-    one-shot stream, each matrix's solve and SVD do not depend on the batch
-    around it, a pruned row's sigma_max is below the maximum, and a maximum
-    does not depend on order.
+    `_sigma_bound`, bounds sigma_max for LAPACK's gain row; LAPACK decides
+    the rows it leaves open, and its own gain rows are bounded with no
+    slack.  Only rows whose bound reaches the maximum so far are solved by
+    LAPACK and sent to the SVD: first the _PROBE of them with the largest
+    bounds, then every one that reaches the maximum after the probe.  The
+    result is the same float as one LAPACK solve and SVD of every row:
+    chunked draws reproduce the one-shot stream, each matrix's solve and SVD
+    do not depend on the batch around it, a pruned row's sigma_max is below
+    the maximum, and a maximum does not depend on order.
     """
     n = target.n
     dim = 2 * n + 1
@@ -561,18 +561,27 @@ def estimate_constants(
     used = total = 0
     for thetas in _box_chunks(aux_box, rng, int(samples)):
         decided, ok, gains, slack = _certified_design(thetas, lifted, n)
+        # LAPACK decides the rows the certificate leaves open; its own gain rows need no slack
+        own = ~decided
+        design = solve_diophantine_batch(thetas[own], lifted, n)
+        ok[own] = design.ok
+        gains[np.flatnonzero(own)[design.ok]] = design.gains
+        slack[own] = 0.0
         bound = np.where(ok, _sigma_bound(thetas, gains, slack), -np.inf)
-        lapack, done = ~decided, np.zeros_like(ok)
-        lapack[np.argpartition(bound, -_PROBE)[-_PROBE:] if bound.size > _PROBE else slice(None)] = True
-        while lapack.any():
-            design = solve_diophantine_batch(thetas[lapack], lifted, n)
-            ok[lapack] = design.ok
-            mats = closed_loop_matrix(thetas[lapack][design.ok], design.gains)
+        todo = ok.copy()
+        for cap in (_PROBE, None):
+            # the rows whose bound reaches the maximum, at most _PROBE of the largest
+            # first; the relative margin keeps a row whose rounded bound ties it,
+            # and a NaN bound is never below it
+            rows = np.flatnonzero(todo & ~(bound < alpha * (1.0 - 1e-12)))
+            if cap is not None and rows.size > cap:
+                rows = rows[np.argpartition(bound[rows], -cap)[-cap:]]
+            if rows.size == 0:
+                break
+            design = solve_diophantine_batch(thetas[rows], lifted, n)
+            mats = closed_loop_matrix(thetas[rows][design.ok], design.gains)
             alpha = float(np.max(np.linalg.svd(mats, compute_uv=False)[:, 0], initial=alpha))
-            done |= lapack
-            # the rows whose bound reaches the maximum; the relative margin keeps a
-            # row whose rounded bound ties it, and a NaN bound is never below it
-            lapack = ok & ~done & ~(bound < alpha * (1.0 - 1e-12))
+            todo[rows] = False
         used += int(ok.sum())
         total += thetas.shape[0]
     if used == 0:
@@ -640,15 +649,15 @@ def _rouche_margin(target: TargetPolynomial, lam: float) -> float:
 def pole_placement_audit(traj: Trajectory, target: TargetPolynomial, lam: float) -> dict:
     """Prove that every logged (thetahat, K) row places the target poles, inside |z| < lam.
 
-    det(zI - A(theta, K)) is the z-lift of Abar L + B P, with
-    [L, P] = [1, l, 0, p] and x = [l; p] = [-K[n+1:], -K[:n+1]] for any
-    gain row.  So the coefficient error of every row is
-    r = M(theta) x - (Astar - Abar), with the design matrix M and no
-    closed-loop matrix built.  Its 2n+1 products and two rounded terms make
-    |r| + gamma_{2n+3} (|M||x| + |Astar - Abar| + |Astar|) a bound on the
-    exact error (Higham, Accuracy and Stability of Numerical Algorithms,
-    section 3.1); a factor 1 + 2 gamma_{2n+3} covers the bound's own rounding,
-    and its largest entry is the proven `max_coeff_err` eps.
+    det(zI - A(theta, K)) is the z-lift of Abar L + B P, so the coefficient
+    error of every row is r = M(theta) x - (Astar - Abar) of
+    `controller._design_identity`, the same evaluation as the design
+    residual column, with no closed-loop matrix built.  Its 2n+1 products
+    and two rounded terms make |r| + gamma_{2n+3} (|M||x| + |Astar - Abar| +
+    |Astar|) a bound on the exact error (Higham, Accuracy and Stability of
+    Numerical Algorithms, section 3.1) in any summation order; a factor
+    1 + 2 gamma_{2n+3} covers the bound's own rounding, and its largest
+    entry is the proven `max_coeff_err` eps.
 
     Violations: eps beyond AUDIT_TOL * (1 + max|Astar|); the design
     residual column beyond the same; and a failed radius certificate.  By
@@ -660,14 +669,11 @@ def pole_placement_audit(traj: Trajectory, target: TargetPolynomial, lam: float)
     n, k = target.n, 2 * target.n + 3
     lifted = target.lifted_coeffs()
     scale = 1.0 + float(np.abs(lifted).max())
-    m = sylvester_matrix(traj.theta_hat, n)
-    rhs = design_rhs(traj.theta_hat, lifted, n)
-    x = np.empty(traj.gains.shape + (1,))
-    x[:, _gain_order(n), 0] = -traj.gains
     margin = _rouche_margin(target, lam)
     with np.errstate(invalid="ignore", over="ignore"):
-        r = (m @ x)[:, :, 0] - rhs
-        bound = (np.abs(m) @ np.abs(x))[:, :, 0] + np.abs(rhs) + np.abs(lifted[1:])
+        m, x, r = _design_identity(traj.theta_hat, traj.gains, target)
+        rhs = design_rhs(traj.theta_hat, lifted, n)
+        bound = (np.abs(m) @ np.abs(x)[:, :, None])[:, :, 0] + np.abs(rhs) + np.abs(lifted[1:])
         err = np.abs(r) + _gamma(k) * bound
         eps = float(np.max(err)) * (1.0 + 2.0 * _gamma(k))
         radius = eps * np.polyval(np.ones(2 * n + 1), lam)

@@ -115,6 +115,8 @@ def test_audits_default_when_omitted(config_file):
         dict(parameter_box={"a": [[-2.0, 0.0], [-3.0, "-1"]], "b": [[-1.0, 0.0], [-5.0, -3.0]]}),
         dict(sweep={"draws": 10, "overrides": {"mu": ["1e-3", 1.0]}}),
         dict(sweep={"draws": 10, "overrides": {"mu": [1e-3]}}),
+        dict(sweep={"draws": 10, "overrides": {"mu": [1.0, 1e-6]}}),
+        dict(sweep={"draws": 10, "overrides": {"mu": [0.0, 1.0]}}),
         dict(sweep={"draws": 10, "overrides": {"phi0": "5"}}),
         dict(mu=10**400),
         # the output directory must be a JSON string
@@ -425,8 +427,9 @@ def test_sweep_writes_per_draw_rows(config_file, tmp_path):
         (["--draws", "2", "--horizon", "0"], None),
         (["--draws", "2"], {"mu": [0.0, 1.0]}),
         (["--draws", "2"], {"mu": [1.0, 0.5]}),
+        (["--draws", "2"], {"mu": [1.0, 1e-6]}),
     ],
-    ids=["zero-draws", "zero-horizon", "mu-from-zero", "mu-reversed"],
+    ids=["zero-draws", "zero-horizon", "mu-from-zero", "mu-reversed", "mu-reversed-wide"],
 )
 def test_sweep_rejects_bad_input_with_exit_2(config_file, tmp_path, capsys, args, overrides):
     out = tmp_path / "bad_sweep"
@@ -434,7 +437,8 @@ def test_sweep_rejects_bad_input_with_exit_2(config_file, tmp_path, capsys, args
     path = config_file(horizon=100, audits=["recursion"], alpha_samples=500, sweep=sweep)
     assert main(["sweep", path, "--out", str(out), "--quiet"] + args) == 2
     assert "error: bad sweep" in capsys.readouterr().err
-    assert not (out / "sweep.csv").exists()
+    # refused before the output directory is made, so nothing is written
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(

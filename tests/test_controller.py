@@ -14,14 +14,13 @@ from adaptive_pp import (
     design_rhs,
     image_box,
     singularity_threshold,
-    solve_diophantine,
     solve_diophantine_batch,
     solve_gains,
     state_recursion_audit,
     sylvester_margin,
     sylvester_matrix,
 )
-from adaptive_pp.controller import _certified_design, _convolve_rows, _gamma
+from adaptive_pp.controller import _certified_design, _design_identity, _gamma
 from adaptive_pp.simulation import _sigma_bound
 
 BENCH_TARGET = TargetPolynomial([1.0, -0.6], 2)
@@ -70,14 +69,17 @@ def test_first_order_design_reads_off_the_coefficients():
     # With abarhat = [0, 0] and bhat = [1] the identity collapses to
     # L + q P = Astar, so L and P are the target's own coefficients.
     target = TargetPolynomial([1.0, 0.3, -0.1, 0.05], 1)
-    K, residual = solve_diophantine(np.array([0.0, 0.0, 1.0]), target)
+    theta = np.array([0.0, 0.0, 1.0])
+    K = solve_gains(theta, target)
+    residual = design_residual(theta, K, target)
     # K = [-p_1, -p_2, -l_1] with L = 1 + 0.3 q and P = -0.1 q + 0.05 q^2
     np.testing.assert_allclose(K, [0.1, -0.05, -0.3], atol=1e-14)
     assert residual <= 1e-14
 
 
 def test_design_solves_the_identity_at_the_benchmark_start():
-    K, residual = solve_diophantine(BENCH_THETA0, BENCH_TARGET)
+    K = solve_gains(BENCH_THETA0, BENCH_TARGET)
+    residual = design_residual(BENCH_THETA0, K, BENCH_TARGET)
     # independent reconstruction through polynomial products
     combo = _identity_lhs(BENCH_THETA0, K)
     np.testing.assert_allclose(combo, BENCH_TARGET.lifted_coeffs(), atol=1e-12)
@@ -92,9 +94,10 @@ def test_design_identity_holds_across_the_uncertainty_box(example_box, example_t
     worst = 0.0
     for vec in aux_box.sample(rng, 300):
         try:
-            K, residual = solve_diophantine(vec, example_target)
+            K = solve_gains(vec, example_target)
         except SingularSylvesterError:
             continue
+        residual = design_residual(vec, K, example_target)
         combo = _identity_lhs(vec, K)
         worst = max(worst, float(np.abs(combo - lifted).max()), residual)
     assert worst <= 1e-9
@@ -103,7 +106,7 @@ def test_design_identity_holds_across_the_uncertainty_box(example_box, example_t
 def test_design_raises_on_a_vanishing_numerator():
     theta = np.array([0.5, -1.0, 1.5, 0.0, 0.0])
     with pytest.raises(SingularSylvesterError) as exc:
-        solve_diophantine(theta, BENCH_TARGET)
+        solve_gains(theta, BENCH_TARGET)
     err = exc.value
     assert err.margin <= err.threshold
     assert err.rcond < 1e-12
@@ -115,14 +118,14 @@ def test_design_raises_on_a_shared_factor():
     # abar = (1 - q)(1 + 0.5q + 1.5q^2), bhat = q(1 - q)  -> common root
     theta = np.array([0.5, -1.0, 1.5, 1.0, -1.0])
     with pytest.raises(SingularSylvesterError):
-        solve_diophantine(theta, BENCH_TARGET)
+        solve_gains(theta, BENCH_TARGET)
 
 
 def test_design_rejects_wrong_length():
     with pytest.raises(ValueError):
-        solve_diophantine(np.zeros(4), BENCH_TARGET)
+        solve_gains(np.zeros(4), BENCH_TARGET)
     with pytest.raises(ValueError):
-        solve_diophantine(np.zeros((1, 5)), BENCH_TARGET)
+        solve_gains(np.zeros((1, 5)), BENCH_TARGET)
 
 
 def test_batched_design_is_a_stack_of_single_solves(example_box):
@@ -133,22 +136,15 @@ def test_batched_design_is_a_stack_of_single_solves(example_box):
     singles = []
     for vec in thetas:
         try:
-            singles.append(solve_diophantine(vec, BENCH_TARGET))
+            singles.append(solve_gains(vec, BENCH_TARGET))
         except SingularSylvesterError:
             singles.append(None)
-    np.testing.assert_array_equal(batch.ok, [sol is not None for sol in singles])
+    np.testing.assert_array_equal(batch.ok, [K is not None for K in singles])
     assert not batch.ok[57] and batch.ok.sum() == 199
-    solved = [sol for sol in singles if sol is not None]
-    assert np.array_equal(batch.gains, np.array([K for K, _ in solved]))
-    lifted = BENCH_TARGET.lifted_coeffs()
-    residuals = [
-        np.abs(_identity_lhs(vec, K) - lifted).max()
-        for vec, (K, _) in zip(thetas[batch.ok], solved)
-    ]
-    assert np.array_equal(residuals, [residual for _, residual in solved])
+    assert np.array_equal(batch.gains, np.array([K for K in singles if K is not None]))
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_batched_residual_has_the_bits_of_each_single_solve(n):
     # seeded generic, near-common-root and huge-gain estimates of order n
     target = _spread_target(n)
@@ -157,28 +153,30 @@ def test_batched_residual_has_the_bits_of_each_single_solve(n):
     thetas = thetas[design.ok]
     gains = np.array([solve_gains(vec, target) for vec in thetas])
     assert np.array_equal(gains.view(np.uint64), design.gains.view(np.uint64))
-    singles = np.array([solve_diophantine(vec, target)[1] for vec in thetas])
+    # each row's bits are those of a one-row call, whatever the stack around
+    # it and the operands' memory order: the system stack is made contiguous,
+    # so every row goes through the same BLAS matrix-vector product
+    singles = np.array([design_residual(vec, K, target) for vec, K in zip(thetas, gains)])
+    picked = np.random.default_rng(n).permutation(len(thetas))
+    stacks = {
+        "stacked": design_residual(thetas, gains, target),
+        "fortran": design_residual(np.asfortranarray(thetas), np.asfortranarray(gains), target),
+        "fancy": design_residual(thetas[picked], gains[picked], target)[np.argsort(picked)],
+        "strided": design_residual(np.repeat(thetas, 2, axis=0)[::2], np.repeat(gains, 2, axis=0)[::2], target),
+        "reversed": design_residual(thetas[::-1], gains[::-1], target)[::-1],
+    }
+    for name, got in stacks.items():
+        assert np.array_equal(got.view(np.uint64), singles.view(np.uint64)), name
+    # the polynomial products sum the same terms in another order: both are
+    # within gamma_{2n+3} of the exact error, scaled by the terms' magnitude
     lifted = target.lifted_coeffs()
     by_convolve = np.array([np.abs(_identity_lhs(vec, K) - lifted).max() for vec, K in zip(thetas, gains)])
-    stacked = design_residual(thetas, gains, target)
-    for got in (singles, stacked):
-        assert np.array_equal(got.view(np.uint64), by_convolve.view(np.uint64))
-    # a (..., 2n+1) stack keeps its leading shape, and one row gives a 0-d array
+    m, x, _ = _design_identity(thetas, gains, target)
+    terms = (np.abs(m) @ np.abs(x)[:, :, None])[:, :, 0] + np.abs(design_rhs(thetas, lifted, n)) + np.abs(lifted[1:])
+    assert np.all(np.abs(singles - by_convolve) <= 2.0 * _gamma(2 * n + 3) * terms.max(axis=1) * (1.0 + 1e-6))
+    # a (..., 2n+1) stack keeps its leading shape, and one row gives a 0-d value
     assert design_residual(thetas[:6].reshape(2, 3, -1), gains[:6].reshape(2, 3, -1), target).shape == (2, 3)
     assert design_residual(thetas[0], gains[0], target).shape == ()
-
-
-@pytest.mark.parametrize("lv", range(2, 14))
-def test_row_convolution_has_the_bits_of_np_convolve(lv):
-    # both of np.convolve's paths: a running sum where the shorter row overlaps
-    # fully (up to 11 terms) and a BLAS dot elsewhere; signed zeros included
-    rng = np.random.default_rng(lv)
-    for la in (lv, lv + 1, lv + 3):
-        a, v = rng.normal(size=(400, la)), rng.normal(size=(400, lv))
-        a[rng.random(a.shape) < 0.2] = -0.0
-        v[rng.random(v.shape) < 0.2] = 0.0
-        want = np.array([np.convolve(x, y) for x, y in zip(a, v)])
-        assert np.array_equal(_convolve_rows(a, v).view(np.uint64), want.view(np.uint64)), la
 
 
 # ---------------------------------------------------------------------------
@@ -328,7 +326,7 @@ def test_spectrum_matches_the_target_in_coefficient_space():
     lifted = BENCH_TARGET.lifted_coeffs()
     for vec in aux_box.sample(rng, 50):
         try:
-            K, _ = solve_diophantine(vec, BENCH_TARGET)
+            K = solve_gains(vec, BENCH_TARGET)
         except SingularSylvesterError:
             continue
         mat = closed_loop_matrix(vec, K)
@@ -344,7 +342,7 @@ def _recursion_rollout(steps: int, seed: int):
     """Roll psi forward by the exact recursion with random innovations."""
     rng = np.random.default_rng(seed)
     theta = np.array([0.3, -0.2, 0.4])
-    K, _ = solve_diophantine(theta, TargetPolynomial([1.0, -0.5], 1))
+    K = solve_gains(theta, TargetPolynomial([1.0, -0.5], 1))
     psi = np.empty((steps, 3))
     e = rng.normal(size=steps)
     psi[0] = rng.normal(size=3)

@@ -19,6 +19,7 @@ from adaptive_pp import (
     TrajectoryFormatError,
     closed_loop_matrix,
     crude_bound_audit,
+    design_residual,
     design_rhs,
     estimate_constants,
     gain_bound_fit,
@@ -27,12 +28,13 @@ from adaptive_pp import (
     pole_placement_audit,
     run_audits,
     run_closed_loop,
-    solve_diophantine,
     solve_diophantine_batch,
+    solve_gains,
     tracking_audit,
 )
 from adaptive_pp import simulation
 from adaptive_pp.cli import load_config
+from adaptive_pp.controller import _design_identity
 from adaptive_pp.estimator import projection_step
 from adaptive_pp.simulation import (
     TRAJECTORY_COLUMNS,
@@ -367,7 +369,8 @@ def _per_step_loop(cfg: SimConfig) -> Trajectory:
         if theta.tobytes() != key:
             theta, K = _design(theta, cfg, aux_box, cfg.t0 + i)
             # the residual of a single solve at the (possibly nudged) estimate
-            K_single, residual = solve_diophantine(theta, cfg.target)
+            K_single = solve_gains(theta, cfg.target)
+            residual = design_residual(theta, K_single, cfg.target)
             assert np.array_equal(K_single.view(np.uint64), K.view(np.uint64))
             key = theta.tobytes()
         out["y"][i] = y[0]
@@ -815,6 +818,30 @@ def test_pruned_constants_keep_a_near_rank_one_maximum():
     assert alpha > 1e5
 
 
+@pytest.mark.parametrize("box", ["near_rank_one", "benchmark"])
+def test_constants_send_few_rows_to_the_svd(monkeypatch, example_target, box):
+    # LAPACK's own gain rows are bounded with no slack, and only rows whose
+    # bound reaches the running maximum are decomposed, at most _PROBE of the
+    # largest first; on the near-rank-one box LAPACK decides thousands of rows
+    aux_box, target = {
+        "near_rank_one": (image_box(BoxSet([-0.5, 1e-6], [-0.4, 2e-6]), 1), TargetPolynomial([1.0, -0.5], 1)),
+        "benchmark": (BoxSet([-1.0, -3.0, 1.0, -1.0, -5.0], [1.0, 1.0, 3.0, 0.0, -3.0]), example_target),
+    }[box]
+    decomposed = []
+    svd = np.linalg.svd
+
+    def counting(a, *args, **kwargs):
+        decomposed.append(a.shape[0])
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting)
+    est = estimate_constants(aux_box, target, samples=100_000, seed=0)
+    monkeypatch.undo()
+    assert 0 < sum(decomposed) <= 2 * simulation._PROBE
+    alpha, used, skipped = _constants_by_brute_force(aux_box, target, 100_000, seed=0)
+    assert (est.alpha_bar, est.samples_used, est.samples_skipped) == (alpha, used, skipped)
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_gram_bound_dominates_sigma_max(n):
     # 25k rows per order: random (theta, K), K not solved, each row scaled
@@ -910,6 +937,41 @@ def test_pole_audit_flags_a_non_finite_row_and_a_single_nudged_gain(bench_run, e
         assert not report["pass"]
     report = pole_placement_audit(dataclasses.replace(traj, gains=nudged), example_target, 0.8)
     assert report["max_coeff_err"] > 1e-7
+
+
+@pytest.fixture(scope="module")
+def golden_run():
+    cfg, _, _ = load_config(BENCHMARK_CONFIG)
+    with open(os.path.join(ROOT, "out", "benchmark", "trajectory.csv"), encoding="ascii") as fh:
+        return cfg, Trajectory.from_csv(fh.read(), cfg)
+
+
+def test_golden_residual_column_is_the_pole_audits_own_error(golden_run):
+    # the logged column and the audit read the same evaluation of the identity
+    cfg, traj = golden_run
+    _, _, r = _design_identity(traj.theta_hat, traj.gains, cfg.target)
+    own = np.abs(r).max(axis=1)
+    assert np.array_equal(traj.dioph_residual.view(np.uint64), own.view(np.uint64))
+    report = pole_placement_audit(traj, cfg.target, cfg.decay_rate())
+    assert report["violations"] == 0
+    assert report["max_residual"] == own.max()
+    assert np.all(traj.dioph_residual <= report["max_coeff_err"])
+
+
+@pytest.mark.parametrize("bad", [1e-3, np.nan])
+def test_pole_audit_residual_check_fires_on_its_own(golden_run, bad):
+    # only the logged column is bent, so eps and the Rouche radius still pass
+    cfg, traj = golden_run
+    lam = cfg.decay_rate()
+    clean = pole_placement_audit(traj, cfg.target, lam)
+    assert clean["violations"] == 0
+    column = traj.dioph_residual.copy()
+    column[1234] = bad
+    report = pole_placement_audit(dataclasses.replace(traj, dioph_residual=column), cfg.target, lam)
+    assert report["violations"] == 1
+    assert report["max_coeff_err"] == clean["max_coeff_err"] <= AUDIT_TOL
+    assert report["rouche_margin"] == clean["rouche_margin"]
+    assert np.array_equal(report["max_residual"], bad, equal_nan=True)
 
 
 def test_pole_audit_certifies_the_decay_radius(bench_run, example_target):
