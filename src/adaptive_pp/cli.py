@@ -8,9 +8,10 @@ Configs are strict JSON; unknown keys anywhere are rejected so typos cannot
 silently change an experiment, and every number must be a finite JSON
 number.  Every command writes a `manifest.json` summarizing inputs
 (including a SHA-256 of the canonical config), outputs, audit results, and
-timing; it is standard JSON (a non-finite value is written as null), and the
-write is atomic so a crash cannot leave a half-written manifest next to
-finished data.
+timing; it is standard JSON (a non-finite value is written as null).  Every
+output file is written whole or not at all (a sibling temp file, then a
+rename), so neither a crash nor a failed render can leave a half-written or
+emptied file next to finished data.
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ from .simulation import (
     SimConfig,
     Trajectory,
     TrajectoryFormatError,
+    _write_whole,
     estimate_constants,
     gain_bound_fit,
     monte_carlo_sweep,
@@ -249,11 +251,8 @@ def write_manifest(out_dir: str, payload: dict) -> str:
     or an infinity becomes null.
     """
     path = os.path.join(out_dir, "manifest.json")
-    tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        json.dump(_json_ready(payload), fh, indent=2, sort_keys=True, allow_nan=False)
-        fh.write("\n")
-    os.replace(tmp, path)
+    text = json.dumps(_json_ready(payload), indent=2, sort_keys=True, allow_nan=False)
+    _write_whole(path, text + "\n")
     return path
 
 
@@ -330,8 +329,7 @@ RUN_OUTPUTS = ("trajectory.csv", "signals.gp", "estimates.gp")
 def _emit_plots(out_dir: str, cfg: SimConfig) -> list[str]:
     names = list(RUN_OUTPUTS[1:])
     for name, text in zip(names, (_signals_plot(cfg.n), _estimates_plot(cfg.n, cfg.theta_star()))):
-        with open(os.path.join(out_dir, name), "w", encoding="ascii") as fh:
-            fh.write(text)
+        _write_whole(os.path.join(out_dir, name), text)
     return names
 
 
@@ -472,8 +470,7 @@ def cmd_sweep(args) -> int:
         row += [str(rep.details.get(a, 0)) for a in detail_names]
         lines.append(",".join(row))
     csv_path = os.path.join(out_dir, "sweep.csv")
-    with open(csv_path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_whole(csv_path, "\n".join(lines) + "\n")
 
     total = sum(rep.violations for rep in reports)
     aborted = sum(1 for rep in reports if rep.aborted)

@@ -37,6 +37,7 @@ Each audit decides its own verdict against the shared rounding tolerance
 from __future__ import annotations
 
 import itertools
+import os
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -229,6 +230,18 @@ TRAJECTORY_COLUMNS = (
 _POOLED = ("w", "r", "ybar", "ubar", "psi")
 
 
+def _write_whole(path, text: str) -> None:
+    """Write `text` to `path` whole or not at all: a sibling temp file, then a rename."""
+    tmp = os.fspath(path) + ".tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):  # the write or the rename failed
+            os.remove(tmp)
+
+
 def _pooled_texts(values: np.ndarray) -> np.ndarray:
     """A 2-D float array as an object array of "%.17g" strings, each distinct bit pattern formatted once.
 
@@ -314,8 +327,8 @@ class Trajectory:
         return "\n".join(lines) + "\n"
 
     def save(self, path) -> None:
-        with open(path, "w", encoding="ascii", newline="\n") as fh:
-            fh.write(self.to_csv())
+        """Write `to_csv()` to `path`; a render that raises leaves the file as it was."""
+        _write_whole(path, self.to_csv())
 
     @classmethod
     def from_csv(cls, text: str, cfg: SimConfig) -> "Trajectory":
@@ -562,11 +575,12 @@ def estimate_constants(
     for thetas in _box_chunks(aux_box, rng, int(samples)):
         decided, ok, gains, slack = _certified_design(thetas, lifted, n)
         # LAPACK decides the rows the certificate leaves open; its own gain rows need no slack
-        own = ~decided
-        design = solve_diophantine_batch(thetas[own], lifted, n)
-        ok[own] = design.ok
-        gains[np.flatnonzero(own)[design.ok]] = design.gains
-        slack[own] = 0.0
+        own = np.flatnonzero(~decided)
+        if own.size:
+            design = solve_diophantine_batch(thetas[own], lifted, n)
+            ok[own] = design.ok
+            gains[own[design.ok]] = design.gains
+            slack[own] = 0.0
         bound = np.where(ok, _sigma_bound(thetas, gains, slack), -np.inf)
         todo = ok.copy()
         for cap in (_PROBE, None):

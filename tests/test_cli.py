@@ -123,6 +123,10 @@ def test_audits_default_when_omitted(config_file):
         dict(out=5),
         dict(out=True),
         dict(out=["out"]),
+        # a section that is not an object, a reversed box pair, plant lengths other than n
+        dict(plant=[1]),
+        dict(parameter_box={"a": [[0.0, -2.0], [-3.0, -1.0]], "b": [[-1.0, 0.0], [-5.0, -3.0]]}),
+        dict(plant={"a": [-0.5], "b": [-0.75, -3.0]}),
     ],
 )
 def test_load_config_rejects_bad_content(config_file, mutation):
@@ -225,12 +229,21 @@ def test_run_uses_the_config_out_directory(config_file, tmp_path, monkeypatch):
     assert (tmp_path / "configured_out" / "trajectory.csv").exists()
 
 
-def test_run_aborts_with_exit_3_on_a_singular_design(config_file, tmp_path):
+@pytest.mark.parametrize(
+    "extra",
+    [
+        {},
+        # theta0 is the centre of the incremental box, so the nudge cannot move it
+        dict(nudge_singular=True, parameter_box={"a": [[0.3, 0.7]], "b": [[-4.0, 4.0]]}, t0=3),
+    ],
+    ids=["no_nudge", "nudge_at_centre"],
+)
+def test_run_aborts_with_exit_3_on_a_singular_design(config_file, tmp_path, extra):
     out = tmp_path / "sing"
     # an earlier good run into the same directory must not outlive the abort
     good = config_file(horizon=120, audits=["recursion"], alpha_samples=500)
     assert main(["run", good, "--out", str(out), "--plots", "--quiet"]) == 0
-    path = config_file(**SINGULAR_FIRST_ORDER)
+    path = config_file(**{**SINGULAR_FIRST_ORDER, **extra})
     code = main(["run", path, "--out", str(out), "--quiet"])
     assert code == 3
     manifest = read_manifest(out)

@@ -327,10 +327,21 @@ def _first_order_cfg(b0: float, nudge: bool) -> SimConfig:
     )
 
 
-def test_singular_start_aborts_with_the_step_attached():
+@pytest.mark.parametrize(
+    "cfg, step",
+    [
+        (_first_order_cfg(0.0, nudge=False), 0),
+        # theta0 is the centre of the incremental box b in [-4, 4], so the
+        # nudge moves no coordinate and the retried design is singular too
+        (dataclasses.replace(_first_order_cfg(0.0, nudge=True), box=BoxSet([0.3, -4.0], [0.7, 4.0]), t0=3), 3),
+    ],
+    ids=["no_nudge", "nudge_at_centre"],
+)
+def test_singular_start_aborts_with_the_step_attached(cfg, step):
     with pytest.raises(SingularSylvesterError) as exc:
-        run_closed_loop(_first_order_cfg(0.0, nudge=False))
-    assert exc.value.step == 0
+        run_closed_loop(cfg)
+    assert exc.value.step == step
+    assert isinstance(exc.value.__cause__, SingularSylvesterError)
 
 
 def test_nudge_recovers_a_singular_start():
@@ -483,6 +494,21 @@ def test_csv_roundtrip_is_bit_exact(n, example_config, tmp_path):
     for field in dataclasses.fields(Trajectory):
         old, new = np.asarray(getattr(traj, field.name)), np.asarray(getattr(back, field.name))
         assert (new.dtype, new.shape, new.tobytes()) == (old.dtype, old.shape, old.tobytes()), field.name
+
+
+def test_a_failed_save_leaves_the_existing_file_as_it_was(example_config, tmp_path):
+    traj = run_closed_loop(example_config(horizon=50))
+    path = tmp_path / "traj.csv"
+    traj.save(path)
+    before = path.read_bytes()
+    with pytest.raises(ValueError):
+        dataclasses.replace(traj, y=traj.y[:-1]).save(path)  # to_csv raises
+    assert path.read_bytes() == before
+    # a rename that fails removes its temp file
+    (tmp_path / "taken").mkdir()
+    with pytest.raises(OSError):
+        traj.save(tmp_path / "taken")
+    assert sorted(os.listdir(tmp_path)) == ["taken", "traj.csv"]
 
 
 def _csv_per_field(traj: Trajectory) -> str:
@@ -827,17 +853,24 @@ def test_constants_send_few_rows_to_the_svd(monkeypatch, example_target, box):
         "near_rank_one": (image_box(BoxSet([-0.5, 1e-6], [-0.4, 2e-6]), 1), TargetPolynomial([1.0, -0.5], 1)),
         "benchmark": (BoxSet([-1.0, -3.0, 1.0, -1.0, -5.0], [1.0, 1.0, 3.0, 0.0, -3.0]), example_target),
     }[box]
-    decomposed = []
-    svd = np.linalg.svd
+    decomposed, solved = [], []
+    svd, solve = np.linalg.svd, simulation.solve_diophantine_batch
 
     def counting(a, *args, **kwargs):
         decomposed.append(a.shape[0])
         return svd(a, *args, **kwargs)
 
+    def counting_solve(thetas, *args):
+        solved.append(thetas.shape[0])
+        return solve(thetas, *args)
+
     monkeypatch.setattr(np.linalg, "svd", counting)
+    monkeypatch.setattr(simulation, "solve_diophantine_batch", counting_solve)
     est = estimate_constants(aux_box, target, samples=100_000, seed=0)
     monkeypatch.undo()
     assert 0 < sum(decomposed) <= 2 * simulation._PROBE
+    # LAPACK is never called on an empty stack, as when the certificate decides every row
+    assert solved and min(solved) > 0
     alpha, used, skipped = _constants_by_brute_force(aux_box, target, 100_000, seed=0)
     assert (est.alpha_bar, est.samples_used, est.samples_skipped) == (alpha, used, skipped)
 
