@@ -252,7 +252,7 @@ def write_manifest(out_dir: str, payload: dict) -> str:
     """
     path = os.path.join(out_dir, "manifest.json")
     text = json.dumps(_json_ready(payload), indent=2, sort_keys=True, allow_nan=False)
-    _write_whole(path, text + "\n")
+    _write_whole(path, (text, "\n"))
     return path
 
 
@@ -329,7 +329,7 @@ RUN_OUTPUTS = ("trajectory.csv", "signals.gp", "estimates.gp")
 def _emit_plots(out_dir: str, cfg: SimConfig) -> list[str]:
     names = list(RUN_OUTPUTS[1:])
     for name, text in zip(names, (_signals_plot(cfg.n), _estimates_plot(cfg.n, cfg.theta_star()))):
-        _write_whole(os.path.join(out_dir, name), text)
+        _write_whole(os.path.join(out_dir, name), (text,))
     return names
 
 
@@ -470,7 +470,7 @@ def cmd_sweep(args) -> int:
         row += [str(rep.details.get(a, 0)) for a in detail_names]
         lines.append(",".join(row))
     csv_path = os.path.join(out_dir, "sweep.csv")
-    _write_whole(csv_path, "\n".join(lines) + "\n")
+    _write_whole(csv_path, ("\n".join(lines) + "\n",))
 
     total = sum(rep.violations for rep in reports)
     aborted = sum(1 for rep in reports if rep.aborted)

@@ -138,15 +138,16 @@ def _gain_order(n: int) -> np.ndarray:
     return order
 
 
-def design_rhs(thetas: np.ndarray, lifted: np.ndarray, n: int) -> np.ndarray:
+def design_rhs(thetas: np.ndarray, lifted: np.ndarray, n: int, out: np.ndarray | None = None) -> np.ndarray:
     """Right side Astar - Abar of the design system on the powers z^{-1}..z^{-(2n+1)}.
 
-    One row per estimate of a (..., 2n+1) stack, in the stack's memory order;
+    One row per estimate of a (..., 2n+1) stack, in the stack's memory order,
+    or written into `out`, an array of the stack's shape in any memory order;
     Abar's coefficients are the negated abar_k, so the first n+1 entries add
     them.  Object arrays of Fractions give exact sums in an object array; both
     must hold Fractions, since a Fraction plus a float is a float.
     """
-    rhs = np.empty_like(thetas, dtype=np.result_type(thetas, lifted))
+    rhs = np.empty_like(thetas, dtype=np.result_type(thetas, lifted)) if out is None else out
     np.add(thetas[..., : n + 1], lifted[1 : n + 2], out=rhs[..., : n + 1])
     rhs[..., n + 1 :] = lifted[n + 2 :]
     return rhs
@@ -179,13 +180,39 @@ def _gamma(k: int) -> float:
     return k * u / (1.0 - k * u)
 
 
-def _certified_design(thetas: np.ndarray, lifted: np.ndarray, n: int):
+@lru_cache(maxsize=None)
+def _augmented_gather(n: int) -> np.ndarray:
+    """Gather index of the augmented system [M | b] from the entry-major stack [c; b].
+
+    c is `sylvester_coeffs` (2n+3 entries) and b is `design_rhs`, so M's
+    columns read c through `sylvester_gather` and the last column reads b.
+    """
+    index = np.column_stack((sylvester_gather(n), np.arange(2 * n + 3, 4 * n + 4)))
+    index.flags.writeable = False
+    return index
+
+
+def _design_workspace(n: int, rows: int) -> np.ndarray:
+    """Flat float64 workspace for `_certified_design` on up to `rows` estimates.
+
+    Per row it holds [M | b], (2n+1)(2n+2) floats, then scratch for the
+    largest temporary the elimination needs: the stacked coefficients
+    [c; b] (4n+4 floats, more than the threshold's or a pivot swap's) or a
+    Schur-complement update (2n(n+2)).
+    """
+    d = 2 * n + 1
+    return np.empty(rows * (d * (d + 1) + max(4 * n + 4, 2 * n * (n + 2))))
+
+
+def _certified_design(thetas: np.ndarray, lifted: np.ndarray, n: int, work: np.ndarray | None = None):
     """Prove LAPACK's design verdict and bound its gain row at every row of a stack, without it.
 
     Returns (decided, regular, gains, slack) over a (count, 2n+1) stack.
     Where `decided`, `regular` is the verdict `solve_diophantine_batch`
     gives; where it is also regular, the gain row K_L that LAPACK's solve
-    returns is within `slack` of `gains` in the 2-norm.
+    returns is within `slack` of `gains` in the 2-norm.  The elimination
+    runs in `work`, a `_design_workspace` for at least `count` rows, which a
+    caller may reuse across stacks; none of the results lives in it.
 
     All rows are eliminated at once, entry by entry across the stack.  Abar
     is monic, so by `sylvester_gather` the top-left n x n block of M is unit
@@ -224,42 +251,68 @@ def _certified_design(thetas: np.ndarray, lifted: np.ndarray, n: int):
     slack are finite; a NaN or Inf in the row fails these.
     """
     d = 2 * n + 1
-    cols = np.ascontiguousarray(thetas.T).T  # each entry's stack contiguous
-    # [M | b] in one gather, one (count,) array per entry
-    gather = np.column_stack((sylvester_gather(n), np.arange(2 * n + 3, 4 * n + 4)))
-    a = np.concatenate((sylvester_coeffs(cols, n).T, design_rhs(cols, lifted, n).T))
-    peak = np.abs(a[: 2 * n + 3]).max(axis=0)  # M's entries are the coefficients, 1 and 0 included
-    a = a[gather]
-    thr = np.abs(a[:, 0])  # singularity_threshold's row sums, a column at a time
+    count = thetas.shape[0]
+    if work is None:
+        work = _design_workspace(n, count)
+    # [M | b] in the workspace's contiguous head, one (count,) array per entry;
+    # every temporary below is a view of the head of the rest
+    a = work[: d * (d + 1) * count].reshape(d, d + 1, count)
+    spare = work[a.size :]
+    coef = spare[: (4 * n + 4) * count].reshape(4 * n + 4, count)  # [c; b]
+    sylvester_coeffs(thetas, n, out=coef[: 2 * n + 3].T)
+    design_rhs(thetas, lifted, n, out=coef[2 * n + 3 :].T)
+    # "clip" writes straight into `a` ("raise" would buffer it); every index is in range
+    np.take(coef, _augmented_gather(n), axis=0, out=a, mode="clip")
+    # M's entries are the coefficients, 1 and 0 included
+    peak = np.abs(coef[: 2 * n + 3], out=coef[: 2 * n + 3]).max(axis=0)
+    thr, term = spare[: 2 * d * count].reshape(2, d, count)  # singularity_threshold's row sums, a column at a time
+    np.abs(a[:, 0], out=thr)
     for j in range(1, d):
-        thr += np.abs(a[:, j])
+        thr += np.abs(a[:, j], out=term)
     thr = SINGULAR_REL_THRESHOLD * np.maximum(1.0, thr.max(axis=0))
     frob = np.sqrt(np.einsum("ijc,ijc->c", a[:, :d], a[:, :d]))
     tiny = np.finfo(float).tiny
+    hit = np.empty(count, dtype=bool)
     with np.errstate(all="ignore"):
         for k in range(d):
-            if k >= n:  # partial pivoting on the Schur complement
+            if k >= n:  # partial pivoting on the Schur complement, row k swapped with each larger row below
+                pivot, width = a[k, k:], (d + 1 - k) * count
+                held = spare[:width].reshape(d + 1 - k, count)
+                mags = spare[width : width + (d - k) * count].reshape(d - k, count)
+                np.abs(a[k:, k], out=mags)  # row r is unchanged until its turn; mags[0] follows the pivot
                 for r in range(k + 1, d):
-                    hit = np.abs(a[r, k]) > np.abs(a[k, k])
-                    a[k, k:], a[r, k:] = np.where(hit, a[r, k:], a[k, k:]), np.where(hit, a[k, k:], a[r, k:])
+                    np.greater(mags[r - k], mags[0], out=hit)
+                    held[...] = pivot
+                    np.copyto(pivot, a[r, k:], where=hit)
+                    np.copyto(a[r, k:], held, where=hit)
+                    np.copyto(mags[0], mags[r - k], where=hit)
                 a[k + 1 :, k] /= a[k, k]
             j = max(k + 1, n)  # row k < n of U' is e_k up to column n
-            a[k + 1 :, j:] -= a[k + 1 :, k, None] * a[k, None, j:]
+            lower = a[k + 1 :, j:]
+            update = np.multiply(a[k + 1 :, k, None], a[k, None, j:], out=spare[: lower.size].reshape(lower.shape))
+            np.subtract(lower, update, out=lower)
         x = a[:, d]  # back substitution in place
+        dot = np.empty(count)
         for k in range(d - 1, -1, -1):
-            x[k] = (x[k] - np.einsum("jc,jc->c", a[k, k + 1 : d], x[k + 1 :])) / a[k, k]
-        partial = np.cumprod(a[range(n, d), range(n, d)], axis=0)
+            np.subtract(x[k], np.einsum("jc,jc->c", a[k, k + 1 : d], x[k + 1 :], out=dot), out=x[k])
+            np.divide(x[k], a[k, k], out=x[k])
+        # the pivot product, and the smallest modulus of its partial products
+        prod = a[n, n].copy()
+        low = np.abs(prod)
+        for k in range(n + 1, d):
+            prod *= a[k, k]
+            np.minimum(low, np.abs(prod), out=low)
         g = 2.0 * _gamma(3 * d)
         phi = g * (d + np.einsum("ijc,ijc->c", a[:, :d], a[:, :d])) / 2
         phi_l = g * d * (d + 1) / 2 * 2.0 ** (d - 1) * peak
-        piv = np.abs(partial[-1])
+        piv = np.abs(prod)
         amgm = ((d - 1) / np.square(frob + phi)) ** n
         s = piv * (1.0 - 1e-12) * amgm - phi
         r, r_l = phi / s, phi_l / s
         w = d * (r + r_l)
         slack = np.sqrt(np.einsum("ic,ic->c", x, x)) * (r + r_l) / (1.0 - r_l)
         sound = (s > 0.0) & (np.maximum(r, r_l) < 0.5 / d) & np.isfinite(piv) & np.isfinite(slack)
-        sound &= (np.abs(partial).min(axis=0) >= tiny) & (amgm >= tiny)
+        sound &= (low >= tiny) & (amgm >= tiny)
     regular = sound & (piv * (1.0 - w) * (1.0 - 1e-10) > thr)
     singular = sound & (piv * (1.0 + 3.0 * w) * (1.0 + 1e-10) <= thr)
     np.negative(x, out=x)

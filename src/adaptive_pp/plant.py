@@ -47,6 +47,10 @@ class BoxSet:
             raise ValueError("lo and hi must be 1-D arrays of equal length")
         if not (np.all(np.isfinite(lo)) and np.all(np.isfinite(hi))):
             raise ValueError("box bounds must be finite")
+        with np.errstate(over="ignore"):
+            wide = not np.all(np.isfinite(hi - lo))
+        if wide:  # sample scales its draws by the widths
+            raise ValueError("box widths must be finite")
         if np.any(lo > hi):
             raise ValueError("every lower bound must be <= the matching upper bound")
         lo.flags.writeable = False
@@ -79,10 +83,15 @@ class BoxSet:
         return np.asarray(x, dtype=float).clip(self.lo, self.hi)
 
     def sample(self, rng: np.random.Generator, size: int | None = None) -> np.ndarray:
-        """Uniform draws; shape (dim,) for size None, else (size, dim)."""
-        if size is None:
-            return rng.uniform(self.lo, self.hi)
-        return rng.uniform(self.lo, self.hi, size=(size, self.dim))
+        """Uniform draws; shape (dim,) for size None, else (size, dim).
+
+        The draws of `rng.uniform(lo, hi, size)` bit for bit, lo + width U
+        from the same doubles U, scaled in place.
+        """
+        draws = rng.random(self.dim if size is None else (size, self.dim))
+        draws *= self.width
+        draws += self.lo
+        return draws
 
     def vertices(self) -> itertools.product:
         """All 2^dim corners, lazily, one tuple each; the last coordinate varies fastest."""

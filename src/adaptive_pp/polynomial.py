@@ -47,14 +47,15 @@ def sylvester_gather(n: int) -> np.ndarray:
     return index
 
 
-def sylvester_coeffs(theta: np.ndarray, n: int) -> np.ndarray:
+def sylvester_coeffs(theta: np.ndarray, n: int, out: np.ndarray | None = None) -> np.ndarray:
     """Coefficients c = [1, -abar_1..-abar_{n+1}, 0, b_1..b_n] of an estimate.
 
     c[:n+2] lists Abar(z^{-1}) = 1 - sum_k abar_k z^{-k} and c[n+2:] lists
     B(z^{-1}) with its zero constant term.  A (..., 2n+1) stack of estimates
-    gives a (..., 2n+3) stack in the stack's memory order.
+    gives a (..., 2n+3) stack in the stack's memory order, or fills `out`,
+    an array of that shape in any memory order.
     """
-    c = np.empty_like(theta, dtype=float, shape=theta.shape[:-1] + (2 * n + 3,))
+    c = np.empty_like(theta, dtype=float, shape=theta.shape[:-1] + (2 * n + 3,)) if out is None else out
     c[..., 0] = 1.0
     np.negative(theta[..., : n + 1], out=c[..., 1 : n + 2])
     c[..., n + 2] = 0.0

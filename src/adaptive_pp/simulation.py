@@ -48,6 +48,7 @@ from .controller import (
     TargetPolynomial,
     _certified_design,
     _design_identity,
+    _design_workspace,
     _gamma,
     closed_loop_matrix,
     design_residual,
@@ -230,16 +231,20 @@ TRAJECTORY_COLUMNS = (
 _POOLED = ("w", "r", "ybar", "ubar", "psi")
 
 
-def _write_whole(path, text: str) -> None:
-    """Write `text` to `path` whole or not at all: a sibling temp file, then a rename."""
+def _write_whole(path, parts) -> None:
+    """Write the strings of `parts` to `path` whole or not at all: a sibling temp file, then a rename."""
     tmp = os.fspath(path) + ".tmp"
     try:
         with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+            fh.writelines(parts)
         os.replace(tmp, path)
     finally:
         if os.path.exists(tmp):  # the write or the rename failed
             os.remove(tmp)
+
+
+# trajectory rows per block of the streamed CSV
+_CSV_ROWS = 256
 
 
 def _pooled_texts(values: np.ndarray) -> np.ndarray:
@@ -295,6 +300,15 @@ class Trajectory:
     def to_csv(self) -> str:
         """Render the documented column schema; floats carry 17 significant digits.
 
+        The text of `save`: the blocks of `_csv_blocks`, joined.
+        """
+        return "".join(self._csv_blocks())
+
+    def _csv_blocks(self):
+        """The CSV text as an iterator of blocks: the header line, then _CSV_ROWS rows at a time.
+
+        Every cell is checked and formatted before this returns, so a column
+        of the wrong length raises here, not part-way through the blocks.
         Each distinct value of the w, r, ybar, ubar and psi columns is
         formatted once (see `_pooled_texts`), and the closing (thetahat, K,
         dioph_residual) block once per run of consecutive rows with the same
@@ -320,15 +334,16 @@ class Trajectory:
         fmt = ",%.17g" * block.shape[1]
         runs = np.array([fmt % tuple(row) for row in block[fresh].tolist()], dtype=object)
         cells[:, -1] = runs[np.cumsum(fresh) - 1]
-        fmt = ",".join(specs) + "%s"
-        lines = [",".join(self.header(self.n))]
-        lines += [fmt % tuple(row) for row in cells.tolist()]
-        del cells  # freed before the join, which holds the text twice
-        return "\n".join(lines) + "\n"
+        fmt = ",".join(specs) + "%s\n"
+        rows = (cells[start : start + _CSV_ROWS].tolist() for start in range(0, self.steps, _CSV_ROWS))
+        return itertools.chain(
+            [",".join(self.header(self.n)) + "\n"],
+            ("".join([fmt % tuple(row) for row in part]) for part in rows),
+        )
 
     def save(self, path) -> None:
-        """Write `to_csv()` to `path`; a render that raises leaves the file as it was."""
-        _write_whole(path, self.to_csv())
+        """Write the text of `to_csv()` to `path` block by block; a render that raises leaves the file as it was."""
+        _write_whole(path, self._csv_blocks())
 
     @classmethod
     def from_csv(cls, text: str, cfg: SimConfig) -> "Trajectory":
@@ -494,22 +509,28 @@ class ConstantsEstimate:
     samples_skipped: int
 
 
-# estimates per streamed chunk of estimate_constants, and the most rows of
-# largest sigma_max bound whose solve and SVD raise the cutoff before the rest
-_CHUNK = 8192
+# bytes of one streamed chunk's [M | b] stack in estimate_constants, and the
+# most rows of largest sigma_max bound whose solve and SVD raise the cutoff
+# before the rest
+_CHUNK_BYTES = 1 << 19
 _PROBE = 8
 
 
-def _box_chunks(box: BoxSet, rng: np.random.Generator, samples: int):
-    """`samples` uniform draws, then every box vertex, in chunks of at most _CHUNK rows.
+def _chunk_rows(n: int) -> int:
+    """Estimates per chunk of order n: as many (2n+1) x (2n+2) float systems as fit _CHUNK_BYTES."""
+    return max(1, _CHUNK_BYTES // ((2 * n + 1) * (2 * n + 2) * 8))
+
+
+def _box_chunks(box: BoxSet, rng: np.random.Generator, samples: int, rows: int):
+    """`samples` uniform draws, then every box vertex, in chunks of at most `rows` rows.
 
     The chunked draws are the one-shot `box.sample(rng, samples)` stream,
     value for value, and the vertices are drawn from `box.vertices()`.
     """
-    for start in range(0, samples, _CHUNK):
-        yield box.sample(rng, min(_CHUNK, samples - start))
+    for start in range(0, samples, rows):
+        yield box.sample(rng, min(rows, samples - start))
     corners = box.vertices()
-    while chunk := list(itertools.islice(corners, _CHUNK)):
+    while chunk := list(itertools.islice(corners, rows)):
         yield np.array(chunk)
 
 
@@ -550,19 +571,21 @@ def estimate_constants(
     nondecreasing in `samples`.  The returned s_bar is the exact box
     diameter.
 
-    The estimates stream through in fixed-size chunks, draws first and then
-    the vertices, with a running maximum, so memory stays bounded however
-    many samples or vertices there are.  `controller._certified_design`
-    proves LAPACK's verdict at nearly every row of a chunk and, with
-    `_sigma_bound`, bounds sigma_max for LAPACK's gain row; LAPACK decides
-    the rows it leaves open, and its own gain rows are bounded with no
-    slack.  Only rows whose bound reaches the maximum so far are solved by
-    LAPACK and sent to the SVD: first the _PROBE of them with the largest
-    bounds, then every one that reaches the maximum after the probe.  The
-    result is the same float as one LAPACK solve and SVD of every row:
-    chunked draws reproduce the one-shot stream, each matrix's solve and SVD
-    do not depend on the batch around it, a pruned row's sigma_max is below
-    the maximum, and a maximum does not depend on order.
+    The estimates stream through in chunks, draws first and then the
+    vertices, with a running maximum.  A chunk holds as many rows as fit
+    their design systems in _CHUNK_BYTES, and `controller._certified_design`
+    eliminates every chunk in one workspace allocated per call, so memory
+    stays bounded whatever the sample count, the vertex count or the order
+    n.  The certificate proves LAPACK's verdict at nearly every row of a
+    chunk and, with `_sigma_bound`, bounds sigma_max for LAPACK's gain row;
+    LAPACK decides the rows it leaves open, and its own gain rows are
+    bounded with no slack.  Only rows whose bound reaches the maximum so far
+    are solved by LAPACK and sent to the SVD: first the _PROBE of them with
+    the largest bounds, then every one that reaches the maximum after the
+    probe.  The result is the same float as one LAPACK solve and SVD of
+    every row: chunked draws reproduce the one-shot stream, each matrix's
+    solve and SVD do not depend on the batch around it, a pruned row's
+    sigma_max is below the maximum, and a maximum does not depend on order.
     """
     n = target.n
     dim = 2 * n + 1
@@ -570,10 +593,12 @@ def estimate_constants(
         raise ValueError(f"expected an incremental box of dimension {dim}")
     rng = np.random.default_rng(seed)
     lifted = target.lifted_coeffs()
+    rows = _chunk_rows(n)
+    work = _design_workspace(n, rows)
     alpha = -np.inf
     used = total = 0
-    for thetas in _box_chunks(aux_box, rng, int(samples)):
-        decided, ok, gains, slack = _certified_design(thetas, lifted, n)
+    for thetas in _box_chunks(aux_box, rng, int(samples), rows):
+        decided, ok, gains, slack = _certified_design(thetas, lifted, n, work)
         # LAPACK decides the rows the certificate leaves open; its own gain rows need no slack
         own = np.flatnonzero(~decided)
         if own.size:

@@ -127,6 +127,8 @@ def test_audits_default_when_omitted(config_file):
         dict(plant=[1]),
         dict(parameter_box={"a": [[0.0, -2.0], [-3.0, -1.0]], "b": [[-1.0, 0.0], [-5.0, -3.0]]}),
         dict(plant={"a": [-0.5], "b": [-0.75, -3.0]}),
+        # finite bounds whose width overflows, which no draw can scale by
+        dict(parameter_box={"a": [[-1e308, 1e308], [-3.0, -1.0]], "b": [[-1.0, 0.0], [-5.0, -3.0]]}),
     ],
 )
 def test_load_config_rejects_bad_content(config_file, mutation):

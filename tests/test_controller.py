@@ -20,8 +20,9 @@ from adaptive_pp import (
     sylvester_margin,
     sylvester_matrix,
 )
-from adaptive_pp.controller import _certified_design, _design_identity, _gamma
-from adaptive_pp.simulation import _sigma_bound
+from adaptive_pp.controller import _certified_design, _design_identity, _design_workspace, _gamma, _gain_order
+from adaptive_pp.polynomial import SINGULAR_REL_THRESHOLD, sylvester_coeffs, sylvester_gather
+from adaptive_pp.simulation import _box_chunks, _chunk_rows, _sigma_bound
 
 BENCH_TARGET = TargetPolynomial([1.0, -0.6], 2)
 BENCH_THETA0 = np.array([0.0, -1.0, 2.0, -0.5, -4.0])
@@ -281,6 +282,89 @@ def test_certified_design_leaves_the_hard_rows_to_lapack(n):
         assert abs(np.linalg.det(sylvester_matrix(rows[-1], n))) <= singularity_threshold(sylvester_matrix(rows[-1], n))
     decided, regular, _, _ = _certified_design(np.array(rows), _spread_target(n).lifted_coeffs(), n)
     assert not decided.any() and not regular.any()
+
+
+def _certified_design_fresh(thetas: np.ndarray, lifted: np.ndarray, n: int):
+    """`_certified_design` with fresh arrays for every temporary: the reference for the workspace version.
+
+    The same elimination, entry by entry across the stack, from a transposed
+    copy of the draws, a concatenated [c; b] stack gathered into [M | b],
+    `np.where` pivot swaps, Schur updates into new arrays and the partial
+    pivot products by `np.cumprod`.
+    """
+    d = 2 * n + 1
+    cols = np.ascontiguousarray(thetas.T).T  # each entry's stack contiguous
+    # [M | b] in one gather, one (count,) array per entry
+    gather = np.column_stack((sylvester_gather(n), np.arange(2 * n + 3, 4 * n + 4)))
+    a = np.concatenate((sylvester_coeffs(cols, n).T, design_rhs(cols, lifted, n).T))
+    peak = np.abs(a[: 2 * n + 3]).max(axis=0)  # M's entries are the coefficients, 1 and 0 included
+    a = a[gather]
+    thr = np.abs(a[:, 0])  # singularity_threshold's row sums, a column at a time
+    for j in range(1, d):
+        thr += np.abs(a[:, j])
+    thr = SINGULAR_REL_THRESHOLD * np.maximum(1.0, thr.max(axis=0))
+    frob = np.sqrt(np.einsum("ijc,ijc->c", a[:, :d], a[:, :d]))
+    tiny = np.finfo(float).tiny
+    with np.errstate(all="ignore"):
+        for k in range(d):
+            if k >= n:  # partial pivoting on the Schur complement
+                for r in range(k + 1, d):
+                    hit = np.abs(a[r, k]) > np.abs(a[k, k])
+                    a[k, k:], a[r, k:] = np.where(hit, a[r, k:], a[k, k:]), np.where(hit, a[k, k:], a[r, k:])
+                a[k + 1 :, k] /= a[k, k]
+            j = max(k + 1, n)  # row k < n of U' is e_k up to column n
+            a[k + 1 :, j:] -= a[k + 1 :, k, None] * a[k, None, j:]
+        x = a[:, d]  # back substitution in place
+        for k in range(d - 1, -1, -1):
+            x[k] = (x[k] - np.einsum("jc,jc->c", a[k, k + 1 : d], x[k + 1 :])) / a[k, k]
+        partial = np.cumprod(a[range(n, d), range(n, d)], axis=0)
+        g = 2.0 * _gamma(3 * d)
+        phi = g * (d + np.einsum("ijc,ijc->c", a[:, :d], a[:, :d])) / 2
+        phi_l = g * d * (d + 1) / 2 * 2.0 ** (d - 1) * peak
+        piv = np.abs(partial[-1])
+        amgm = ((d - 1) / np.square(frob + phi)) ** n
+        s = piv * (1.0 - 1e-12) * amgm - phi
+        r, r_l = phi / s, phi_l / s
+        w = d * (r + r_l)
+        slack = np.sqrt(np.einsum("ic,ic->c", x, x)) * (r + r_l) / (1.0 - r_l)
+        sound = (s > 0.0) & (np.maximum(r, r_l) < 0.5 / d) & np.isfinite(piv) & np.isfinite(slack)
+        sound &= (np.abs(partial).min(axis=0) >= tiny) & (amgm >= tiny)
+    regular = sound & (piv * (1.0 - w) * (1.0 - 1e-10) > thr)
+    singular = sound & (piv * (1.0 + 3.0 * w) * (1.0 + 1e-10) <= thr)
+    np.negative(x, out=x)
+    return regular | singular, regular, x[_gain_order(n)].T, slack
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_certified_design_in_a_workspace_has_the_bits_of_fresh_arrays(n):
+    # the constants' chunk stream, one workspace for every chunk: at n = 2 the
+    # benchmark box and draws (45 full chunks, a partial one, the vertex
+    # chunk), elsewhere a seeded box with two and a half chunks of draws
+    if n == 2:
+        box, target, samples = BoxSet([-1.0, -3.0, 1.0, -1.0, -5.0], [1.0, 1.0, 3.0, 0.0, -3.0]), BENCH_TARGET, 100_000
+    else:
+        lo = np.random.default_rng(80 + n).uniform(-1.0, 1.0, 2 * n + 1)
+        box, target, samples = BoxSet(lo, lo + 0.2), _spread_target(n), 5 * _chunk_rows(n) // 2
+    rows, lifted = _chunk_rows(n), target.lifted_coeffs()
+    work = _design_workspace(n, rows)
+    work[:] = np.nan  # nothing may read a value the chunk did not write
+    sizes = []
+    for thetas in _box_chunks(box, np.random.default_rng(n), samples, rows):
+        got = _certified_design(thetas, lifted, n, work)
+        want = _certified_design_fresh(thetas, lifted, n)
+        work[:] = np.nan  # and no result lives in the workspace
+        for mine, ref in zip(got, want):
+            assert mine.shape == ref.shape and mine.strides == ref.strides
+            np.testing.assert_array_equal(np.ascontiguousarray(mine).view(np.uint8), np.ascontiguousarray(ref).view(np.uint8))
+        sizes.append(thetas.shape[0])
+    vertices = 2 ** (2 * n + 1)
+    assert sizes[-1] == vertices and sizes[-2] == samples % rows and max(sizes) == rows
+    # near-common roots, huge gains, and NaN and Inf entries, in a workspace sized for more rows
+    hard = _certificate_rows(n, 600, seed=90 + n)
+    hard[::97, ::3] = np.nan
+    hard[50::101, -1] = np.inf
+    for mine, ref in zip(_certified_design(hard, lifted, n, work), _certified_design_fresh(hard, lifted, n)):
+        np.testing.assert_array_equal(np.ascontiguousarray(mine).view(np.uint8), np.ascontiguousarray(ref).view(np.uint8))
 
 
 # ---------------------------------------------------------------------------

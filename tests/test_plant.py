@@ -13,6 +13,7 @@ from adaptive_pp import (
     run_closed_loop,
     sylvester_coeffs,
 )
+from adaptive_pp.simulation import _chunk_rows
 
 # ---------------------------------------------------------------------------
 # BoxSet
@@ -42,6 +43,24 @@ def test_box_vertices_and_samples():
     assert box.contains(one) and all(box.contains(row) for row in many)
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_box_samples_are_the_bits_of_rng_uniform(n):
+    # one generator stream through sample, a twin through rng.uniform: every
+    # draw has the same bits, and both generators end in the same state; the
+    # box's first coordinate has lo = hi
+    rows = _chunk_rows(n)
+    draw = np.random.default_rng(20 + n)
+    lo = draw.uniform(-3.0, 1.0, 2 * n + 1)
+    box = BoxSet(lo, lo + draw.uniform(0.0, 4.0, 2 * n + 1) * (np.arange(2 * n + 1) > 0))
+    mine, twin = np.random.default_rng(n), np.random.default_rng(n)
+    for size in (None, 1, rows, rows + 1):
+        got = box.sample(mine, size)
+        want = twin.uniform(box.lo, box.hi, None if size is None else (size, box.dim))
+        assert got.shape == want.shape
+        np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+    assert mine.bit_generator.state == twin.bit_generator.state
+
+
 def test_box_rejects_malformed_bounds():
     with pytest.raises(ValueError):
         BoxSet([0.0, 0.0], [1.0])
@@ -49,6 +68,8 @@ def test_box_rejects_malformed_bounds():
         BoxSet([1.0], [0.0])
     with pytest.raises(ValueError):
         BoxSet([0.0], [np.inf])
+    with pytest.raises(ValueError, match="widths"):
+        BoxSet([-1e308], [1e308])  # finite bounds, but hi - lo overflows
 
 
 def test_box_bounds_are_frozen():

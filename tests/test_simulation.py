@@ -37,8 +37,10 @@ from adaptive_pp.cli import load_config
 from adaptive_pp.controller import _design_identity
 from adaptive_pp.estimator import projection_step
 from adaptive_pp.simulation import (
+    _CHUNK_BYTES,
+    _CSV_ROWS,
     TRAJECTORY_COLUMNS,
-    _CHUNK,
+    _chunk_rows,
     _design,
     _phi_history,
     _rouche_margin,
@@ -511,6 +513,35 @@ def test_a_failed_save_leaves_the_existing_file_as_it_was(example_config, tmp_pa
     assert sorted(os.listdir(tmp_path)) == ["taken", "traj.csv"]
 
 
+@pytest.mark.parametrize("steps", [1, _CSV_ROWS, _CSV_ROWS + 1])
+def test_save_streams_the_bytes_of_to_csv(example_config, tmp_path, steps):
+    traj = run_closed_loop(example_config(horizon=steps))
+    path = tmp_path / "traj.csv"
+    traj.save(path)
+    assert path.read_bytes() == traj.to_csv().encode() == _csv_per_field(traj).encode()
+    assert os.listdir(tmp_path) == ["traj.csv"]
+
+
+def test_save_streams_the_benchmark_csv(tmp_path):
+    cfg, _, _ = load_config(BENCHMARK_CONFIG)
+    traj = run_closed_loop(cfg)
+    path = tmp_path / "traj.csv"
+    traj.save(path)
+    data = path.read_bytes()
+    assert data == traj.to_csv().encode()
+    with open(os.path.join(ROOT, "out", "benchmark", "trajectory.csv"), "rb") as fh:
+        assert data == fh.read()
+
+
+def test_save_checks_the_columns_before_it_opens_a_file(example_config, tmp_path, monkeypatch):
+    traj = run_closed_loop(example_config(horizon=50))
+    opened = []
+    monkeypatch.setattr(simulation, "_write_whole", lambda *args: opened.append(args))
+    with pytest.raises(ValueError):
+        dataclasses.replace(traj, gains=traj.gains[:-1]).save(tmp_path / "traj.csv")
+    assert opened == [] and os.listdir(tmp_path) == []
+
+
 def _csv_per_field(traj: Trajectory) -> str:
     """The schema rendered one f-string per field, the reference for to_csv."""
     lines = [",".join(Trajectory.header(traj.n))]
@@ -790,13 +821,30 @@ def _seeded_problem(n: int):
     return image_box(box, n), TargetPolynomial(np.poly(rng.uniform(-0.7, 0.7, n)), n)
 
 
-@pytest.mark.parametrize("samples", [_CHUNK // 2, _CHUNK, _CHUNK + 1])
+# a draw count of one to twelve chunks at n = 1..4 (it was one chunk before
+# chunks were sized in bytes)
+_SAMPLES = 8192
+
+
+@pytest.mark.parametrize("samples", [_SAMPLES // 2, _SAMPLES, _SAMPLES + 1])
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_pruned_streamed_constants_equal_a_full_svd(n, samples):
     aux_box, target = _seeded_problem(n)
     est = estimate_constants(aux_box, target, samples=samples, seed=n)
     alpha, used, skipped = _constants_by_brute_force(aux_box, target, samples, seed=n)
     assert (est.alpha_bar, est.samples_used, est.samples_skipped) == (alpha, used, skipped)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_constants_stream_across_chunk_boundaries(n):
+    # one chunk of draws and one draw more: a full chunk, then a one-row chunk
+    rows = _chunk_rows(n)
+    assert (2 * n + 1) * (2 * n + 2) * 8 * rows <= _CHUNK_BYTES
+    aux_box, target = _seeded_problem(n)
+    for samples in (rows, rows + 1):
+        est = estimate_constants(aux_box, target, samples=samples, seed=n)
+        alpha, used, skipped = _constants_by_brute_force(aux_box, target, samples, seed=n)
+        assert (est.alpha_bar, est.samples_used, est.samples_skipped) == (alpha, used, skipped)
 
 
 def test_benchmark_constants_equal_a_full_svd(bench_constants, example_target):
@@ -828,8 +876,8 @@ def test_constants_with_skipped_samples_equal_a_full_svd():
     # the rest to LAPACK
     aux_box = image_box(BoxSet([-0.5, -1e-4], [-0.4, 1e-4]), 1)
     target = TargetPolynomial([1.0, -0.5], 1)
-    est = estimate_constants(aux_box, target, samples=_CHUNK + 1, seed=3)
-    alpha, used, skipped = _constants_by_brute_force(aux_box, target, _CHUNK + 1, seed=3)
+    est = estimate_constants(aux_box, target, samples=_SAMPLES + 1, seed=3)
+    alpha, used, skipped = _constants_by_brute_force(aux_box, target, _SAMPLES + 1, seed=3)
     assert (est.alpha_bar, est.samples_used, est.samples_skipped) == (alpha, used, skipped)
     assert skipped > 0
 
@@ -838,8 +886,8 @@ def test_pruned_constants_keep_a_near_rank_one_maximum():
     # b near zero: huge gains, sigma_2/sigma_1 ~ 1e-6, ||A||_F within 3e-13 of sigma_1
     aux_box = image_box(BoxSet([-0.5, 1e-6], [-0.4, 2e-6]), 1)
     target = TargetPolynomial([1.0, -0.5], 1)
-    est = estimate_constants(aux_box, target, samples=_CHUNK + 1, seed=3)
-    alpha, used, skipped = _constants_by_brute_force(aux_box, target, _CHUNK + 1, seed=3)
+    est = estimate_constants(aux_box, target, samples=_SAMPLES + 1, seed=3)
+    alpha, used, skipped = _constants_by_brute_force(aux_box, target, _SAMPLES + 1, seed=3)
     assert (est.alpha_bar, est.samples_used, est.samples_skipped) == (alpha, used, skipped)
     assert alpha > 1e5
 
@@ -912,20 +960,27 @@ def test_constants_loop_past_a_one_row_probe(monkeypatch, n, fake):
     monkeypatch.setattr(simulation, "_PROBE", 1)
     monkeypatch.setattr(simulation, "_sigma_bound", flat)
     aux_box, target = _seeded_problem(n)
-    est = estimate_constants(aux_box, target, samples=_CHUNK + 1, seed=n)
-    alpha, used, skipped = _constants_by_brute_force(aux_box, target, _CHUNK + 1, seed=n)
+    est = estimate_constants(aux_box, target, samples=_SAMPLES + 1, seed=n)
+    alpha, used, skipped = _constants_by_brute_force(aux_box, target, _SAMPLES + 1, seed=n)
     assert (est.alpha_bar, est.samples_used, est.samples_skipped) == (alpha, used, skipped)
 
 
 def test_constants_memory_does_not_grow_with_samples(example_target):
-    aux_box = BoxSet([-1.0, -3.0, 1.0, -1.0, -5.0], [1.0, 1.0, 3.0, 0.0, -3.0])
-    tracemalloc.start()
-    try:
-        estimate_constants(aux_box, example_target, samples=400_000, seed=0)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 16 * 2**20
+    # one bound, a fixed multiple of the chunk budget, whatever the sample
+    # count or the order: 4e5 draws at n = 2 on the benchmark box, and at
+    # n = 6 a seeded box whose 8192 vertices need 23 chunks of their own
+    problems = (
+        (BoxSet([-1.0, -3.0, 1.0, -1.0, -5.0], [1.0, 1.0, 3.0, 0.0, -3.0]), example_target, 400_000),
+        (*_seeded_problem(6), 10_000),
+    )
+    for aux_box, target, samples in problems:
+        tracemalloc.start()
+        try:
+            estimate_constants(aux_box, target, samples=samples, seed=0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * _CHUNK_BYTES, f"n = {target.n}: peak {peak} bytes"
 
 
 def test_crude_bound_holds_on_the_benchmark(bench_run, bench_constants):
