@@ -226,7 +226,6 @@ def load_config(path: str) -> tuple[SimConfig, dict, str]:
             nudge_singular=_exact(raw.get("nudge_singular", False), bool, "nudge_singular"),
             lam=None if raw.get("lambda") is None else _float(raw["lambda"], "lambda"),
         )
-        cfg.validate()
     except (TypeError, ValueError) as err:
         raise ConfigError(f"bad config: {err}") from err
 

@@ -341,22 +341,23 @@ def solve_gains(theta_hat, target: TargetPolynomial) -> np.ndarray:
 
 
 def _design_identity(theta_hat, gains, target: TargetPolynomial):
-    """The design identity at every (thetahat, K) row of a (..., 2n+1) stack: (M, x, r).
+    """The design identity at every (thetahat, K) row of a (..., 2n+1) stack: (M, x, rhs, r).
 
     M is the system matrix stack, C-contiguous; x = [l; p] = [-K[n+1:],
-    -K[:n+1]] is the solution a gain row was read from; and
-    r = M x - (Astar - Abar) is the coefficient error of Abar L + B P
-    against Astar on z^{-1}..z^{-(2n+1)}.  The contiguity sends each row's
-    product through the same BLAS matrix-vector call as a one-row stack, so
-    a row's r has the same bits whatever stack it sits in.
+    -K[:n+1]] is the solution a gain row was read from; rhs = Astar - Abar
+    is the right side of `design_rhs`; and r = M x - rhs is the coefficient
+    error of Abar L + B P against Astar on z^{-1}..z^{-(2n+1)}.  The
+    contiguity sends each row's product through the same BLAS matrix-vector
+    call as a one-row stack, so a row's r has the same bits whatever stack
+    it sits in.
     """
     n = target.n
     thetas = np.asarray(theta_hat, dtype=float)
     m = np.ascontiguousarray(sylvester_matrix(thetas, n))
     x = np.empty(np.shape(gains))
     x[..., _gain_order(n)] = np.negative(gains)
-    r = (m @ x[..., None])[..., 0] - design_rhs(thetas, target.lifted_coeffs(), n)
-    return m, x, r
+    rhs = design_rhs(thetas, target.lifted_coeffs(), n)
+    return m, x, rhs, (m @ x[..., None])[..., 0] - rhs
 
 
 def design_residual(theta_hat, gains, target: TargetPolynomial) -> np.ndarray:
@@ -366,7 +367,7 @@ def design_residual(theta_hat, gains, target: TargetPolynomial) -> np.ndarray:
     (..., 2n+1) stack of estimates and gain rows gives a (...) array, and
     each row's value has the bits of a one-row call.
     """
-    return np.abs(_design_identity(theta_hat, gains, target)[2]).max(axis=-1)
+    return np.abs(_design_identity(theta_hat, gains, target)[3]).max(axis=-1)
 
 
 @lru_cache(maxsize=None)

@@ -52,7 +52,6 @@ from .controller import (
     _gamma,
     closed_loop_matrix,
     design_residual,
-    design_rhs,
     solve_diophantine_batch,
     solve_gains,
     state_recursion_audit,
@@ -131,7 +130,8 @@ class SimConfig:
 
     `phi0` stacks the initial output and input histories newest first,
     [y(t0)..y(t0-n), u(t0)..u(t0-n)].  `theta0` is the initial estimate in
-    incremental coordinates and must lie in the image box of `box`.
+    incremental coordinates and must lie in the image box of `box`.  A
+    config is checked when it is built: an inconsistent one raises ValueError.
     """
 
     n: int
@@ -157,35 +157,17 @@ class SimConfig:
         phi0.flags.writeable = False
         object.__setattr__(self, "theta0", theta0)
         object.__setattr__(self, "phi0", phi0)
-
-    def aux_box(self) -> BoxSet:
-        return image_box(self.box, self.n)
-
-    def theta_star(self) -> np.ndarray:
-        return aux_transform(self.theta_true)
-
-    def law_mu(self) -> float:
-        """The update law's regularizer: mu for the classical law, 0 for the ideal one."""
-        return self.mu if self.estimator_mode == "classical" else 0.0
-
-    def decay_rate(self) -> float:
-        """Decay rate for the gain-bound fit: configured, else the midpoint."""
-        if self.lam is not None:
-            return float(self.lam)
-        return 0.5 * (self.target.decay_floor() + 1.0)
-
-    def validate(self) -> None:
         n = self.n
         if n < 1 or self.theta_true.n != n or self.target.n != n:
             raise ValueError("plant order, target, and n must agree and be >= 1")
         if self.box.dim != 2 * n:
             raise ValueError(f"the parameter box must have dimension {2 * n}")
         self.theta_true.validate(self.box)
-        if self.theta0.shape != (2 * n + 1,):
+        if theta0.shape != (2 * n + 1,):
             raise ValueError(f"theta0 must have length {2 * n + 1}")
-        if not self.aux_box().contains(self.theta0):
+        if not self.aux_box().contains(theta0):
             raise ValueError("theta0 must lie inside the incremental parameter box")
-        if self.phi0.shape != (2 * (n + 1),):
+        if phi0.shape != (2 * (n + 1),):
             raise ValueError(f"phi0 must have length {2 * (n + 1)}")
         if not 0.0 < self.mu < np.inf:
             raise ValueError("mu must be positive and finite")
@@ -202,6 +184,22 @@ class SimConfig:
             floor = self.target.decay_floor()
             if not floor < self.lam < 1.0:
                 raise ValueError(f"lam must lie in ({floor:.6f}, 1)")
+
+    def aux_box(self) -> BoxSet:
+        return image_box(self.box, self.n)
+
+    def theta_star(self) -> np.ndarray:
+        return aux_transform(self.theta_true)
+
+    def law_mu(self) -> float:
+        """The update law's regularizer: mu for the classical law, 0 for the ideal one."""
+        return self.mu if self.estimator_mode == "classical" else 0.0
+
+    def decay_rate(self) -> float:
+        """Decay rate for the gain-bound fit: configured, else the midpoint."""
+        if self.lam is not None:
+            return float(self.lam)
+        return 0.5 * (self.target.decay_floor() + 1.0)
 
 
 def _phi_history(y: np.ndarray, u: np.ndarray, phi0: np.ndarray, n: int) -> np.ndarray:
@@ -226,9 +224,6 @@ TRAJECTORY_COLUMNS = (
     ("ybar", None), ("ubar", None), ("wbar", None), ("e", None),
     ("psi", "psi"), ("theta_hat", "thetahat"), ("gains", "K"), ("dioph_residual", None),
 )
-# the columns whose values recur: ybar and ubar are psi columns, the other psi
-# columns hold them a row later, and w and r are piecewise constant
-_POOLED = ("w", "r", "ybar", "ubar", "psi")
 
 
 def _write_whole(path, parts) -> None:
@@ -309,24 +304,17 @@ class Trajectory:
 
         Every cell is checked and formatted before this returns, so a column
         of the wrong length raises here, not part-way through the blocks.
-        Each distinct value of the w, r, ybar, ubar and psi columns is
-        formatted once (see `_pooled_texts`), and the closing (thetahat, K,
+        Each distinct value of the float columns from y to psi is formatted
+        once (see `_pooled_texts`), and the closing (thetahat, K,
         dioph_residual) block once per run of consecutive rows with the same
         bits (a uint64 view keeps -0.0 and NaN apart).
         """
-        head = TRAJECTORY_COLUMNS[:-3]
-        # a line is a row of cells in column order: a pooled string, or a
-        # number and its format ("%d" for the integral time axis)
-        specs, at = [], {True: [], False: []}
-        for field, prefix in head:
-            width = 1 if prefix is None else 2 * self.n + 1
-            at[field in _POOLED] += range(len(specs), len(specs) + width)
-            specs += ["%s" if field in _POOLED else "%d" if field == "t" else "%.17g"] * width
-        cells = np.empty((self.steps, len(specs) + 1), dtype=object)
-        for pooled, convert in ((True, _pooled_texts), (False, np.asarray)):
-            group = [getattr(self, field) for field, _ in head if (field in _POOLED) == pooled]
-            # a column of another length fails the stack or this assignment
-            cells[:, at[pooled]] = convert(np.column_stack(group))
+        t, *head = (getattr(self, field) for field, _ in TRAJECTORY_COLUMNS[:-3])
+        texts = _pooled_texts(np.column_stack(head))
+        cells = np.empty((self.steps, texts.shape[1] + 2), dtype=object)
+        # a column of another length fails the stack or an assignment
+        cells[:, 0] = t
+        cells[:, 1:-1] = texts
 
         block = np.column_stack([getattr(self, field) for field, _ in TRAJECTORY_COLUMNS[-3:]])
         bits = block.view(np.uint64)
@@ -334,7 +322,7 @@ class Trajectory:
         fmt = ",%.17g" * block.shape[1]
         runs = np.array([fmt % tuple(row) for row in block[fresh].tolist()], dtype=object)
         cells[:, -1] = runs[np.cumsum(fresh) - 1]
-        fmt = ",".join(specs) + "%s\n"
+        fmt = "%d" + ",%s" * texts.shape[1] + "%s\n"
         rows = (cells[start : start + _CSV_ROWS].tolist() for start in range(0, self.steps, _CSV_ROWS))
         return itertools.chain(
             [",".join(self.header(self.n)) + "\n"],
@@ -430,7 +418,6 @@ def run_closed_loop(cfg: SimConfig) -> Trajectory:
     residual of every solve included, are derived after the loop, with the
     bits a per-step copy would have.
     """
-    cfg.validate()
     n = cfg.n
     aux_box = cfg.aux_box()
     mu = cfg.law_mu()
@@ -566,10 +553,10 @@ def estimate_constants(
     Draws `samples` uniform points plus every box vertex, solves the design
     at each, and takes the largest induced 2-norm of the assembled
     closed-loop matrix.  Samples with a singular design are skipped and
-    counted; a box where every one is singular raises ValueError.  For a
-    fixed seed the draw stream is sequential, so the estimate is monotone
-    nondecreasing in `samples`.  The returned s_bar is the exact box
-    diameter.
+    counted; a negative `samples`, or a box where every one is singular,
+    raises ValueError.  For a fixed seed the draw stream is sequential, so
+    the estimate is monotone nondecreasing in `samples`.  The returned s_bar
+    is the exact box diameter.
 
     The estimates stream through in chunks, draws first and then the
     vertices, with a running maximum.  A chunk holds as many rows as fit
@@ -591,6 +578,8 @@ def estimate_constants(
     dim = 2 * n + 1
     if aux_box.dim != dim:
         raise ValueError(f"expected an incremental box of dimension {dim}")
+    if samples < 0:
+        raise ValueError(f"samples must be >= 0, got {samples}")
     rng = np.random.default_rng(seed)
     lifted = target.lifted_coeffs()
     rows = _chunk_rows(n)
@@ -710,8 +699,7 @@ def pole_placement_audit(traj: Trajectory, target: TargetPolynomial, lam: float)
     scale = 1.0 + float(np.abs(lifted).max())
     margin = _rouche_margin(target, lam)
     with np.errstate(invalid="ignore", over="ignore"):
-        m, x, r = _design_identity(traj.theta_hat, traj.gains, target)
-        rhs = design_rhs(traj.theta_hat, lifted, n)
+        m, x, rhs, r = _design_identity(traj.theta_hat, traj.gains, target)
         bound = (np.abs(m) @ np.abs(x)[:, :, None])[:, :, 0] + np.abs(rhs) + np.abs(lifted[1:])
         err = np.abs(r) + _gamma(k) * bound
         eps = float(np.max(err)) * (1.0 + 2.0 * _gamma(k))
@@ -882,7 +870,6 @@ def monte_carlo_sweep(
         raise ValueError("draws must be >= 1")
     if horizon is not None and horizon < 1:
         raise ValueError("horizon must be >= 1")
-    cfg.validate()
     seed = cfg.seed if seed is None else int(seed)
     overrides = dict(overrides or {})
     unknown = set(overrides) - set(OVERRIDE_KEYS)

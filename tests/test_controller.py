@@ -1,6 +1,7 @@
 """Pole-placement design, gain application, and the closed-loop recursion."""
 
 import functools
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from adaptive_pp import (
     sylvester_matrix,
 )
 from adaptive_pp.controller import _certified_design, _design_identity, _design_workspace, _gamma, _gain_order
+from adaptive_pp.exact import charpoly_fractions
 from adaptive_pp.polynomial import SINGULAR_REL_THRESHOLD, sylvester_coeffs, sylvester_gather
 from adaptive_pp.simulation import _box_chunks, _chunk_rows, _sigma_bound
 
@@ -172,7 +174,7 @@ def test_batched_residual_has_the_bits_of_each_single_solve(n):
     # within gamma_{2n+3} of the exact error, scaled by the terms' magnitude
     lifted = target.lifted_coeffs()
     by_convolve = np.array([np.abs(_identity_lhs(vec, K) - lifted).max() for vec, K in zip(thetas, gains)])
-    m, x, _ = _design_identity(thetas, gains, target)
+    m, x, _, _ = _design_identity(thetas, gains, target)
     terms = (np.abs(m) @ np.abs(x)[:, :, None])[:, :, 0] + np.abs(design_rhs(thetas, lifted, n)) + np.abs(lifted[1:])
     assert np.all(np.abs(singles - by_convolve) <= 2.0 * _gamma(2 * n + 3) * terms.max(axis=1) * (1.0 + 1e-6))
     # a (..., 2n+1) stack keeps its leading shape, and one row gives a 0-d value
@@ -282,6 +284,18 @@ def test_certified_design_leaves_the_hard_rows_to_lapack(n):
         assert abs(np.linalg.det(sylvester_matrix(rows[-1], n))) <= singularity_threshold(sylvester_matrix(rows[-1], n))
     decided, regular, _, _ = _certified_design(np.array(rows), _spread_target(n).lifted_coeffs(), n)
     assert not decided.any() and not regular.any()
+
+
+def test_certified_design_leaves_an_underflowing_pivot_product_undecided():
+    # Abar = 1 + q - 2^-1070 q^3 and B = 2^40 (q + q^2): the Schur complement's
+    # first column is [0, 0, 2^-1030], so its pivots are 2^-1030, 2^40 and
+    # -2^40, the first partial product is subnormal and |det M| = 2^-950 is normal
+    n = 2
+    theta = np.array([-1.0, 0.0, 2.0**-1070, 2.0**40, 2.0**40])
+    charpoly = charpoly_fractions(sylvester_matrix(theta, n))
+    assert abs(charpoly[-1]) == Fraction(2) ** -950  # the constant term is det(-M)
+    decided, regular, _, _ = _certified_design(theta[None], _spread_target(n).lifted_coeffs(), n)
+    assert not decided[0] and not regular[0]
 
 
 def _certified_design_fresh(thetas: np.ndarray, lifted: np.ndarray, n: int):

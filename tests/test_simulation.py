@@ -130,7 +130,7 @@ def test_signal_validation():
 
 
 def test_config_validates_the_benchmark(example_config):
-    example_config().validate()
+    example_config()
 
 
 @pytest.mark.parametrize(
@@ -151,14 +151,14 @@ def test_config_validates_the_benchmark(example_config):
 )
 def test_config_rejections(example_config, overrides, match):
     with pytest.raises(ValueError, match=match):
-        example_config(**overrides).validate()
+        example_config(**overrides)
 
 
 def test_config_rejects_mismatched_orders(example_config):
     with pytest.raises(ValueError, match="agree"):
-        example_config(theta_true=PlantParameters([0.5], [1.0])).validate()
+        example_config(theta_true=PlantParameters([0.5], [1.0]))
     with pytest.raises(ValueError, match="dimension 4"):
-        example_config(box=BoxSet(np.zeros(2), np.ones(2))).validate()
+        example_config(box=BoxSet(np.zeros(2), np.ones(2)))
 
 
 def test_decay_rate_default_and_override(example_config):
@@ -358,7 +358,6 @@ def test_nudge_recovers_a_singular_start():
 
 def _per_step_loop(cfg: SimConfig) -> Trajectory:
     """The loop logging every column at every step: the reference for run_closed_loop."""
-    cfg.validate()
     n = cfg.n
     dim = 2 * n + 1
     aux_box = cfg.aux_box()
@@ -794,6 +793,12 @@ def test_constants_reject_a_wrong_box(example_target):
         estimate_constants(BoxSet(np.zeros(4), np.ones(4)), example_target)
 
 
+def test_constants_refuse_a_negative_sample_count(example_target):
+    aux_box = BoxSet([-1.0, -3.0, 1.0, -1.0, -5.0], [1.0, 1.0, 3.0, 0.0, -3.0])
+    with pytest.raises(ValueError, match="samples"):
+        estimate_constants(aux_box, example_target, samples=-5)
+
+
 def test_constants_name_a_box_with_no_regular_design(example_target):
     # b pinned at zero: every sample and vertex has a vanishing numerator
     aux_box = BoxSet([-1.0, -3.0, 1.0, 0.0, 0.0], [1.0, 1.0, 3.0, 0.0, 0.0])
@@ -1037,7 +1042,7 @@ def golden_run():
 def test_golden_residual_column_is_the_pole_audits_own_error(golden_run):
     # the logged column and the audit read the same evaluation of the identity
     cfg, traj = golden_run
-    _, _, r = _design_identity(traj.theta_hat, traj.gains, cfg.target)
+    *_, r = _design_identity(traj.theta_hat, traj.gains, cfg.target)
     own = np.abs(r).max(axis=1)
     assert np.array_equal(traj.dioph_residual.view(np.uint64), own.view(np.uint64))
     report = pole_placement_audit(traj, cfg.target, cfg.decay_rate())
@@ -1204,6 +1209,15 @@ def test_run_audits_returns_all_requested_sections(bench_run, bench_constants):
         assert res["pass"] and res["violations"] == 0
 
 
+def test_audits_cannot_be_handed_an_invalid_config():
+    # mu = 0 is refused where the config is built, before an audit can read it
+    cfg, _, _ = load_config(BENCHMARK_CONFIG)
+    cfg = dataclasses.replace(cfg, horizon=50)
+    traj = run_closed_loop(cfg)
+    with pytest.raises(ValueError, match="mu must be positive"):
+        run_audits(traj, dataclasses.replace(cfg, mu=0.0), which=("estimator",))
+
+
 def test_run_audits_rejects_unknown_names(bench_run):
     cfg, traj = bench_run
     with pytest.raises(ValueError, match="unknown audit"):
@@ -1264,6 +1278,8 @@ def test_sweep_validates_inputs(example_config):
         monte_carlo_sweep(cfg, draws=1, overrides={"sigma": 1.0})
     with pytest.raises(ValueError, match="horizon"):
         monte_carlo_sweep(cfg, draws=1, horizon=0)
+    with pytest.raises(ValueError, match="samples"):
+        monte_carlo_sweep(cfg, draws=1, alpha_samples=-5)
     for mu_range in ((0.0, 1.0), (1.0, 0.5), (1e-3, np.inf)):
         with pytest.raises(ValueError, match="mu override"):
             monte_carlo_sweep(cfg, draws=1, overrides={"mu": mu_range})
