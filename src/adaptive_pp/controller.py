@@ -153,33 +153,6 @@ def design_rhs(thetas: np.ndarray, lifted: np.ndarray, n: int, out: np.ndarray |
     return rhs
 
 
-def solve_diophantine_batch(thetas: np.ndarray, lifted: np.ndarray, n: int) -> DesignBatch:
-    """Solve the pole-placement identity at every row of a (count, 2n+1) stack.
-
-    Rows whose |det| falls at or below the shared relative singularity
-    threshold are masked out of `ok` and get no gain row.
-    """
-    thetas = np.asarray(thetas, dtype=float)
-    if thetas.ndim != 2:
-        raise ValueError("expected a (count, 2n+1) stack of estimates")
-    m = sylvester_matrix(thetas, n)
-    _, _, ok = sylvester_margin(m)
-    rhs = design_rhs(thetas, lifted, n)
-    if not ok.all():
-        m, rhs = m[ok], rhs[ok]
-    x = np.linalg.solve(m, rhs[:, :, None])[:, :, 0]
-    return DesignBatch(ok, -x[:, _gain_order(n)])
-
-
-def _gamma(k: int) -> float:
-    """Higham's gamma_k = k u / (1 - k u), u the unit roundoff.
-
-    It bounds the relative rounding error of a k-term sum of products.
-    """
-    u = np.finfo(float).eps / 2
-    return k * u / (1.0 - k * u)
-
-
 @lru_cache(maxsize=None)
 def _augmented_gather(n: int) -> np.ndarray:
     """Gather index of the augmented system [M | b] from the entry-major stack [c; b].
@@ -193,7 +166,7 @@ def _augmented_gather(n: int) -> np.ndarray:
 
 
 def _design_workspace(n: int, rows: int) -> np.ndarray:
-    """Flat float64 workspace for `_certified_design` on up to `rows` estimates.
+    """Flat float64 workspace for `solve_diophantine_batch` on up to `rows` estimates.
 
     Per row it holds [M | b], (2n+1)(2n+2) floats, then scratch for the
     largest temporary the elimination needs: the stacked coefficients
@@ -204,52 +177,29 @@ def _design_workspace(n: int, rows: int) -> np.ndarray:
     return np.empty(rows * (d * (d + 1) + max(4 * n + 4, 2 * n * (n + 2))))
 
 
-def _certified_design(thetas: np.ndarray, lifted: np.ndarray, n: int, work: np.ndarray | None = None):
-    """Prove LAPACK's design verdict and bound its gain row at every row of a stack, without it.
+def solve_diophantine_batch(
+    thetas: np.ndarray, lifted: np.ndarray, n: int, work: np.ndarray | None = None
+) -> DesignBatch:
+    """Solve the pole-placement identity at every row of a (count, 2n+1) stack.
 
-    Returns (decided, regular, gains, slack) over a (count, 2n+1) stack.
-    Where `decided`, `regular` is the verdict `solve_diophantine_batch`
-    gives; where it is also regular, the gain row K_L that LAPACK's solve
-    returns is within `slack` of `gains` in the 2-norm.  The elimination
-    runs in `work`, a `_design_workspace` for at least `count` rows, which a
-    caller may reuse across stacks; none of the results lives in it.
+    A row is regular when the modulus of its pivot product exceeds the
+    threshold of `singularity_threshold`, the rule `sylvester_margin`
+    applies to |det|; a NaN or Inf in a row fails the comparison, so the
+    row counts as singular.  Singular rows are masked out of `ok` and get
+    no gain row.  The elimination runs in `work`, a `_design_workspace` for
+    at least `count` rows, which a caller may reuse across stacks; none of
+    the results lives in it.
 
-    All rows are eliminated at once, entry by entry across the stack.  Abar
-    is monic, so by `sylvester_gather` the top-left n x n block of M is unit
-    lower triangular: n pivot-free steps leave an (n+1) x (n+1) Schur
-    complement, eliminated with partial pivoting, the right side b attached.
-    That is an LU factorization L'U' of a row permutation of M, so with
-    d = 2n+1 and any pivot and summation order (Higham, Accuracy and
-    Stability of Numerical Algorithms, Thms 9.3-9.4) the computed x' solves
-    (M + F')x' = b and det(M + E') is exactly the product of the pivots, with
-    ||E'||, ||F'|| <= phi' = gamma_3d ||L'||_F ||U'||_F, and by AM-GM
-    ||L'||_F ||U'||_F <= (||L'||_F^2 + ||U'||_F^2) / 2.  LAPACK's getrf (inside
-    det) and gesv pivot partially, so |l| <= 1 and |u| <= 2^(d-1) max|m_ij|,
-    and the same holds for its x_L and pivot product with
-    phi_L = gamma_3d d(d+1)/2 2^(d-1) max|m_ij|.  Both are doubled for their
-    own rounding and for LAPACK's rounded growth.
-
-    * sigma_min(M) >= s: the singular values of M + E' multiply to the
-      pivot product, within gamma_d of its computed modulus D', and by AM-GM
-      the largest d-1 multiply to at most (||M + E'||_F^2/(d-1))^n; Weyl then
-      gives s = D' (1 - 1e-12) ((d-1)/(||M||_F + phi')^2)^n - phi', the
-      guard covering D' and the norm's rounding.
-    * With r = phi/s, ||M^-1 E|| <= r, and det(M + E) = det M det(I + M^-1 E)
-      puts |det(M + E)| / |det M| in [(1-r)^d, (1+r)^d].  So LAPACK's pivot
-      product lies in D' [(1-r_L)^d/(1+r')^d, (1+r_L)^d/(1-r')^d], and for
-      r', r_L < 1/(2d) and w = d(r' + r_L) < 1 in D' [1-w, 1+3w]: Bernoulli's
-      inequality below, exp(1.2 w) above.  numpy's det is the exp of a sum of
-      logs of the pivots; the guard 1 +- 1e-10 covers that, the rounding of
-      D' and of the bracket, and the summation order of the threshold.  A
-      bracket wholly above the threshold, or wholly at or below it, is
-      LAPACK's verdict.
-    * x_L - x' = (M + F_L)^-1 (F' - F_L) x', so ||K_L - K'|| = ||x_L - x'||
-      <= ||x'|| (r' + r_L) / (1 - r_L), the slack.
-
-    A row is undecided unless s > 0, r', r_L < 1/(2d), the partial pivot
-    products and the AM-GM factor are normal numbers, and the bracket and
-    slack are finite; a NaN or Inf in the row fails these.
+    All rows are eliminated at once, entry by entry across the stack, so a
+    row's gains do not depend on the rows around it.  Abar is monic, so by
+    `sylvester_gather` the top-left n x n block of M is unit lower
+    triangular: n pivot-free steps leave an (n+1) x (n+1) Schur complement,
+    eliminated with partial pivoting, the right side b attached, and back
+    substitution gives x = [l; p].
     """
+    thetas = np.asarray(thetas, dtype=float)
+    if thetas.ndim != 2:
+        raise ValueError("expected a (count, 2n+1) stack of estimates")
     d = 2 * n + 1
     count = thetas.shape[0]
     if work is None:
@@ -263,15 +213,11 @@ def _certified_design(thetas: np.ndarray, lifted: np.ndarray, n: int, work: np.n
     design_rhs(thetas, lifted, n, out=coef[2 * n + 3 :].T)
     # "clip" writes straight into `a` ("raise" would buffer it); every index is in range
     np.take(coef, _augmented_gather(n), axis=0, out=a, mode="clip")
-    # M's entries are the coefficients, 1 and 0 included
-    peak = np.abs(coef[: 2 * n + 3], out=coef[: 2 * n + 3]).max(axis=0)
     thr, term = spare[: 2 * d * count].reshape(2, d, count)  # singularity_threshold's row sums, a column at a time
     np.abs(a[:, 0], out=thr)
     for j in range(1, d):
         thr += np.abs(a[:, j], out=term)
     thr = SINGULAR_REL_THRESHOLD * np.maximum(1.0, thr.max(axis=0))
-    frob = np.sqrt(np.einsum("ijc,ijc->c", a[:, :d], a[:, :d]))
-    tiny = np.finfo(float).tiny
     hit = np.empty(count, dtype=bool)
     with np.errstate(all="ignore"):
         for k in range(d):
@@ -296,37 +242,22 @@ def _certified_design(thetas: np.ndarray, lifted: np.ndarray, n: int, work: np.n
         for k in range(d - 1, -1, -1):
             np.subtract(x[k], np.einsum("jc,jc->c", a[k, k + 1 : d], x[k + 1 :], out=dot), out=x[k])
             np.divide(x[k], a[k, k], out=x[k])
-        # the pivot product, and the smallest modulus of its partial products
-        prod = a[n, n].copy()
-        low = np.abs(prod)
+        prod = a[n, n].copy()  # the first n pivots are 1
         for k in range(n + 1, d):
             prod *= a[k, k]
-            np.minimum(low, np.abs(prod), out=low)
-        g = 2.0 * _gamma(3 * d)
-        phi = g * (d + np.einsum("ijc,ijc->c", a[:, :d], a[:, :d])) / 2
-        phi_l = g * d * (d + 1) / 2 * 2.0 ** (d - 1) * peak
-        piv = np.abs(prod)
-        amgm = ((d - 1) / np.square(frob + phi)) ** n
-        s = piv * (1.0 - 1e-12) * amgm - phi
-        r, r_l = phi / s, phi_l / s
-        w = d * (r + r_l)
-        slack = np.sqrt(np.einsum("ic,ic->c", x, x)) * (r + r_l) / (1.0 - r_l)
-        sound = (s > 0.0) & (np.maximum(r, r_l) < 0.5 / d) & np.isfinite(piv) & np.isfinite(slack)
-        sound &= (low >= tiny) & (amgm >= tiny)
-    regular = sound & (piv * (1.0 - w) * (1.0 - 1e-10) > thr)
-    singular = sound & (piv * (1.0 + 3.0 * w) * (1.0 + 1e-10) <= thr)
-    np.negative(x, out=x)
-    return regular | singular, regular, x[_gain_order(n)].T, slack
+        ok = np.abs(prod, out=prod) > thr
+    gains = x[_gain_order(n)][:, ok]
+    return DesignBatch(ok, np.negative(gains, out=gains).T)
 
 
 def solve_gains(theta_hat, target: TargetPolynomial) -> np.ndarray:
     """Solve the pole-placement identity at one estimate; the gain row K.
 
-    K = [-p_1..-p_{n+1}, -l_1..-l_n].  The same arithmetic as one row of
-    `solve_diophantine_batch`, on the 2-D system directly, so K equals the
-    batched gain row bit for bit.  Raises SingularSylvesterError when |det|
-    of the system matrix falls at or below the shared relative singularity
-    threshold.
+    K = [-p_1..-p_{n+1}, -l_1..-l_n], from LAPACK's solve of the 2-D system.
+    Raises SingularSylvesterError when |det| of the system matrix falls at
+    or below the shared relative singularity threshold, the verdict rule of
+    `solve_diophantine_batch`; away from the threshold the two agree on the
+    verdict, and their gain rows agree to rounding.
     """
     n = target.n
     theta = np.asarray(theta_hat, dtype=float)

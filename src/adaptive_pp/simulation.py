@@ -46,10 +46,8 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .controller import (
     SingularSylvesterError,
     TargetPolynomial,
-    _certified_design,
     _design_identity,
     _design_workspace,
-    _gamma,
     closed_loop_matrix,
     design_residual,
     solve_diophantine_batch,
@@ -521,25 +519,32 @@ def _box_chunks(box: BoxSet, rng: np.random.Generator, samples: int, rows: int):
         yield np.array(chunk)
 
 
-def _sigma_bound(thetas: np.ndarray, gains: np.ndarray, slack: float | np.ndarray) -> np.ndarray:
+def _gamma(k: int) -> float:
+    """Higham's gamma_k = k u / (1 - k u), u the unit roundoff.
+
+    It bounds the relative rounding error of a k-term sum of products.
+    """
+    u = np.finfo(float).eps / 2
+    return k * u / (1.0 - k * u)
+
+
+def _sigma_bound(thetas: np.ndarray, gains: np.ndarray) -> np.ndarray:
     """Upper bound on sigma_max of the closed-loop matrix of each (theta, K) row.
 
     Every row of A(theta, K) is theta, K or one of the 2n-1 shift rows, which
     are distinct unit vectors, so A'A = D + theta theta' + K K' with D a 0/1
     diagonal.  By Weyl, sigma_max(A)^2 <= 1 + lambda_max(G), G the 2x2 Gram
-    matrix of theta and K: three row dot products per row.  sqrt(lambda_max)
-    is the 2-norm of the stacked rows [theta; K], so it grows by at most
-    `slack` when K moves by at most that much; the bound holds for every
-    such K.  G's entries are (2n+1)-term dot products, which moves
-    lambda_max by at most 2 gamma_{2n+1} lambda_max (Higham, section 3.1),
-    and a dozen roundings form the bound from G, so a factor
-    1 + 2 gamma_{2n+10} covers its own rounding.
+    matrix of theta and K: three row dot products per row.  G's entries are
+    (2n+1)-term dot products, which moves lambda_max by at most
+    2 gamma_{2n+1} lambda_max (Higham, section 3.1), and a dozen roundings
+    form the bound from G, so a factor 1 + 2 gamma_{2n+10} covers its own
+    rounding.
     """
     pairs = ((thetas, thetas), (gains, gains), (thetas, gains))
     tt, kk, tk = (np.einsum("ij,ij->i", a, b) for a, b in pairs)
     half = 0.5 * (tt - kk)
-    top = np.sqrt(0.5 * (tt + kk) + np.sqrt(half * half + tk * tk)) + slack
-    return np.sqrt(1.0 + top * top) * (1.0 + 2.0 * _gamma(thetas.shape[-1] + 9))
+    lam = 0.5 * (tt + kk) + np.sqrt(half * half + tk * tk)
+    return np.sqrt(1.0 + lam) * (1.0 + 2.0 * _gamma(thetas.shape[-1] + 9))
 
 
 def estimate_constants(
@@ -560,19 +565,17 @@ def estimate_constants(
 
     The estimates stream through in chunks, draws first and then the
     vertices, with a running maximum.  A chunk holds as many rows as fit
-    their design systems in _CHUNK_BYTES, and `controller._certified_design`
-    eliminates every chunk in one workspace allocated per call, so memory
-    stays bounded whatever the sample count, the vertex count or the order
-    n.  The certificate proves LAPACK's verdict at nearly every row of a
-    chunk and, with `_sigma_bound`, bounds sigma_max for LAPACK's gain row;
-    LAPACK decides the rows it leaves open, and its own gain rows are
-    bounded with no slack.  Only rows whose bound reaches the maximum so far
-    are solved by LAPACK and sent to the SVD: first the _PROBE of them with
-    the largest bounds, then every one that reaches the maximum after the
-    probe.  The result is the same float as one LAPACK solve and SVD of
-    every row: chunked draws reproduce the one-shot stream, each matrix's
-    solve and SVD do not depend on the batch around it, a pruned row's
-    sigma_max is below the maximum, and a maximum does not depend on order.
+    their design systems in _CHUNK_BYTES, and `solve_diophantine_batch`
+    solves every chunk in one workspace allocated per call, so memory stays
+    bounded whatever the sample count, the vertex count or the order n.
+    `_sigma_bound` bounds sigma_max for every regular row's gain row, and
+    only rows whose bound reaches the maximum so far are sent to the SVD:
+    first the _PROBE of them with the largest bounds, then every one that
+    reaches the maximum after the probe.  The result is the same float as
+    one batched solve and SVD of every row: chunked draws reproduce the
+    one-shot stream, each row's solve and each matrix's SVD do not depend
+    on the batch around it, a pruned row's sigma_max is below the maximum,
+    and a maximum does not depend on order.
     """
     n = target.n
     dim = 2 * n + 1
@@ -587,16 +590,11 @@ def estimate_constants(
     alpha = -np.inf
     used = total = 0
     for thetas in _box_chunks(aux_box, rng, int(samples), rows):
-        decided, ok, gains, slack = _certified_design(thetas, lifted, n, work)
-        # LAPACK decides the rows the certificate leaves open; its own gain rows need no slack
-        own = np.flatnonzero(~decided)
-        if own.size:
-            design = solve_diophantine_batch(thetas[own], lifted, n)
-            ok[own] = design.ok
-            gains[own[design.ok]] = design.gains
-            slack[own] = 0.0
-        bound = np.where(ok, _sigma_bound(thetas, gains, slack), -np.inf)
-        todo = ok.copy()
+        total += thetas.shape[0]
+        ok, gains = solve_diophantine_batch(thetas, lifted, n, work)
+        thetas = thetas[ok]
+        bound = _sigma_bound(thetas, gains)
+        todo = np.ones(bound.shape, dtype=bool)
         for cap in (_PROBE, None):
             # the rows whose bound reaches the maximum, at most _PROBE of the largest
             # first; the relative margin keeps a row whose rounded bound ties it,
@@ -606,12 +604,10 @@ def estimate_constants(
                 rows = rows[np.argpartition(bound[rows], -cap)[-cap:]]
             if rows.size == 0:
                 break
-            design = solve_diophantine_batch(thetas[rows], lifted, n)
-            mats = closed_loop_matrix(thetas[rows][design.ok], design.gains)
+            mats = closed_loop_matrix(thetas[rows], gains[rows])
             alpha = float(np.max(np.linalg.svd(mats, compute_uv=False)[:, 0], initial=alpha))
             todo[rows] = False
-        used += int(ok.sum())
-        total += thetas.shape[0]
+        used += gains.shape[0]
     if used == 0:
         raise ValueError(f"the design is singular at all {total} sampled estimates of the box")
     return ConstantsEstimate(

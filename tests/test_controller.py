@@ -21,10 +21,10 @@ from adaptive_pp import (
     sylvester_margin,
     sylvester_matrix,
 )
-from adaptive_pp.controller import _certified_design, _design_identity, _design_workspace, _gamma, _gain_order
+from adaptive_pp.controller import _design_identity, _design_workspace, _gain_order
 from adaptive_pp.exact import charpoly_fractions
 from adaptive_pp.polynomial import SINGULAR_REL_THRESHOLD, sylvester_coeffs, sylvester_gather
-from adaptive_pp.simulation import _box_chunks, _chunk_rows, _sigma_bound
+from adaptive_pp.simulation import _box_chunks, _chunk_rows, _gamma
 
 BENCH_TARGET = TargetPolynomial([1.0, -0.6], 2)
 BENCH_THETA0 = np.array([0.0, -1.0, 2.0, -0.5, -4.0])
@@ -131,6 +131,19 @@ def test_design_rejects_wrong_length():
         solve_gains(np.zeros((1, 5)), BENCH_TARGET)
 
 
+def _lapack_gain_error(thetas: np.ndarray, gains: np.ndarray, lapack: np.ndarray) -> np.ndarray:
+    """||K - K_L|| over 2 gamma_{3d} kappa_2(M) ||K_L||, per row: at most 1 between two stable solves.
+
+    Each LU solve is backward stable, so its relative forward error is about
+    gamma_{3d} kappa_2(M) to first order (Higham, Thm 9.4 and section 7.1);
+    the gap between two of them is at most the sum.
+    """
+    n = (thetas.shape[1] - 1) // 2
+    kappa = np.linalg.cond(sylvester_matrix(thetas, n))
+    scale = 2.0 * _gamma(3 * (2 * n + 1)) * kappa * np.linalg.norm(lapack, axis=1)
+    return np.linalg.norm(gains - lapack, axis=1) / scale
+
+
 def test_batched_design_is_a_stack_of_single_solves(example_box):
     rng = np.random.default_rng(41)
     thetas = image_box(example_box, 2).sample(rng, 200)
@@ -144,7 +157,8 @@ def test_batched_design_is_a_stack_of_single_solves(example_box):
             singles.append(None)
     np.testing.assert_array_equal(batch.ok, [K is not None for K in singles])
     assert not batch.ok[57] and batch.ok.sum() == 199
-    assert np.array_equal(batch.gains, np.array([K for K in singles if K is not None]))
+    lapack = np.array([K for K in singles if K is not None])
+    assert np.all(_lapack_gain_error(thetas[batch.ok], batch.gains, lapack) <= 1.0)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
@@ -153,9 +167,7 @@ def test_batched_residual_has_the_bits_of_each_single_solve(n):
     target = _spread_target(n)
     thetas = _certificate_rows(n, 600, seed=80 + n)
     design = solve_diophantine_batch(thetas, target.lifted_coeffs(), n)
-    thetas = thetas[design.ok]
-    gains = np.array([solve_gains(vec, target) for vec in thetas])
-    assert np.array_equal(gains.view(np.uint64), design.gains.view(np.uint64))
+    thetas, gains = thetas[design.ok], design.gains
     # each row's bits are those of a one-row call, whatever the stack around
     # it and the operands' memory order: the system stack is made contiguous,
     # so every row goes through the same BLAS matrix-vector product
@@ -183,7 +195,7 @@ def test_batched_residual_has_the_bits_of_each_single_solve(n):
 
 
 # ---------------------------------------------------------------------------
-# the certified fast design pass, with LAPACK as the oracle
+# the batched elimination, with LAPACK as the reference
 
 
 def _spread_target(n: int) -> TargetPolynomial:
@@ -217,45 +229,19 @@ def _certificate_rows(n: int, count: int, seed: int) -> np.ndarray:
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_certified_design_agrees_with_lapack(n):
-    # 25k rows per order, 1e5 in all
+    # 25k rows per order, 1e5 in all: the verdict is LAPACK's wherever |det| is
+    # not within a factor 2 of the threshold, and the gain rows agree to rounding
     target = _spread_target(n)
     thetas = _certificate_rows(n, 25_000, seed=n)
-    decided, regular, gains, slack = _certified_design(thetas, target.lifted_coeffs(), n)
     design = solve_diophantine_batch(thetas, target.lifted_coeffs(), n)
-    np.testing.assert_array_equal(regular[decided], design.ok[decided])
-    assert decided[: 25_000 // 3].all() and not decided.all()
-    if n == 1:
-        assert (decided & ~regular).any()  # some singular verdicts are proven too
-    lapack = np.full_like(thetas, np.nan)
-    lapack[design.ok] = design.gains
-    K, th = lapack[regular], thetas[regular]
-    assert np.all(np.linalg.norm(K - gains[regular], axis=1) <= slack[regular])
-    sigma = np.linalg.svd(closed_loop_matrix(th, K), compute_uv=False)[:, 0]
-    assert np.all(_sigma_bound(th, gains[regular], slack[regular]) >= sigma * (1.0 - 1e-12))
-    assert np.abs(K).max() > 1e6
-
-
-@pytest.mark.parametrize("n", [1, 2, 3, 4])
-def test_certificate_covers_any_solve_within_lapacks_error_bound(n):
-    # the proof uses only LAPACK's backward error bound phi_L, so the slack
-    # must cover a solve of M + F for any ||F|| <= phi_L; near the identity,
-    # where the AM-GM bound on sigma_min is nearly tight, F = 0.9 phi_L
-    # u_min x'^T / ||x'|| moves the solution by about 0.9 phi_L ||x'|| / sigma_min
-    dim = 2 * n + 1
-    rng = np.random.default_rng(60 + n)
-    thetas = 0.05 * rng.normal(size=(200, dim))
-    thetas[0] = 0.0
-    thetas[:, -1] += 1.0  # Abar = 1 and B = q^n give M = I
-    lifted = _spread_target(n).lifted_coeffs()
-    _, regular, gains, slack = _certified_design(thetas, lifted, n)
-    assert regular.all()
-    m = sylvester_matrix(thetas, n)
-    x = np.concatenate((-gains[:, n + 1 :], -gains[:, : n + 1]), axis=1)
-    left = np.linalg.svd(m)[0][:, :, -1]
-    phi_l = _gamma(3 * dim) * dim * (dim + 1) / 2 * 2.0 ** (dim - 1) * np.abs(m).max(axis=(1, 2))
-    push = 0.9 * phi_l[:, None, None] * left[:, :, None] * (x / np.linalg.norm(x, axis=1, keepdims=True))[:, None, :]
-    moved = np.linalg.solve(m + push, design_rhs(thetas, lifted, n)[:, :, None])[:, :, 0]
-    assert np.all(np.linalg.norm(moved - x, axis=1) <= slack)
+    margin, threshold, regular = sylvester_margin(sylvester_matrix(thetas, n))
+    clear = (margin < threshold / 2) | (margin > 2 * threshold)
+    np.testing.assert_array_equal(design.ok[clear], regular[clear])
+    assert not clear.all() and not design.ok.all()
+    both = design.ok & regular
+    lapack = np.array([solve_gains(vec, target) for vec in thetas[both]])
+    assert np.all(_lapack_gain_error(thetas[both], design.gains[both[design.ok]], lapack) <= 1.0)
+    assert np.abs(lapack).max() > 1e6
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -263,8 +249,10 @@ def test_certified_design_leaves_the_hard_rows_to_lapack(n):
     dim = 2 * n + 1
     rows = []
     # Abar = 1 and B = b q^n make M diagonal with det b^(n+1), and every row
-    # sum is at most 1, so the threshold is 1e-12: |det| within 1e-9 of it
-    for t in (-9e-10, -1e-10, -1e-12, 0.0, 1e-12, 1e-10, 9e-10):
+    # sum is at most 1, so the threshold is 1e-12: |det| within 1e-9 of it,
+    # on the side the sign of t says, except at t = 0
+    offsets = (-9e-10, -1e-10, -1e-12, 0.0, 1e-12, 1e-10, 9e-10)
+    for t in offsets:
         theta = np.zeros(dim)
         theta[-1] = (1e-12 * (1.0 + t)) ** (1.0 / (n + 1))
         rows.append(theta)
@@ -282,8 +270,11 @@ def test_certified_design_leaves_the_hard_rows_to_lapack(n):
         b = functools.reduce(np.convolve, [[1.0, 0.25]] * (n - 2), [1.0, -0.5])
         rows.append(np.concatenate((-abar[1:], b)))
         assert abs(np.linalg.det(sylvester_matrix(rows[-1], n))) <= singularity_threshold(sylvester_matrix(rows[-1], n))
-    decided, regular, _, _ = _certified_design(np.array(rows), _spread_target(n).lifted_coeffs(), n)
-    assert not decided.any() and not regular.any()
+    ok, gains = solve_diophantine_batch(np.array(rows), _spread_target(n).lifted_coeffs(), n)
+    near, rest = ok[: len(offsets)], ok[len(offsets) :]
+    signs = np.sign(offsets)
+    np.testing.assert_array_equal(near[signs != 0], signs[signs != 0] > 0)
+    assert not rest.any() and gains.shape == (near.sum(), dim)
 
 
 def test_certified_design_leaves_an_underflowing_pivot_product_undecided():
@@ -294,31 +285,27 @@ def test_certified_design_leaves_an_underflowing_pivot_product_undecided():
     theta = np.array([-1.0, 0.0, 2.0**-1070, 2.0**40, 2.0**40])
     charpoly = charpoly_fractions(sylvester_matrix(theta, n))
     assert abs(charpoly[-1]) == Fraction(2) ** -950  # the constant term is det(-M)
-    decided, regular, _, _ = _certified_design(theta[None], _spread_target(n).lifted_coeffs(), n)
-    assert not decided[0] and not regular[0]
+    ok, gains = solve_diophantine_batch(theta[None], _spread_target(n).lifted_coeffs(), n)
+    assert not ok[0] and gains.shape == (0, 2 * n + 1)
 
 
-def _certified_design_fresh(thetas: np.ndarray, lifted: np.ndarray, n: int):
-    """`_certified_design` with fresh arrays for every temporary: the reference for the workspace version.
+def _design_batch_fresh(thetas: np.ndarray, lifted: np.ndarray, n: int):
+    """`solve_diophantine_batch` with fresh arrays for every temporary: the reference for the workspace version.
 
     The same elimination, entry by entry across the stack, from a transposed
     copy of the draws, a concatenated [c; b] stack gathered into [M | b],
-    `np.where` pivot swaps, Schur updates into new arrays and the partial
-    pivot products by `np.cumprod`.
+    `np.where` pivot swaps, Schur updates into new arrays and the pivot
+    product by `np.prod`.
     """
     d = 2 * n + 1
     cols = np.ascontiguousarray(thetas.T).T  # each entry's stack contiguous
     # [M | b] in one gather, one (count,) array per entry
     gather = np.column_stack((sylvester_gather(n), np.arange(2 * n + 3, 4 * n + 4)))
-    a = np.concatenate((sylvester_coeffs(cols, n).T, design_rhs(cols, lifted, n).T))
-    peak = np.abs(a[: 2 * n + 3]).max(axis=0)  # M's entries are the coefficients, 1 and 0 included
-    a = a[gather]
+    a = np.concatenate((sylvester_coeffs(cols, n).T, design_rhs(cols, lifted, n).T))[gather]
     thr = np.abs(a[:, 0])  # singularity_threshold's row sums, a column at a time
     for j in range(1, d):
         thr += np.abs(a[:, j])
     thr = SINGULAR_REL_THRESHOLD * np.maximum(1.0, thr.max(axis=0))
-    frob = np.sqrt(np.einsum("ijc,ijc->c", a[:, :d], a[:, :d]))
-    tiny = np.finfo(float).tiny
     with np.errstate(all="ignore"):
         for k in range(d):
             if k >= n:  # partial pivoting on the Schur complement
@@ -331,22 +318,8 @@ def _certified_design_fresh(thetas: np.ndarray, lifted: np.ndarray, n: int):
         x = a[:, d]  # back substitution in place
         for k in range(d - 1, -1, -1):
             x[k] = (x[k] - np.einsum("jc,jc->c", a[k, k + 1 : d], x[k + 1 :])) / a[k, k]
-        partial = np.cumprod(a[range(n, d), range(n, d)], axis=0)
-        g = 2.0 * _gamma(3 * d)
-        phi = g * (d + np.einsum("ijc,ijc->c", a[:, :d], a[:, :d])) / 2
-        phi_l = g * d * (d + 1) / 2 * 2.0 ** (d - 1) * peak
-        piv = np.abs(partial[-1])
-        amgm = ((d - 1) / np.square(frob + phi)) ** n
-        s = piv * (1.0 - 1e-12) * amgm - phi
-        r, r_l = phi / s, phi_l / s
-        w = d * (r + r_l)
-        slack = np.sqrt(np.einsum("ic,ic->c", x, x)) * (r + r_l) / (1.0 - r_l)
-        sound = (s > 0.0) & (np.maximum(r, r_l) < 0.5 / d) & np.isfinite(piv) & np.isfinite(slack)
-        sound &= (np.abs(partial).min(axis=0) >= tiny) & (amgm >= tiny)
-    regular = sound & (piv * (1.0 - w) * (1.0 - 1e-10) > thr)
-    singular = sound & (piv * (1.0 + 3.0 * w) * (1.0 + 1e-10) <= thr)
-    np.negative(x, out=x)
-    return regular | singular, regular, x[_gain_order(n)].T, slack
+        ok = np.abs(np.prod(a[range(n, d), range(n, d)], axis=0)) > thr
+    return ok, -x[_gain_order(n)][:, ok].T
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -364,8 +337,8 @@ def test_certified_design_in_a_workspace_has_the_bits_of_fresh_arrays(n):
     work[:] = np.nan  # nothing may read a value the chunk did not write
     sizes = []
     for thetas in _box_chunks(box, np.random.default_rng(n), samples, rows):
-        got = _certified_design(thetas, lifted, n, work)
-        want = _certified_design_fresh(thetas, lifted, n)
+        got = solve_diophantine_batch(thetas, lifted, n, work)
+        want = _design_batch_fresh(thetas, lifted, n)
         work[:] = np.nan  # and no result lives in the workspace
         for mine, ref in zip(got, want):
             assert mine.shape == ref.shape and mine.strides == ref.strides
@@ -377,7 +350,7 @@ def test_certified_design_in_a_workspace_has_the_bits_of_fresh_arrays(n):
     hard = _certificate_rows(n, 600, seed=90 + n)
     hard[::97, ::3] = np.nan
     hard[50::101, -1] = np.inf
-    for mine, ref in zip(_certified_design(hard, lifted, n, work), _certified_design_fresh(hard, lifted, n)):
+    for mine, ref in zip(solve_diophantine_batch(hard, lifted, n, work), _design_batch_fresh(hard, lifted, n)):
         np.testing.assert_array_equal(np.ascontiguousarray(mine).view(np.uint8), np.ascontiguousarray(ref).view(np.uint8))
 
 
