@@ -1,8 +1,8 @@
 """Command-line front end: run one closed loop, sweep random draws, re-audit.
 
 Exit codes: 0 when every requested audit passes, 1 when an audit reports
-violations, 2 for configuration or trajectory-file problems, 3 when the
-design equation becomes singular and the run aborts.
+violations, 2 for configuration, trajectory-file or output-path problems, 3
+when the design equation becomes singular and the run aborts.
 
 Configs are strict JSON; unknown keys anywhere are rejected so typos cannot
 silently change an experiment, and every number must be a finite JSON
@@ -562,7 +562,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as err:
+    except (ConfigError, OSError) as err:  # an OSError here comes from creating or writing outputs
         print(f"error: {err}", file=sys.stderr)
         return 2
     except SingularSylvesterError as err:

@@ -27,7 +27,7 @@ import numpy as np
 
 from .estimator import AUDIT_TOL
 from .polynomial import (
-    SINGULAR_REL_THRESHOLD,
+    singularity_threshold,
     sylvester_coeffs,
     sylvester_gather,
     sylvester_margin,
@@ -170,8 +170,8 @@ def _design_workspace(n: int, rows: int) -> np.ndarray:
 
     Per row it holds [M | b], (2n+1)(2n+2) floats, then scratch for the
     largest temporary the elimination needs: the stacked coefficients
-    [c; b] (4n+4 floats, more than the threshold's or a pivot swap's) or a
-    Schur-complement update (2n(n+2)).
+    [c; b] (4n+4 floats, more than a pivot swap's) or a Schur-complement
+    update (2n(n+2)).
     """
     d = 2 * n + 1
     return np.empty(rows * (d * (d + 1) + max(4 * n + 4, 2 * n * (n + 2))))
@@ -213,11 +213,7 @@ def solve_diophantine_batch(
     design_rhs(thetas, lifted, n, out=coef[2 * n + 3 :].T)
     # "clip" writes straight into `a` ("raise" would buffer it); every index is in range
     np.take(coef, _augmented_gather(n), axis=0, out=a, mode="clip")
-    thr, term = spare[: 2 * d * count].reshape(2, d, count)  # singularity_threshold's row sums, a column at a time
-    np.abs(a[:, 0], out=thr)
-    for j in range(1, d):
-        thr += np.abs(a[:, j], out=term)
-    thr = SINGULAR_REL_THRESHOLD * np.maximum(1.0, thr.max(axis=0))
+    thr = singularity_threshold(np.moveaxis(a[:, :d], -1, 0))
     hit = np.empty(count, dtype=bool)
     with np.errstate(all="ignore"):
         for k in range(d):

@@ -93,6 +93,8 @@ class SignalSpec:
     def __post_init__(self):
         if self.kind not in SIGNAL_KINDS:
             raise ValueError(f"signal kind must be one of {SIGNAL_KINDS}")
+        if not np.isfinite(self.magnitude):
+            raise ValueError("signal magnitude must be finite")
         if self.kind == "sign_flip" and (int(self.period) != self.period or self.period < 1):
             raise ValueError("sign_flip needs an integer period >= 1")
         if self.kind == "custom":
@@ -167,10 +169,14 @@ class SimConfig:
             raise ValueError("theta0 must lie inside the incremental parameter box")
         if phi0.shape != (2 * (n + 1),):
             raise ValueError(f"phi0 must have length {2 * (n + 1)}")
+        if not np.all(np.isfinite(phi0)):
+            raise ValueError("phi0 must be finite")
         if not 0.0 < self.mu < np.inf:
             raise ValueError("mu must be positive and finite")
         if int(self.horizon) != self.horizon or self.horizon < 1:
             raise ValueError("horizon must be an integer >= 1")
+        if not float(self.t0).is_integer():  # the t column is written as integers
+            raise ValueError("t0 must be an integer")
         if self.estimator_mode not in ("classical", "ideal"):
             raise ValueError("estimator_mode must be 'classical' or 'ideal'")
         for name, spec in (("reference", self.reference), ("disturbance", self.disturbance)):
@@ -494,11 +500,8 @@ class ConstantsEstimate:
     samples_skipped: int
 
 
-# bytes of one streamed chunk's [M | b] stack in estimate_constants, and the
-# most rows of largest sigma_max bound whose solve and SVD raise the cutoff
-# before the rest
+# bytes of one streamed chunk's [M | b] stack in estimate_constants
 _CHUNK_BYTES = 1 << 19
-_PROBE = 8
 
 
 def _chunk_rows(n: int) -> int:
@@ -528,23 +531,25 @@ def _gamma(k: int) -> float:
     return k * u / (1.0 - k * u)
 
 
-def _sigma_bound(thetas: np.ndarray, gains: np.ndarray) -> np.ndarray:
-    """Upper bound on sigma_max of the closed-loop matrix of each (theta, K) row.
+def _sigma_bound(thetas: np.ndarray, gains: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Lower and upper bounds on sigma_max of the closed-loop matrix of each (theta, K) row.
 
     Every row of A(theta, K) is theta, K or one of the 2n-1 shift rows, which
     are distinct unit vectors, so A'A = D + theta theta' + K K' with D a 0/1
-    diagonal.  By Weyl, sigma_max(A)^2 <= 1 + lambda_max(G), G the 2x2 Gram
-    matrix of theta and K: three row dot products per row.  G's entries are
-    (2n+1)-term dot products, which moves lambda_max by at most
-    2 gamma_{2n+1} lambda_max (Higham, section 3.1), and a dozen roundings
-    form the bound from G, so a factor 1 + 2 gamma_{2n+10} covers its own
-    rounding.
+    diagonal.  With G the 2x2 Gram matrix of theta and K, three row dot
+    products per row, Weyl's monotonicity theorem gives
+    lambda_max(G) <= sigma_max(A)^2 <= 1 + lambda_max(G): D is positive
+    semidefinite with norm at most 1.  G's entries are (2n+1)-term dot
+    products, which moves lambda_max by at most 2 gamma_{2n+1} lambda_max
+    (Higham, section 3.1), and a dozen roundings form the bounds from G, so
+    the factors 1 -+ 2 gamma_{2n+10} cover their own rounding.
     """
     pairs = ((thetas, thetas), (gains, gains), (thetas, gains))
     tt, kk, tk = (np.einsum("ij,ij->i", a, b) for a, b in pairs)
     half = 0.5 * (tt - kk)
     lam = 0.5 * (tt + kk) + np.sqrt(half * half + tk * tk)
-    return np.sqrt(1.0 + lam) * (1.0 + 2.0 * _gamma(thetas.shape[-1] + 9))
+    slack = 2.0 * _gamma(thetas.shape[-1] + 9)
+    return np.sqrt(lam) * (1.0 - slack), np.sqrt(1.0 + lam) * (1.0 + slack)
 
 
 def estimate_constants(
@@ -568,14 +573,15 @@ def estimate_constants(
     their design systems in _CHUNK_BYTES, and `solve_diophantine_batch`
     solves every chunk in one workspace allocated per call, so memory stays
     bounded whatever the sample count, the vertex count or the order n.
-    `_sigma_bound` bounds sigma_max for every regular row's gain row, and
-    only rows whose bound reaches the maximum so far are sent to the SVD:
-    first the _PROBE of them with the largest bounds, then every one that
-    reaches the maximum after the probe.  The result is the same float as
-    one batched solve and SVD of every row: chunked draws reproduce the
-    one-shot stream, each row's solve and each matrix's SVD do not depend
-    on the batch around it, a pruned row's sigma_max is below the maximum,
-    and a maximum does not depend on order.
+    `_sigma_bound` brackets sigma_max for every regular row's gain row, and
+    each chunk sends to one SVD call only the rows whose upper bound reaches
+    the cut: the maximum so far or the chunk's largest lower bound,
+    whichever is larger.  The result is the same float as one batched solve
+    and SVD of every row: chunked draws reproduce the one-shot stream, each
+    row's solve and each matrix's SVD do not depend on the batch around it,
+    a pruned row's sigma_max is below the maximum so far or below the
+    sigma_max of the row with the chunk's largest lower bound, which is
+    kept, and a maximum does not depend on order.
     """
     n = target.n
     dim = 2 * n + 1
@@ -593,20 +599,14 @@ def estimate_constants(
         total += thetas.shape[0]
         ok, gains = solve_diophantine_batch(thetas, lifted, n, work)
         thetas = thetas[ok]
-        bound = _sigma_bound(thetas, gains)
-        todo = np.ones(bound.shape, dtype=bool)
-        for cap in (_PROBE, None):
-            # the rows whose bound reaches the maximum, at most _PROBE of the largest
-            # first; the relative margin keeps a row whose rounded bound ties it,
-            # and a NaN bound is never below it
-            rows = np.flatnonzero(todo & ~(bound < alpha * (1.0 - 1e-12)))
-            if cap is not None and rows.size > cap:
-                rows = rows[np.argpartition(bound[rows], -cap)[-cap:]]
-            if rows.size == 0:
-                break
+        low, high = _sigma_bound(thetas, gains)
+        # the relative margin keeps a row whose rounded bound ties the cut, a
+        # NaN upper bound is never below it, and fmax passes over a NaN lower one
+        cut = np.fmax.reduce(low, initial=alpha)
+        rows = np.flatnonzero(~(high < cut * (1.0 - 1e-12)))
+        if rows.size:
             mats = closed_loop_matrix(thetas[rows], gains[rows])
             alpha = float(np.max(np.linalg.svd(mats, compute_uv=False)[:, 0], initial=alpha))
-            todo[rows] = False
         used += gains.shape[0]
     if used == 0:
         raise ValueError(f"the design is singular at all {total} sampled estimates of the box")

@@ -279,7 +279,7 @@ def test_run_nudge_option_recovers_the_singular_start(config_file, tmp_path):
     assert read_manifest(out)["status"] == "pass"
 
 
-def test_run_exit_2_on_config_errors(config_file, tmp_path):
+def test_run_exit_2_on_config_errors(config_file, tmp_path, capsys):
     assert main(["run", config_file(mu=-1.0), "--quiet"]) == 2
     # non-integer or non-boolean values are refused, not truncated or coerced
     assert main(["run", config_file(horizon=300.7), "--quiet"]) == 2
@@ -298,6 +298,14 @@ def test_run_exit_2_on_config_errors(config_file, tmp_path):
     bad = config_file(horizon=150, tracking_tail=140, alpha_samples=500)
     assert main(["run", bad, "--out", str(out), "--quiet"]) == 2
     assert {name: (out / name).read_bytes() for name in before} == before
+    # an output directory that is a file: one error line and exit 2, not a
+    # traceback and the audit-violation exit 1
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    capsys.readouterr()
+    for argv in (["run", good], ["sweep", good, "--draws", "1"], ["audit", str(out / "trajectory.csv"), good]):
+        assert main(argv + ["--out", str(blocker), "--quiet"]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_a_negative_seed_is_a_config_error(config_file, tmp_path):

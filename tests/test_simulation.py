@@ -123,6 +123,10 @@ def test_signal_validation():
         SignalSpec("custom")
     with pytest.raises(ValueError):
         SignalSpec("custom", values=[1.0, np.nan])
+    with pytest.raises(ValueError, match="magnitude"):
+        SignalSpec("constant", magnitude=np.nan)
+    with pytest.raises(ValueError, match="magnitude"):
+        SignalSpec("sign_flip", magnitude=np.inf, period=2)
 
 
 # ---------------------------------------------------------------------------
@@ -147,6 +151,8 @@ def test_config_validates_the_benchmark(example_config):
         ({"lam": 1.0}, "lam"),
         ({"disturbance": SignalSpec("custom", values=np.zeros(10))}, "custom disturbance"),
         ({"mu": np.inf}, "mu"),
+        ({"t0": 0.5}, "t0"),
+        ({"phi0": np.array([0.0, np.nan, 0.0, 0.0, 0.0, 0.0])}, "phi0"),
     ],
 )
 def test_config_rejections(example_config, overrides, match):
@@ -894,8 +900,9 @@ def test_pruned_constants_keep_a_near_rank_one_maximum():
 
 @pytest.mark.parametrize("box", ["near_rank_one", "benchmark"])
 def test_constants_send_few_rows_to_the_svd(monkeypatch, example_target, box):
-    # only rows whose bound reaches the running maximum are decomposed, at
-    # most _PROBE of the largest first
+    # only rows whose upper bound reaches the cut are decomposed, in at most
+    # one SVD call per chunk: 3 of the 100,004 regular rows near rank one,
+    # 7 of the 100,032 on the benchmark
     aux_box, target = {
         "near_rank_one": (image_box(BoxSet([-0.5, 1e-6], [-0.4, 2e-6]), 1), TargetPolynomial([1.0, -0.5], 1)),
         "benchmark": (BoxSet([-1.0, -3.0, 1.0, -1.0, -5.0], [1.0, 1.0, 3.0, 0.0, -3.0]), example_target),
@@ -910,16 +917,19 @@ def test_constants_send_few_rows_to_the_svd(monkeypatch, example_target, box):
     monkeypatch.setattr(np.linalg, "svd", counting)
     est = estimate_constants(aux_box, target, samples=100_000, seed=0)
     monkeypatch.undo()
-    assert 0 < sum(decomposed) <= 2 * simulation._PROBE
+    rows = _chunk_rows(target.n)
+    chunks = -(-100_000 // rows) + -(-(2**aux_box.dim) // rows)
+    assert 0 < len(decomposed) <= chunks
+    assert sum(decomposed) == {"near_rank_one": 3, "benchmark": 7}[box]
     alpha, used, skipped = _constants_by_brute_force(aux_box, target, 100_000, seed=0)
     assert (est.alpha_bar, est.samples_used, est.samples_skipped) == (alpha, used, skipped)
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7, 8])
 def test_gram_bound_dominates_sigma_max(n):
     # 25k rows per order: random (theta, K), K not solved, each row scaled
     # log-uniformly within 1e-3..1e6; in the first 100 rows theta lies on a
-    # column the shift rows read and K = 0, which makes the bound exact
+    # column the shift rows read and K = 0, which makes the upper bound exact
     rng = np.random.default_rng(40 + n)
     dim = 2 * n + 1
     thetas, gains = (
@@ -928,33 +938,38 @@ def test_gram_bound_dominates_sigma_max(n):
     thetas[:100, :] = gains[:100, :] = 0.0
     thetas[:100, 0] = 10.0 ** rng.uniform(-3.0, 6.0, 100)
     sigma = np.linalg.svd(closed_loop_matrix(thetas, gains), compute_uv=False)[:, 0]
-    bound = _sigma_bound(thetas, gains)
-    # the pruning keeps a row unless its bound is below best * (1 - 1e-12),
+    low, high = _sigma_bound(thetas, gains)
+    # the pruning keeps a row unless its upper bound is below cut * (1 - 1e-12),
     # so this is the property it needs; rounding of the bound and of the SVD
     # can leave the bound an ulp or two under a tight sigma_max, never more
-    assert np.all(bound >= sigma * (1.0 - 1e-12))
-    assert np.all(bound >= sigma * (1.0 - 4 * np.finfo(float).eps))
+    assert np.all(high >= sigma * (1.0 - 1e-12))
+    assert np.all(high >= sigma * (1.0 - 4 * np.finfo(float).eps))
+    # a lower bound above a row's sigma_max could cut the chunk's maximiser
+    assert np.all(low <= sigma)
 
 
 @pytest.mark.parametrize("fake", ["chunk_max", "nan"])
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_constants_loop_past_a_one_row_probe(monkeypatch, n, fake):
-    # a bound that is the same on every row of a chunk ranks nothing, so the
-    # one-row probe is an arbitrary row and the maximum lies outside it: the
-    # loop must solve and SVD past the probe.  The chunk's largest true bound
-    # is still a valid bound; a NaN bound is never pruned
+    # each side of the two-sided bound in turn is made the same on every row
+    # of a chunk, at the chunk's largest value of that side, or NaN.  The cut
+    # reads only the largest lower bound, a flat upper bound at the chunk's
+    # largest still bounds every row, a NaN upper bound is never pruned and
+    # a NaN lower bound never sets the cut, so the maximum keeps the full
+    # SVD's bits
     true_bound = simulation._sigma_bound
-
-    def flat(*args):
-        bound = true_bound(*args)
-        return np.full_like(bound, bound.max() if fake == "chunk_max" else np.nan)
-
-    monkeypatch.setattr(simulation, "_PROBE", 1)
-    monkeypatch.setattr(simulation, "_sigma_bound", flat)
     aux_box, target = _seeded_problem(n)
-    est = estimate_constants(aux_box, target, samples=_SAMPLES + 1, seed=n)
     alpha, used, skipped = _constants_by_brute_force(aux_box, target, _SAMPLES + 1, seed=n)
-    assert (est.alpha_bar, est.samples_used, est.samples_skipped) == (alpha, used, skipped)
+    for side in (0, 1):
+
+        def flat(*args):
+            bounds = list(true_bound(*args))
+            bounds[side] = np.full_like(bounds[side], bounds[side].max() if fake == "chunk_max" else np.nan)
+            return tuple(bounds)
+
+        monkeypatch.setattr(simulation, "_sigma_bound", flat)
+        est = estimate_constants(aux_box, target, samples=_SAMPLES + 1, seed=n)
+        assert (est.alpha_bar, est.samples_used, est.samples_skipped) == (alpha, used, skipped)
 
 
 def test_constants_memory_does_not_grow_with_samples(example_target):
