@@ -27,7 +27,7 @@ import numpy as np
 
 from .estimator import AUDIT_TOL
 from .polynomial import (
-    singularity_threshold,
+    _row_sum_threshold,
     sylvester_coeffs,
     sylvester_gather,
     sylvester_margin,
@@ -127,7 +127,7 @@ class DesignBatch(NamedTuple):
     """Outcome of the batched design solve over a stack of estimates."""
 
     ok: np.ndarray          # (count,) True where the system is regular
-    gains: np.ndarray       # (ok.sum(), 2n+1) gain rows of the regular systems
+    gains: np.ndarray       # (ok.sum(), 2n+1) gain rows of the regular systems, entry-major
 
 
 @lru_cache(maxsize=None)
@@ -170,8 +170,8 @@ def _design_workspace(n: int, rows: int) -> np.ndarray:
 
     Per row it holds [M | b], (2n+1)(2n+2) floats, then scratch for the
     largest temporary the elimination needs: the stacked coefficients
-    [c; b] (4n+4 floats, more than a pivot swap's) or a Schur-complement
-    update (2n(n+2)).
+    [c; b] (4n+4 floats, more than the threshold's row sums with one column
+    of |M|, or a pivot swap, take) or a Schur-complement update (2n(n+2)).
     """
     d = 2 * n + 1
     return np.empty(rows * (d * (d + 1) + max(4 * n + 4, 2 * n * (n + 2))))
@@ -188,7 +188,11 @@ def solve_diophantine_batch(
     row counts as singular.  Singular rows are masked out of `ok` and get
     no gain row.  The elimination runs in `work`, a `_design_workspace` for
     at least `count` rows, which a caller may reuse across stacks; none of
-    the results lives in it.
+    the results lives in it.  The stack may be in any memory order, but an
+    entry-major one, the transpose of a C-contiguous (2n+1, count) block,
+    is read fastest.  `gains` is laid out the same way: the transpose of a
+    new C-contiguous (2n+1, ok.sum()) block, one contiguous array per gain
+    entry.
 
     All rows are eliminated at once, entry by entry across the stack, so a
     row's gains do not depend on the rows around it.  Abar is monic, so by
@@ -213,7 +217,14 @@ def solve_diophantine_batch(
     design_rhs(thetas, lifted, n, out=coef[2 * n + 3 :].T)
     # "clip" writes straight into `a` ("raise" would buffer it); every index is in range
     np.take(coef, _augmented_gather(n), axis=0, out=a, mode="clip")
-    thr = singularity_threshold(np.moveaxis(a[:, :d], -1, 0))
+    # the row sums of |M|, a column at a time from the left, in the spare that [c; b]
+    # no longer needs: the order in which `singularity_threshold` reduces this
+    # entry-major stack, so the thresholds have its bits, and no |M| stack is built
+    sums, col = spare[: 2 * d * count].reshape(2, d, count)
+    np.abs(a[:, 0], out=sums)
+    for j in range(1, d):
+        sums += np.abs(a[:, j], out=col)
+    thr = _row_sum_threshold(sums.T)
     hit = np.empty(count, dtype=bool)
     with np.errstate(all="ignore"):
         for k in range(d):
@@ -242,7 +253,9 @@ def solve_diophantine_batch(
         for k in range(n + 1, d):
             prod *= a[k, k]
         ok = np.abs(prod, out=prod) > thr
-    gains = x[_gain_order(n)][:, ok]
+    gains = x[_gain_order(n)]
+    if not ok.all():
+        gains = gains.compress(ok, axis=1)
     return DesignBatch(ok, np.negative(gains, out=gains).T)
 
 

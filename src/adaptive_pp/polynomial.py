@@ -87,7 +87,11 @@ def singularity_threshold(m: np.ndarray) -> float | np.ndarray:
     the size of the coefficients rather than an absolute epsilon.  A stack
     of matrices gets one threshold each.
     """
-    rows = np.add.reduce(np.abs(m), axis=-1)
+    return _row_sum_threshold(np.add.reduce(np.abs(m), axis=-1))
+
+
+def _row_sum_threshold(rows: np.ndarray) -> float | np.ndarray:
+    """`singularity_threshold` from the absolute row sums of each matrix, a (..., 2n+1) stack."""
     # the floor at one as the reduction's initial value; a NaN row sum still wins
     return SINGULAR_REL_THRESHOLD * np.maximum.reduce(rows, axis=-1, initial=1.0)
 

@@ -95,7 +95,7 @@ class SignalSpec:
             raise ValueError(f"signal kind must be one of {SIGNAL_KINDS}")
         if not np.isfinite(self.magnitude):
             raise ValueError("signal magnitude must be finite")
-        if self.kind == "sign_flip" and (int(self.period) != self.period or self.period < 1):
+        if self.kind == "sign_flip" and (not float(self.period).is_integer() or self.period < 1):
             raise ValueError("sign_flip needs an integer period >= 1")
         if self.kind == "custom":
             if self.values is None:
@@ -173,7 +173,7 @@ class SimConfig:
             raise ValueError("phi0 must be finite")
         if not 0.0 < self.mu < np.inf:
             raise ValueError("mu must be positive and finite")
-        if int(self.horizon) != self.horizon or self.horizon < 1:
+        if not float(self.horizon).is_integer() or self.horizon < 1:
             raise ValueError("horizon must be an integer >= 1")
         if not float(self.t0).is_integer():  # the t column is written as integers
             raise ValueError("t0 must be an integer")
@@ -573,6 +573,9 @@ def estimate_constants(
     their design systems in _CHUNK_BYTES, and `solve_diophantine_batch`
     solves every chunk in one workspace allocated per call, so memory stays
     bounded whatever the sample count, the vertex count or the order n.
+    Each chunk is copied once into an entry-major buffer allocated beside
+    the workspace, so the solve and `_sigma_bound` read every entry's
+    draws, and every gain entry, as one contiguous array.
     `_sigma_bound` brackets sigma_max for every regular row's gain row, and
     each chunk sends to one SVD call only the rows whose upper bound reaches
     the cut: the maximum so far or the chunk's largest lower bound,
@@ -592,13 +595,18 @@ def estimate_constants(
     rng = np.random.default_rng(seed)
     lifted = target.lifted_coeffs()
     rows = _chunk_rows(n)
+    entries = np.empty((dim, rows))  # a chunk in entry order, one contiguous array per entry
     work = _design_workspace(n, rows)
     alpha = -np.inf
     used = total = 0
-    for thetas in _box_chunks(aux_box, rng, int(samples), rows):
-        total += thetas.shape[0]
+    for chunk in _box_chunks(aux_box, rng, int(samples), rows):
+        count = chunk.shape[0]
+        total += count
+        np.copyto(entries[:, :count], chunk.T)
+        thetas = entries[:, :count].T
         ok, gains = solve_diophantine_batch(thetas, lifted, n, work)
-        thetas = thetas[ok]
+        if not ok.all():
+            thetas = thetas[ok]
         low, high = _sigma_bound(thetas, gains)
         # the relative margin keeps a row whose rounded bound ties the cut, a
         # NaN upper bound is never below it, and fmax passes over a NaN lower one

@@ -1,11 +1,16 @@
 """Pole-placement design, gain application, and the closed-loop recursion."""
 
 import functools
+import os
+import subprocess
+import sys
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+import adaptive_pp
 from adaptive_pp import (
     BoxSet,
     SingularSylvesterError,
@@ -21,6 +26,7 @@ from adaptive_pp import (
     sylvester_margin,
     sylvester_matrix,
 )
+from adaptive_pp import controller
 from adaptive_pp.controller import _design_identity, _design_workspace, _gain_order
 from adaptive_pp.exact import charpoly_fractions
 from adaptive_pp.polynomial import SINGULAR_REL_THRESHOLD, sylvester_coeffs, sylvester_gather
@@ -295,7 +301,8 @@ def _design_batch_fresh(thetas: np.ndarray, lifted: np.ndarray, n: int):
     The same elimination, entry by entry across the stack, from a transposed
     copy of the draws, a concatenated [c; b] stack gathered into [M | b],
     `np.where` pivot swaps, Schur updates into new arrays and the pivot
-    product by `np.prod`.
+    product by `np.prod`.  The gain rows are the transpose of a C-contiguous
+    (2n+1, ok.sum()) block, the layout `solve_diophantine_batch` documents.
     """
     d = 2 * n + 1
     cols = np.ascontiguousarray(thetas.T).T  # each entry's stack contiguous
@@ -319,14 +326,15 @@ def _design_batch_fresh(thetas: np.ndarray, lifted: np.ndarray, n: int):
         for k in range(d - 1, -1, -1):
             x[k] = (x[k] - np.einsum("jc,jc->c", a[k, k + 1 : d], x[k + 1 :])) / a[k, k]
         ok = np.abs(np.prod(a[range(n, d), range(n, d)], axis=0)) > thr
-    return ok, -x[_gain_order(n)][:, ok].T
+    return ok, np.ascontiguousarray(-x[_gain_order(n)][:, ok]).T
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_certified_design_in_a_workspace_has_the_bits_of_fresh_arrays(n):
-    # the constants' chunk stream, one workspace for every chunk: at n = 2 the
-    # benchmark box and draws (45 full chunks, a partial one, the vertex
-    # chunk), elsewhere a seeded box with two and a half chunks of draws
+    # the constants' chunk stream, one workspace for every chunk, each chunk
+    # fed row-major and entry-major: at n = 2 the benchmark box and draws (45
+    # full chunks, a partial one, the vertex chunk), elsewhere a seeded box
+    # with two and a half chunks of draws
     if n == 2:
         box, target, samples = BoxSet([-1.0, -3.0, 1.0, -1.0, -5.0], [1.0, 1.0, 3.0, 0.0, -3.0]), BENCH_TARGET, 100_000
     else:
@@ -337,12 +345,13 @@ def test_certified_design_in_a_workspace_has_the_bits_of_fresh_arrays(n):
     work[:] = np.nan  # nothing may read a value the chunk did not write
     sizes = []
     for thetas in _box_chunks(box, np.random.default_rng(n), samples, rows):
-        got = solve_diophantine_batch(thetas, lifted, n, work)
         want = _design_batch_fresh(thetas, lifted, n)
-        work[:] = np.nan  # and no result lives in the workspace
-        for mine, ref in zip(got, want):
-            assert mine.shape == ref.shape and mine.strides == ref.strides
-            np.testing.assert_array_equal(np.ascontiguousarray(mine).view(np.uint8), np.ascontiguousarray(ref).view(np.uint8))
+        for order in "CF":
+            got = solve_diophantine_batch(np.asarray(thetas, order=order), lifted, n, work)
+            work[:] = np.nan  # and no result lives in the workspace
+            for mine, ref in zip(got, want):
+                assert mine.shape == ref.shape and mine.strides == ref.strides
+                np.testing.assert_array_equal(np.ascontiguousarray(mine).view(np.uint8), np.ascontiguousarray(ref).view(np.uint8))
         sizes.append(thetas.shape[0])
     vertices = 2 ** (2 * n + 1)
     assert sizes[-1] == vertices and sizes[-2] == samples % rows and max(sizes) == rows
@@ -350,8 +359,79 @@ def test_certified_design_in_a_workspace_has_the_bits_of_fresh_arrays(n):
     hard = _certificate_rows(n, 600, seed=90 + n)
     hard[::97, ::3] = np.nan
     hard[50::101, -1] = np.inf
-    for mine, ref in zip(solve_diophantine_batch(hard, lifted, n, work), _design_batch_fresh(hard, lifted, n)):
-        np.testing.assert_array_equal(np.ascontiguousarray(mine).view(np.uint8), np.ascontiguousarray(ref).view(np.uint8))
+    want = _design_batch_fresh(hard, lifted, n)
+    for order in "CF":
+        for mine, ref in zip(solve_diophantine_batch(np.asarray(hard, order=order), lifted, n, work), want):
+            assert mine.shape == ref.shape and mine.strides == ref.strides
+            np.testing.assert_array_equal(np.ascontiguousarray(mine).view(np.uint8), np.ascontiguousarray(ref).view(np.uint8))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_design_threshold_builds_no_abs_matrix_stack(n):
+    # one chunk, every row regular, in a workspace the caller passes: the
+    # threshold's row sums of |M| are added a column at a time, so the peak
+    # stays below the size of a (count, 2n+1, 2n+1) stack of |M|
+    lo = np.random.default_rng(80 + n).uniform(-1.0, 1.0, 2 * n + 1)
+    rows, lifted = _chunk_rows(n), _spread_target(n).lifted_coeffs()
+    thetas = BoxSet(lo, lo + 0.2).sample(np.random.default_rng(n), rows)
+    work = _design_workspace(n, rows)
+    tracemalloc.start()
+    try:
+        ok, _ = solve_diophantine_batch(thetas, lifted, n, work)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert ok.all()
+    stack = (2 * n + 1) ** 2 * rows * 8
+    assert peak < stack, f"peak {peak} bytes, |M| stack {stack} bytes"
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_batched_thresholds_have_the_bits_of_singularity_threshold(monkeypatch, n):
+    # the solve sums |M| a column at a time; `singularity_threshold` on the
+    # same entry-major stack reduces in that order, so every threshold,
+    # NaN rows included, has its bits
+    thetas = _certificate_rows(n, 600, seed=70 + n)
+    thetas[::97, ::3] = np.nan
+    seen = []
+    real = controller._row_sum_threshold
+
+    def recording(rows):
+        seen.append(real(rows))
+        return seen[-1]
+
+    monkeypatch.setattr(controller, "_row_sum_threshold", recording)
+    solve_diophantine_batch(thetas, _spread_target(n).lifted_coeffs(), n)
+    entry_major = np.moveaxis(np.ascontiguousarray(np.moveaxis(sylvester_matrix(thetas, n), 0, -1)), -1, 0)
+    np.testing.assert_array_equal(seen[0].view(np.uint64), singularity_threshold(entry_major).view(np.uint64))
+
+
+# the batched design of 5,000 seeded benchmark draws, as the digest of its ok and gains bytes
+_DESIGN_DIGEST = """
+import hashlib
+import numpy as np
+from adaptive_pp import BoxSet, TargetPolynomial, solve_diophantine_batch
+
+box = BoxSet([-1.0, -3.0, 1.0, -1.0, -5.0], [1.0, 1.0, 3.0, 0.0, -3.0])
+thetas = box.sample(np.random.default_rng(0), 5000)
+ok, gains = solve_diophantine_batch(thetas, TargetPolynomial([1.0, -0.6], 2).lifted_coeffs(), 2)
+digest = hashlib.sha256(ok.tobytes() + np.ascontiguousarray(gains).tobytes()).hexdigest()
+"""
+
+
+def test_design_does_not_depend_on_the_blas_kernel():
+    # the elimination is elementwise numpy arithmetic, so a child process
+    # held to OpenBLAS's Nehalem kernels (SSE only) gets the same bits
+    src = os.path.dirname(os.path.dirname(adaptive_pp.__file__))
+    env = dict(os.environ, OPENBLAS_CORETYPE="Nehalem")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    child = subprocess.run(
+        [sys.executable, "-c", _DESIGN_DIGEST + "print(digest)"],
+        env=env, capture_output=True, text=True, check=True, timeout=120,
+    )
+    scope = {}
+    exec(_DESIGN_DIGEST, scope)
+    assert child.stdout.strip() == scope["digest"]
 
 
 # ---------------------------------------------------------------------------

@@ -119,6 +119,9 @@ def test_signal_validation():
         SignalSpec("sign_flip", magnitude=1.0, period=0)
     with pytest.raises(ValueError):
         SignalSpec("sign_flip", magnitude=1.0, period=2.5)
+    for period in (np.inf, np.nan):  # neither converts to an integer
+        with pytest.raises(ValueError, match="period"):
+            SignalSpec("sign_flip", magnitude=1.0, period=period)
     with pytest.raises(ValueError):
         SignalSpec("custom")
     with pytest.raises(ValueError):
@@ -153,6 +156,8 @@ def test_config_validates_the_benchmark(example_config):
         ({"mu": np.inf}, "mu"),
         ({"t0": 0.5}, "t0"),
         ({"phi0": np.array([0.0, np.nan, 0.0, 0.0, 0.0, 0.0])}, "phi0"),
+        ({"horizon": np.inf}, "horizon"),
+        ({"horizon": np.nan}, "horizon"),
     ],
 )
 def test_config_rejections(example_config, overrides, match):
@@ -832,13 +837,13 @@ def _seeded_problem(n: int):
     return image_box(box, n), TargetPolynomial(np.poly(rng.uniform(-0.7, 0.7, n)), n)
 
 
-# a draw count of one to twelve chunks at n = 1..4 (it was one chunk before
-# chunks were sized in bytes)
+# a draw count of one to twelve chunks at n = 1..4 and up to 23 at n = 6 (it
+# was one chunk before chunks were sized in bytes)
 _SAMPLES = 8192
 
 
 @pytest.mark.parametrize("samples", [_SAMPLES // 2, _SAMPLES, _SAMPLES + 1])
-@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
 def test_pruned_streamed_constants_equal_a_full_svd(n, samples):
     aux_box, target = _seeded_problem(n)
     est = estimate_constants(aux_box, target, samples=samples, seed=n)
