@@ -3,8 +3,8 @@
 
 Runs the benchmark plant with zero reference and zero disturbance from a
 fixed nonzero initial state, for mu across several decades, and reports
-R(mu) = sup of ||psi(t)|| over the final quarter of the horizon together
-with R(mu)/sqrt(mu).  The linear-like bound predicts a floor no larger than
+R(mu), the gain-bound fit's residual floor (the sup of ||psi(t)|| over the
+final quarter of the horizon), together with R(mu)/sqrt(mu).  The linear-like bound predicts a floor no larger than
 gamma*sqrt(mu); with nothing exciting the loop the measured floor typically
 underflows to zero once the estimator has settled, which is consistent with
 (and much better than) the bound.
@@ -16,7 +16,7 @@ from dataclasses import replace
 import numpy as np
 
 from adaptive_pp.cli import load_config
-from adaptive_pp.simulation import SignalSpec, run_closed_loop
+from adaptive_pp.simulation import SignalSpec, gain_bound_fit, run_closed_loop
 
 import os
 
@@ -27,9 +27,7 @@ DEFAULT_CONFIG = os.path.join(HERE, "..", "configs", "benchmark.json")
 def floor_of(cfg, mu: float, horizon: int) -> float:
     zero = SignalSpec("constant", magnitude=0.0)
     c = replace(cfg, mu=mu, reference=zero, disturbance=zero, horizon=horizon)
-    traj = run_closed_loop(c)
-    norms = np.linalg.norm(traj.psi, axis=1)
-    return float(norms[(3 * horizon) // 4 :].max())
+    return gain_bound_fit(run_closed_loop(c), c)["residual_floor"]
 
 
 def main() -> int:

@@ -222,7 +222,7 @@ def load_config(path: str) -> tuple[SimConfig, dict, str]:
             horizon=_exact(raw["horizon"], int, "horizon"),
             t0=_exact(raw.get("t0", 0), int, "t0"),
             seed=seed,
-            estimator_mode=str(raw.get("estimator", "classical")),
+            estimator_mode=_exact(raw.get("estimator", "classical"), str, "estimator"),
             nudge_singular=_exact(raw.get("nudge_singular", False), bool, "nudge_singular"),
             lam=None if raw.get("lambda") is None else _float(raw["lambda"], "lambda"),
         )
@@ -367,7 +367,7 @@ def _audit(traj: Trajectory, cfg: SimConfig, extras: dict, constants, quiet: boo
         )
     except ValueError as err:
         raise ConfigError(f"audit setup failed: {err}") from err
-    fit = gain_bound_fit(traj, cfg.decay_rate(), cfg.target)
+    fit = gain_bound_fit(traj, cfg)
     total = 0
     for name, res in results.items():
         total += res["violations"]

@@ -181,8 +181,7 @@ def estimator_audit(
     # step-size cap on every active record that has a next estimate
     j = np.flatnonzero(active[:-1])
     step = theta_hat[j + 1] - theta_hat[j]
-    # the stacked matmul reproduces the bits of the per-row np.linalg.norm
-    size = np.sqrt((step[:, None, :] @ step[:, :, None])[:, 0, 0])
+    size = np.sqrt(np.einsum("ij,ij->i", step, step))
     excess = size - np.abs(e[j]) / np.sqrt(psi_sq[j])
 
     return EstimatorAudit(

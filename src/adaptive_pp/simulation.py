@@ -265,11 +265,10 @@ class Trajectory:
     the regressor psi(t), the estimate thetahat(t) the step started from, the
     gain row solved from that estimate (it produces the next input
     increment), the prediction error e(t+1), and the design residual at that
-    estimate.  `phi` holds the raw state [y(t)..y(t-n), u(t)..u(t-n)].
+    estimate.
     """
 
     n: int
-    mu: float
     t: np.ndarray
     y: np.ndarray
     u: np.ndarray
@@ -283,7 +282,6 @@ class Trajectory:
     theta_hat: np.ndarray
     gains: np.ndarray
     dioph_residual: np.ndarray
-    phi: np.ndarray
 
     @property
     def steps(self) -> int:
@@ -342,8 +340,7 @@ class Trajectory:
         """Parse an exported trajectory and rebuild the in-memory form.
 
         The header, column count, row count, and time axis must match the
-        config exactly; the raw state phi is reconstructed from the y and u
-        columns seeded with the config's phi0.
+        config exactly, and the first row must start from the config's phi0.
         """
         n = cfg.n
         lines = [ln for ln in text.split("\n") if ln != ""]
@@ -378,16 +375,10 @@ class Trajectory:
             raise TrajectoryFormatError("time column does not match the config start and horizon")
         cols["t"] = expected_t
 
-        y, u = cols["y"], cols["u"]
-        if y[0] != cfg.phi0[0] or u[0] != cfg.phi0[n + 1]:
+        if cols["y"][0] != cfg.phi0[0] or cols["u"][0] != cfg.phi0[n + 1]:
             raise TrajectoryFormatError("first row is inconsistent with the config's phi0")
 
-        return cls(
-            n=n,
-            mu=cfg.mu,
-            phi=_phi_history(y, u, cfg.phi0, n),
-            **cols,
-        )
+        return cls(n=n, **cols)
 
 
 def _design(theta: np.ndarray, cfg: SimConfig, aux_box: BoxSet, t: int):
@@ -478,11 +469,10 @@ def run_closed_loop(cfg: SimConfig) -> Trajectory:
     # the stacked row product has the bits of each step's psi @ theta_star
     seen = (psi[:-1, None, :] @ cfg.theta_star()[:, None])[:, 0, 0]
     return Trajectory(
-        n=n, mu=cfg.mu, t=cfg.t0 + np.arange(steps), y=y_log, u=u_log, w=w_col,
+        n=n, t=cfg.t0 + np.arange(steps), y=y_log, u=u_log, w=w_col,
         r=r_col[:-1], ybar=psi[:-1, 0].copy(), ubar=psi[:-1, n + 1].copy(),
         wbar=psi[1:, 0] - seen, e=e, psi=psi[:-1], theta_hat=thetas[solve_of],
         gains=gains[solve_of], dioph_residual=residuals[solve_of],
-        phi=_phi_history(y_log, u_log, cfg.phi0, n),
     )
 
 
@@ -678,8 +668,8 @@ def _rouche_margin(target: TargetPolynomial, lam: float) -> float:
         arcs *= 2
 
 
-def pole_placement_audit(traj: Trajectory, target: TargetPolynomial, lam: float) -> dict:
-    """Prove that every logged (thetahat, K) row places the target poles, inside |z| < lam.
+def pole_placement_audit(traj: Trajectory, cfg: SimConfig) -> dict:
+    """Prove that every logged (thetahat, K) row places cfg's target poles, inside |z| < lam.
 
     det(zI - A(theta, K)) is the z-lift of Abar L + B P, so the coefficient
     error of every row is r = M(theta) x - (Astar - Abar) of
@@ -692,12 +682,13 @@ def pole_placement_audit(traj: Trajectory, target: TargetPolynomial, lam: float)
     entry is the proven `max_coeff_err` eps.
 
     Violations: eps beyond AUDIT_TOL * (1 + max|Astar|); the design
-    residual column beyond the same; and a failed radius certificate.  By
-    Rouche's theorem all frozen poles lie in |z| < lam when every target
-    pole does and eps * sum_{j<=2n} lam^j is below `rouche_margin` (see
-    `_rouche_margin`).  A NaN or Inf is a violation.
+    residual column beyond the same; and a failed radius certificate.  lam
+    is `cfg.decay_rate()`, which a SimConfig keeps above every target pole
+    modulus, so by Rouche's theorem all frozen poles lie in |z| < lam when
+    eps * sum_{j<=2n} lam^j is below `rouche_margin` (see `_rouche_margin`).
+    A NaN or Inf is a violation.
     """
-    lam = float(lam)
+    target, lam = cfg.target, cfg.decay_rate()
     n, k = target.n, 2 * target.n + 3
     lifted = target.lifted_coeffs()
     scale = 1.0 + float(np.abs(lifted).max())
@@ -710,8 +701,7 @@ def pole_placement_audit(traj: Trajectory, target: TargetPolynomial, lam: float)
         radius = eps * np.polyval(np.ones(2 * n + 1), lam)
     res_max = float(traj.dioph_residual.max())
     # a NaN fails every comparison, so it counts as a violation
-    checks = (eps <= AUDIT_TOL * scale, res_max <= AUDIT_TOL * scale,
-              target.decay_floor() < lam and radius < margin)
+    checks = (eps <= AUDIT_TOL * scale, res_max <= AUDIT_TOL * scale, radius < margin)
     violations = sum(not ok for ok in checks)
     return {
         "violations": violations,
@@ -727,24 +717,21 @@ def pole_placement_audit(traj: Trajectory, target: TargetPolynomial, lam: float)
 # linear-like gain bound and tracking
 
 
-def gain_bound_fit(traj: Trajectory, lam: float, target: TargetPolynomial) -> dict:
-    """Fit the smallest gamma making the linear-like bound hold on one run.
+def gain_bound_fit(traj: Trajectory, cfg: SimConfig) -> dict:
+    """Fit the smallest gamma making the linear-like bound hold on one run of cfg.
 
-    The bound compares ||phi(t)|| against gamma times
-    lam^(t-t0) ||phi0|| + (|r| + sqrt(mu)) + sum_j lam^(t-1-j) |w(j)|,
-    so lam must sit strictly between the largest target pole modulus and 1.
-    Returns the manifest's gain_bound block: gamma, lambda, the residual
-    floor (max ||psi|| over the final quarter) and the tail tracking error.
+    The bound compares the raw state ||phi(t)|| against gamma times
+    lam^(t-t0) ||phi0|| + (|r| + sqrt(mu)) + sum_j lam^(t-1-j) |w(j)|, with
+    lam = cfg.decay_rate() and mu = cfg.law_mu(), the update law's (0 under
+    the ideal law).  Returns the manifest's gain_bound block: gamma, lambda,
+    the residual floor (max ||psi|| over the final quarter) and the tail
+    tracking error.
     """
-    floor = target.decay_floor()
-    if not floor < lam < 1.0:
-        raise ValueError(f"lam must lie in ({floor:.6f}, 1), got {lam}")
-    steps = traj.steps
-    phi_norm = np.linalg.norm(traj.phi, axis=1)
-    offset = float(np.abs(traj.r).max()) + np.sqrt(traj.mu)
+    steps, lam = traj.steps, cfg.decay_rate()
+    phi_norm = np.linalg.norm(_phi_history(traj.y, traj.u, cfg.phi0, cfg.n), axis=1)
+    offset = float(np.abs(traj.r).max()) + np.sqrt(cfg.law_mu())
 
     # the recursion on Python floats: the same roundings as on numpy scalars
-    lam = float(lam)
     conv = [0.0]
     for w in np.abs(traj.w[:-1]).tolist():
         conv.append(lam * conv[-1] + w)
@@ -812,7 +799,7 @@ def run_audits(
             traj.psi, traj.e, traj.wbar, traj.theta_hat, cfg.theta_star(), cfg.law_mu()
         ).record(),
         "recursion": lambda: state_recursion_audit(traj.psi, traj.theta_hat, traj.gains, traj.e),
-        "poles": lambda: pole_placement_audit(traj, cfg.target, cfg.decay_rate()),
+        "poles": lambda: pole_placement_audit(traj, cfg),
         "crude_bound": lambda: crude_bound_audit(traj, constants.alpha_bar, constants.s_bar),
         "tracking": lambda: tracking_audit(traj, tail=tracking_tail),
     }
@@ -931,7 +918,7 @@ def monte_carlo_sweep(
             return BoundReport(idx, c.mu, nan, lam, nan, nan, 0, True, {})
         results = run_audits(traj, c, which=audits, constants=constants)
         detail = {name: res["violations"] for name, res in results.items()}
-        fit = gain_bound_fit(traj, lam, cfg.target)
+        fit = gain_bound_fit(traj, c)
         return BoundReport(
             idx, c.mu, fit["gamma"], lam, fit["residual_floor"], fit["tail_tracking"],
             sum(detail.values()), False, detail,

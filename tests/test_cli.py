@@ -138,6 +138,12 @@ def test_load_config_rejects_bad_content(config_file, mutation):
         load_config(path)
 
 
+@pytest.mark.parametrize("value", [5, None, ["classical"]])
+def test_load_config_names_a_non_string_estimator(config_file, value):
+    with pytest.raises(ConfigError, match="^estimator must be a string"):
+        load_config(config_file(estimator=value))
+
+
 def test_load_config_rejects_unreadable_files(tmp_path):
     with pytest.raises(ConfigError, match="cannot read"):
         load_config(str(tmp_path / "missing.json"))
@@ -352,6 +358,10 @@ def test_audit_roundtrip_reproduces_a_clean_verdict(config_file, tmp_path):
     assert manifest["command"] == "audit"
     assert manifest["status"] == "pass"
     assert manifest["trajectory"].endswith("trajectory.csv")
+    # both paths read phi0, lambda and the law's mu from the config
+    run_manifest = read_manifest(out)
+    assert manifest["audits"] == run_manifest["audits"]
+    assert manifest["gain_bound"] == run_manifest["gain_bound"]
 
 
 def test_audit_flags_a_corrupted_trajectory(config_file, tmp_path):

@@ -1,12 +1,16 @@
 """Projection estimator updates and the energy-inequality audit."""
 
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import adaptive_pp
 from adaptive_pp import AUDIT_TOL, BoxSet, estimator_audit, project_box, projection_step
 
 BENCH_AUX_BOX = BoxSet([-1.0, -3.0, 1.0, -1.0, -5.0], [1.0, 1.0, 3.0, 0.0, -3.0])
@@ -149,11 +153,14 @@ def _fsum_windows(v, d):
 @pytest.mark.parametrize("mode,mu,zero_every", [("classical", 0.5, 0), ("ideal", 0.0, 7)])
 def test_audit_matches_a_per_record_reference(mode, mu, zero_every):
     # the window sums are added in another order than a per-window fsum, so
-    # the worst slacks agree to a tolerance; the step cap is the same arithmetic
+    # the worst slacks agree to a tolerance; the step cap is the same arithmetic.
+    # Every squared norm is the audit's elementwise einsum on one record, which
+    # no BLAS kernel computes
     psi, e, wbar, theta_hat, theta_star = _synthetic_run(mode, mu, 90, 5, zero_every)
     audit = estimator_audit(psi, e, wbar, theta_hat, theta_star, mu)
-    v = [float(np.dot(x, x)) for x in theta_hat - theta_star]
-    psi_sq = [float(np.dot(p, p)) for p in psi]
+    square = lambda x: float(np.einsum("ij,ij->i", x[None], x[None])[0])  # noqa: E731
+    v = [square(x) for x in theta_hat - theta_star]
+    psi_sq = [square(p) for p in psi]
     d = [(-0.5 * e[t] ** 2 + 2 * wbar[t] ** 2) / (mu + psi_sq[t]) if mu + psi_sq[t] else 0.0
          for t in range(len(v) - 1)]
     energy, pairs = _fsum_windows(v, d)
@@ -168,12 +175,41 @@ def test_audit_matches_a_per_record_reference(mode, mu, zero_every):
             worst, count = _fsum_windows(v[start:t], d)
             interval, pairs, start = min(interval, worst), pairs + count, None
         if on and t + 1 < len(v):
-            step = np.linalg.norm(theta_hat[t + 1] - theta_hat[t])
+            step = np.sqrt(square(theta_hat[t + 1] - theta_hat[t]))
             excess = max(excess, step - abs(e[t]) / np.sqrt(psi_sq[t]))
     assert audit.passed and audit.pairs_checked == pairs
     assert audit.min_slack_energy == pytest.approx(energy, abs=1e-12)
     assert audit.min_slack_interval == pytest.approx(interval, abs=1e-12)
     assert audit.max_step_excess == excess
+
+
+# the audit of a seeded random log, as the bits of its max_step_excess
+_STEP_EXCESS = """
+import numpy as np
+from adaptive_pp import estimator_audit
+
+rng = np.random.default_rng(5)
+psi, theta_hat = rng.normal(scale=2.0, size=(2, 400, 5))
+e, wbar = rng.normal(size=(2, 400))
+excess = estimator_audit(psi, e, wbar, theta_hat, rng.normal(size=5), 0.5).max_step_excess
+bits = int(np.float64(excess).view(np.uint64))
+"""
+
+
+def test_step_cap_does_not_depend_on_the_blas_kernel():
+    # the step sizes are an elementwise einsum, so a child process held to
+    # OpenBLAS's Haswell kernels gets the bits of this process
+    src = os.path.dirname(os.path.dirname(adaptive_pp.__file__))
+    env = dict(os.environ, OPENBLAS_CORETYPE="Haswell")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    child = subprocess.run(
+        [sys.executable, "-c", _STEP_EXCESS + "print(bits)"],
+        env=env, capture_output=True, text=True, check=True, timeout=120,
+    )
+    scope = {}
+    exec(_STEP_EXCESS, scope)
+    assert np.isfinite(scope["excess"])
+    assert int(child.stdout) == scope["bits"]
 
 
 def test_audit_flags_a_corrupted_estimate_trail():

@@ -399,6 +399,6 @@ def test_pole_audit_bound_covers_the_exact_error_on_every_golden_row():
         poly = _design_polynomial(traj.theta_hat[i], traj.gains[i], cfg.n)
         exact = max(abs(c - a) for c, a in zip(poly, lifted))
         row = dataclasses.replace(traj, theta_hat=traj.theta_hat[i : i + 1], gains=traj.gains[i : i + 1])
-        assert pole_placement_audit(row, cfg.target, cfg.decay_rate())["max_coeff_err"] >= exact
+        assert pole_placement_audit(row, cfg)["max_coeff_err"] >= exact
         worst = max(worst, exact)
-    assert 0 < worst <= pole_placement_audit(traj, cfg.target, cfg.decay_rate())["max_coeff_err"]
+    assert 0 < worst <= pole_placement_audit(traj, cfg)["max_coeff_err"]

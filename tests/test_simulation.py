@@ -213,7 +213,7 @@ def test_trajectory_shapes_and_time_axis(bench_run):
     assert traj.psi.shape == (600, 5)
     assert traj.theta_hat.shape == (600, 5)
     assert traj.gains.shape == (600, 5)
-    assert traj.phi.shape == (600, 6)
+    assert _phi_history(traj.y, traj.u, cfg.phi0, cfg.n).shape == (600, 6)
     np.testing.assert_array_equal(traj.t, np.arange(600))
 
 
@@ -226,12 +226,13 @@ def test_logged_columns_are_internally_consistent(bench_run):
         np.testing.assert_allclose(traj.psi[i, :3], traj.ybar[i::-1][:3], atol=0.0)
         np.testing.assert_allclose(traj.psi[i, 3:], traj.ubar[i:i - 2:-1], atol=0.0)
     # phi stacks the raw state; replaying the plant history is the reference
+    phi = _phi_history(traj.y, traj.u, cfg.phi0, cfg.n)
     y_hist, u_hist = cfg.phi0[:3], cfg.phi0[3:]
     for i in range(traj.steps):
         if i > 0:
             y_hist = np.concatenate(([traj.y[i]], y_hist[:-1]))
             u_hist = np.concatenate(([traj.u[i]], u_hist[:-1]))
-        np.testing.assert_array_equal(traj.phi[i], np.concatenate((y_hist, u_hist)))
+        np.testing.assert_array_equal(phi[i], np.concatenate((y_hist, u_hist)))
 
 
 def _seeded_cfg(n: int) -> SimConfig:
@@ -423,10 +424,7 @@ def _per_step_loop(cfg: SimConfig) -> Trajectory:
         psi[0] = ybar_next
         psi[n + 2 :] = psi[n + 1 : dim - 1]
         psi[n + 1] = ubar_next
-    return Trajectory(
-        n=n, mu=cfg.mu, t=cfg.t0 + np.arange(steps),
-        phi=_phi_history(out["y"], out["u"], cfg.phi0, n), **out,
-    )
+    return Trajectory(n=n, t=cfg.t0 + np.arange(steps), **out)
 
 
 def _kicked_first_order_cfg(nudge: bool) -> SimConfig:
@@ -636,9 +634,8 @@ def _hand_built(block: np.ndarray, shared: str = "random") -> Trajectory:
             psi[2, 1], psi[8, 2] = -np.inf, np.inf
         cols.update(w=w, r=r, psi=psi)
     return Trajectory(
-        n=1, mu=0.1, t=np.arange(steps), **cols,
+        n=1, t=np.arange(steps), **cols,
         theta_hat=block[:, :3], gains=block[:, 3:6], dioph_residual=block[:, 6],
-        phi=rng.normal(size=(steps, 4)),
     )
 
 
@@ -1013,18 +1010,18 @@ def test_crude_bound_flags_an_impossible_constant(bench_run):
 # pole audit, gain bound, tracking
 
 
-def test_pole_audit_passes_and_detects_corruption(bench_run, example_target):
-    _, traj = bench_run
-    assert pole_placement_audit(traj, example_target, 0.8)["pass"]
+def test_pole_audit_passes_and_detects_corruption(bench_run):
+    cfg, traj = bench_run
+    assert pole_placement_audit(traj, cfg)["pass"]
 
     broken = dataclasses.replace(traj, gains=traj.gains * 1.01)
-    report = pole_placement_audit(broken, example_target, 0.8)
+    report = pole_placement_audit(broken, cfg)
     assert not report["pass"]
     assert report["max_coeff_err"] > 1e-3
 
 
-def test_pole_audit_flags_a_non_finite_row_and_a_single_nudged_gain(bench_run, example_target):
-    _, traj = bench_run
+def test_pole_audit_flags_a_non_finite_row_and_a_single_nudged_gain(bench_run):
+    cfg, traj = bench_run
     nan_row = traj.gains.copy()
     nan_row[10, 0] = np.nan
     inf_row = traj.gains.copy()
@@ -1032,10 +1029,10 @@ def test_pole_audit_flags_a_non_finite_row_and_a_single_nudged_gain(bench_run, e
     nudged = traj.gains.copy()
     nudged[317, 2] += 1e-6  # one row of 600, by a millionth
     for gains in (nan_row, inf_row, nudged, traj.gains * 1.01):
-        report = pole_placement_audit(dataclasses.replace(traj, gains=gains), example_target, 0.8)
+        report = pole_placement_audit(dataclasses.replace(traj, gains=gains), cfg)
         assert report["violations"] >= 1
         assert not report["pass"]
-    report = pole_placement_audit(dataclasses.replace(traj, gains=nudged), example_target, 0.8)
+    report = pole_placement_audit(dataclasses.replace(traj, gains=nudged), cfg)
     assert report["max_coeff_err"] > 1e-7
 
 
@@ -1052,7 +1049,7 @@ def test_golden_residual_column_is_the_pole_audits_own_error(golden_run):
     *_, r = _design_identity(traj.theta_hat, traj.gains, cfg.target)
     own = np.abs(r).max(axis=1)
     assert np.array_equal(traj.dioph_residual.view(np.uint64), own.view(np.uint64))
-    report = pole_placement_audit(traj, cfg.target, cfg.decay_rate())
+    report = pole_placement_audit(traj, cfg)
     assert report["violations"] == 0
     assert report["max_residual"] == own.max()
     assert np.all(traj.dioph_residual <= report["max_coeff_err"])
@@ -1062,21 +1059,20 @@ def test_golden_residual_column_is_the_pole_audits_own_error(golden_run):
 def test_pole_audit_residual_check_fires_on_its_own(golden_run, bad):
     # only the logged column is bent, so eps and the Rouche radius still pass
     cfg, traj = golden_run
-    lam = cfg.decay_rate()
-    clean = pole_placement_audit(traj, cfg.target, lam)
+    clean = pole_placement_audit(traj, cfg)
     assert clean["violations"] == 0
     column = traj.dioph_residual.copy()
     column[1234] = bad
-    report = pole_placement_audit(dataclasses.replace(traj, dioph_residual=column), cfg.target, lam)
+    report = pole_placement_audit(dataclasses.replace(traj, dioph_residual=column), cfg)
     assert report["violations"] == 1
     assert report["max_coeff_err"] == clean["max_coeff_err"] <= AUDIT_TOL
     assert report["rouche_margin"] == clean["rouche_margin"]
     assert np.array_equal(report["max_residual"], bad, equal_nan=True)
 
 
-def test_pole_audit_certifies_the_decay_radius(bench_run, example_target):
-    _, traj = bench_run
-    report = pole_placement_audit(traj, example_target, 0.8)
+def test_pole_audit_certifies_the_decay_radius(bench_run):
+    cfg, traj = bench_run
+    report = pole_placement_audit(traj, cfg)
     assert report["lambda"] == 0.8
     # a proven lower bound just under the exact minimum lam^4 (lam - 0.6)
     assert 0.99 * 0.8**4 * 0.2 < report["rouche_margin"] < 0.8**4 * 0.2
@@ -1084,30 +1080,28 @@ def test_pole_audit_certifies_the_decay_radius(bench_run, example_target):
     assert report["violations"] == 0
 
 
-def test_pole_audit_fails_the_radius_check_past_the_rouche_margin(bench_run, example_target):
-    _, traj = bench_run
+def test_pole_audit_fails_the_radius_check_past_the_rouche_margin(bench_run):
+    cfg, traj = bench_run
+    assert cfg.decay_rate() == 0.8
     sum_powers = sum(0.8**j for j in range(5))
-    margin = pole_placement_audit(traj, example_target, 0.8)["rouche_margin"]
+    margin = pole_placement_audit(traj, cfg)["rouche_margin"]
     # scaling one gain row by 1 + d moves its coefficient error by d M x, and
     # M x = Astar - Abar up to rounding: put eps just under and just over
     # margin / sum lam^j, both far past AUDIT_TOL, which is one violation
-    rhs = design_rhs(traj.theta_hat[5], example_target.lifted_coeffs(), 2)
+    rhs = design_rhs(traj.theta_hat[5], cfg.target.lifted_coeffs(), 2)
     counts = []
     for factor in (0.5, 2.0):
         scaled = traj.gains.copy()
         scaled[5] *= 1.0 + factor * margin / sum_powers / np.abs(rhs).max()
-        report = pole_placement_audit(dataclasses.replace(traj, gains=scaled), example_target, 0.8)
+        report = pole_placement_audit(dataclasses.replace(traj, gains=scaled), cfg)
         assert report["max_coeff_err"] > AUDIT_TOL
         counts.append((report["max_coeff_err"] * sum_powers >= margin, report["violations"]))
     assert counts == [(False, 1), (True, 2)]
     # finer samples certify a radius a millionth above the target pole; one
-    # closer than the finest 2^20 arcs resolve leaves no certifiable margin,
-    # and one inside the pole certifies nothing even where the margin is positive
-    assert pole_placement_audit(traj, example_target, 0.6 + 1e-6)["violations"] == 0
-    for lam in (0.6 + 1e-9, 0.5):
-        report = pole_placement_audit(traj, example_target, lam)
-        assert report["violations"] == 1
-    assert report["rouche_margin"] > 0.0
+    # closer than the finest 2^20 arcs resolve leaves no certifiable margin
+    assert pole_placement_audit(traj, dataclasses.replace(cfg, lam=0.6 + 1e-6))["violations"] == 0
+    report = pole_placement_audit(traj, dataclasses.replace(cfg, lam=0.6 + 1e-9))
+    assert report["violations"] == 1
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -1137,25 +1131,17 @@ def test_pole_audit_certifies_a_repeated_pole_near_the_circle(power):
     dense = np.abs(np.polyval(cfg.target.lifted_coeffs(), z)).min()
     margin = _rouche_margin(cfg.target, lam)
     assert 0.4 * dense < margin <= dense
-    report = pole_placement_audit(run_closed_loop(cfg), cfg.target, lam)
+    report = pole_placement_audit(run_closed_loop(cfg), cfg)
     assert report["pass"]
     assert report["rouche_margin"] == margin
 
 
-def test_gain_bound_fit_validates_lam(bench_run, example_target):
-    _, traj = bench_run
-    with pytest.raises(ValueError, match="lam"):
-        gain_bound_fit(traj, 0.5, example_target)
-    with pytest.raises(ValueError, match="lam"):
-        gain_bound_fit(traj, 1.0, example_target)
-
-
-def test_gain_bound_is_a_certified_envelope(bench_run, example_target):
+def test_gain_bound_is_a_certified_envelope(bench_run):
     cfg, traj = bench_run
-    fit = gain_bound_fit(traj, 0.8, example_target)
-    assert fit["gamma"] > 0.0
+    fit = gain_bound_fit(traj, cfg)
+    assert fit["gamma"] > 0.0 and fit["lambda"] == 0.8
     # recompute the bound independently and check it dominates ||phi(t)||
-    phi_norm = np.linalg.norm(traj.phi, axis=1)
+    phi_norm = np.linalg.norm(_phi_history(traj.y, traj.u, cfg.phi0, cfg.n), axis=1)
     envelope = np.empty(traj.steps)
     conv = 0.0
     for i in range(traj.steps):
@@ -1168,14 +1154,32 @@ def test_gain_bound_is_a_certified_envelope(bench_run, example_target):
     assert np.isclose((phi_norm / envelope).max(), fit["gamma"], rtol=1e-12)
 
 
-def test_gain_bound_on_an_equilibrium_run_is_zero(example_config, example_target):
+def test_gain_bound_fit_reads_the_update_laws_mu(example_config):
+    # the ideal law has no regularizer, so its envelope carries no sqrt(mu)
+    # floor: with r = w = 0 it is ||phi0|| lam^t alone, however large mu is
+    zero = SignalSpec("constant", magnitude=0.0)
+    cfg = example_config(estimator_mode="ideal", mu=1.0, reference=zero, disturbance=zero, horizon=600)
+    traj = run_closed_loop(cfg)
+    y_hist, u_hist = cfg.phi0[:3], cfg.phi0[3:]
+    ratios = []
+    for i in range(traj.steps):
+        if i > 0:
+            y_hist = np.concatenate(([traj.y[i]], y_hist[:-1]))
+            u_hist = np.concatenate(([traj.u[i]], u_hist[:-1]))
+        ratios.append(np.linalg.norm(np.concatenate((y_hist, u_hist))) / (np.linalg.norm(cfg.phi0) * 0.8**i))
+    fit = gain_bound_fit(traj, cfg)
+    assert fit["gamma"] == pytest.approx(max(ratios), rel=1e-12)
+    assert 300.0 < fit["gamma"] < 350.0
+
+
+def test_gain_bound_on_an_equilibrium_run_is_zero(example_config):
     cfg = example_config(
         phi0=np.zeros(6),
         reference=SignalSpec("constant", magnitude=0.0),
         disturbance=SignalSpec("constant", magnitude=0.0),
         horizon=40,
     )
-    fit = gain_bound_fit(run_closed_loop(cfg), 0.8, example_target)
+    fit = gain_bound_fit(run_closed_loop(cfg), cfg)
     assert fit["gamma"] == 0.0
     assert fit["residual_floor"] == 0.0
 
@@ -1253,12 +1257,12 @@ def test_run_audits_tracking_section(example_config):
 # the Monte Carlo sweep
 
 
-def test_sweep_single_draw_equals_a_plain_run(example_config, example_target):
+def test_sweep_single_draw_equals_a_plain_run(example_config):
     cfg = example_config(horizon=200)
     reports = monte_carlo_sweep(cfg, draws=1, alpha_samples=2_000)
     assert len(reports) == 1
     rep = reports[0]
-    direct = gain_bound_fit(run_closed_loop(cfg), cfg.decay_rate(), example_target)
+    direct = gain_bound_fit(run_closed_loop(cfg), cfg)
     assert rep.gamma == direct["gamma"]
     assert rep.violations == 0 and not rep.aborted
     assert rep.mu == cfg.mu and rep.draw == 0
