@@ -39,6 +39,8 @@ from .simulation import (
     SimConfig,
     Trajectory,
     TrajectoryFormatError,
+    _check_decay_rate,
+    _check_estimator_mode,
     _write_whole,
     estimate_constants,
     gain_bound_fit,
@@ -208,7 +210,13 @@ def load_config(path: str) -> tuple[SimConfig, dict, str]:
             if "phi0" in overrides:
                 _float(overrides["phi0"], "sweep.overrides.phi0")
 
+    estimator = _exact(raw.get("estimator", "classical"), str, "estimator")
+    lam = None if raw.get("lambda") is None else _float(raw["lambda"], "lambda")
     try:
+        # SimConfig checks both as well; checked here, a refusal names the config key
+        _check_estimator_mode(estimator, "estimator")
+        if lam is not None:
+            _check_decay_rate(lam, target, "lambda")
         cfg = SimConfig(
             n=n,
             theta_true=PlantParameters(a, b),
@@ -222,9 +230,9 @@ def load_config(path: str) -> tuple[SimConfig, dict, str]:
             horizon=_exact(raw["horizon"], int, "horizon"),
             t0=_exact(raw.get("t0", 0), int, "t0"),
             seed=seed,
-            estimator_mode=_exact(raw.get("estimator", "classical"), str, "estimator"),
+            estimator_mode=estimator,
             nudge_singular=_exact(raw.get("nudge_singular", False), bool, "nudge_singular"),
-            lam=None if raw.get("lambda") is None else _float(raw["lambda"], "lambda"),
+            lam=lam,
         )
     except (TypeError, ValueError) as err:
         raise ConfigError(f"bad config: {err}") from err

@@ -144,8 +144,9 @@ def design_rhs(thetas: np.ndarray, lifted: np.ndarray, n: int, out: np.ndarray |
     One row per estimate of a (..., 2n+1) stack, in the stack's memory order,
     or written into `out`, an array of the stack's shape in any memory order;
     Abar's coefficients are the negated abar_k, so the first n+1 entries add
-    them.  Object arrays of Fractions give exact sums in an object array; both
-    must hold Fractions, since a Fraction plus a float is a float.
+    them.  Object arrays of exact Python ints or Fractions give exact sums in
+    an object array; neither may hold floats, since a Fraction plus a float
+    is a float.
     """
     rhs = np.empty_like(thetas, dtype=np.result_type(thetas, lifted)) if out is None else out
     np.add(thetas[..., : n + 1], lifted[1 : n + 2], out=rhs[..., : n + 1])

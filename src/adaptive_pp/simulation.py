@@ -124,6 +124,19 @@ class SignalSpec:
         return self.values[:count].copy()
 
 
+def _check_estimator_mode(mode: str, name: str) -> None:
+    """Refuse an update law other than 'classical' or 'ideal', naming the setting `name`."""
+    if mode not in ("classical", "ideal"):
+        raise ValueError(f"{name} must be 'classical' or 'ideal', got {mode!r}")
+
+
+def _check_decay_rate(lam: float, target: TargetPolynomial, name: str) -> None:
+    """Refuse a decay rate outside (largest target pole modulus, 1), naming the setting `name`."""
+    floor = target.decay_floor()
+    if not floor < lam < 1.0:
+        raise ValueError(f"{name} must lie in ({floor:.6f}, 1), got {lam!r}")
+
+
 @dataclass(frozen=True)
 class SimConfig:
     """Everything one closed-loop run depends on.
@@ -177,17 +190,14 @@ class SimConfig:
             raise ValueError("horizon must be an integer >= 1")
         if not float(self.t0).is_integer():  # the t column is written as integers
             raise ValueError("t0 must be an integer")
-        if self.estimator_mode not in ("classical", "ideal"):
-            raise ValueError("estimator_mode must be 'classical' or 'ideal'")
+        _check_estimator_mode(self.estimator_mode, "estimator_mode")
         for name, spec in (("reference", self.reference), ("disturbance", self.disturbance)):
             if spec.kind == "custom" and spec.values.size < self.horizon + 1:
                 raise ValueError(
                     f"custom {name} needs at least horizon+1 = {self.horizon + 1} values"
                 )
         if self.lam is not None:
-            floor = self.target.decay_floor()
-            if not floor < self.lam < 1.0:
-                raise ValueError(f"lam must lie in ({floor:.6f}, 1)")
+            _check_decay_rate(self.lam, self.target, "lam")
 
     def aux_box(self) -> BoxSet:
         return image_box(self.box, self.n)

@@ -144,6 +144,18 @@ def test_load_config_names_a_non_string_estimator(config_file, value):
         load_config(config_file(estimator=value))
 
 
+def test_load_config_names_the_estimator_key_for_an_unknown_law(config_file):
+    with pytest.raises(ConfigError, match="^bad config: estimator must be 'classical' or 'ideal'"):
+        load_config(config_file(estimator="Ideal"))
+
+
+@pytest.mark.parametrize("lam", [0.5, 1.5])
+def test_load_config_names_the_lambda_key_outside_its_range(config_file, lam):
+    # the example's target has its pole at 0.6, so lambda must lie in (0.6, 1)
+    with pytest.raises(ConfigError, match=r"^bad config: lambda must lie in \(0\.600000, 1\)"):
+        load_config(config_file({"lambda": lam}))
+
+
 def test_load_config_rejects_unreadable_files(tmp_path):
     with pytest.raises(ConfigError, match="cannot read"):
         load_config(str(tmp_path / "missing.json"))

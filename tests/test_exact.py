@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from conftest import BENCHMARK_CONFIG, ROOT
 
+import adaptive_pp.exact
 from adaptive_pp import (
     BoxSet,
     TargetPolynomial,
@@ -128,6 +129,38 @@ def test_charpoly_of_a_nilpotent_matrix_is_a_pure_power():
     assert charpoly_fractions(a) == [Fraction(1)] + [Fraction(0)] * 5
 
 
+@pytest.mark.parametrize("dim", [1, 2, 3, 4, 5, 6, 7])
+def test_charpoly_of_sparse_rows_equals_the_fraction_reference(dim):
+    # a row with one nonzero entry takes the scaled-copy path of the integer
+    # kernel, every other row the dot products; mix them in every proportion
+    rng = np.random.default_rng(150 + dim)
+    perm = np.eye(dim)[rng.permutation(dim)]
+    cases = [perm, perm * rng.uniform(-3.0, 3.0, (dim, 1)), np.zeros((dim, dim))]
+    for _ in range(12):
+        a = rng.uniform(-3.0, 3.0, (dim, dim))
+        for i, kind in enumerate(rng.integers(0, 4, dim)):
+            if kind == 3:  # dense
+                continue
+            j = i if kind == 2 or dim == 1 else int(rng.choice([c for c in range(dim) if c != i]))
+            value = -abs(a[i, j]) if kind == 1 else a[i, j]
+            a[i] = 0.0
+            if kind:  # one negative off-diagonal entry, or one diagonal entry
+                a[i, j] = value
+        cases.append(a)
+    for a in cases:
+        assert charpoly_fractions(a) == _reference_charpoly(a.tolist())
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_charpoly_refuses_a_non_finite_entry_by_name(bad):
+    a = np.eye(3)
+    a[1, 2] = bad
+    with pytest.raises(ValueError, match="^a has a non-finite entry"):
+        charpoly_fractions(a)
+    with pytest.raises(ValueError, match="^a has a non-finite entry"):
+        charpoly_fractions([[Fraction(1), bad], [Fraction(0), Fraction(2)]])
+
+
 def test_charpoly_rejects_a_non_square_matrix():
     with pytest.raises(ValueError, match="square"):
         charpoly_fractions(np.ones((2, 3)))
@@ -215,6 +248,18 @@ def test_fraction_solve_equals_the_reference_across_pivot_swaps():
     assert x == _reference_solve(m.tolist(), b.tolist())
     mf = [[Fraction(v) for v in row] for row in m.tolist()]
     assert [sum(r * v for r, v in zip(row, x)) for row in mf] == [Fraction(v) for v in b.tolist()]
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_fraction_solve_refuses_a_non_finite_entry_by_name(bad):
+    m = np.eye(3)
+    m[2, 0] = bad
+    with pytest.raises(ValueError, match="^m has a non-finite entry"):
+        solve_fraction_system(m, np.ones(3))
+    rhs = np.ones(3)
+    rhs[1] = bad
+    with pytest.raises(ValueError, match="^rhs has a non-finite entry"):
+        solve_fraction_system(np.eye(3), rhs)
 
 
 @pytest.mark.parametrize(
@@ -326,7 +371,7 @@ def test_a_non_finite_input_never_certifies(bad):
             exact_pole_check(BENCH_THETA0, lifted, 2)
 
 
-@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_certificates_equal_the_fraction_reference(n):
     rng = np.random.default_rng(110 + n)
     dim = 2 * n + 1
@@ -339,6 +384,38 @@ def test_certificates_equal_the_fraction_reference(n):
         assert cert == _reference_certificate(theta, lifted, n)
         lifted[0] = 1.0
         assert exact_pole_check(theta, lifted, n) == _reference_certificate(theta, lifted, n) == 0
+
+
+@pytest.mark.parametrize(
+    "arg, index, value",
+    [("theta_hat", 0, 5e-324), ("theta_hat", 4, 1e300), ("target_lifted", 3, 2.0**-1074)],
+    ids=["subnormal-estimate", "huge-estimate", "subnormal-target"],
+)
+def test_certificates_at_extreme_exponents_equal_the_fraction_reference(arg, index, value):
+    # one power-of-two scale must hold 2**-1074 and 1e300 side by side with
+    # the box's ordinary values, and the integers it makes must stay exact
+    theta = BENCH_THETA0.copy()
+    lifted = BENCH_TARGET.lifted_coeffs().copy()
+    (theta if arg == "theta_hat" else lifted)[index] = value
+    assert exact_pole_check(theta, lifted, 2) == _reference_certificate(theta, lifted, 2) == 0
+    lifted[0] += 2.0**-20  # a nonzero gap, in the one coefficient the design cannot absorb
+    cert = exact_pole_check(theta, lifted, 2)
+    assert cert == _reference_certificate(theta, lifted, 2) == Fraction(2**-20)
+
+
+def test_a_zero_certificate_builds_one_fraction(monkeypatch):
+    # the certificate stays in integers from input to verdict: a zero one is
+    # the single Fraction(0) at the end, and no Fraction arithmetic comes before
+    built = []
+
+    def counted(*args):
+        built.append(args)
+        return Fraction(*args)
+
+    monkeypatch.setattr(adaptive_pp.exact, "Fraction", counted)
+    cert = exact_pole_check(BENCH_THETA0, BENCH_TARGET.lifted_coeffs(), 2)
+    assert cert == 0 and isinstance(cert, Fraction)
+    assert built == [(0,)]
 
 
 def test_every_benchmark_estimate_certifies_exactly():
