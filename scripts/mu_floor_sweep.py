@@ -16,7 +16,7 @@ from dataclasses import replace
 import numpy as np
 
 from adaptive_pp.cli import load_config
-from adaptive_pp.simulation import SignalSpec, gain_bound_fit, run_closed_loop
+from adaptive_pp import SignalSpec, gain_bound_fit, run_closed_loop
 
 import os
 

@@ -29,10 +29,10 @@ from dataclasses import asdict, fields
 import numpy as np
 
 from . import __version__
+from .audits import AUDIT_NAMES, gain_bound_fit, needs_constants, run_audits
 from .controller import SingularSylvesterError, TargetPolynomial
 from .plant import BoxSet, PlantParameters
 from .simulation import (
-    AUDIT_NAMES,
     OVERRIDE_KEYS,
     BoundReport,
     SignalSpec,
@@ -43,9 +43,7 @@ from .simulation import (
     _check_estimator_mode,
     _write_whole,
     estimate_constants,
-    gain_bound_fit,
     monte_carlo_sweep,
-    run_audits,
     run_closed_loop,
 )
 
@@ -150,8 +148,8 @@ def load_config(path: str) -> tuple[SimConfig, dict, str]:
     """Parse and validate a config file.
 
     Returns the simulation config, a dict of CLI-level extras (audits,
-    alpha_samples, tracking_tail, sweep, out), and the SHA-256 hash of the
-    canonical JSON rendering.
+    alpha_samples, sweep, out), and the SHA-256 hash of the canonical JSON
+    rendering.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -181,6 +179,8 @@ def load_config(path: str) -> tuple[SimConfig, dict, str]:
     audits = raw.get("audits", ["estimator", "recursion", "poles"])
     if not isinstance(audits, list) or any(name not in AUDIT_NAMES for name in audits):
         raise ConfigError(f"audits must be a list drawn from {AUDIT_NAMES}")
+    if len(set(audits)) != len(audits):
+        raise ConfigError(f"audits must name each audit once, got {json.dumps(audits)}")
 
     # numpy's generators refuse a negative seed
     seed = _exact(raw.get("seed", 0), int, "seed")
@@ -233,6 +233,7 @@ def load_config(path: str) -> tuple[SimConfig, dict, str]:
             estimator_mode=estimator,
             nudge_singular=_exact(raw.get("nudge_singular", False), bool, "nudge_singular"),
             lam=lam,
+            tracking_tail=_exact(raw.get("tracking_tail", 100), int, "tracking_tail"),
         )
     except (TypeError, ValueError) as err:
         raise ConfigError(f"bad config: {err}") from err
@@ -240,12 +241,11 @@ def load_config(path: str) -> tuple[SimConfig, dict, str]:
     extras = {
         "audits": list(audits),
         "alpha_samples": _exact(raw.get("alpha_samples", 100_000), int, "alpha_samples"),
-        "tracking_tail": _exact(raw.get("tracking_tail", 100), int, "tracking_tail"),
         "sweep": sweep,
         "out": None if raw.get("out") is None else _exact(raw["out"], str, "out"),
     }
-    if extras["alpha_samples"] < 0 or extras["tracking_tail"] < 1:
-        raise ConfigError("alpha_samples must be >= 0 and tracking_tail >= 1")
+    if extras["alpha_samples"] < 0:
+        raise ConfigError("alpha_samples must be >= 0")
     canonical = json.dumps(raw, sort_keys=True, separators=(",", ":"))
     digest = hashlib.sha256(canonical.encode("utf-8")).hexdigest()
     return cfg, extras, digest
@@ -354,8 +354,8 @@ def _say(quiet: bool, *parts) -> None:
 
 
 def _constants(cfg: SimConfig, extras: dict):
-    """Sampled norm constants when the crude_bound audit asks for them."""
-    if "crude_bound" not in extras["audits"]:
+    """Sampled norm constants when a configured audit reads them."""
+    if not needs_constants(extras["audits"]):
         return None
     return estimate_constants(cfg.aux_box(), cfg.target, samples=extras["alpha_samples"], seed=cfg.seed)
 
@@ -367,12 +367,7 @@ def _audit(traj: Trajectory, cfg: SimConfig, extras: dict, constants, quiet: boo
     count.
     """
     try:
-        results = run_audits(
-            traj, cfg,
-            which=extras["audits"],
-            constants=constants,
-            tracking_tail=extras["tracking_tail"],
-        )
+        results = run_audits(traj, cfg, which=extras["audits"], constants=constants)
     except ValueError as err:
         raise ConfigError(f"audit setup failed: {err}") from err
     fit = gain_bound_fit(traj, cfg)

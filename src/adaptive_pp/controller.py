@@ -13,8 +13,8 @@ one step behind the estimator.
 
 Stacking the regressor shift structure, the estimate row, and the gain row
 gives the closed-loop matrix whose characteristic polynomial is exactly
-z^{2n+1} Astar(z^{-1}); `state_recursion_audit` checks the one-step identity
-psi(t+1) = A psi(t) + e1 e(t+1) on recorded trajectories.
+z^{2n+1} Astar(z^{-1}); `audits.state_recursion_audit` checks the one-step
+identity psi(t+1) = A psi(t) + e1 e(t+1) on recorded trajectories.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .estimator import AUDIT_TOL
 from .polynomial import (
     _row_sum_threshold,
     sylvester_coeffs,
@@ -46,7 +45,6 @@ __all__ = [
     "design_residual",
     "closed_loop_layout",
     "closed_loop_matrix",
-    "state_recursion_audit",
 ]
 
 class SingularSylvesterError(RuntimeError):
@@ -281,6 +279,15 @@ def solve_gains(theta_hat, target: TargetPolynomial) -> np.ndarray:
     return -x[_gain_order(n)]
 
 
+def _gamma(k: int) -> float:
+    """Higham's gamma_k = k u / (1 - k u), u the unit roundoff.
+
+    It bounds the relative rounding error of a k-term sum of products.
+    """
+    u = np.finfo(float).eps / 2
+    return k * u / (1.0 - k * u)
+
+
 def _design_identity(theta_hat, gains, target: TargetPolynomial):
     """The design identity at every (thetahat, K) row of a (..., 2n+1) stack: (M, x, rhs, r).
 
@@ -350,38 +357,3 @@ def closed_loop_matrix(theta_hat, K: np.ndarray) -> np.ndarray:
     a = np.zeros(vec.shape[:-1] + (dim, dim), dtype=v.dtype)
     a[..., rows, cols] = v[..., src]
     return a
-
-
-def state_recursion_audit(
-    psi: np.ndarray,
-    theta_hat: np.ndarray,
-    gains: np.ndarray,
-    e: np.ndarray,
-) -> dict:
-    """Replay psi(t+1) = A psi(t) + e1 e(t+1); the manifest record of the check.
-
-    All arguments are per-record arrays; rows t and t+1 of psi bracket the
-    transition driven by theta_hat[t], gains[t], and e[t].  A's estimate and
-    gain rows are replayed as stacked row products, which have the bits of
-    the loop's own dot products, and its other rows as a shift; no matrix is
-    built.  The identity is exact by construction, so a max infinity-norm
-    residual beyond AUDIT_TOL * (1 + max ||psi||) means the simulation and
-    the recursion disagree; a NaN residual is a violation too.
-    """
-    psi = np.asarray(psi, dtype=float)
-    theta_hat = np.asarray(theta_hat, dtype=float)
-    gains = np.asarray(gains, dtype=float)
-    e = np.asarray(e, dtype=float)
-    residual = 0.0
-    if psi.shape[0] >= 2:
-        n = (psi.shape[1] - 1) // 2
-        rows = psi[:-1, None, :]
-        predicted = np.empty_like(psi[1:])
-        predicted[:, 1:] = psi[:-1, :-1]
-        # the innovation enters through e1
-        predicted[:, 0] = (rows @ theta_hat[:-1, :, None])[:, 0, 0] + e[:-1]
-        predicted[:, n + 1] = (rows @ gains[:-1, :, None])[:, 0, 0]
-        residual = float(np.abs(predicted - psi[1:]).max())
-    scale = 1.0 + float(np.linalg.norm(psi, axis=1).max(initial=0.0))
-    violations = int(not residual <= AUDIT_TOL * scale)
-    return {"violations": violations, "pass": violations == 0, "max_residual": residual}

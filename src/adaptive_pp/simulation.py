@@ -1,4 +1,4 @@
-"""Closed-loop simulation, trajectory logging, and the audit suite.
+"""Closed-loop simulation, trajectory logging, sampled constants, and the sweep.
 
 `run_closed_loop` wires the pieces together with the update order the design
 prescribes: at each step the controller gains come from the estimate held
@@ -16,22 +16,8 @@ initial state and set-point transients; the estimator inequalities and the
 crude growth bound are theorems with respect to this signal, so the audits
 use it.
 
-Audits available on any trajectory:
-
-* estimator energy inequalities (see `estimator.estimator_audit`),
-* exact one-step state recursion (see `controller.state_recursion_audit`),
-* frozen-time pole placement: a proven bound on the characteristic
-  coefficient error of every logged (thetahat, K) row, read off the design
-  system without building a closed-loop matrix, and a Rouche certificate
-  that every frozen pole lies inside the decay radius,
-* the crude growth bound ||psi(t+1)|| <= (alpha + diam) ||psi(t)|| + |wbar(t)|
-  with alpha estimated by sampling the parameter box,
-* a fitted linear-like gain bound and a tracking check under constant
-  excitation.
-
-Each audit decides its own verdict against the shared rounding tolerance
-`AUDIT_TOL` and returns its manifest record, a plain dict with `violations`,
-`pass` and its diagnostics; a NaN or Inf is a violation, never a pass.
+`monte_carlo_sweep` audits every draw through `audits.run_audits`, and
+`estimate_constants` samples the norm constants of the crude growth bound.
 """
 
 from __future__ import annotations
@@ -41,20 +27,19 @@ import os
 from dataclasses import dataclass, replace
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
+from .audits import gain_bound_fit, needs_constants, run_audits
 from .controller import (
     SingularSylvesterError,
     TargetPolynomial,
-    _design_identity,
     _design_workspace,
+    _gamma,
     closed_loop_matrix,
     design_residual,
     solve_diophantine_batch,
     solve_gains,
-    state_recursion_audit,
 )
-from .estimator import AUDIT_TOL, estimator_audit, projection_step
+from .estimator import projection_step
 from .plant import BoxSet, PlantParameters, aux_transform, image_box
 
 __all__ = [
@@ -66,12 +51,7 @@ __all__ = [
     "BoundReport",
     "run_closed_loop",
     "estimate_constants",
-    "crude_bound_audit",
-    "pole_placement_audit",
-    "gain_bound_fit",
-    "tracking_audit",
     "monte_carlo_sweep",
-    "run_audits",
 ]
 
 SIGNAL_KINDS = ("constant", "sign_flip", "custom")
@@ -143,8 +123,10 @@ class SimConfig:
 
     `phi0` stacks the initial output and input histories newest first,
     [y(t0)..y(t0-n), u(t0)..u(t0-n)].  `theta0` is the initial estimate in
-    incremental coordinates and must lie in the image box of `box`.  A
-    config is checked when it is built: an inconsistent one raises ValueError.
+    incremental coordinates and must lie in the image box of `box`.
+    `tracking_tail` is the number of final steps the tracking audit and the
+    gain-bound fit read.  A config is checked when it is built: an
+    inconsistent one raises ValueError.
     """
 
     n: int
@@ -162,6 +144,7 @@ class SimConfig:
     estimator_mode: str = "classical"
     nudge_singular: bool = False
     lam: float | None = None
+    tracking_tail: int = 100
 
     def __post_init__(self):
         theta0 = np.atleast_1d(np.asarray(self.theta0, dtype=float)).copy()
@@ -188,6 +171,8 @@ class SimConfig:
             raise ValueError("mu must be positive and finite")
         if not float(self.horizon).is_integer() or self.horizon < 1:
             raise ValueError("horizon must be an integer >= 1")
+        if not float(self.tracking_tail).is_integer() or self.tracking_tail < 1:
+            raise ValueError("tracking_tail must be an integer >= 1")
         if not float(self.t0).is_integer():  # the t column is written as integers
             raise ValueError("t0 must be an integer")
         _check_estimator_mode(self.estimator_mode, "estimator_mode")
@@ -214,19 +199,6 @@ class SimConfig:
         if self.lam is not None:
             return float(self.lam)
         return 0.5 * (self.target.decay_floor() + 1.0)
-
-
-def _phi_history(y: np.ndarray, u: np.ndarray, phi0: np.ndarray, n: int) -> np.ndarray:
-    """Raw states [y(t)..y(t-n), u(t)..u(t-n)] for every logged row.
-
-    Row 0 is phi0 itself; later rows shift in the logged y and u columns,
-    newest first, with phi0 supplying the history before the first row.
-    """
-    windows = [
-        sliding_window_view(np.concatenate((hist[::-1], col[1:])), n + 1)[:, ::-1]
-        for hist, col in ((phi0[: n + 1], y), (phi0[n + 1 :], u))
-    ]
-    return np.concatenate(windows, axis=1)
 
 
 # The trajectory.csv schema, in column order: each entry names the
@@ -487,7 +459,7 @@ def run_closed_loop(cfg: SimConfig) -> Trajectory:
 
 
 # ---------------------------------------------------------------------------
-# sampled constants and the crude growth bound
+# sampled norm constants of the crude growth bound
 
 
 @dataclass(frozen=True)
@@ -520,15 +492,6 @@ def _box_chunks(box: BoxSet, rng: np.random.Generator, samples: int, rows: int):
     corners = box.vertices()
     while chunk := list(itertools.islice(corners, rows)):
         yield np.array(chunk)
-
-
-def _gamma(k: int) -> float:
-    """Higham's gamma_k = k u / (1 - k u), u the unit roundoff.
-
-    It bounds the relative rounding error of a k-term sum of products.
-    """
-    u = np.finfo(float).eps / 2
-    return k * u / (1.0 - k * u)
 
 
 def _sigma_bound(thetas: np.ndarray, gains: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -626,194 +589,8 @@ def estimate_constants(
     )
 
 
-def crude_bound_audit(traj: Trajectory, alpha_bar: float, s_bar: float) -> dict:
-    """Check ||psi(t+1)|| <= (alpha + diam) ||psi(t)|| + |wbar(t)| stepwise.
-
-    alpha_bar is a sampled lower estimate of the true supremum, so isolated
-    violations indicate undersampling rather than a broken loop;
-    `alpha_required` reports how large alpha would have to be.
-    """
-    norms = np.linalg.norm(traj.psi, axis=1)
-    violations = 0
-    alpha_required = 0.0
-    if norms.size >= 2:
-        prev, lhs, wbar = norms[:-1], norms[1:], np.abs(traj.wbar[:-1])
-        rhs = (alpha_bar + s_bar) * prev + wbar
-        # a NaN or Inf on either side counts, never passes
-        violations = int((~(lhs - rhs <= AUDIT_TOL * (1.0 + prev)) | ~np.isfinite(rhs)).sum())
-        with np.errstate(divide="ignore", invalid="ignore"):
-            needed = np.where(prev > 0.0, (lhs - wbar) / prev - s_bar, -np.inf)
-        alpha_required = float(needed.max())
-    return {
-        "violations": violations,
-        "pass": violations == 0,
-        "alpha_bar": alpha_bar,
-        "s_bar": s_bar,
-        "alpha_required": alpha_required,
-    }
-
-
-def _rouche_margin(target: TargetPolynomial, lam: float) -> float:
-    """Proven lower bound on min |z^{2n+1} Astar(1/z)| over the circle |z| = lam.
-
-    That is lam^(2n+1-d) min |q|, q the target without trailing zeros and d
-    its degree.  |q| is symmetric about the real axis, so arcs + 1 samples
-    of the upper half circle leave every point within an arc lam pi/(2 arcs)
-    of one; |q'| <= sum_k k|q_k| lam^(k-1) turns that into a Lipschitz
-    slack, and gamma_{16(2n+1)} sum_k |q_k| lam^k covers the rounding.  The
-    arcs double from 2^11 until the slack is at most half the sampled
-    minimum, which keeps at least half of it for a target root near the
-    circle; at 2^20 arcs the bound is returned as it is, and a nonpositive
-    one certifies nothing.
-    """
-    q = np.trim_zeros(target.coeffs, "b")
-    lipschitz = np.polyval(np.polyder(np.abs(q)), lam) * np.pi * lam / 2
-    rounding = _gamma(16 * target.dim) * np.polyval(np.abs(q), lam)
-    arcs = 2048
-    while True:
-        circle = lam * np.exp(1j * np.pi / arcs * np.arange(arcs + 1))
-        lowest = np.abs(np.polyval(q, circle)).min()
-        if lipschitz / arcs <= 0.5 * lowest or arcs >= 2**20:
-            return float(lam ** (target.dim + 1 - q.size) * (lowest - lipschitz / arcs - rounding))
-        arcs *= 2
-
-
-def pole_placement_audit(traj: Trajectory, cfg: SimConfig) -> dict:
-    """Prove that every logged (thetahat, K) row places cfg's target poles, inside |z| < lam.
-
-    det(zI - A(theta, K)) is the z-lift of Abar L + B P, so the coefficient
-    error of every row is r = M(theta) x - (Astar - Abar) of
-    `controller._design_identity`, the same evaluation as the design
-    residual column, with no closed-loop matrix built.  Its 2n+1 products
-    and two rounded terms make |r| + gamma_{2n+3} (|M||x| + |Astar - Abar| +
-    |Astar|) a bound on the exact error (Higham, Accuracy and Stability of
-    Numerical Algorithms, section 3.1) in any summation order; a factor
-    1 + 2 gamma_{2n+3} covers the bound's own rounding, and its largest
-    entry is the proven `max_coeff_err` eps.
-
-    Violations: eps beyond AUDIT_TOL * (1 + max|Astar|); the design
-    residual column beyond the same; and a failed radius certificate.  lam
-    is `cfg.decay_rate()`, which a SimConfig keeps above every target pole
-    modulus, so by Rouche's theorem all frozen poles lie in |z| < lam when
-    eps * sum_{j<=2n} lam^j is below `rouche_margin` (see `_rouche_margin`).
-    A NaN or Inf is a violation.
-    """
-    target, lam = cfg.target, cfg.decay_rate()
-    n, k = target.n, 2 * target.n + 3
-    lifted = target.lifted_coeffs()
-    scale = 1.0 + float(np.abs(lifted).max())
-    margin = _rouche_margin(target, lam)
-    with np.errstate(invalid="ignore", over="ignore"):
-        m, x, rhs, r = _design_identity(traj.theta_hat, traj.gains, target)
-        bound = (np.abs(m) @ np.abs(x)[:, :, None])[:, :, 0] + np.abs(rhs) + np.abs(lifted[1:])
-        err = np.abs(r) + _gamma(k) * bound
-        eps = float(np.max(err)) * (1.0 + 2.0 * _gamma(k))
-        radius = eps * np.polyval(np.ones(2 * n + 1), lam)
-    res_max = float(traj.dioph_residual.max())
-    # a NaN fails every comparison, so it counts as a violation
-    checks = (eps <= AUDIT_TOL * scale, res_max <= AUDIT_TOL * scale, radius < margin)
-    violations = sum(not ok for ok in checks)
-    return {
-        "violations": violations,
-        "pass": violations == 0,
-        "max_coeff_err": eps,
-        "max_residual": res_max,
-        "lambda": lam,
-        "rouche_margin": margin,
-    }
-
-
 # ---------------------------------------------------------------------------
-# linear-like gain bound and tracking
-
-
-def gain_bound_fit(traj: Trajectory, cfg: SimConfig) -> dict:
-    """Fit the smallest gamma making the linear-like bound hold on one run of cfg.
-
-    The bound compares the raw state ||phi(t)|| against gamma times
-    lam^(t-t0) ||phi0|| + (|r| + sqrt(mu)) + sum_j lam^(t-1-j) |w(j)|, with
-    lam = cfg.decay_rate() and mu = cfg.law_mu(), the update law's (0 under
-    the ideal law).  Returns the manifest's gain_bound block: gamma, lambda,
-    the residual floor (max ||psi|| over the final quarter) and the tail
-    tracking error.
-    """
-    steps, lam = traj.steps, cfg.decay_rate()
-    phi_norm = np.linalg.norm(_phi_history(traj.y, traj.u, cfg.phi0, cfg.n), axis=1)
-    offset = float(np.abs(traj.r).max()) + np.sqrt(cfg.law_mu())
-
-    # the recursion on Python floats: the same roundings as on numpy scalars
-    conv = [0.0]
-    for w in np.abs(traj.w[:-1]).tolist():
-        conv.append(lam * conv[-1] + w)
-    denom = phi_norm[0] * lam ** np.arange(steps) + offset + np.array(conv)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratios = np.where(denom > 0.0, phi_norm / np.where(denom > 0.0, denom, 1.0), 0.0)
-
-    psi_norm = np.linalg.norm(traj.psi, axis=1)
-    tail = min(100, max(1, steps // 4))
-    return {
-        "gamma": float(ratios.max()),
-        "lambda": lam,
-        "residual_floor": float(psi_norm[(3 * steps) // 4 :].max()),
-        "tail_tracking": float(np.abs(traj.ybar[-tail:]).max()),
-    }
-
-
-def tracking_audit(traj: Trajectory, tail: int = 100) -> dict:
-    """Largest |ybar| over the final `tail` steps under constant excitation.
-
-    Demands constant reference and disturbance over the last 2*tail steps
-    (the audited tail plus an equally long lead-in), since the
-    asymptotic-tracking guarantee only speaks about constant excitation.  A
-    NaN or Inf tail error is a violation.
-    """
-    if tail < 1:
-        raise ValueError("tail must be >= 1")
-    window = 2 * tail
-    if traj.steps < window:
-        raise ValueError(f"trajectory too short: need {window} steps, have {traj.steps}")
-    r_win = traj.r[-window:]
-    w_win = traj.w[-window:]
-    if not (np.all(r_win == r_win[0]) and np.all(w_win == w_win[0])):
-        raise ValueError("reference and disturbance must be constant over the audited window")
-    err = float(np.abs(traj.ybar[-tail:]).max())
-    violations = int(not np.isfinite(err))
-    return {"violations": violations, "pass": violations == 0, "tail_max_error": err}
-
-
-# ---------------------------------------------------------------------------
-# audit orchestration and the Monte Carlo sweep
-
-AUDIT_NAMES = ("estimator", "recursion", "poles", "crude_bound", "tracking")
-
-
-def run_audits(
-    traj: Trajectory,
-    cfg: SimConfig,
-    which: tuple[str, ...] | list[str] = ("estimator", "recursion", "poles"),
-    constants: ConstantsEstimate | None = None,
-    tracking_tail: int = 100,
-) -> dict:
-    """Run the selected audits on one trajectory; returns name -> manifest record.
-
-    Records come in AUDIT_NAMES order.  The crude bound needs the sampled
-    `constants` (see `estimate_constants`).
-    """
-    for name in which:
-        if name not in AUDIT_NAMES:
-            raise ValueError(f"unknown audit '{name}'; choose from {AUDIT_NAMES}")
-    if "crude_bound" in which and constants is None:
-        raise ValueError("the crude_bound audit needs the sampled constants")
-    checks = {
-        "estimator": lambda: estimator_audit(
-            traj.psi, traj.e, traj.wbar, traj.theta_hat, cfg.theta_star(), cfg.law_mu()
-        ).record(),
-        "recursion": lambda: state_recursion_audit(traj.psi, traj.theta_hat, traj.gains, traj.e),
-        "poles": lambda: pole_placement_audit(traj, cfg),
-        "crude_bound": lambda: crude_bound_audit(traj, constants.alpha_bar, constants.s_bar),
-        "tracking": lambda: tracking_audit(traj, tail=tracking_tail),
-    }
-    return {name: check() for name, check in checks.items() if name in which}
+# the Monte Carlo sweep
 
 
 @dataclass(frozen=True)
@@ -912,10 +689,9 @@ def monte_carlo_sweep(
         )
 
     lam = cfg.decay_rate()
-    need_constants = "crude_bound" in audits
     constants = (
         estimate_constants(aux_box, cfg.target, samples=alpha_samples, seed=seed)
-        if need_constants
+        if needs_constants(audits)
         else None
     )
 

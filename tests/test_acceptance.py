@@ -184,8 +184,13 @@ def test_criterion_4_frozen_time_pole_placement(example_run, criterion_report):
     )
 
 
-def test_criterion_5_asymptotic_tracking(tracking_runs, criterion_report):
-    tails = {h: tracking_audit(tr, tail=100)["tail_max_error"] for h, tr in tracking_runs.items()}
+def test_criterion_5_asymptotic_tracking(example_run, tracking_runs, criterion_report):
+    cfg = example_run[0]
+    assert cfg.tracking_tail == 100
+    tails = {
+        h: tracking_audit(tr, _tracking_cfg(cfg, h), None)["tail_max_error"]
+        for h, tr in tracking_runs.items()
+    }
     small = tails[2000] < 1e-4
     monotone = tails[500] >= tails[1000] >= tails[2000]
     _verdict(
@@ -220,9 +225,11 @@ def test_criterion_7_crude_growth_bound(
     example_run, norm_constants, sweep_reports, tracking_runs, quiescent_runs, criterion_report
 ):
     alpha, s_bar = norm_constants.alpha_bar, norm_constants.s_bar
-    named = [example_run[2], *tracking_runs.values(), *quiescent_runs.values()]
+    cfg, _, traj, _ = example_run
+    named = [traj, *tracking_runs.values(), *quiescent_runs.values()]
+    # the crude bound reads the constants, not the config
     direct_violations = sum(
-        crude_bound_audit(tr, alpha, s_bar)["violations"] for tr in named
+        crude_bound_audit(tr, cfg, norm_constants)["violations"] for tr in named
     )
     sweep_violations = sum(rep.details.get("crude_bound", 0) for rep in sweep_reports)
     ok = (

@@ -129,6 +129,8 @@ def test_audits_default_when_omitted(config_file):
         dict(plant={"a": [-0.5], "b": [-0.75, -3.0]}),
         # finite bounds whose width overflows, which no draw can scale by
         dict(parameter_box={"a": [[-1e308, 1e308], [-3.0, -1.0]], "b": [[-1.0, 0.0], [-5.0, -3.0]]}),
+        # an audit named twice
+        dict(audits=["poles", "poles", "estimator"]),
     ],
 )
 def test_load_config_rejects_bad_content(config_file, mutation):
@@ -136,6 +138,11 @@ def test_load_config_rejects_bad_content(config_file, mutation):
     path = config_file(drop=drop, **mutation)
     with pytest.raises(ConfigError):
         load_config(path)
+
+
+def test_load_config_names_a_repeated_audit(config_file):
+    with pytest.raises(ConfigError, match="^audits must name each audit once"):
+        load_config(config_file(audits=["poles", "poles", "estimator"]))
 
 
 @pytest.mark.parametrize("value", [5, None, ["classical"]])
@@ -414,9 +421,11 @@ def test_audit_counts_non_finite_values_as_violations(tmp_path):
     # data row 300: its psi, thetahat, and K blocks
     psi_block = tamper(300, slice(9, 24), ("estimator", "recursion", "poles", "crude_bound"))
     assert main(["audit", psi_block, BENCHMARK_CONFIG, "--quiet"]) == 1
-    # data row 1950, inside the final 100 rows: its ybar column
-    ybar_tail = tamper(1950, slice(5, 6), ("tracking",))
-    assert main(["audit", ybar_tail, BENCHMARK_CONFIG, "--quiet"]) == 1
+    # data row 1950, inside the final 100 rows: its w, r and ybar columns; a
+    # non-finite w or r is a violation, not a window that is not constant
+    for col in (3, 4, 5):
+        tail = tamper(1950, slice(col, col + 1), ("tracking",))
+        assert main(["audit", tail, BENCHMARK_CONFIG, "--quiet"]) == 1
 
 
 def test_audit_rejects_schema_violations_with_exit_2(config_file, tmp_path):

@@ -6,6 +6,7 @@ import subprocess
 import sys
 import tracemalloc
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -27,10 +28,10 @@ from adaptive_pp import (
     sylvester_matrix,
 )
 from adaptive_pp import controller
-from adaptive_pp.controller import _design_identity, _design_workspace, _gain_order
+from adaptive_pp.controller import _design_identity, _design_workspace, _gain_order, _gamma
 from adaptive_pp.exact import charpoly_fractions
 from adaptive_pp.polynomial import SINGULAR_REL_THRESHOLD, sylvester_coeffs, sylvester_gather
-from adaptive_pp.simulation import _box_chunks, _chunk_rows, _gamma
+from adaptive_pp.simulation import _box_chunks, _chunk_rows
 
 BENCH_TARGET = TargetPolynomial([1.0, -0.6], 2)
 BENCH_THETA0 = np.array([0.0, -1.0, 2.0, -0.5, -4.0])
@@ -506,9 +507,15 @@ def _recursion_rollout(steps: int, seed: int):
     return psi, theta_log, gains_log, e
 
 
+def _recursion(psi, theta_hat, gains, e) -> dict:
+    """`state_recursion_audit` on a stand-in trajectory holding these columns; it reads no config."""
+    traj = SimpleNamespace(psi=psi, theta_hat=theta_hat, gains=gains, e=e)
+    return state_recursion_audit(traj, None, None)
+
+
 def test_recursion_audit_is_exact_on_generated_data():
     psi, theta_log, gains_log, e = _recursion_rollout(200, 4)
-    record = state_recursion_audit(psi, theta_log, gains_log, e)
+    record = _recursion(psi, theta_log, gains_log, e)
     assert record["pass"] and record["max_residual"] <= 1e-12
 
 
@@ -516,7 +523,7 @@ def test_recursion_audit_detects_a_spike():
     psi, theta_log, gains_log, e = _recursion_rollout(200, 4)
     psi = psi.copy()
     psi[100, 1] += 0.5
-    record = state_recursion_audit(psi, theta_log, gains_log, e)
+    record = _recursion(psi, theta_log, gains_log, e)
     assert not record["pass"] and record["violations"] == 1
     assert record["max_residual"] >= 0.5 - 1e-9
 
@@ -525,17 +532,17 @@ def test_recursion_audit_detects_a_wrong_gain_row_and_a_nan():
     psi, theta_log, gains_log, e = _recursion_rollout(200, 4)
     wrong = gains_log.copy()
     wrong[50, 2] += 1e-3
-    record = state_recursion_audit(psi, theta_log, wrong, e)
+    record = _recursion(psi, theta_log, wrong, e)
     assert not record["pass"] and record["max_residual"] >= 1e-3 * abs(psi[50, 2]) * 0.5
     for log in (psi, theta_log, gains_log):
         bad = log.copy()
         bad[120, 0] = np.nan
         args = [bad if arr is log else arr for arr in (psi, theta_log, gains_log)]
-        record = state_recursion_audit(*args, e)
+        record = _recursion(*args, e)
         assert not record["pass"] and record["violations"] == 1
 
 
 def test_recursion_audit_trivial_cases():
     zeros = np.zeros((1, 3))
-    record = state_recursion_audit(zeros, zeros, zeros, np.zeros(1))
+    record = _recursion(zeros, zeros, zeros, np.zeros(1))
     assert record == {"violations": 0, "pass": True, "max_residual": 0.0}

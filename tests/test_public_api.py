@@ -5,9 +5,9 @@ import inspect
 import pytest
 
 import adaptive_pp
-from adaptive_pp import controller, estimator, exact, plant, polynomial, simulation
+from adaptive_pp import audits, controller, estimator, exact, plant, polynomial, simulation
 
-MODULES = (polynomial, plant, estimator, controller, exact, simulation)
+MODULES = (polynomial, plant, estimator, controller, exact, simulation, audits)
 
 
 def _defined_public(module) -> set[str]:

@@ -10,6 +10,7 @@ import pytest
 from adaptive_pp import (
     AUDIT_TOL,
     BoxSet,
+    ConstantsEstimate,
     PlantParameters,
     SignalSpec,
     SimConfig,
@@ -33,6 +34,7 @@ from adaptive_pp import (
     tracking_audit,
 )
 from adaptive_pp import simulation
+from adaptive_pp.audits import _phi_history, _rouche_margin
 from adaptive_pp.cli import load_config
 from adaptive_pp.controller import _design_identity
 from adaptive_pp.estimator import projection_step
@@ -42,8 +44,6 @@ from adaptive_pp.simulation import (
     TRAJECTORY_COLUMNS,
     _chunk_rows,
     _design,
-    _phi_history,
-    _rouche_margin,
     _sigma_bound,
 )
 from conftest import BENCHMARK_CONFIG, ROOT
@@ -993,15 +993,15 @@ def test_constants_memory_does_not_grow_with_samples(example_target):
 
 
 def test_crude_bound_holds_on_the_benchmark(bench_run, bench_constants):
-    _, traj = bench_run
-    report = crude_bound_audit(traj, bench_constants.alpha_bar, bench_constants.s_bar)
+    cfg, traj = bench_run
+    report = crude_bound_audit(traj, cfg, bench_constants)
     assert report["pass"]
     assert report["alpha_required"] <= bench_constants.alpha_bar
 
 
 def test_crude_bound_flags_an_impossible_constant(bench_run):
-    _, traj = bench_run
-    report = crude_bound_audit(traj, 0.0, 0.0)
+    cfg, traj = bench_run
+    report = crude_bound_audit(traj, cfg, ConstantsEstimate(0.0, 0.0, 1, 0))
     assert not report["pass"]
     assert report["alpha_required"] > 0.0
 
@@ -1191,17 +1191,33 @@ def test_tracking_audit_contract(example_config):
         horizon=400,
     )
     traj = run_closed_loop(cfg)
-    report = tracking_audit(traj, tail=100)
+    assert cfg.tracking_tail == 100
+    report = tracking_audit(traj, cfg, None)
     assert report["pass"]
     assert report["tail_max_error"] <= 1e-8  # the loop converges onto the set-point
 
-    flip = run_closed_loop(example_config(horizon=400))
+    flip_cfg = example_config(horizon=400)
     with pytest.raises(ValueError, match="constant"):
-        tracking_audit(flip, tail=100)
-    with pytest.raises(ValueError, match="tail"):
-        tracking_audit(traj, tail=0)
+        tracking_audit(run_closed_loop(flip_cfg), flip_cfg, None)
+    with pytest.raises(ValueError, match="tracking_tail"):
+        example_config(tracking_tail=0)
     with pytest.raises(ValueError, match="short"):
-        tracking_audit(traj, tail=300)
+        tracking_audit(traj, dataclasses.replace(cfg, tracking_tail=300), None)
+
+
+def test_gain_bound_reads_the_tracking_tail(example_config):
+    # both tail errors cover the final tracking_tail steps; this run's
+    # largest error over the final 75 steps lies outside the final 20
+    cfg = example_config(
+        reference=SignalSpec("constant", magnitude=1.0),
+        disturbance=SignalSpec("constant", magnitude=0.5),
+        horizon=300,
+        tracking_tail=20,
+    )
+    traj = run_closed_loop(cfg)
+    tail = tracking_audit(traj, cfg, None)["tail_max_error"]
+    assert gain_bound_fit(traj, cfg)["tail_tracking"] == tail == np.abs(traj.ybar[-20:]).max()
+    assert tail != np.abs(traj.ybar[-75:]).max()
 
 
 # ---------------------------------------------------------------------------
@@ -1246,9 +1262,10 @@ def test_run_audits_tracking_section(example_config):
         reference=SignalSpec("constant", magnitude=2.0),
         disturbance=SignalSpec("constant", magnitude=0.5),
         horizon=300,
+        tracking_tail=50,
     )
     traj = run_closed_loop(cfg)
-    results = run_audits(traj, cfg, which=("tracking",), tracking_tail=50)
+    results = run_audits(traj, cfg, which=("tracking",))
     assert results["tracking"]["pass"]
     assert results["tracking"]["tail_max_error"] <= 1e-8
 
