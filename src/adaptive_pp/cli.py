@@ -207,8 +207,11 @@ def load_config(path: str) -> tuple[SimConfig, dict, str]:
                         f"bad sweep: sweep.overrides.mu must be [lo, hi] with 0 < lo <= hi, "
                         f"got {json.dumps(overrides['mu'])}"
                     )
-            if "phi0" in overrides:
-                _float(overrides["phi0"], "sweep.overrides.phi0")
+            if "phi0" in overrides and _float(overrides["phi0"], "sweep.overrides.phi0") < 0.0:
+                raise ConfigError(
+                    f"bad sweep: sweep.overrides.phi0 must be a scale >= 0, "
+                    f"got {json.dumps(overrides['phi0'])}"
+                )
 
     estimator = _exact(raw.get("estimator", "classical"), str, "estimator")
     lam = None if raw.get("lambda") is None else _float(raw["lambda"], "lambda")
@@ -449,7 +452,11 @@ def cmd_sweep(args) -> int:
     os.makedirs(out_dir, exist_ok=True)
     started = time.perf_counter()
 
-    audit_names = tuple(a for a in extras["audits"] if a != "tracking")
+    # tracking needs a constant-excitation tail that a randomized draw need not have
+    skipped = [a for a in extras["audits"] if a == "tracking"]
+    audit_names = tuple(a for a in extras["audits"] if a not in skipped)
+    if skipped:
+        _say(args.quiet, "sweep: tracking is not run per draw")
     try:
         reports = monte_carlo_sweep(
             cfg, draws,
@@ -491,6 +498,7 @@ def cmd_sweep(args) -> int:
         "draws": draws,
         "outputs": ["sweep.csv"],
         "audits": detail_names,
+        "skipped_audits": skipped,
         "total_violations": total,
         "aborted_draws": aborted,
         "worst_gamma": worst,

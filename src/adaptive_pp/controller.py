@@ -343,17 +343,17 @@ def closed_loop_matrix(theta_hat, K: np.ndarray) -> np.ndarray:
     prediction error), the output-block shift, the gain row (produces
     ubar(t+1)), and the input-block shift.  Its characteristic polynomial is
     z^{2n+1} Astar(z^{-1}) whenever K solves the design at theta_hat.
-    Stacked (..., 2n+1) estimates and gain rows give a (..., 2n+1, 2n+1) stack,
-    and a gain row of Fractions in an object array gives an exact object matrix.
+    Stacked (..., 2n+1) estimates and gain rows give a (..., 2n+1, 2n+1)
+    stack.  Both inputs are read as float64, so the matrix is always float64.
     """
     vec = np.atleast_1d(np.asarray(theta_hat, dtype=float))
     dim = vec.shape[-1]
-    K = np.asarray(K)
+    K = np.asarray(K, dtype=float)
     if K.shape != vec.shape or dim % 2 == 0:
         raise ValueError(f"expected an odd-length estimate and a gain row of its length {dim}")
 
     rows, cols, src = closed_loop_layout((dim - 1) // 2)
     v = np.concatenate((vec, K, np.ones(vec.shape[:-1] + (1,))), axis=-1)
-    a = np.zeros(vec.shape[:-1] + (dim, dim), dtype=v.dtype)
+    a = np.zeros(vec.shape[:-1] + (dim, dim))
     a[..., rows, cols] = v[..., src]
     return a

@@ -1,4 +1,4 @@
-"""Exact rational cross-checks for the pole-placement identity.
+"""Exact rational cross-check of the pole-placement identity.
 
 Floating eigensolvers cannot certify a repeated closed-loop pole tightly: the
 placed zero pole of the regressor recursion has a single Jordan chain, so an
@@ -9,17 +9,16 @@ be repeated in exact rational arithmetic.  When the exact characteristic
 polynomial matches z^{2n+1} Astar(z^{-1}) coefficient for coefficient, the
 eigenvalue multiset equals the designed pole multiset identically.
 
-The arithmetic is all Python ints.  Inputs are scaled to ints by a common
-denominator, a power of two for floats, which are dyadic.  Two integer
-kernels do the work: Bareiss fraction-free elimination returns (det, X) with
-solution X / det, and Faddeev-LeVerrier returns the integer characteristic
+`exact_pole_check` is the one entry point, and its arithmetic is all Python
+ints.  The estimate and the target are scaled to ints by one common
+denominator, a power of two, since floats are dyadic.  Two integer kernels do
+the work: Bareiss fraction-free elimination returns (det, X) with solution
+X / det, and Faddeev-LeVerrier returns the integer characteristic
 coefficients; every division in either is exact by the algebra and is
-checked to be so.  `solve_fraction_system` and `charpoly_fractions` wrap the
-kernels as scale, kernel, Fraction.  `exact_pole_check` stays in ints from
-its inputs to its verdict: the system comes from `sylvester_gather` and
-`design_rhs` on the scaled estimate and target, the closed loop from
-`closed_loop_layout` scaled by s * det, and the coefficients are compared
-as integers, so a Fraction is built only for a nonzero gap.
+checked to be so.  The system comes from `sylvester_gather` and `design_rhs`
+on the scaled estimate and target, the closed loop from `closed_loop_layout`
+scaled by s * det, and the coefficients are compared as integers, so a
+Fraction is built only for a nonzero gap.
 """
 
 from __future__ import annotations
@@ -34,11 +33,7 @@ import numpy as np
 from .controller import _gain_order, closed_loop_layout, design_rhs
 from .polynomial import sylvester_gather
 
-__all__ = [
-    "solve_fraction_system",
-    "charpoly_fractions",
-    "exact_pole_check",
-]
+__all__ = ["exact_pole_check"]
 
 
 def _exact_div(num: int, den: int) -> int:
@@ -52,9 +47,9 @@ def _exact_div(num: int, den: int) -> int:
 def _over_common_denominator(*named: tuple[str, list]) -> tuple[list[list[int]], int]:
     """Integers and s, the lcm of every denominator, with value == integer / s.
 
-    Each argument pairs the name of an input with its exact values (floats,
-    ints or Fractions) and gives one list of integers.  A NaN or an infinity
-    has no rational value, so it raises ValueError naming its input.
+    Each argument pairs the name of an input with its float values and gives
+    one list of integers.  A NaN or an infinity has no rational value, so it
+    raises ValueError naming its input.
     """
     groups = []
     for name, values in named:
@@ -64,23 +59,6 @@ def _over_common_denominator(*named: tuple[str, list]) -> tuple[list[list[int]],
             raise ValueError(f"{name} has a non-finite entry; there is nothing exact to compute") from None
     scale = lcm(*(den for ratios in groups for _, den in ratios))
     return [[num * (scale // den) for num, den in ratios] for ratios in groups], scale
-
-
-def _exact_array(a: np.ndarray) -> np.ndarray:
-    """An object array as it is, any other array as float64 (which converts exactly)."""
-    return a if a.dtype == object else np.asarray(a, dtype=float)
-
-
-def _square_rows(a) -> list[list]:
-    """Rows of a square matrix of exact rationals; entries keep their values exactly."""
-    if isinstance(a, np.ndarray):
-        a = _exact_array(a)
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise ValueError(f"matrix of shape {a.shape} is not square")
-        return a.tolist()
-    if any(len(row) != len(a) for row in a):
-        raise ValueError("matrix rows are not square")
-    return a
 
 
 def _bareiss(rows: list[list[int]]) -> tuple[int, list[int]]:
@@ -157,42 +135,6 @@ def _charpoly_ints(b: list[list[int]]) -> list[int]:
                 for i, (row, (j, v)) in enumerate(zip(b, lone))
             )
     return coeffs
-
-
-def solve_fraction_system(m: np.ndarray, rhs: np.ndarray) -> list[Fraction]:
-    """Exact solve of m x = rhs by Bareiss fraction-free elimination.
-
-    Floats and rationals in m and rhs are taken as exact values.  Each
-    augmented row [a_i | b_i] is scaled to integers by the lcm of its
-    denominators, which leaves x unchanged, and `_bareiss` gives x = X / det.
-    A NaN or an infinity raises ValueError naming m or rhs; an exactly
-    singular m raises ZeroDivisionError.
-    """
-    a = _square_rows(np.asarray(m))
-    b = _exact_array(np.asarray(rhs))
-    dim = len(a)
-    if b.shape != (dim,):
-        raise ValueError(f"right-hand side has shape {b.shape}, expected ({dim},)")
-    rows = []
-    for row, v in zip(a, b.tolist()):
-        (ints, last), _ = _over_common_denominator(("m", row), ("rhs", [v]))
-        rows.append(ints + last)
-    det, x = _bareiss(rows)
-    return [Fraction(v, det) for v in x]
-
-
-def charpoly_fractions(a) -> list[Fraction]:
-    """Characteristic polynomial det(zI - A), highest power first, exactly.
-
-    Faddeev-LeVerrier on the integer matrix B = s*A, s the lcm of the entry
-    denominators; the coefficients of A are those of B over s^k.  A NaN or
-    an infinity raises ValueError naming a.
-    """
-    rows = _square_rows(a)
-    dim = len(rows)
-    (flat,), scale = _over_common_denominator(("a", [v for row in rows for v in row]))
-    coeffs = _charpoly_ints([flat[i * dim : (i + 1) * dim] for i in range(dim)])
-    return [Fraction(c, scale**k) for k, c in enumerate(coeffs)]
 
 
 @lru_cache(maxsize=None)

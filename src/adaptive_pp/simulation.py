@@ -661,6 +661,10 @@ def monte_carlo_sweep(
         if not 0.0 < lo <= hi < np.inf:
             raise ValueError(f"the mu override needs finite 0 < lo <= hi, got [{lo}, {hi}]")
     phi0_scale = overrides.get("phi0")
+    if phi0_scale is not None:
+        phi0_scale = float(phi0_scale)
+        if not 0.0 <= phi0_scale < np.inf:
+            raise ValueError(f"the phi0 override needs a finite scale >= 0, got {phi0_scale}")
 
     n = cfg.n
     aux_box = cfg.aux_box()
@@ -676,7 +680,7 @@ def monte_carlo_sweep(
         if phi0_scale is None:
             phi0 = cfg.phi0
         else:
-            phi0 = rng.uniform(-float(phi0_scale), float(phi0_scale), size=2 * (n + 1))
+            phi0 = rng.uniform(-phi0_scale, phi0_scale, size=2 * (n + 1))
         configs.append(
             replace(
                 cfg,

@@ -1,7 +1,8 @@
-"""Shared fixtures: the benchmark plant, box, target, and config builders."""
+"""Shared fixtures: the benchmark plant, box, target, config builders and exact references."""
 
 import json
 import os
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -17,6 +18,51 @@ from adaptive_pp import (
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 EXAMPLE_CONFIG = os.path.join(ROOT, "examples", "paper_sec6.json")
 BENCHMARK_CONFIG = os.path.join(ROOT, "configs", "benchmark.json")
+
+
+# ---------------------------------------------------------------------------
+# reference: plain Fraction Gaussian elimination and Faddeev-LeVerrier, the
+# textbook loops the integer kernels of `adaptive_pp.exact` must agree with
+
+
+def reference_solve(a, b):
+    a = [[Fraction(v) for v in row] for row in a]
+    b = [Fraction(v) for v in b]
+    dim = len(b)
+    for col in range(dim):
+        pivot = next((r for r in range(col, dim) if a[r][col] != 0), None)
+        if pivot is None:
+            raise ZeroDivisionError("system is exactly singular")
+        a[col], a[pivot] = a[pivot], a[col]
+        b[col], b[pivot] = b[pivot], b[col]
+        for r in range(col + 1, dim):
+            factor = a[r][col] / a[col][col]
+            for c in range(col, dim):
+                a[r][c] -= factor * a[col][c]
+            b[r] -= factor * b[col]
+    x = [Fraction(0)] * dim
+    for r in range(dim - 1, -1, -1):
+        acc = b[r] - sum(a[r][c] * x[c] for c in range(r + 1, dim))
+        x[r] = acc / a[r][r]
+    return x
+
+
+def reference_charpoly(a):
+    a = [[Fraction(v) for v in row] for row in a]
+    dim = len(a)
+
+    def matmul(x, y):
+        return [[sum(x[i][k] * y[k][j] for k in range(dim)) for j in range(dim)] for i in range(dim)]
+
+    coeffs = [Fraction(1)]
+    m = [[Fraction(int(i == j)) for j in range(dim)] for i in range(dim)]
+    for k in range(1, dim + 1):
+        if k > 1:
+            m = matmul(a, m)
+            for i in range(dim):
+                m[i][i] += coeffs[-1]
+        coeffs.append(-sum(matmul(a, m)[i][i] for i in range(dim)) / k)
+    return coeffs
 
 
 @pytest.fixture(scope="session")

@@ -131,6 +131,8 @@ def test_audits_default_when_omitted(config_file):
         dict(parameter_box={"a": [[-1e308, 1e308], [-3.0, -1.0]], "b": [[-1.0, 0.0], [-5.0, -3.0]]}),
         # an audit named twice
         dict(audits=["poles", "poles", "estimator"]),
+        # a negative phi0 scale, which no uniform draw on [-c, c] can take
+        dict(sweep={"draws": 10, "overrides": {"phi0": -5.0}}),
     ],
 )
 def test_load_config_rejects_bad_content(config_file, mutation):
@@ -482,8 +484,9 @@ def test_sweep_writes_per_draw_rows(config_file, tmp_path):
         (["--draws", "2"], {"mu": [0.0, 1.0]}),
         (["--draws", "2"], {"mu": [1.0, 0.5]}),
         (["--draws", "2"], {"mu": [1.0, 1e-6]}),
+        (["--draws", "2"], {"phi0": -5.0}),
     ],
-    ids=["zero-draws", "zero-horizon", "mu-from-zero", "mu-reversed", "mu-reversed-wide"],
+    ids=["zero-draws", "zero-horizon", "mu-from-zero", "mu-reversed", "mu-reversed-wide", "phi0-negative"],
 )
 def test_sweep_rejects_bad_input_with_exit_2(config_file, tmp_path, capsys, args, overrides):
     out = tmp_path / "bad_sweep"
@@ -533,6 +536,23 @@ def test_sweep_falls_back_to_the_config_sweep_block(config_file, tmp_path):
     assert main(["sweep", path, "--out", str(out), "--quiet"]) == 0
     lines = (out / "sweep.csv").read_text().splitlines()
     assert len(lines) == 3  # header + the config's two draws
+
+
+def test_sweep_says_that_tracking_is_not_run_per_draw(config_file, tmp_path, capsys):
+    # the console and the manifest name the skipped audit; sweep.csv is the
+    # same as for a config that never listed it
+    common = dict(sweep={"draws": 2, "horizon": 60}, alpha_samples=500)
+    listed, unlisted = tmp_path / "listed", tmp_path / "unlisted"
+    assert main(["sweep", config_file(audits=["recursion", "tracking"], **common), "--out", str(listed)]) == 0
+    assert "sweep: tracking is not run per draw" in capsys.readouterr().out
+    assert main(["sweep", config_file(audits=["recursion"], **common), "--out", str(unlisted)]) == 0
+    assert "is not run per draw" not in capsys.readouterr().out
+    for out, skipped in ((listed, ["tracking"]), (unlisted, [])):
+        manifest = read_manifest(out)
+        assert manifest["audits"] == ["recursion"] and manifest["skipped_audits"] == skipped
+    assert (listed / "sweep.csv").read_bytes() == (unlisted / "sweep.csv").read_bytes()
+    assert main(["sweep", config_file(audits=["tracking"], **common), "--out", str(listed), "--quiet"]) == 0
+    assert capsys.readouterr().out == ""
 
 
 def test_sweep_reports_aborted_draws_with_exit_3(config_file, tmp_path):

@@ -10,6 +10,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from conftest import reference_charpoly
 
 import adaptive_pp
 from adaptive_pp import (
@@ -29,7 +30,6 @@ from adaptive_pp import (
 )
 from adaptive_pp import controller
 from adaptive_pp.controller import _design_identity, _design_workspace, _gain_order, _gamma
-from adaptive_pp.exact import charpoly_fractions
 from adaptive_pp.polynomial import SINGULAR_REL_THRESHOLD, sylvester_coeffs, sylvester_gather
 from adaptive_pp.simulation import _box_chunks, _chunk_rows
 
@@ -235,7 +235,7 @@ def _certificate_rows(n: int, count: int, seed: int) -> np.ndarray:
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
-def test_certified_design_agrees_with_lapack(n):
+def test_batched_design_agrees_with_lapack_away_from_the_threshold(n):
     # 25k rows per order, 1e5 in all: the verdict is LAPACK's wherever |det| is
     # not within a factor 2 of the threshold, and the gain rows agree to rounding
     target = _spread_target(n)
@@ -252,7 +252,7 @@ def test_certified_design_agrees_with_lapack(n):
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
-def test_certified_design_leaves_the_hard_rows_to_lapack(n):
+def test_batched_design_decides_the_rows_at_the_threshold(n):
     dim = 2 * n + 1
     rows = []
     # Abar = 1 and B = b q^n make M diagonal with det b^(n+1), and every row
@@ -284,13 +284,13 @@ def test_certified_design_leaves_the_hard_rows_to_lapack(n):
     assert not rest.any() and gains.shape == (near.sum(), dim)
 
 
-def test_certified_design_leaves_an_underflowing_pivot_product_undecided():
+def test_batched_design_refuses_an_underflowing_pivot_product():
     # Abar = 1 + q - 2^-1070 q^3 and B = 2^40 (q + q^2): the Schur complement's
     # first column is [0, 0, 2^-1030], so its pivots are 2^-1030, 2^40 and
     # -2^40, the first partial product is subnormal and |det M| = 2^-950 is normal
     n = 2
     theta = np.array([-1.0, 0.0, 2.0**-1070, 2.0**40, 2.0**40])
-    charpoly = charpoly_fractions(sylvester_matrix(theta, n))
+    charpoly = reference_charpoly(sylvester_matrix(theta, n).tolist())
     assert abs(charpoly[-1]) == Fraction(2) ** -950  # the constant term is det(-M)
     ok, gains = solve_diophantine_batch(theta[None], _spread_target(n).lifted_coeffs(), n)
     assert not ok[0] and gains.shape == (0, 2 * n + 1)
@@ -331,7 +331,7 @@ def _design_batch_fresh(thetas: np.ndarray, lifted: np.ndarray, n: int):
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
-def test_certified_design_in_a_workspace_has_the_bits_of_fresh_arrays(n):
+def test_batched_design_in_a_workspace_has_the_bits_of_fresh_arrays(n):
     # the constants' chunk stream, one workspace for every chunk, each chunk
     # fed row-major and entry-major: at n = 2 the benchmark box and draws (45
     # full chunks, a partial one, the vertex chunk), elsewhere a seeded box
@@ -448,6 +448,10 @@ def test_closed_loop_matrix_layout():
     np.testing.assert_array_equal(mat[2], [0, 1, 0, 0, 0])
     np.testing.assert_array_equal(mat[3], K)
     np.testing.assert_array_equal(mat[4], [0, 0, 0, 1, 0])
+    # an object gain row is read as float64 too, like the estimate
+    thirds = closed_loop_matrix(theta, np.array([Fraction(k, 3) for k in range(5)], dtype=object))
+    assert thirds.dtype == np.float64
+    np.testing.assert_array_equal(thirds[3], np.arange(5) / 3)
 
 
 def test_closed_loop_matrix_stacks_rows():

@@ -1311,6 +1311,9 @@ def test_sweep_validates_inputs(example_config):
     for mu_range in ((0.0, 1.0), (1.0, 0.5), (1e-3, np.inf)):
         with pytest.raises(ValueError, match="mu override"):
             monte_carlo_sweep(cfg, draws=1, overrides={"mu": mu_range})
+    for scale in (-5.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="phi0 override"):
+            monte_carlo_sweep(cfg, draws=1, overrides={"phi0": scale})
 
 
 def test_sweep_collects_aborted_draws_instead_of_dying():
