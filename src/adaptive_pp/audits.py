@@ -16,10 +16,11 @@ NaN or Inf in a column it reads is a violation, never a pass.
 * crude_bound: ||psi(t+1)|| <= (alpha + diam) ||psi(t)|| + |wbar(t)|,
 * tracking: the tail tracking error under constant excitation.
 
-`AUDITS` is the one ordered registry of them; `AUDIT_NAMES`, the config's
-`audits` check and `run_audits` derive from it.  `gain_bound_fit` is not an
-audit, a verdict-free fit of the linear-like bound, but it reads a run the
-same way.
+`AUDITS` is the one ordered registry of them; `AUDIT_NAMES`, which
+`SimConfig` checks its `audits` field against, and `run_audits`, which runs
+a config's `audits` in registry order, derive from it.  `gain_bound_fit` is
+not an audit, a verdict-free fit of the linear-like bound, but it reads a
+run the same way.
 """
 
 from __future__ import annotations
@@ -300,19 +301,15 @@ def needs_constants(which) -> bool:
     return any(AUDITS[name][1] for name in which)
 
 
-def run_audits(
-    traj: Trajectory,
-    cfg: SimConfig,
-    which: tuple[str, ...] | list[str] = ("estimator", "recursion", "poles"),
-    constants: ConstantsEstimate | None = None,
-) -> dict:
-    """Run the audits named in `which` on one trajectory; name -> manifest record, in AUDIT_NAMES order."""
-    for name in which:
-        if name not in AUDITS:
-            raise ValueError(f"unknown audit '{name}'; choose from {AUDIT_NAMES}")
-    if constants is None and needs_constants(which):
-        raise ValueError(f"an audit of {tuple(which)} needs the sampled constants")
-    return {name: audit(traj, cfg, constants) for name, (audit, _) in AUDITS.items() if name in which}
+def run_audits(traj: Trajectory, cfg: SimConfig, constants: ConstantsEstimate | None = None) -> dict:
+    """Run `cfg.audits` on one trajectory; name -> manifest record, in AUDIT_NAMES order.
+
+    `constants` is the run's `cfg.constants()`; an audit that reads them
+    raises ValueError without them.
+    """
+    if constants is None and needs_constants(cfg.audits):
+        raise ValueError(f"an audit of {cfg.audits} needs the sampled constants")
+    return {name: audit(traj, cfg, constants) for name, (audit, _) in AUDITS.items() if name in cfg.audits}
 
 
 def _phi_history(y: np.ndarray, u: np.ndarray, phi0: np.ndarray, n: int) -> np.ndarray:

@@ -24,16 +24,15 @@ import os
 import sys
 import time
 from collections.abc import Callable
-from dataclasses import asdict, fields
+from dataclasses import asdict, fields, replace
 
 import numpy as np
 
 from . import __version__
-from .audits import AUDIT_NAMES, gain_bound_fit, needs_constants, run_audits
+from .audits import gain_bound_fit, run_audits
 from .controller import SingularSylvesterError, TargetPolynomial
 from .plant import BoxSet, PlantParameters
 from .simulation import (
-    OVERRIDE_KEYS,
     BoundReport,
     SignalSpec,
     SimConfig,
@@ -41,8 +40,8 @@ from .simulation import (
     TrajectoryFormatError,
     _check_decay_rate,
     _check_estimator_mode,
+    _check_sweep,
     _write_whole,
-    estimate_constants,
     monte_carlo_sweep,
     run_closed_loop,
 )
@@ -66,9 +65,10 @@ def _expect_keys(obj: dict, where: str, required: tuple, optional: tuple = ()) -
 
 
 def _exact(value, kind: type, where: str):
-    """`value` itself if it is a JSON integer, boolean or string as `kind` asks; never coerced."""
+    """`value` itself if its JSON type is the one `kind` asks for; never coerced."""
     if type(value) is not kind:  # a bool is not an int here, and 300.7 is not 300
-        name = {bool: "a boolean", int: "an integer", str: "a string"}[kind]
+        names = {bool: "a boolean", int: "an integer", str: "a string", list: "a list", dict: "a JSON object"}
+        name = names[kind]
         raise ConfigError(f"{where} must be {name}, got {json.dumps(value)}")
     return value
 
@@ -137,19 +137,21 @@ TOP_KEYS_REQUIRED = (
     "schema_version", "n", "plant", "parameter_box", "target_poly",
     "mu", "theta0", "phi0", "reference", "disturbance", "horizon",
 )
-TOP_KEYS_OPTIONAL = (
-    "t0", "seed", "estimator", "lambda", "nudge_singular",
-    "audits", "alpha_samples", "tracking_tail", "sweep", "out",
+# the optional keys that set a SimConfig field as they are: key, field, JSON type
+_FIELD_KEYS = (
+    ("t0", "t0", int), ("seed", "seed", int), ("estimator", "estimator_mode", str),
+    ("nudge_singular", "nudge_singular", bool), ("tracking_tail", "tracking_tail", int),
+    ("alpha_samples", "alpha_samples", int), ("audits", "audits", list),
 )
-SWEEP_KEYS = ("draws", "seed", "horizon", "overrides")
+TOP_KEYS_OPTIONAL = tuple(key for key, _, _ in _FIELD_KEYS) + ("lambda", "sweep", "out")
 
 
 def load_config(path: str) -> tuple[SimConfig, dict, str]:
     """Parse and validate a config file.
 
-    Returns the simulation config, a dict of CLI-level extras (audits,
-    alpha_samples, sweep, out), and the SHA-256 hash of the canonical JSON
-    rendering.
+    Returns the simulation config, a dict of CLI-level extras (sweep, out),
+    and the SHA-256 hash of the canonical JSON rendering.  An optional key
+    the file leaves out takes the `SimConfig` field's default.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -176,50 +178,34 @@ def load_config(path: str) -> tuple[SimConfig, dict, str]:
     except ValueError as err:
         raise ConfigError(f"bad target_poly: {err}") from err
 
-    audits = raw.get("audits", ["estimator", "recursion", "poles"])
-    if not isinstance(audits, list) or any(name not in AUDIT_NAMES for name in audits):
-        raise ConfigError(f"audits must be a list drawn from {AUDIT_NAMES}")
-    if len(set(audits)) != len(audits):
-        raise ConfigError(f"audits must name each audit once, got {json.dumps(audits)}")
-
-    # numpy's generators refuse a negative seed
-    seed = _exact(raw.get("seed", 0), int, "seed")
-    if seed < 0:
-        raise ConfigError(f"seed must be a non-negative integer, got {seed}")
     sweep = raw.get("sweep")
     if sweep is not None:
-        _expect_keys(sweep, "sweep", ("draws",), SWEEP_KEYS[1:])
+        _expect_keys(sweep, "sweep", ("draws",), ("seed", "horizon", "overrides"))
         for key in ("draws", "seed", "horizon"):
             if key in sweep:
                 _exact(sweep[key], int, f"sweep.{key}")
-        if sweep.get("seed", 0) < 0:
-            raise ConfigError(f"sweep.seed must be a non-negative integer, got {sweep['seed']}")
-        overrides = sweep.get("overrides")
-        if overrides is not None:
-            _expect_keys(overrides, "sweep.overrides", (), OVERRIDE_KEYS)
-            for key in ("theta", "theta0"):
-                if key in overrides:
-                    _exact(overrides[key], bool, f"sweep.overrides.{key}")
-            if "mu" in overrides:
-                lo_hi = _floats(overrides["mu"], "sweep.overrides.mu")
-                if lo_hi.size != 2 or not 0.0 < lo_hi[0] <= lo_hi[1]:
-                    raise ConfigError(
-                        f"bad sweep: sweep.overrides.mu must be [lo, hi] with 0 < lo <= hi, "
-                        f"got {json.dumps(overrides['mu'])}"
-                    )
-            if "phi0" in overrides and _float(overrides["phi0"], "sweep.overrides.phi0") < 0.0:
-                raise ConfigError(
-                    f"bad sweep: sweep.overrides.phi0 must be a scale >= 0, "
-                    f"got {json.dumps(overrides['phi0'])}"
-                )
+        overrides = _exact(sweep.get("overrides", {}), dict, "sweep.overrides")
+        for key in ("theta", "theta0"):
+            if key in overrides:
+                _exact(overrides[key], bool, f"sweep.overrides.{key}")
+        if "mu" in overrides:
+            _floats(overrides["mu"], "sweep.overrides.mu")
+        if "phi0" in overrides:
+            _float(overrides["phi0"], "sweep.overrides.phi0")
+        try:
+            _check_sweep("sweep.", **sweep)
+        except ValueError as err:
+            raise ConfigError(f"bad sweep: {err}") from err
 
-    estimator = _exact(raw.get("estimator", "classical"), str, "estimator")
-    lam = None if raw.get("lambda") is None else _float(raw["lambda"], "lambda")
+    optional = {field: _exact(raw[key], kind, key) for key, field, kind in _FIELD_KEYS if key in raw}
+    if raw.get("lambda") is not None:
+        optional["lam"] = _float(raw["lambda"], "lambda")
     try:
         # SimConfig checks both as well; checked here, a refusal names the config key
-        _check_estimator_mode(estimator, "estimator")
-        if lam is not None:
-            _check_decay_rate(lam, target, "lambda")
+        if "estimator_mode" in optional:
+            _check_estimator_mode(optional["estimator_mode"], "estimator")
+        if "lam" in optional:
+            _check_decay_rate(optional["lam"], target, "lambda")
         cfg = SimConfig(
             n=n,
             theta_true=PlantParameters(a, b),
@@ -231,24 +217,15 @@ def load_config(path: str) -> tuple[SimConfig, dict, str]:
             reference=_signal(raw["reference"], "reference"),
             disturbance=_signal(raw["disturbance"], "disturbance"),
             horizon=_exact(raw["horizon"], int, "horizon"),
-            t0=_exact(raw.get("t0", 0), int, "t0"),
-            seed=seed,
-            estimator_mode=estimator,
-            nudge_singular=_exact(raw.get("nudge_singular", False), bool, "nudge_singular"),
-            lam=lam,
-            tracking_tail=_exact(raw.get("tracking_tail", 100), int, "tracking_tail"),
+            **optional,
         )
     except (TypeError, ValueError) as err:
         raise ConfigError(f"bad config: {err}") from err
 
     extras = {
-        "audits": list(audits),
-        "alpha_samples": _exact(raw.get("alpha_samples", 100_000), int, "alpha_samples"),
         "sweep": sweep,
         "out": None if raw.get("out") is None else _exact(raw["out"], str, "out"),
     }
-    if extras["alpha_samples"] < 0:
-        raise ConfigError("alpha_samples must be >= 0")
     canonical = json.dumps(raw, sort_keys=True, separators=(",", ":"))
     digest = hashlib.sha256(canonical.encode("utf-8")).hexdigest()
     return cfg, extras, digest
@@ -356,21 +333,14 @@ def _say(quiet: bool, *parts) -> None:
         print(*parts)
 
 
-def _constants(cfg: SimConfig, extras: dict):
-    """Sampled norm constants when a configured audit reads them."""
-    if not needs_constants(extras["audits"]):
-        return None
-    return estimate_constants(cfg.aux_box(), cfg.target, samples=extras["alpha_samples"], seed=cfg.seed)
-
-
-def _audit(traj: Trajectory, cfg: SimConfig, extras: dict, constants, quiet: bool):
+def _audit(traj: Trajectory, cfg: SimConfig, constants, quiet: bool):
     """Run the configured audits and the gain-bound fit and print the verdicts.
 
     Returns the audit records, the gain_bound block, and the total violation
     count.
     """
     try:
-        results = run_audits(traj, cfg, which=extras["audits"], constants=constants)
+        results = run_audits(traj, cfg, constants)
     except ValueError as err:
         raise ConfigError(f"audit setup failed: {err}") from err
     fit = gain_bound_fit(traj, cfg)
@@ -392,7 +362,7 @@ def cmd_run(args) -> int:
     out_dir = args.out or extras["out"] or "out"
     os.makedirs(out_dir, exist_ok=True)
     started = time.perf_counter()
-    constants = _constants(cfg, extras)
+    constants = cfg.constants()
 
     try:
         traj = run_closed_loop(cfg)
@@ -405,7 +375,7 @@ def cmd_run(args) -> int:
         return 3
 
     # audit first: an audit set-up error (exit 2) must leave out_dir untouched
-    results, bound, total = _audit(traj, cfg, extras, constants, args.quiet)
+    results, bound, total = _audit(traj, cfg, constants, args.quiet)
     csv_path = os.path.join(out_dir, RUN_OUTPUTS[0])
     traj.save(csv_path)
     outputs = [RUN_OUTPUTS[0]]
@@ -429,47 +399,40 @@ def cmd_run(args) -> int:
     return 0 if total == 0 else 1
 
 
-def _sweep_setting(args, sweep_cfg: dict, key: str, least: int):
-    """The --<key> flag, else the config's sweep.<key>; below `least` it is refused by name."""
-    flag = getattr(args, key)
-    value, where = (sweep_cfg.get(key), f"sweep.{key}") if flag is None else (flag, f"--{key}")
-    if value is not None and value < least:
-        raise ConfigError(f"bad sweep: {where} must be an integer >= {least}, got {value}")
-    return value
-
-
 def cmd_sweep(args) -> int:
     cfg, extras, digest = load_config(args.config)
     sweep_cfg = extras["sweep"] or {}
-    # checked before out_dir is made, so a refused setting writes nothing
-    draws = _sweep_setting(args, sweep_cfg, "draws", 1)
+    # checked before out_dir is made, so a refused flag writes nothing
+    try:
+        _check_sweep("--", draws=args.draws, seed=args.seed, horizon=args.horizon)
+    except ValueError as err:
+        raise ConfigError(f"bad sweep: {err}") from err
+    draws, seed, horizon = (
+        sweep_cfg.get(key) if getattr(args, key) is None else getattr(args, key)
+        for key in ("draws", "seed", "horizon")
+    )
     if draws is None:
         raise ConfigError("sweep needs --draws or a sweep.draws config entry")
-    seed = _sweep_setting(args, sweep_cfg, "seed", 0)
-    horizon = _sweep_setting(args, sweep_cfg, "horizon", 1)
-    overrides = sweep_cfg.get("overrides")
     out_dir = args.out or extras["out"] or "out"
     os.makedirs(out_dir, exist_ok=True)
     started = time.perf_counter()
 
     # tracking needs a constant-excitation tail that a randomized draw need not have
-    skipped = [a for a in extras["audits"] if a == "tracking"]
-    audit_names = tuple(a for a in extras["audits"] if a not in skipped)
+    skipped = [a for a in cfg.audits if a == "tracking"]
+    cfg = replace(cfg, audits=tuple(a for a in cfg.audits if a != "tracking"))
     if skipped:
         _say(args.quiet, "sweep: tracking is not run per draw")
     try:
         reports = monte_carlo_sweep(
             cfg, draws,
             seed=seed,
-            overrides=overrides,
+            overrides=sweep_cfg.get("overrides"),
             horizon=horizon,
-            alpha_samples=extras["alpha_samples"],
-            audits=audit_names,
         )
     except ValueError as err:
         raise ConfigError(f"bad sweep: {err}") from err
 
-    detail_names = list(audit_names)
+    detail_names = list(cfg.audits)
     # the BoundReport fields in order, then one violation count per audit
     columns = [field.name for field in fields(BoundReport) if field.name != "details"]
     lines = [",".join(columns + [f"violations_{a}" for a in detail_names])]
@@ -523,7 +486,7 @@ def cmd_audit(args) -> int:
         raise ConfigError(str(err)) from err
 
     started = time.perf_counter()
-    results, bound, total = _audit(traj, cfg, extras, _constants(cfg, extras), args.quiet)
+    results, bound, total = _audit(traj, cfg, cfg.constants(), args.quiet)
     if args.out:
         os.makedirs(args.out, exist_ok=True)
         _manifest(args.out, args, digest, started, {

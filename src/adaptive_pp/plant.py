@@ -33,6 +33,13 @@ __all__ = [
 ]
 
 
+def _frozen(values) -> np.ndarray:
+    """A read-only float copy of `values`, at least 1-D; the caller's array stays as it was."""
+    out = np.array(values, dtype=float, ndmin=1)
+    out.flags.writeable = False
+    return out
+
+
 @dataclass(frozen=True)
 class BoxSet:
     """Axis-aligned compact box {x : lo <= x <= hi}, the uncertainty set shape."""
@@ -41,8 +48,7 @@ class BoxSet:
     hi: np.ndarray
 
     def __post_init__(self):
-        lo = np.atleast_1d(np.asarray(self.lo, dtype=float))
-        hi = np.atleast_1d(np.asarray(self.hi, dtype=float))
+        lo, hi = _frozen(self.lo), _frozen(self.hi)
         if lo.shape != hi.shape or lo.ndim != 1:
             raise ValueError("lo and hi must be 1-D arrays of equal length")
         if not (np.all(np.isfinite(lo)) and np.all(np.isfinite(hi))):
@@ -53,8 +59,6 @@ class BoxSet:
             raise ValueError("box widths must be finite")
         if np.any(lo > hi):
             raise ValueError("every lower bound must be <= the matching upper bound")
-        lo.flags.writeable = False
-        hi.flags.writeable = False
         object.__setattr__(self, "lo", lo)
         object.__setattr__(self, "hi", hi)
 
@@ -106,12 +110,9 @@ class PlantParameters:
     b: np.ndarray
 
     def __post_init__(self):
-        a = np.atleast_1d(np.asarray(self.a, dtype=float))
-        b = np.atleast_1d(np.asarray(self.b, dtype=float))
+        a, b = _frozen(self.a), _frozen(self.b)
         if a.ndim != 1 or b.ndim != 1 or a.size != b.size or a.size < 1:
             raise ValueError("a and b must be 1-D arrays of equal positive length")
-        a.flags.writeable = False
-        b.flags.writeable = False
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
 

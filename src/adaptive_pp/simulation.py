@@ -17,7 +17,8 @@ crude growth bound are theorems with respect to this signal, so the audits
 use it.
 
 `monte_carlo_sweep` audits every draw through `audits.run_audits`, and
-`estimate_constants` samples the norm constants of the crude growth bound.
+`estimate_constants` samples the norm constants of the crude growth bound;
+`SimConfig.constants` decides whether a run's audits need them.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .audits import gain_bound_fit, needs_constants, run_audits
+from .audits import AUDIT_NAMES, gain_bound_fit, needs_constants, run_audits
 from .controller import (
     SingularSylvesterError,
     TargetPolynomial,
@@ -40,7 +41,7 @@ from .controller import (
     solve_gains,
 )
 from .estimator import projection_step
-from .plant import BoxSet, PlantParameters, aux_transform, image_box
+from .plant import BoxSet, PlantParameters, _frozen, aux_transform, image_box
 
 __all__ = [
     "SignalSpec",
@@ -75,15 +76,15 @@ class SignalSpec:
             raise ValueError(f"signal kind must be one of {SIGNAL_KINDS}")
         if not np.isfinite(self.magnitude):
             raise ValueError("signal magnitude must be finite")
-        if self.kind == "sign_flip" and (not float(self.period).is_integer() or self.period < 1):
-            raise ValueError("sign_flip needs an integer period >= 1")
+        # the period divides an int64 step index
+        if self.kind == "sign_flip" and not (self.period % 1 == 0 and 1 <= self.period < 2**63):
+            raise ValueError(f"sign_flip needs an integer period in [1, 2**63 - 1], got {self.period!r}")
         if self.kind == "custom":
             if self.values is None:
                 raise ValueError("custom signal needs explicit values")
-            vals = np.atleast_1d(np.asarray(self.values, dtype=float))
+            vals = _frozen(self.values)
             if vals.ndim != 1 or not np.all(np.isfinite(vals)):
                 raise ValueError("custom signal values must be a finite 1-D sequence")
-            vals.flags.writeable = False
             object.__setattr__(self, "values", vals)
 
     def series(self, count: int) -> np.ndarray:
@@ -102,6 +103,13 @@ class SignalSpec:
         if count > self.values.size:
             raise IndexError(f"custom signal has {self.values.size} values, {count} asked for")
         return self.values[:count].copy()
+
+
+def _check_integer(value, least: int, name: str) -> None:
+    """Refuse a value other than an integer >= `least`, naming the setting `name`."""
+    # `% 1` rather than float(): an integer beyond the float range is still one
+    if not (value % 1 == 0 and value >= least):
+        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
 
 
 def _check_estimator_mode(mode: str, name: str) -> None:
@@ -123,10 +131,14 @@ class SimConfig:
 
     `phi0` stacks the initial output and input histories newest first,
     [y(t0)..y(t0-n), u(t0)..u(t0-n)].  `theta0` is the initial estimate in
-    incremental coordinates and must lie in the image box of `box`.
+    incremental coordinates and must lie in the image box of `box`.  The
+    times t0 .. t0 + horizon - 1 must be int64s.
     `tracking_tail` is the number of final steps the tracking audit and the
-    gain-bound fit read.  A config is checked when it is built: an
-    inconsistent one raises ValueError.
+    gain-bound fit read.  `audits` names the audits a run is checked by
+    (each of `audits.AUDIT_NAMES` at most once), and `alpha_samples` is the
+    number of draws `constants()` samples when one of them reads the norm
+    constants.  A config is checked when it is built: an inconsistent one
+    raises ValueError.
     """
 
     n: int
@@ -145,12 +157,11 @@ class SimConfig:
     nudge_singular: bool = False
     lam: float | None = None
     tracking_tail: int = 100
+    audits: tuple[str, ...] = ("estimator", "recursion", "poles")
+    alpha_samples: int = 100_000
 
     def __post_init__(self):
-        theta0 = np.atleast_1d(np.asarray(self.theta0, dtype=float)).copy()
-        phi0 = np.atleast_1d(np.asarray(self.phi0, dtype=float)).copy()
-        theta0.flags.writeable = False
-        phi0.flags.writeable = False
+        theta0, phi0 = _frozen(self.theta0), _frozen(self.phi0)
         object.__setattr__(self, "theta0", theta0)
         object.__setattr__(self, "phi0", phi0)
         n = self.n
@@ -169,12 +180,23 @@ class SimConfig:
             raise ValueError("phi0 must be finite")
         if not 0.0 < self.mu < np.inf:
             raise ValueError("mu must be positive and finite")
-        if not float(self.horizon).is_integer() or self.horizon < 1:
-            raise ValueError("horizon must be an integer >= 1")
-        if not float(self.tracking_tail).is_integer() or self.tracking_tail < 1:
-            raise ValueError("tracking_tail must be an integer >= 1")
-        if not float(self.t0).is_integer():  # the t column is written as integers
-            raise ValueError("t0 must be an integer")
+        _check_integer(self.horizon, 1, "horizon")
+        # the t column holds the times t0 .. t0 + horizon - 1 as int64s
+        if not (self.t0 % 1 == 0 and -(2**63) <= self.t0 <= 2**63 - self.horizon and self.horizon < 2**63):
+            raise ValueError(
+                f"t0, horizon and t0 + horizon - 1 must be int64 integers, "
+                f"got t0 = {self.t0!r}, horizon = {self.horizon!r}"
+            )
+        _check_integer(self.tracking_tail, 1, "tracking_tail")
+        _check_integer(self.seed, 0, "seed")  # numpy's generators refuse a negative seed
+        _check_integer(self.alpha_samples, 0, "alpha_samples")
+        audits = tuple(self.audits)
+        object.__setattr__(self, "audits", audits)
+        for name in audits:
+            if name not in AUDIT_NAMES:
+                raise ValueError(f"audits must be drawn from {AUDIT_NAMES}, got {name!r}")
+        if len(set(audits)) != len(audits):
+            raise ValueError(f"audits must name each audit once, got {list(audits)}")
         _check_estimator_mode(self.estimator_mode, "estimator_mode")
         for name, spec in (("reference", self.reference), ("disturbance", self.disturbance)):
             if spec.kind == "custom" and spec.values.size < self.horizon + 1:
@@ -199,6 +221,16 @@ class SimConfig:
         if self.lam is not None:
             return float(self.lam)
         return 0.5 * (self.target.decay_floor() + 1.0)
+
+    def constants(self, seed: int | None = None) -> ConstantsEstimate | None:
+        """The norm constants `estimate_constants` samples when an audit of `audits` reads them, else None.
+
+        `alpha_samples` draws from `seed`, by default the config's own.
+        """
+        if not needs_constants(self.audits):
+            return None
+        seed = self.seed if seed is None else seed
+        return estimate_constants(self.aux_box(), self.target, samples=self.alpha_samples, seed=seed)
 
 
 # The trajectory.csv schema, in column order: each entry names the
@@ -621,7 +653,20 @@ def _sample_plant(box: BoxSet, n: int, rng: np.random.Generator, tries: int = 10
     raise RuntimeError(f"no admissible plant found in {tries} draws from the box")
 
 
-OVERRIDE_KEYS = ("theta", "theta0", "mu", "phi0")
+def _check_sweep(prefix: str = "", draws=None, seed=None, horizon=None, overrides=None) -> None:
+    """Refuse a sweep setting out of range, naming it `prefix` + its sweep-block key; None is unset."""
+    for key, value, least in (("draws", draws, 1), ("seed", seed, 0), ("horizon", horizon, 1)):
+        if value is not None:
+            _check_integer(value, least, prefix + key)
+    overrides = overrides or {}
+    unknown = set(overrides) - {"theta", "theta0", "mu", "phi0"}
+    if unknown:
+        raise ValueError(f"unknown keys {sorted(unknown)} in {prefix}overrides")
+    mu, scale = overrides.get("mu"), overrides.get("phi0")
+    if mu is not None and not (len(mu) == 2 and 0.0 < mu[0] <= mu[1] < np.inf):
+        raise ValueError(f"{prefix}overrides.mu must be [lo, hi] with finite 0 < lo <= hi, got {mu!r}")
+    if scale is not None and not 0.0 <= scale < np.inf:
+        raise ValueError(f"{prefix}overrides.phi0 must be a finite scale >= 0, got {scale!r}")
 
 
 def monte_carlo_sweep(
@@ -630,8 +675,6 @@ def monte_carlo_sweep(
     seed: int | None = None,
     overrides: dict | None = None,
     horizon: int | None = None,
-    alpha_samples: int = 100_000,
-    audits: tuple[str, ...] = ("estimator", "recursion", "poles", "crude_bound"),
 ) -> list[BoundReport]:
     """Repeated, optionally randomized runs of a base config, audited draw by draw.
 
@@ -639,79 +682,45 @@ def monte_carlo_sweep(
     single closed-loop run plus audits.  `overrides` switches randomizations
     on: `theta` (True: redraw the plant uniformly from the box), `theta0`
     (True: redraw the initial estimate from the incremental box), `mu`
-    ((lo, hi): log-uniform), `phi0` (scale c: uniform on [-c, c]).  Draw
-    parameters are generated up front from the seed, after every argument is
-    checked.  A draw whose design equation goes singular is reported as
-    aborted rather than killing the sweep.
+    ((lo, hi): log-uniform), `phi0` (scale c: uniform on [-c, c]), drawn in
+    that order from the seed just before the draw runs.  Every draw is
+    audited by `cfg.audits`, with `cfg.constants(seed)` sampled once.  A draw
+    whose design equation goes singular is reported as aborted rather than
+    killing the sweep.
     """
-    if draws < 1:
-        raise ValueError("draws must be >= 1")
-    if horizon is not None and horizon < 1:
-        raise ValueError("horizon must be >= 1")
+    _check_sweep(draws=draws, seed=seed, horizon=horizon, overrides=overrides)
     seed = cfg.seed if seed is None else int(seed)
-    overrides = dict(overrides or {})
-    unknown = set(overrides) - set(OVERRIDE_KEYS)
-    if unknown:
-        raise ValueError(f"unknown override keys: {sorted(unknown)}")
-    use_theta = bool(overrides.get("theta", False))
-    use_theta0 = bool(overrides.get("theta0", False))
-    mu_range = overrides.get("mu")
-    if mu_range is not None:
-        lo, hi = float(mu_range[0]), float(mu_range[1])
-        if not 0.0 < lo <= hi < np.inf:
-            raise ValueError(f"the mu override needs finite 0 < lo <= hi, got [{lo}, {hi}]")
-    phi0_scale = overrides.get("phi0")
-    if phi0_scale is not None:
-        phi0_scale = float(phi0_scale)
-        if not 0.0 <= phi0_scale < np.inf:
-            raise ValueError(f"the phi0 override needs a finite scale >= 0, got {phi0_scale}")
-
-    n = cfg.n
-    aux_box = cfg.aux_box()
+    overrides = overrides or {}
+    mu_range, scale = overrides.get("mu"), overrides.get("phi0")
+    log_mu = None if mu_range is None else (np.log(float(mu_range[0])), np.log(float(mu_range[1])))
+    n, aux_box, lam = cfg.n, cfg.aux_box(), cfg.decay_rate()
+    constants = cfg.constants(seed)
     rng = np.random.default_rng(seed)
-    configs: list[SimConfig] = []
-    for _ in range(draws):
-        theta = _sample_plant(cfg.box, n, rng) if use_theta else cfg.theta_true
-        theta0 = aux_box.sample(rng) if use_theta0 else cfg.theta0
-        if mu_range is None:
-            mu = cfg.mu
-        else:
-            mu = float(np.exp(rng.uniform(np.log(lo), np.log(hi))))
-        if phi0_scale is None:
-            phi0 = cfg.phi0
-        else:
-            phi0 = rng.uniform(-phi0_scale, phi0_scale, size=2 * (n + 1))
-        configs.append(
-            replace(
-                cfg,
-                theta_true=theta,
-                theta0=theta0,
-                mu=mu,
-                phi0=phi0,
-                horizon=horizon if horizon is not None else cfg.horizon,
-            )
+    reports = []
+    for draw in range(draws):
+        theta = _sample_plant(cfg.box, n, rng) if overrides.get("theta") else cfg.theta_true
+        theta0 = aux_box.sample(rng) if overrides.get("theta0") else cfg.theta0
+        mu = cfg.mu if log_mu is None else float(np.exp(rng.uniform(*log_mu)))
+        phi0 = cfg.phi0 if scale is None else rng.uniform(-float(scale), float(scale), size=2 * (n + 1))
+        c = replace(
+            cfg,
+            theta_true=theta,
+            theta0=theta0,
+            mu=mu,
+            phi0=phi0,
+            horizon=cfg.horizon if horizon is None else horizon,
         )
-
-    lam = cfg.decay_rate()
-    constants = (
-        estimate_constants(aux_box, cfg.target, samples=alpha_samples, seed=seed)
-        if needs_constants(audits)
-        else None
-    )
-
-    def one(idx: int) -> BoundReport:
-        c = configs[idx]
         try:
             traj = run_closed_loop(c)
         except SingularSylvesterError:
             nan = float("nan")
-            return BoundReport(idx, c.mu, nan, lam, nan, nan, 0, True, {})
-        results = run_audits(traj, c, which=audits, constants=constants)
+            reports.append(BoundReport(draw, c.mu, nan, lam, nan, nan, 0, True, {}))
+            continue
+        results = run_audits(traj, c, constants)
         detail = {name: res["violations"] for name, res in results.items()}
         fit = gain_bound_fit(traj, c)
-        return BoundReport(
-            idx, c.mu, fit["gamma"], lam, fit["residual_floor"], fit["tail_tracking"],
+        reports.append(BoundReport(
+            draw, c.mu, fit["gamma"], lam, fit["residual_floor"], fit["tail_tracking"],
             sum(detail.values()), False, detail,
-        )
-
-    return [one(i) for i in range(draws)]
+        ))
+    return reports

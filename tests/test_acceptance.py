@@ -64,14 +64,13 @@ def sweep_reports(example_run):
     """100 randomized draws: plant over the box, start estimate, mu, phi0."""
     cfg, extras, _, _ = example_run
     sweep = extras["sweep"]
+    audits = ("estimator", "recursion", "poles", "crude_bound")
     return monte_carlo_sweep(
-        cfg,
+        dataclasses.replace(cfg, alpha_samples=100_000, audits=audits),
         draws=int(sweep["draws"]),
         seed=cfg.seed,
         overrides=sweep["overrides"],
         horizon=int(sweep["horizon"]),
-        alpha_samples=100_000,
-        audits=("estimator", "recursion", "poles", "crude_bound"),
     )
 
 
@@ -132,7 +131,7 @@ def test_criterion_1_benchmark_scenario_completes(example_run, criterion_report)
 
 def test_criterion_2_estimator_inequality_never_violated(example_run, sweep_reports, criterion_report):
     cfg, _, traj, _ = example_run
-    base = run_audits(traj, cfg, which=("estimator",))["estimator"]
+    base = run_audits(traj, dataclasses.replace(cfg, audits=("estimator",)))["estimator"]
     sweep_violations = sum(rep.details.get("estimator", 0) for rep in sweep_reports)
     aborted = sum(1 for rep in sweep_reports if rep.aborted)
     ok = base["violations"] == 0 and sweep_violations == 0 and aborted == 0
@@ -147,7 +146,7 @@ def test_criterion_2_estimator_inequality_never_violated(example_run, sweep_repo
 
 def test_criterion_3_state_recursion_identity(example_run, sweep_reports, criterion_report):
     cfg, _, traj, _ = example_run
-    base = run_audits(traj, cfg, which=("recursion",))["recursion"]
+    base = run_audits(traj, dataclasses.replace(cfg, audits=("recursion",)))["recursion"]
     scale = 1.0 + float(np.linalg.norm(traj.psi, axis=1).max())
     sweep_violations = sum(rep.details.get("recursion", 0) for rep in sweep_reports)
     ok = base["violations"] == 0 and base["max_residual"] <= 1e-9 * scale and sweep_violations == 0

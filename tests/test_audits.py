@@ -47,7 +47,8 @@ def _violations(record, out_dir) -> int:
 @pytest.mark.parametrize("name", AUDIT_NAMES)
 def test_audit_record_contract(golden, name, tmp_path):
     traj, cfg, constants, records = golden
-    record = run_audits(traj, cfg, which=(name,), constants=constants)[name]
+    cfg = dataclasses.replace(cfg, audits=(name,))
+    record = run_audits(traj, cfg, constants)[name]
     assert _violations(record, tmp_path) == 0
     assert record == records[name]
     # a NaN in one entry of row 1950, inside the tracking tail, of each column read
@@ -55,5 +56,5 @@ def test_audit_record_contract(golden, name, tmp_path):
         bent = getattr(traj, column).copy()
         bent.reshape(traj.steps, -1)[1950, -1] = np.nan
         broken = dataclasses.replace(traj, **{column: bent})
-        record = run_audits(broken, cfg, which=(name,), constants=constants)[name]
+        record = run_audits(broken, cfg, constants)[name]
         assert _violations(record, tmp_path) >= 1, column

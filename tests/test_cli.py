@@ -1,5 +1,7 @@
 """Command-line interface: exit codes, artifacts, manifests, determinism."""
 
+import dataclasses
+import hashlib
 import json
 import os
 import re
@@ -7,7 +9,7 @@ import re
 import numpy as np
 import pytest
 
-from adaptive_pp import BoxSet, ConstantsEstimate, Trajectory, image_box, run_audits
+from adaptive_pp import BoxSet, ConstantsEstimate, SimConfig, Trajectory, image_box, run_audits
 from adaptive_pp.cli import ConfigError, load_config, main
 from conftest import BENCHMARK_CONFIG, ROOT
 
@@ -47,7 +49,7 @@ def read_manifest(out_dir) -> dict:
 def test_load_config_accepts_the_shipped_example(config_file):
     cfg, extras, digest = load_config(config_file())
     assert cfg.n == 2 and cfg.horizon == 1000
-    assert extras["audits"] == ["estimator", "recursion", "poles", "crude_bound", "tracking"]
+    assert cfg.audits == ("estimator", "recursion", "poles", "crude_bound", "tracking")
     assert extras["sweep"]["draws"] == 100
     assert len(digest) == 64 and set(digest) <= set("0123456789abcdef")
 
@@ -61,8 +63,16 @@ def test_config_hash_tracks_content(config_file):
 
 
 def test_audits_default_when_omitted(config_file):
-    _, extras, _ = load_config(config_file(drop=("audits",)))
-    assert extras["audits"] == ["estimator", "recursion", "poles"]
+    cfg, _, _ = load_config(config_file(drop=("audits",)))
+    assert cfg.audits == ("estimator", "recursion", "poles")
+
+
+def test_omitted_optional_keys_take_the_simconfig_defaults(config_file):
+    omitted = ("t0", "seed", "estimator", "audits", "alpha_samples", "tracking_tail")
+    cfg, _, _ = load_config(config_file(drop=omitted))
+    for field in dataclasses.fields(SimConfig):
+        if field.default is not dataclasses.MISSING:
+            assert getattr(cfg, field.name) == field.default, field.name
 
 
 @pytest.mark.parametrize(
@@ -133,6 +143,10 @@ def test_audits_default_when_omitted(config_file):
         dict(audits=["poles", "poles", "estimator"]),
         # a negative phi0 scale, which no uniform draw on [-c, c] can take
         dict(sweep={"draws": 10, "overrides": {"phi0": -5.0}}),
+        # times and a sign-flip period beyond int64, which the t column and
+        # the step index cannot hold
+        dict(t0=10**20),
+        dict(disturbance={"kind": "sign_flip", "magnitude": 0.5, "period": 10**19}),
     ],
 )
 def test_load_config_rejects_bad_content(config_file, mutation):
@@ -143,7 +157,7 @@ def test_load_config_rejects_bad_content(config_file, mutation):
 
 
 def test_load_config_names_a_repeated_audit(config_file):
-    with pytest.raises(ConfigError, match="^audits must name each audit once"):
+    with pytest.raises(ConfigError, match="^bad config: audits must name each audit once"):
         load_config(config_file(audits=["poles", "poles", "estimator"]))
 
 
@@ -343,13 +357,36 @@ def test_a_negative_seed_is_a_config_error(config_file, tmp_path):
     assert main(["run", config_file(**fast), "--out", str(good), "--quiet"]) == 0
     csv = str(good / "trajectory.csv")
     for bad in (config_file(seed=-1, **fast), config_file(sweep={"draws": 2, "seed": -1}, **fast)):
-        with pytest.raises(ConfigError, match="non-negative"):
+        with pytest.raises(ConfigError, match=r"^bad (config: |sweep: sweep\.)seed must be an integer >= 0, got -1$"):
             load_config(bad)
         out = tmp_path / "out"
         assert main(["run", bad, "--out", str(out), "--quiet"]) == 2
         assert main(["audit", csv, bad, "--out", str(out), "--quiet"]) == 2
         assert main(["sweep", bad, "--out", str(out), "--quiet"]) == 2
         assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "mutation",
+    [
+        dict(t0=2**63 - 100),
+        dict(t0=10**20),
+        dict(disturbance={"kind": "sign_flip", "magnitude": 0.5, "period": 10**19}),
+    ],
+    ids=["t0-wraps", "t0-beyond-int64", "period-beyond-int64"],
+)
+def test_run_refuses_times_beyond_int64(config_file, tmp_path, capsys, mutation):
+    # the t column and a sign flip's step index are int64s: a config they
+    # cannot hold exits 2 naming the key, before the output directory is made
+    out = tmp_path / "never"
+    path = config_file(horizon=300, audits=["recursion"], **mutation)
+    assert main(["run", path, "--out", str(out), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    if "t0" in mutation:
+        assert err.startswith("error: bad config: t0, horizon and t0 + horizon - 1 must be int64 integers"), err
+    else:
+        assert err.startswith("error: bad disturbance: sign_flip needs an integer period in [1, 2**63 - 1]"), err
+    assert not out.exists()
 
 
 def test_run_single_step_horizon(config_file, tmp_path):
@@ -415,7 +452,7 @@ def test_audit_counts_non_finite_values_as_violations(tmp_path):
         tampered = tmp_path / f"nan_{row}.csv"
         tampered.write_text("\n".join(lines) + "\n")
         traj = Trajectory.from_csv(tampered.read_text(), cfg)
-        results = run_audits(traj, cfg, which=audits, constants=constants)
+        results = run_audits(traj, dataclasses.replace(cfg, audits=audits), constants)
         for name, res in results.items():
             assert res["violations"] >= 1 and not res["pass"], name
         return str(tampered)
@@ -521,6 +558,19 @@ def test_sweep_refuses_a_bad_setting_before_writing(config_file, tmp_path, capsy
     assert not out.exists()
 
 
+@pytest.mark.parametrize("sweep", [{"draws": 0}, {"draws": 2, "horizon": 0}], ids=["draws", "horizon"])
+def test_run_and_audit_refuse_a_bad_sweep_block(config_file, tmp_path, capsys, sweep):
+    # every command loads the sweep block, so each refuses it as sweep does
+    out = tmp_path / "never"
+    path = config_file(horizon=100, audits=["recursion"], sweep=sweep)
+    key = next(k for k, v in sweep.items() if v < 1)
+    for argv in (["run", path], ["audit", os.path.join(GOLDEN, "trajectory.csv"), path]):
+        assert main(argv + ["--out", str(out), "--quiet"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: bad sweep: sweep.{key} must be an integer >= 1, got 0"), err
+    assert not out.exists()
+
+
 def test_sweep_requires_a_draw_count(config_file, tmp_path):
     path = config_file(drop=("sweep",), horizon=100)
     assert main(["sweep", path, "--out", str(tmp_path / "s"), "--quiet"]) == 2
@@ -582,6 +632,16 @@ def test_benchmark_run_reproduces_the_golden_artifacts(tmp_path):
     manifest, golden = read_manifest(out), read_manifest(GOLDEN)
     for block in ("constants", "audits", "gain_bound"):
         assert manifest[block] == golden[block], block
+
+
+def test_benchmark_sweep_reproduces_the_reference_digest(tmp_path):
+    # the seed-0 sweep.csv digest that the benchmark checks its sweep against
+    with open(os.path.join(ROOT, "perfbench", "reference.json"), "r", encoding="utf-8") as fh:
+        want = json.load(fh)["sweep"]
+    assert want["seed"] == 0
+    out = tmp_path / "sweep"
+    assert main(["sweep", BENCHMARK_CONFIG, "--seed", "0", "--out", str(out), "--quiet"]) == 0
+    assert hashlib.sha256((out / "sweep.csv").read_bytes()).hexdigest() == want["sha256"]
 
 
 def test_repeated_runs_are_byte_identical(config_file, tmp_path):

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from adaptive_pp import (
     BoxSet,
     PlantParameters,
+    SignalSpec,
     aux_transform,
     image_box,
     run_closed_loop,
@@ -29,6 +30,24 @@ def test_box_basic_geometry():
     assert not box.contains([3.0, 0.0])
     assert box.contains([2.0 + 1e-12, 0.0], tol=1e-9)
     np.testing.assert_array_equal(box.clip([5.0, -5.0]), [2.0, -1.0])
+
+
+@pytest.mark.parametrize(
+    "build, field",
+    [
+        (lambda v: BoxSet(v, np.ones(2)), "lo"),
+        (lambda v: PlantParameters(v, np.ones(2)), "a"),
+        (lambda v: SignalSpec("custom", values=v), "values"),
+    ],
+    ids=["BoxSet", "PlantParameters", "SignalSpec"],
+)
+def test_constructors_copy_the_callers_array(build, field):
+    caller = np.zeros(2)
+    obj = build(caller)
+    assert caller.flags.writeable
+    caller[0] = 1.0
+    kept = getattr(obj, field)
+    assert kept[0] == 0.0 and not kept.flags.writeable
 
 
 def test_box_vertices_and_samples():

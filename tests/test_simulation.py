@@ -119,7 +119,8 @@ def test_signal_validation():
         SignalSpec("sign_flip", magnitude=1.0, period=0)
     with pytest.raises(ValueError):
         SignalSpec("sign_flip", magnitude=1.0, period=2.5)
-    for period in (np.inf, np.nan):  # neither converts to an integer
+    # none is an integer an int64 step index can be divided by
+    for period in (np.inf, np.nan, 2**63):
         with pytest.raises(ValueError, match="period"):
             SignalSpec("sign_flip", magnitude=1.0, period=period)
     with pytest.raises(ValueError):
@@ -158,11 +159,25 @@ def test_config_validates_the_benchmark(example_config):
         ({"phi0": np.array([0.0, np.nan, 0.0, 0.0, 0.0, 0.0])}, "phi0"),
         ({"horizon": np.inf}, "horizon"),
         ({"horizon": np.nan}, "horizon"),
+        # the times t0 .. t0 + horizon - 1 are the int64 t column
+        ({"t0": 2**63 - 999}, r"^t0, horizon and t0 \+ horizon - 1 must be int64 integers, got t0 = 9\d+, horizon = 1000$"),
+        ({"t0": -(2**63) - 1}, r"^t0, horizon and t0 \+ horizon - 1 must be int64 integers, got t0 = -\d+, horizon = 1000$"),
+        ({"horizon": 2**63}, r"^t0, horizon and t0 \+ horizon - 1 must be int64 integers, got t0 = 0, horizon = 9\d+$"),
+        ({"audits": ("spectral",)}, "^audits must be drawn from"),
+        ({"audits": ("poles", "estimator", "poles")}, "^audits must name each audit once"),
+        ({"alpha_samples": -5}, "^alpha_samples must be an integer >= 0, got -5$"),
+        ({"seed": -1}, "^seed must be an integer >= 0, got -1$"),
     ],
 )
 def test_config_rejections(example_config, overrides, match):
     with pytest.raises(ValueError, match=match):
         example_config(**overrides)
+
+
+def test_the_time_axis_reaches_the_last_int64(example_config):
+    traj = run_closed_loop(example_config(t0=2**63 - 50, horizon=50))
+    assert traj.t.dtype == np.int64 and traj.t[-1] == 2**63 - 1
+    assert np.array_equal(np.diff(traj.t), np.ones(49, dtype=np.int64))
 
 
 def test_config_rejects_mismatched_orders(example_config):
@@ -1226,11 +1241,8 @@ def test_gain_bound_reads_the_tracking_tail(example_config):
 
 def test_run_audits_returns_all_requested_sections(bench_run, bench_constants):
     cfg, traj = bench_run
-    results = run_audits(
-        traj, cfg,
-        which=("estimator", "recursion", "poles", "crude_bound"),
-        constants=bench_constants,
-    )
+    audits = ("estimator", "recursion", "poles", "crude_bound")
+    results = run_audits(traj, dataclasses.replace(cfg, audits=audits), bench_constants)
     assert set(results) == {"estimator", "recursion", "poles", "crude_bound"}
     for res in results.values():
         assert res["pass"] and res["violations"] == 0
@@ -1242,19 +1254,13 @@ def test_audits_cannot_be_handed_an_invalid_config():
     cfg = dataclasses.replace(cfg, horizon=50)
     traj = run_closed_loop(cfg)
     with pytest.raises(ValueError, match="mu must be positive"):
-        run_audits(traj, dataclasses.replace(cfg, mu=0.0), which=("estimator",))
-
-
-def test_run_audits_rejects_unknown_names(bench_run):
-    cfg, traj = bench_run
-    with pytest.raises(ValueError, match="unknown audit"):
-        run_audits(traj, cfg, which=("spectral",))
+        run_audits(traj, dataclasses.replace(cfg, mu=0.0))
 
 
 def test_run_audits_needs_constants_for_the_crude_bound(bench_run):
     cfg, traj = bench_run
     with pytest.raises(ValueError, match="constants"):
-        run_audits(traj, cfg, which=("crude_bound",))
+        run_audits(traj, dataclasses.replace(cfg, audits=("crude_bound",)))
 
 
 def test_run_audits_tracking_section(example_config):
@@ -1263,9 +1269,10 @@ def test_run_audits_tracking_section(example_config):
         disturbance=SignalSpec("constant", magnitude=0.5),
         horizon=300,
         tracking_tail=50,
+        audits=("tracking",),
     )
     traj = run_closed_loop(cfg)
-    results = run_audits(traj, cfg, which=("tracking",))
+    results = run_audits(traj, cfg)
     assert results["tracking"]["pass"]
     assert results["tracking"]["tail_max_error"] <= 1e-8
 
@@ -1275,8 +1282,10 @@ def test_run_audits_tracking_section(example_config):
 
 
 def test_sweep_single_draw_equals_a_plain_run(example_config):
-    cfg = example_config(horizon=200)
-    reports = monte_carlo_sweep(cfg, draws=1, alpha_samples=2_000)
+    cfg = example_config(
+        horizon=200, audits=("estimator", "recursion", "poles", "crude_bound"), alpha_samples=2_000
+    )
+    reports = monte_carlo_sweep(cfg, draws=1)
     assert len(reports) == 1
     rep = reports[0]
     direct = gain_bound_fit(run_closed_loop(cfg), cfg)
@@ -1286,10 +1295,9 @@ def test_sweep_single_draw_equals_a_plain_run(example_config):
 
 
 def test_sweep_randomization_is_reproducible(example_config):
-    cfg = example_config(horizon=120)
+    cfg = example_config(horizon=120, audits=("estimator", "recursion", "poles"), alpha_samples=1_000)
     overrides = {"theta": True, "theta0": True, "mu": (1e-6, 1.0), "phi0": 5.0}
-    kw = dict(draws=6, seed=11, overrides=overrides, alpha_samples=1_000,
-              audits=("estimator", "recursion", "poles"))
+    kw = dict(draws=6, seed=11, overrides=overrides)
     first = monte_carlo_sweep(cfg, **kw)
     second = monte_carlo_sweep(cfg, **kw)
     assert [r.gamma for r in first] == [r.gamma for r in second]
@@ -1306,29 +1314,25 @@ def test_sweep_validates_inputs(example_config):
         monte_carlo_sweep(cfg, draws=1, overrides={"sigma": 1.0})
     with pytest.raises(ValueError, match="horizon"):
         monte_carlo_sweep(cfg, draws=1, horizon=0)
-    with pytest.raises(ValueError, match="samples"):
-        monte_carlo_sweep(cfg, draws=1, alpha_samples=-5)
+    with pytest.raises(ValueError, match="^seed must be an integer >= 0, got -1$"):
+        monte_carlo_sweep(cfg, draws=1, seed=-1)
     for mu_range in ((0.0, 1.0), (1.0, 0.5), (1e-3, np.inf)):
-        with pytest.raises(ValueError, match="mu override"):
+        with pytest.raises(ValueError, match=r"^overrides\.mu must be \[lo, hi\] with finite 0 < lo <= hi"):
             monte_carlo_sweep(cfg, draws=1, overrides={"mu": mu_range})
     for scale in (-5.0, np.nan, np.inf):
-        with pytest.raises(ValueError, match="phi0 override"):
+        with pytest.raises(ValueError, match=r"^overrides\.phi0 must be a finite scale >= 0"):
             monte_carlo_sweep(cfg, draws=1, overrides={"phi0": scale})
 
 
 def test_sweep_collects_aborted_draws_instead_of_dying():
-    cfg = _first_order_cfg(0.0, nudge=False)
-    reports = monte_carlo_sweep(
-        cfg, draws=2, alpha_samples=500, audits=("recursion", "poles")
-    )
+    cfg = dataclasses.replace(_first_order_cfg(0.0, nudge=False), audits=("recursion", "poles"))
+    reports = monte_carlo_sweep(cfg, draws=2)
     assert len(reports) == 2
     assert all(r.aborted for r in reports)
     assert all(np.isnan(r.gamma) for r in reports)
 
 
 def test_sweep_horizon_override(example_config):
-    cfg = example_config(horizon=400)
-    reports = monte_carlo_sweep(
-        cfg, draws=1, horizon=80, alpha_samples=500, audits=("recursion",)
-    )
+    cfg = example_config(horizon=400, audits=("recursion",))
+    reports = monte_carlo_sweep(cfg, draws=1, horizon=80)
     assert len(reports) == 1 and not reports[0].aborted
