@@ -192,10 +192,6 @@ def load_config(path: str) -> tuple[SimConfig, dict, str]:
             _floats(overrides["mu"], "sweep.overrides.mu")
         if "phi0" in overrides:
             _float(overrides["phi0"], "sweep.overrides.phi0")
-        try:
-            _check_sweep("sweep.", **sweep)
-        except ValueError as err:
-            raise ConfigError(f"bad sweep: {err}") from err
 
     optional = {field: _exact(raw[key], kind, key) for key, field, kind in _FIELD_KEYS if key in raw}
     if raw.get("lambda") is not None:
@@ -221,6 +217,11 @@ def load_config(path: str) -> tuple[SimConfig, dict, str]:
         )
     except (TypeError, ValueError) as err:
         raise ConfigError(f"bad config: {err}") from err
+    if sweep is not None:
+        try:
+            _check_sweep("sweep.", t0=cfg.t0, **sweep)
+        except ValueError as err:
+            raise ConfigError(f"bad sweep: {err}") from err
 
     extras = {
         "sweep": sweep,
@@ -404,7 +405,7 @@ def cmd_sweep(args) -> int:
     sweep_cfg = extras["sweep"] or {}
     # checked before out_dir is made, so a refused flag writes nothing
     try:
-        _check_sweep("--", draws=args.draws, seed=args.seed, horizon=args.horizon)
+        _check_sweep("--", draws=args.draws, seed=args.seed, horizon=args.horizon, t0=cfg.t0)
     except ValueError as err:
         raise ConfigError(f"bad sweep: {err}") from err
     draws, seed, horizon = (

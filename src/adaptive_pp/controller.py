@@ -26,6 +26,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .polynomial import (
+    _column_runs,
     _row_sum_threshold,
     sylvester_coeffs,
     sylvester_gather,
@@ -169,8 +170,8 @@ def _design_workspace(n: int, rows: int) -> np.ndarray:
 
     Per row it holds [M | b], (2n+1)(2n+2) floats, then scratch for the
     largest temporary the elimination needs: the stacked coefficients
-    [c; b] (4n+4 floats, more than the threshold's row sums with one column
-    of |M|, or a pivot swap, take) or a Schur-complement update (2n(n+2)).
+    [c; b] (4n+4 floats, which then hold |c| and the threshold's row sums,
+    more than a pivot swap takes) or a Schur-complement update (2n(n+2)).
     """
     d = 2 * n + 1
     return np.empty(rows * (d * (d + 1) + max(4 * n + 4, 2 * n * (n + 2))))
@@ -216,17 +217,18 @@ def solve_diophantine_batch(
     design_rhs(thetas, lifted, n, out=coef[2 * n + 3 :].T)
     # "clip" writes straight into `a` ("raise" would buffer it); every index is in range
     np.take(coef, _augmented_gather(n), axis=0, out=a, mode="clip")
-    # the row sums of |M|, a column at a time from the left, in the spare that [c; b]
-    # no longer needs: the order in which `singularity_threshold` reduces this
-    # entry-major stack, so the thresholds have its bits, and no |M| stack is built
-    sums, col = spare[: 2 * d * count].reshape(2, d, count)
-    np.abs(a[:, 0], out=sums)
-    for j in range(1, d):
-        sums += np.abs(a[:, j], out=col)
+    # the row sums of |M| from |c|, in the [c; b] rows the gather has read: column j
+    # adds its run of |c| to its run of rows, from the left, the order in which
+    # `singularity_threshold` reduces this entry-major stack, so the thresholds have
+    # its bits; the zeros between the runs would add +0.0, which changes no sum
+    absc, sums = np.abs(coef[: 2 * n + 3], out=coef[: 2 * n + 3]), coef[2 * n + 3 :]
+    sums.fill(0.0)
+    for first, rows, start in _column_runs(n):
+        sums[first : first + rows] += absc[start : start + rows]
     thr = _row_sum_threshold(sums.T)
     hit = np.empty(count, dtype=bool)
     with np.errstate(all="ignore"):
-        for k in range(d):
+        for k in range(d - 1):  # the last row has nothing below it to eliminate
             if k >= n:  # partial pivoting on the Schur complement, row k swapped with each larger row below
                 pivot, width = a[k, k:], (d + 1 - k) * count
                 held = spare[:width].reshape(d + 1 - k, count)
@@ -243,14 +245,17 @@ def solve_diophantine_batch(
             lower = a[k + 1 :, j:]
             update = np.multiply(a[k + 1 :, k, None], a[k, None, j:], out=spare[: lower.size].reshape(lower.shape))
             np.subtract(lower, update, out=lower)
-        x = a[:, d]  # back substitution in place
+        # back substitution in place; the last row has no sum to subtract, and
+        # the first n pivots are 1, so neither step would change a bit
+        x = a[:, d]
         dot = np.empty(count)
-        for k in range(d - 1, -1, -1):
+        np.divide(x[d - 1], a[d - 1, d - 1], out=x[d - 1])
+        for k in range(d - 2, -1, -1):
             np.subtract(x[k], np.einsum("jc,jc->c", a[k, k + 1 : d], x[k + 1 :], out=dot), out=x[k])
-            np.divide(x[k], a[k, k], out=x[k])
-        prod = a[n, n].copy()  # the first n pivots are 1
-        for k in range(n + 1, d):
-            prod *= a[k, k]
+            if k >= n:
+                np.divide(x[k], a[k, k], out=x[k])
+        # the product of the last n+1 pivots, left to right (the first n are 1)
+        prod = np.multiply.reduce(a[range(n, d), range(n, d)])
         ok = np.abs(prod, out=prod) > thr
     gains = x[_gain_order(n)]
     if not ok.all():
@@ -271,11 +276,15 @@ def solve_gains(theta_hat, target: TargetPolynomial) -> np.ndarray:
     theta = np.asarray(theta_hat, dtype=float)
     if theta.shape != (target.dim,):
         raise ValueError(f"expected a single estimate vector of length {target.dim}")
-    m = sylvester_coeffs(theta, n)[sylvester_gather(n)]
+    coef = np.empty(4 * n + 4)  # [c; b] in one buffer
+    c, rhs = coef[: 2 * n + 3], coef[2 * n + 3 :]
+    sylvester_coeffs(theta, n, out=c)
+    design_rhs(theta, target.lifted_coeffs(), n, out=rhs)
+    m = c[sylvester_gather(n)]
     margin, threshold, regular = sylvester_margin(m)
     if not regular:
         raise SingularSylvesterError(float(margin), float(threshold), sylvester_rcond(m), theta)
-    x = np.linalg.solve(m, design_rhs(theta, target.lifted_coeffs(), n))  # [l_1..l_n, p_1..p_{n+1}]
+    x = np.linalg.solve(m, rhs)  # [l_1..l_n, p_1..p_{n+1}]
     return -x[_gain_order(n)]
 
 

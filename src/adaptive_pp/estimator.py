@@ -47,11 +47,15 @@ def projection_step(
 
     The step is psi e / (mu + ||psi||^2) followed by clipping into the box;
     mu > 0 is the classical law and mu = 0 the ideal law, which leaves the
-    estimate unchanged when the regressor vanishes.
+    estimate unchanged when the regressor vanishes.  The new estimate is
+    a fresh array, the bits of `project_box(theta + psi * (e / denom), box)`,
+    formed and clipped in place.
     """
     # ndarray.dot calls the same BLAS dot as `@`, with less dispatch
     e = float(ybar_next) - float(psi.dot(theta))
     denom = mu + float(psi.dot(psi))
     if denom == 0.0:
         return theta, e
-    return project_box(theta + psi * (e / denom), box), e
+    new = psi * (e / denom)
+    np.add(theta, new, out=new)  # theta first, as `theta + step` adds
+    return new.clip(box.lo, box.hi, out=new), e

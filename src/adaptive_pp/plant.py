@@ -86,13 +86,19 @@ class BoxSet:
         # the method runs np.clip's ufunc without its dispatch layers
         return np.asarray(x, dtype=float).clip(self.lo, self.hi)
 
-    def sample(self, rng: np.random.Generator, size: int | None = None) -> np.ndarray:
+    def sample(self, rng: np.random.Generator, size: int | None = None, out: np.ndarray | None = None) -> np.ndarray:
         """Uniform draws; shape (dim,) for size None, else (size, dim).
 
         The draws of `rng.uniform(lo, hi, size)` bit for bit, lo + width U
-        from the same doubles U, scaled in place.
+        from the same doubles U, scaled in place: in a new array, or in
+        `out`, an array of that shape in any memory order, which gets the
+        doubles first.  An entry-major `out`, the transpose of a C-contiguous
+        (dim, size) block, is scaled one contiguous entry at a time.
         """
         draws = rng.random(self.dim if size is None else (size, self.dim))
+        if out is not None:
+            np.copyto(out, draws)
+            draws = out
         draws *= self.width
         draws += self.lo
         return draws

@@ -47,6 +47,22 @@ def sylvester_gather(n: int) -> np.ndarray:
     return index
 
 
+@lru_cache(maxsize=None)
+def _column_runs(n: int) -> tuple[tuple[int, int, int], ...]:
+    """Where each column of the system matrix reads c, as (first row, rows, first coefficient).
+
+    Read off `sylvester_gather(n)`: column j holds the contiguous run
+    c[start : start + rows] on rows first .. first + rows - 1, and c[n+2],
+    B's zero constant term, on every other row, the top row of a p column
+    included.
+    """
+    runs = []
+    for col in sylvester_gather(n).T:
+        (rows,) = np.nonzero(col != n + 2)
+        runs.append((int(rows[0]), rows.size, int(col[rows[0]])))
+    return tuple(runs)
+
+
 def sylvester_coeffs(theta: np.ndarray, n: int, out: np.ndarray | None = None) -> np.ndarray:
     """Coefficients c = [1, -abar_1..-abar_{n+1}, 0, b_1..b_n] of an estimate.
 

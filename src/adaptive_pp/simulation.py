@@ -112,6 +112,14 @@ def _check_integer(value, least: int, name: str) -> None:
         raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
 
 
+def _check_time_axis(t0, horizon, name: str) -> None:
+    """Refuse a start and horizon whose times t0 .. t0 + horizon - 1 are not all int64s, naming the horizon `name`."""
+    if not (t0 % 1 == 0 and -(2**63) <= t0 <= 2**63 - horizon and horizon < 2**63):
+        raise ValueError(
+            f"t0, {name} and t0 + {name} - 1 must be int64 integers, got t0 = {t0!r}, {name} = {horizon!r}"
+        )
+
+
 def _check_estimator_mode(mode: str, name: str) -> None:
     """Refuse an update law other than 'classical' or 'ideal', naming the setting `name`."""
     if mode not in ("classical", "ideal"):
@@ -134,11 +142,12 @@ class SimConfig:
     incremental coordinates and must lie in the image box of `box`.  The
     times t0 .. t0 + horizon - 1 must be int64s.
     `tracking_tail` is the number of final steps the tracking audit and the
-    gain-bound fit read.  `audits` names the audits a run is checked by
-    (each of `audits.AUDIT_NAMES` at most once), and `alpha_samples` is the
-    number of draws `constants()` samples when one of them reads the norm
-    constants.  A config is checked when it is built: an inconsistent one
-    raises ValueError.
+    gain-bound fit read; with the tracking audit listed it is at most
+    horizon / 2, since that audit reads twice as many.  `audits` names the
+    audits a run is checked by (each of `audits.AUDIT_NAMES` at most once),
+    and `alpha_samples` is the number of draws `constants()` samples when
+    one of them reads the norm constants.  A config is checked when it is
+    built: an inconsistent one raises ValueError.
     """
 
     n: int
@@ -181,12 +190,7 @@ class SimConfig:
         if not 0.0 < self.mu < np.inf:
             raise ValueError("mu must be positive and finite")
         _check_integer(self.horizon, 1, "horizon")
-        # the t column holds the times t0 .. t0 + horizon - 1 as int64s
-        if not (self.t0 % 1 == 0 and -(2**63) <= self.t0 <= 2**63 - self.horizon and self.horizon < 2**63):
-            raise ValueError(
-                f"t0, horizon and t0 + horizon - 1 must be int64 integers, "
-                f"got t0 = {self.t0!r}, horizon = {self.horizon!r}"
-            )
+        _check_time_axis(self.t0, self.horizon, "horizon")  # the t column holds them as int64s
         _check_integer(self.tracking_tail, 1, "tracking_tail")
         _check_integer(self.seed, 0, "seed")  # numpy's generators refuse a negative seed
         _check_integer(self.alpha_samples, 0, "alpha_samples")
@@ -197,6 +201,12 @@ class SimConfig:
                 raise ValueError(f"audits must be drawn from {AUDIT_NAMES}, got {name!r}")
         if len(set(audits)) != len(audits):
             raise ValueError(f"audits must name each audit once, got {list(audits)}")
+        if "tracking" in audits and 2 * self.tracking_tail > self.horizon:
+            raise ValueError(
+                f"tracking_tail must be at most horizon / 2 when the tracking audit runs, since it "
+                f"reads the final 2 * tracking_tail steps; got tracking_tail = {self.tracking_tail!r}, "
+                f"horizon = {self.horizon!r}"
+            )
         _check_estimator_mode(self.estimator_mode, "estimator_mode")
         for name, spec in (("reference", self.reference), ("disturbance", self.disturbance)):
             if spec.kind == "custom" and spec.values.size < self.horizon + 1:
@@ -354,7 +364,9 @@ class Trajectory:
         """Parse an exported trajectory and rebuild the in-memory form.
 
         The header, column count, row count, and time axis must match the
-        config exactly, and the first row must start from the config's phi0.
+        config exactly (the times are compared as integers, which keep
+        every int64 apart), and the first row must start from the config's
+        phi0.
         """
         n = cfg.n
         lines = [ln for ln in text.split("\n") if ln != ""]
@@ -369,25 +381,29 @@ class Trajectory:
                 f"expected {cfg.horizon} rows for this config, found {len(rows)}"
             )
         width = len(header)
-        data = np.empty((len(rows), width))
+        times = []
+        data = np.empty((len(rows), width - 1))
         for i, ln in enumerate(rows):
             parts = ln.split(",")
             if len(parts) != width:
                 raise TrajectoryFormatError(f"row {i} has {len(parts)} fields, expected {width}")
             try:
-                data[i] = [float(p) for p in parts]
+                times.append(int(parts[0]))
+            except ValueError:
+                raise TrajectoryFormatError(f"row {i} has a time that is not an integer: {parts[0]!r}") from None
+            try:
+                data[i] = [float(p) for p in parts[1:]]
             except ValueError as err:
                 raise TrajectoryFormatError(f"row {i} is not numeric: {err}") from err
-        widths = [1 if prefix is None else 2 * n + 1 for _, prefix in TRAJECTORY_COLUMNS]
+        if times != list(range(cfg.t0, cfg.t0 + len(rows))):
+            raise TrajectoryFormatError("time column does not match the config start and horizon")
+        widths = [1 if prefix is None else 2 * n + 1 for _, prefix in TRAJECTORY_COLUMNS[1:]]
         blocks = np.split(data, np.cumsum(widths)[:-1], axis=1)
         cols = {
             field: block[:, 0] if prefix is None else block
-            for (field, prefix), block in zip(TRAJECTORY_COLUMNS, blocks)
+            for (field, prefix), block in zip(TRAJECTORY_COLUMNS[1:], blocks)
         }
-        expected_t = cfg.t0 + np.arange(len(rows))
-        if not np.array_equal(cols["t"], expected_t.astype(float)):
-            raise TrajectoryFormatError("time column does not match the config start and horizon")
-        cols["t"] = expected_t
+        cols["t"] = cfg.t0 + np.arange(len(rows))
 
         if cols["y"][0] != cfg.phi0[0] or cols["u"][0] != cfg.phi0[n + 1]:
             raise TrajectoryFormatError("first row is inconsistent with the config's phi0")
@@ -421,11 +437,12 @@ def run_closed_loop(cfg: SimConfig) -> Trajectory:
     center and the solve retried once.  The design is re-solved only when
     the estimate changes.
 
-    The loop logs what each step computes: y, u, e, and psi(t+1) as the
-    next row of the regressor log it works in.  Each fresh solve logs one
-    (thetahat, K) row and its first step; the other columns, the design
-    residual of every solve included, are derived after the loop, with the
-    bits a per-step copy would have.
+    The loop logs what each step computes: y(t+1) and u(t+1) into two
+    logs kept in reversed time, whose newest-first windows are the plant's
+    histories, e, and psi(t+1) as the next row of the regressor log it
+    works in.  Each fresh solve logs one (thetahat, K) row and its first
+    step; the other columns, the design residual of every solve included,
+    are derived after the loop, with the bits a per-step copy would have.
     """
     n = cfg.n
     aux_box = cfg.aux_box()
@@ -436,16 +453,19 @@ def run_closed_loop(cfg: SimConfig) -> Trajectory:
 
     a, b = cfg.theta_true.a, cfg.theta_true.b
     b0, b_tail = float(b[0]), b[1:]
-    # psi(t0) from phi0 under the first set-point; y and u keep the raw
-    # histories y(t)..y(t-n+1) and u(t)..u(t-n+1), newest first
+    # psi(t0) from phi0 under the first set-point
     y, u = cfg.phi0[: n + 1], cfg.phi0[n + 1 :]
     psi = np.empty((steps + 1, 2 * n + 1))
     psi[0] = np.concatenate((y - r[0], u[:-1] - u[1:]))
-    y, u = y[:n].copy(), u[:n].copy()
-    u_tail = u[1:]  # a view: the shifts below keep it current
+    psi_rows = list(psi)  # one view per row, made once
+    # y(t0 + i) is y_rev[steps - i], so at step i the history y(t)..y(t-n+1),
+    # newest first, is the view y_rev[steps - i :][:n]; u alike
+    y_rev, u_rev = np.empty(steps + n), np.empty(steps + n)
+    y_rev[steps:], u_rev[steps:] = y[:n], u[:n]
+    u_now = float(u[0])
     theta = cfg.theta0
 
-    y_log, u_log, e = np.empty(steps), np.empty(steps), np.empty(steps)
+    e = np.empty(steps)
     solves, starts = [], []
     key = None
     for i in range(steps):
@@ -454,25 +474,23 @@ def run_closed_loop(cfg: SimConfig) -> Trajectory:
             key = theta.tobytes()
             solves.append((theta, K))
             starts.append(i)
-        y_log[i] = y[0]
-        u_log[i] = u0 = float(u[0])
+        at = steps - i
 
         # the plant difference equation; the grouping fixes the output bits
         # (ndarray.dot is the BLAS dot of `@`, with less dispatch)
-        u_term = b0 * u0
+        u_term = b0 * u_now
         if n > 1:
-            u_term += float(b_tail.dot(u_tail))
-        y_next = float(a.dot(y)) + u_term + w[i]
+            u_term += float(b_tail.dot(u_rev[at + 1 : at + n]))
+        y_next = float(a.dot(y_rev[at : at + n])) + u_term + w[i]
         ybar_next = y_next - r[i + 1]
-        now, nxt = psi[i], psi[i + 1]
+        now, nxt = psi_rows[i], psi_rows[i + 1]
         theta, e[i] = projection_step(theta, now, ybar_next, mu, aux_box)
         ubar_next = float(K.dot(now))
 
-        # shift the histories and the regressor: newest values in front
-        y[1:] = y[:-1]
-        y[0] = y_next
-        u[1:] = u[:-1]
-        u[0] = u0 + ubar_next
+        # the newest values in front of the histories, and the regressor shifted
+        y_rev[at - 1] = y_next
+        u_now += ubar_next
+        u_rev[at - 1] = u_now
         nxt[1:] = now[:-1]
         nxt[0] = ybar_next
         nxt[n + 1] = ubar_next
@@ -483,7 +501,7 @@ def run_closed_loop(cfg: SimConfig) -> Trajectory:
     # the stacked row product has the bits of each step's psi @ theta_star
     seen = (psi[:-1, None, :] @ cfg.theta_star()[:, None])[:, 0, 0]
     return Trajectory(
-        n=n, t=cfg.t0 + np.arange(steps), y=y_log, u=u_log, w=w_col,
+        n=n, t=cfg.t0 + np.arange(steps), y=y_rev[steps:0:-1].copy(), u=u_rev[steps:0:-1].copy(), w=w_col,
         r=r_col[:-1], ybar=psi[:-1, 0].copy(), ubar=psi[:-1, n + 1].copy(),
         wbar=psi[1:, 0] - seen, e=e, psi=psi[:-1], theta_hat=thetas[solve_of],
         gains=gains[solve_of], dioph_residual=residuals[solve_of],
@@ -518,12 +536,19 @@ def _box_chunks(box: BoxSet, rng: np.random.Generator, samples: int, rows: int):
 
     The chunked draws are the one-shot `box.sample(rng, samples)` stream,
     value for value, and the vertices are drawn from `box.vertices()`.
+    Every chunk is a (count, dim) view of one entry-major buffer, the
+    transpose of a C-contiguous (dim, rows) block, which the next chunk
+    overwrites; the draws are scaled there, after the copy.
     """
+    entries = np.empty((box.dim, rows))
     for start in range(0, samples, rows):
-        yield box.sample(rng, min(rows, samples - start))
+        count = min(rows, samples - start)
+        yield box.sample(rng, count, out=entries[:, :count].T)
     corners = box.vertices()
     while chunk := list(itertools.islice(corners, rows)):
-        yield np.array(chunk)
+        block = entries[:, : len(chunk)].T
+        block[...] = chunk
+        yield block
 
 
 def _sigma_bound(thetas: np.ndarray, gains: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -568,7 +593,7 @@ def estimate_constants(
     their design systems in _CHUNK_BYTES, and `solve_diophantine_batch`
     solves every chunk in one workspace allocated per call, so memory stays
     bounded whatever the sample count, the vertex count or the order n.
-    Each chunk is copied once into an entry-major buffer allocated beside
+    `_box_chunks` lays every chunk out entry-major in one buffer beside
     the workspace, so the solve and `_sigma_bound` read every entry's
     draws, and every gain entry, as one contiguous array.
     `_sigma_bound` brackets sigma_max for every regular row's gain row, and
@@ -590,15 +615,11 @@ def estimate_constants(
     rng = np.random.default_rng(seed)
     lifted = target.lifted_coeffs()
     rows = _chunk_rows(n)
-    entries = np.empty((dim, rows))  # a chunk in entry order, one contiguous array per entry
     work = _design_workspace(n, rows)
     alpha = -np.inf
     used = total = 0
-    for chunk in _box_chunks(aux_box, rng, int(samples), rows):
-        count = chunk.shape[0]
-        total += count
-        np.copyto(entries[:, :count], chunk.T)
-        thetas = entries[:, :count].T
+    for thetas in _box_chunks(aux_box, rng, int(samples), rows):
+        total += thetas.shape[0]
         ok, gains = solve_diophantine_batch(thetas, lifted, n, work)
         if not ok.all():
             thetas = thetas[ok]
@@ -653,11 +674,16 @@ def _sample_plant(box: BoxSet, n: int, rng: np.random.Generator, tries: int = 10
     raise RuntimeError(f"no admissible plant found in {tries} draws from the box")
 
 
-def _check_sweep(prefix: str = "", draws=None, seed=None, horizon=None, overrides=None) -> None:
-    """Refuse a sweep setting out of range, naming it `prefix` + its sweep-block key; None is unset."""
+def _check_sweep(prefix: str = "", draws=None, seed=None, horizon=None, overrides=None, *, t0: int) -> None:
+    """Refuse a sweep setting out of range, naming it `prefix` + its sweep-block key; None is unset.
+
+    A horizon must keep the times of a draw started at `t0` int64s.
+    """
     for key, value, least in (("draws", draws, 1), ("seed", seed, 0), ("horizon", horizon, 1)):
         if value is not None:
             _check_integer(value, least, prefix + key)
+    if horizon is not None:
+        _check_time_axis(t0, horizon, prefix + "horizon")
     overrides = overrides or {}
     unknown = set(overrides) - {"theta", "theta0", "mu", "phi0"}
     if unknown:
@@ -688,7 +714,9 @@ def monte_carlo_sweep(
     whose design equation goes singular is reported as aborted rather than
     killing the sweep.
     """
-    _check_sweep(draws=draws, seed=seed, horizon=horizon, overrides=overrides)
+    _check_sweep(draws=draws, seed=seed, horizon=horizon, overrides=overrides, t0=cfg.t0)
+    if horizon is not None:  # checked with the audit plan before the constants are sampled
+        cfg = replace(cfg, horizon=horizon)
     seed = cfg.seed if seed is None else int(seed)
     overrides = overrides or {}
     mu_range, scale = overrides.get("mu"), overrides.get("phi0")
@@ -708,7 +736,6 @@ def monte_carlo_sweep(
             theta0=theta0,
             mu=mu,
             phi0=phi0,
-            horizon=cfg.horizon if horizon is None else horizon,
         )
         try:
             traj = run_closed_loop(c)

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from adaptive_pp import BoxSet, ConstantsEstimate, SimConfig, Trajectory, image_box, run_audits
+from adaptive_pp import simulation
 from adaptive_pp.cli import ConfigError, load_config, main
 from conftest import BENCHMARK_CONFIG, ROOT
 
@@ -389,6 +390,65 @@ def test_run_refuses_times_beyond_int64(config_file, tmp_path, capsys, mutation)
     assert not out.exists()
 
 
+def _benchmark_raw() -> dict:
+    with open(BENCHMARK_CONFIG, encoding="utf-8") as fh:
+        return json.load(fh)
+
+
+def test_run_refuses_a_tracking_window_before_any_work(monkeypatch, tmp_path, capsys):
+    # the benchmark config at horizon 300 with tracking_tail 10**6: the loader
+    # refuses it, before the constants are sampled or the output directory made
+    def refuse(*args, **kwargs):
+        raise AssertionError("estimate_constants ran")
+
+    monkeypatch.setattr(simulation, "estimate_constants", refuse)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(dict(_benchmark_raw(), horizon=300, tracking_tail=10**6)))
+    out = tmp_path / "never"
+    assert main(["run", str(path), "--out", str(out), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: bad config: tracking_tail must be at most horizon / 2"), err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("where", ["flag", "config"])
+def test_sweep_refuses_a_horizon_beyond_int64_before_writing(tmp_path, capsys, where):
+    raw = _benchmark_raw()
+    args = ["--draws", "1"]
+    if where == "flag":
+        args += ["--horizon", str(2**63)]
+    else:
+        raw["sweep"]["horizon"] = 2**63
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(raw))
+    out = tmp_path / "o"
+    assert main(["sweep", str(path), "--out", str(out), "--quiet"] + args) == 2
+    name = "--horizon" if where == "flag" else "sweep.horizon"
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: bad sweep: t0, {name} and t0 + {name} - 1 must be int64 integers"), err
+    assert not out.exists()
+
+
+def test_audit_compares_times_beyond_2_53_as_integers(tmp_path):
+    # above 2**53 neighbouring times share a float, so a time off by one is
+    # caught only by comparing the integers
+    raw = {key: value for key, value in _benchmark_raw().items() if key != "sweep"}
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(dict(raw, t0=2**63 - 300, horizon=300, audits=["recursion", "poles"])))
+    out = tmp_path / "run"
+    assert main(["run", str(path), "--out", str(out), "--quiet"]) == 0
+    assert main(["audit", str(out / "trajectory.csv"), str(path), "--quiet"]) == 0
+    lines = (out / "trajectory.csv").read_text().split("\n")
+    fields = lines[151].split(",")
+    assert int(fields[0]) == 2**63 - 150 and float(int(fields[0]) - 1) == float(fields[0])
+    fields[0] = str(int(fields[0]) - 1)
+    lines[151] = ",".join(fields)
+    tampered = tmp_path / "tampered.csv"
+    tampered.write_text("\n".join(lines))
+    assert main(["audit", str(tampered), str(path), "--out", str(tmp_path / "audited"), "--quiet"]) == 2
+    assert not (tmp_path / "audited").exists()
+
+
 def test_run_single_step_horizon(config_file, tmp_path):
     out = tmp_path / "one"
     path = config_file(horizon=1, audits=["estimator", "recursion", "poles"], alpha_samples=500)
@@ -397,6 +457,25 @@ def test_run_single_step_horizon(config_file, tmp_path):
     # one record has no pairs to check: its infinite worst slacks are written as null
     estimator = read_manifest(out)["audits"]["estimator"]
     assert estimator["pass"] and estimator["min_slack_energy"] is None
+
+
+def test_order_four_example_runs_audits_and_sweeps_at_a_short_horizon(tmp_path):
+    # the shipped general-n example through every command, at 200 steps and
+    # 2,000 constant samples: every audit passes, and so does every draw
+    with open(os.path.join(ROOT, "examples", "order4.json"), encoding="utf-8") as fh:
+        raw = json.load(fh)
+    path = tmp_path / "order4.json"
+    path.write_text(json.dumps(dict(raw, horizon=200, alpha_samples=2000)))
+    cfg, _, _ = load_config(str(path))
+    assert cfg.n == 4 and "tracking" in cfg.audits
+    out = tmp_path / "run"
+    assert main(["run", str(path), "--out", str(out), "--quiet"]) == 0
+    manifest = read_manifest(out)
+    assert manifest["status"] == "pass" and set(manifest["audits"]) == set(cfg.audits)
+    assert main(["audit", str(out / "trajectory.csv"), str(path), "--out", str(tmp_path / "audit"), "--quiet"]) == 0
+    sweep = tmp_path / "sweep"
+    assert main(["sweep", str(path), "--draws", "2", "--horizon", "100", "--out", str(sweep), "--quiet"]) == 0
+    assert read_manifest(sweep)["total_violations"] == 0
 
 
 # ---------------------------------------------------------------------------

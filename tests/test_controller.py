@@ -1,6 +1,7 @@
 """Pole-placement design, gain application, and the closed-loop recursion."""
 
 import functools
+import itertools
 import os
 import subprocess
 import sys
@@ -387,12 +388,29 @@ def test_design_threshold_builds_no_abs_matrix_stack(n):
     assert peak < stack, f"peak {peak} bytes, |M| stack {stack} bytes"
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7, 8])
 def test_batched_thresholds_have_the_bits_of_singularity_threshold(monkeypatch, n):
-    # the solve sums |M| a column at a time; `singularity_threshold` on the
-    # same entry-major stack reduces in that order, so every threshold,
-    # NaN rows included, has its bits
-    thetas = _certificate_rows(n, 600, seed=70 + n)
+    # the solve sums |c| a column run at a time; `singularity_threshold` on
+    # the assembled entry-major stack reduces in that order, so every
+    # threshold has its bits: on certificate rows, uniform draws, box
+    # vertices whose entries include -0.0 and +0.0, draws with signed zeros
+    # scattered in, and rows with a NaN
+    rng = np.random.default_rng(200 + n)
+    dim = 2 * n + 1
+    lo = rng.uniform(-2.0, 0.0, dim)
+    lo[::3] = -0.0
+    hi = lo + rng.uniform(0.1, 2.0, dim)
+    hi[1::3] = 0.0
+    box = BoxSet(lo, hi)
+    zeros = box.sample(rng, 100)
+    zeros[rng.random(zeros.shape) < 0.3] = 0.0
+    zeros[rng.random(zeros.shape) < 0.3] = -0.0
+    thetas = np.concatenate((
+        _certificate_rows(n, 600, seed=70 + n),
+        box.sample(rng, 300),
+        np.array(list(itertools.islice(box.vertices(), 300))),
+        zeros,
+    ))
     thetas[::97, ::3] = np.nan
     seen = []
     real = controller._row_sum_threshold
@@ -404,7 +422,58 @@ def test_batched_thresholds_have_the_bits_of_singularity_threshold(monkeypatch, 
     monkeypatch.setattr(controller, "_row_sum_threshold", recording)
     solve_diophantine_batch(thetas, _spread_target(n).lifted_coeffs(), n)
     entry_major = np.moveaxis(np.ascontiguousarray(np.moveaxis(sylvester_matrix(thetas, n), 0, -1)), -1, 0)
+    assert len(seen) == 1 and np.isnan(seen[0][::97]).all()
     np.testing.assert_array_equal(seen[0].view(np.uint64), singularity_threshold(entry_major).view(np.uint64))
+
+
+def _solve_gains_reference(theta, target):
+    """The gain row of a fresh solve, from the fresh arrays of `sylvester_matrix` and `design_rhs`."""
+    n = target.n
+    m = sylvester_matrix(theta, n)
+    margin, threshold, regular = sylvester_margin(m)
+    gains = None
+    if regular:
+        gains = -np.linalg.solve(m, design_rhs(theta, target.lifted_coeffs(), n))[_gain_order(n)]
+    return margin, threshold, regular, gains
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7, 8])
+def test_fresh_solve_keeps_the_verdict_margin_and_threshold_at_the_threshold(n):
+    # scale b by s and bisect s down to two neighbouring floats whose systems
+    # fall on either side of the threshold: `solve_gains` must give each the
+    # verdict of `sylvester_margin`, raise with its margin and threshold bits
+    # on the singular one, and return the reference gain row's bits on the
+    # regular one; a few generic estimates are checked as well
+    rng = np.random.default_rng(300 + n)
+    target = _spread_target(n)
+    base = rng.uniform(-1.0, 1.0, 2 * n + 1)
+    base[n + 1 :] = rng.uniform(0.5, 1.5, n)
+
+    def at(s):
+        theta = base.copy()
+        theta[n + 1 :] *= s
+        return theta
+
+    lo, hi = 0.0, 1.0
+    assert not _solve_gains_reference(at(lo), target)[2] and _solve_gains_reference(at(hi), target)[2]
+    while np.nextafter(lo, hi) < hi:
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            mid = np.nextafter(lo, hi)
+        lo, hi = (lo, mid) if _solve_gains_reference(at(mid), target)[2] else (mid, hi)
+    cases = [at(lo), at(hi)] + list(rng.uniform(-2.0, 2.0, (5, 2 * n + 1)))
+    verdicts = []
+    for theta in cases:
+        margin, threshold, regular, gains = _solve_gains_reference(theta, target)
+        verdicts.append(bool(regular))
+        if regular:
+            np.testing.assert_array_equal(solve_gains(theta, target).view(np.uint64), gains.view(np.uint64))
+        else:
+            with pytest.raises(SingularSylvesterError) as info:
+                solve_gains(theta, target)
+            assert np.float64(info.value.margin).view(np.uint64) == np.float64(margin).view(np.uint64)
+            assert np.float64(info.value.threshold).view(np.uint64) == np.float64(threshold).view(np.uint64)
+    assert verdicts[:2] == [False, True]
 
 
 # the batched design of 5,000 seeded benchmark draws, as the digest of its ok and gains bytes

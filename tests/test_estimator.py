@@ -47,6 +47,44 @@ def test_projection_is_nonexpansive_toward_box_points(x, anchor):
     assert np.linalg.norm(proj - p) <= np.linalg.norm(x - p) + 1e-12
 
 
+def _projection_step_reference(theta, psi, ybar_next, mu, box):
+    """The update with fresh arrays: `box.clip(theta + psi * (e / denom))`."""
+    e = float(ybar_next) - float(psi.dot(theta))
+    denom = mu + float(psi.dot(psi))
+    if denom == 0.0:
+        return theta, e
+    return box.clip(theta + psi * (e / denom)), e
+
+
+def test_projection_step_keeps_the_bits_of_the_fresh_array_update():
+    # signed zeros in the estimate, the regressor and the bounds, estimates
+    # exactly on a bound, steps that land exactly on one, and NaN entries
+    box = BoxSet([-1.0, -0.0, 0.0, -2.0, -0.0], [1.0, 0.0, 3.0, -0.0, 0.5])
+    rng = np.random.default_rng(7)
+    cases = [
+        (np.array([1.0, -0.0, 0.0, -0.0, 0.5]), np.array([1.0, 2.0, -0.0, 0.0, -1.0]), 3.0),
+        (np.array([-1.0, 0.0, 3.0, -2.0, -0.0]), np.array([-0.0, 0.0, 0.0, -0.0, 0.0]), 0.0),
+        (np.array([0.0, -0.0, 0.0, -0.0, 0.0]), np.array([0.0, 1.0, -1.0, 1.0, 1.0]), -0.0),
+        (np.array([0.5, -0.0, 1.0, -1.0, 0.25]), np.array([0.0, 0.0, 0.0, 0.0, 0.25]), 0.3125),
+        (np.array([0.5, np.nan, 1.0, -1.0, 0.25]), np.array([1.0, 0.5, 0.0, 0.0, 0.25]), 1.0),
+        (np.array([0.5, -0.0, 1.0, -1.0, 0.25]), np.array([1.0, np.nan, 0.0, 0.0, 0.25]), 1.0),
+        (np.array([0.5, -0.0, 1.0, -1.0, 0.25]), np.array([1.0, -0.0, 0.0, 0.0, 0.25]), np.nan),
+    ]
+    # NaNs with two payloads at one entry: where the hardware propagates a
+    # payload, the sum keeps the estimate's, as `theta + step` does
+    theta, psi = np.array([0.5, -0.0, 1.0, -1.0, 0.25]), np.array([1.0, 0.5, 0.0, 0.0, 0.25])
+    theta[2], psi[2] = np.array([0x7FF8000000000001, 0x7FF8000000000002], dtype=np.uint64).view(float)
+    cases.append((theta, psi, 1.0))
+    cases += [(box.clip(rng.uniform(-3, 3, 5)), rng.uniform(-2, 2, 5) * (rng.random(5) < 0.6), rng.normal()) for _ in range(300)]
+    for theta, psi, ybar in cases:
+        for mu in (0.0, 1e-3, 0.1):
+            got, e_got = projection_step(theta, psi, ybar, mu, box)
+            want, e_want = _projection_step_reference(theta, psi, ybar, mu, box)
+            np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+            assert np.float64(e_got).view(np.uint64) == np.float64(e_want).view(np.uint64)
+            assert got is not psi and (got is theta) == (want is theta)
+
+
 # ---------------------------------------------------------------------------
 # update laws
 

@@ -64,20 +64,25 @@ def test_box_vertices_and_samples():
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_box_samples_are_the_bits_of_rng_uniform(n):
-    # one generator stream through sample, a twin through rng.uniform: every
-    # draw has the same bits, and both generators end in the same state; the
+    # one generator stream through sample, a twin through rng.uniform and a
+    # third through sample into an entry-major `out`, which it returns: every
+    # draw has the same bits, and the generators end in the same state; the
     # box's first coordinate has lo = hi
     rows = _chunk_rows(n)
     draw = np.random.default_rng(20 + n)
     lo = draw.uniform(-3.0, 1.0, 2 * n + 1)
     box = BoxSet(lo, lo + draw.uniform(0.0, 4.0, 2 * n + 1) * (np.arange(2 * n + 1) > 0))
-    mine, twin = np.random.default_rng(n), np.random.default_rng(n)
+    mine, twin, into = np.random.default_rng(n), np.random.default_rng(n), np.random.default_rng(n)
+    entries = np.full((box.dim, rows + 1), np.nan)
     for size in (None, 1, rows, rows + 1):
         got = box.sample(mine, size)
         want = twin.uniform(box.lo, box.hi, None if size is None else (size, box.dim))
-        assert got.shape == want.shape
-        np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
-    assert mine.bit_generator.state == twin.bit_generator.state
+        out = entries[:, 0] if size is None else entries[:, :size].T
+        assert box.sample(into, size, out=out) is out
+        assert got.shape == want.shape == out.shape
+        for arr in (got, out):
+            np.testing.assert_array_equal(arr.view(np.uint64), want.view(np.uint64))
+    assert mine.bit_generator.state == twin.bit_generator.state == into.bit_generator.state
 
 
 def test_box_rejects_malformed_bounds():

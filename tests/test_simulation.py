@@ -42,6 +42,7 @@ from adaptive_pp.simulation import (
     _CHUNK_BYTES,
     _CSV_ROWS,
     TRAJECTORY_COLUMNS,
+    _box_chunks,
     _chunk_rows,
     _design,
     _sigma_bound,
@@ -167,11 +168,22 @@ def test_config_validates_the_benchmark(example_config):
         ({"audits": ("poles", "estimator", "poles")}, "^audits must name each audit once"),
         ({"alpha_samples": -5}, "^alpha_samples must be an integer >= 0, got -5$"),
         ({"seed": -1}, "^seed must be an integer >= 0, got -1$"),
+        # the tracking audit reads the final 2 * tracking_tail steps
+        (
+            {"audits": ("tracking",), "tracking_tail": 501},
+            r"^tracking_tail must be at most horizon / 2 .* got tracking_tail = 501, horizon = 1000$",
+        ),
     ],
 )
 def test_config_rejections(example_config, overrides, match):
     with pytest.raises(ValueError, match=match):
         example_config(**overrides)
+
+
+def test_a_tracking_window_of_the_whole_horizon_is_accepted(example_config):
+    assert example_config(audits=("tracking",), tracking_tail=500).horizon == 1000
+    # without the tracking audit the tail is read only by the gain-bound fit, which caps it
+    assert example_config(audits=("poles",), tracking_tail=10**6).tracking_tail == 10**6
 
 
 def test_the_time_axis_reaches_the_last_int64(example_config):
@@ -286,6 +298,32 @@ def test_loop_outputs_follow_the_plant_difference_equation(n):
     # psi(t0) = [y(t0..t0-n) - r(t0), u(t0..t0-n+1) - u(t0-1..t0-n)] from phi0
     y0, u0 = cfg.phi0[: n + 1], cfg.phi0[n + 1 :]
     np.testing.assert_array_equal(traj.psi[0], np.concatenate((y0 - traj.r[0], u0[:-1] - u0[1:])))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_loop_outputs_have_the_bits_of_shifted_histories(n):
+    # the reference keeps y(t)..y(t-n+1) and u(t)..u(t-n+1) newest first in
+    # two arrays shifted by one each step, and replays the plant and the
+    # input increment K psi(t) with the loop's grouping and dot products
+    cfg = _seeded_cfg(n)
+    traj = run_closed_loop(cfg)
+    a, b = cfg.theta_true.a, cfg.theta_true.b
+    b0, b_tail = float(b[0]), b[1:]
+    y, u = cfg.phi0[:n].copy(), cfg.phi0[n + 1 : 2 * n + 1].copy()
+    ys, us = [], []
+    for i in range(traj.steps):
+        ys.append(y[0])
+        us.append(u0 := float(u[0]))
+        u_term = b0 * u0
+        if n > 1:
+            u_term += float(b_tail.dot(u[1:]))
+        y_next = float(a.dot(y)) + u_term + traj.w[i]
+        ubar_next = float(traj.gains[i].dot(traj.psi[i]))
+        y[1:], u[1:] = y[:-1].copy(), u[:-1].copy()
+        y[0], u[0] = y_next, u0 + ubar_next
+    np.testing.assert_array_equal(traj.y.view(np.uint64), np.array(ys).view(np.uint64))
+    np.testing.assert_array_equal(traj.u.view(np.uint64), np.array(us).view(np.uint64))
+    assert traj.y.flags.c_contiguous and traj.u.flags.c_contiguous
 
 
 def test_error_and_disturbance_columns_are_the_defining_identities(bench_run):
@@ -863,6 +901,27 @@ def test_pruned_streamed_constants_equal_a_full_svd(n, samples):
     assert (est.alpha_bar, est.samples_used, est.samples_skipped) == (alpha, used, skipped)
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_box_chunks_are_the_one_shot_stream_in_one_entry_major_buffer(n):
+    # two and a half chunks of draws, then the vertices; every chunk is a view
+    # of one (dim, rows) buffer, entry-major, and the draws and vertices have
+    # the bits of one `box.sample` call and of `box.vertices()`
+    aux_box, _ = _seeded_problem(n)
+    rows = _chunk_rows(n) // 4
+    samples = 5 * rows // 2
+    chunks, bases = [], set()
+    for chunk in _box_chunks(aux_box, np.random.default_rng(n), samples, rows):
+        assert chunk.strides == (8, 8 * rows) and chunk.shape[0] <= rows
+        bases.add(id(chunk.base))
+        chunks.append(chunk.copy())
+    assert len(bases) == 1
+    draws = np.concatenate(chunks)[:samples]
+    want = aux_box.sample(np.random.default_rng(n), samples)
+    np.testing.assert_array_equal(draws.view(np.uint64), want.view(np.uint64))
+    np.testing.assert_array_equal(np.concatenate(chunks)[samples:], np.array(list(aux_box.vertices())))
+    assert [c.shape[0] for c in chunks][:3] == [rows, rows, samples - 2 * rows]
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_constants_stream_across_chunk_boundaries(n):
     # one chunk of draws and one draw more: a full chunk, then a one-row chunk
@@ -1251,7 +1310,7 @@ def test_run_audits_returns_all_requested_sections(bench_run, bench_constants):
 def test_audits_cannot_be_handed_an_invalid_config():
     # mu = 0 is refused where the config is built, before an audit can read it
     cfg, _, _ = load_config(BENCHMARK_CONFIG)
-    cfg = dataclasses.replace(cfg, horizon=50)
+    cfg = dataclasses.replace(cfg, horizon=50, tracking_tail=25)
     traj = run_closed_loop(cfg)
     with pytest.raises(ValueError, match="mu must be positive"):
         run_audits(traj, dataclasses.replace(cfg, mu=0.0))
@@ -1330,6 +1389,17 @@ def test_sweep_collects_aborted_draws_instead_of_dying():
     assert len(reports) == 2
     assert all(r.aborted for r in reports)
     assert all(np.isnan(r.gamma) for r in reports)
+
+
+def test_sweep_refuses_a_tracking_window_before_sampling_the_constants(example_config, monkeypatch):
+    # a sweep horizon of 150 cannot hold the final 2 * 100 steps the tracking audit reads
+    def refuse(*args, **kwargs):
+        raise AssertionError("estimate_constants ran")
+
+    monkeypatch.setattr(simulation, "estimate_constants", refuse)
+    cfg = example_config(horizon=400, audits=("crude_bound", "tracking"), tracking_tail=100, alpha_samples=500)
+    with pytest.raises(ValueError, match="^tracking_tail must be at most horizon / 2 .* horizon = 150$"):
+        monte_carlo_sweep(cfg, draws=1, horizon=150)
 
 
 def test_sweep_horizon_override(example_config):
