@@ -140,8 +140,8 @@ TOP_KEYS_REQUIRED = (
 # the optional keys that set a SimConfig field as they are: key, field, JSON type
 _FIELD_KEYS = (
     ("t0", "t0", int), ("seed", "seed", int), ("estimator", "estimator_mode", str),
-    ("nudge_singular", "nudge_singular", bool), ("tracking_tail", "tracking_tail", int),
-    ("alpha_samples", "alpha_samples", int), ("audits", "audits", list),
+    ("tracking_tail", "tracking_tail", int), ("alpha_samples", "alpha_samples", int),
+    ("audits", "audits", list),
 )
 TOP_KEYS_OPTIONAL = tuple(key for key, _, _ in _FIELD_KEYS) + ("lambda", "sweep", "out")
 
@@ -219,7 +219,7 @@ def load_config(path: str) -> tuple[SimConfig, dict, str]:
         raise ConfigError(f"bad config: {err}") from err
     if sweep is not None:
         try:
-            _check_sweep("sweep.", t0=cfg.t0, **sweep)
+            _check_sweep(cfg, "sweep.", **sweep)
         except ValueError as err:
             raise ConfigError(f"bad sweep: {err}") from err
 
@@ -405,7 +405,7 @@ def cmd_sweep(args) -> int:
     sweep_cfg = extras["sweep"] or {}
     # checked before out_dir is made, so a refused flag writes nothing
     try:
-        _check_sweep("--", draws=args.draws, seed=args.seed, horizon=args.horizon, t0=cfg.t0)
+        _check_sweep(cfg, "--", draws=args.draws, seed=args.seed, horizon=args.horizon)
     except ValueError as err:
         raise ConfigError(f"bad sweep: {err}") from err
     draws, seed, horizon = (

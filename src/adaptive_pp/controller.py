@@ -219,8 +219,8 @@ def solve_diophantine_batch(
     np.take(coef, _augmented_gather(n), axis=0, out=a, mode="clip")
     # the row sums of |M| from |c|, in the [c; b] rows the gather has read: column j
     # adds its run of |c| to its run of rows, from the left, the order in which
-    # `singularity_threshold` reduces this entry-major stack, so the thresholds have
-    # its bits; the zeros between the runs would add +0.0, which changes no sum
+    # `singularity_threshold` sums every row, so the thresholds have its bits;
+    # the zeros between the runs would add +0.0, which changes no sum
     absc, sums = np.abs(coef[: 2 * n + 3], out=coef[: 2 * n + 3]), coef[2 * n + 3 :]
     sums.fill(0.0)
     for first, rows, start in _column_runs(n):

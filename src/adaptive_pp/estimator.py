@@ -30,14 +30,8 @@ import numpy as np
 from .plant import BoxSet
 
 __all__ = [
-    "project_box",
     "projection_step",
 ]
-
-
-def project_box(x, box: BoxSet) -> np.ndarray:
-    """Euclidean projection onto a box: coordinatewise clipping."""
-    return box.clip(x)
 
 
 def projection_step(
@@ -45,11 +39,12 @@ def projection_step(
 ) -> tuple[np.ndarray, float]:
     """One projected update on raw arrays; returns the new estimate and e(t+1).
 
-    The step is psi e / (mu + ||psi||^2) followed by clipping into the box;
-    mu > 0 is the classical law and mu = 0 the ideal law, which leaves the
-    estimate unchanged when the regressor vanishes.  The new estimate is
-    a fresh array, the bits of `project_box(theta + psi * (e / denom), box)`,
-    formed and clipped in place.
+    The step is psi e / (mu + ||psi||^2) followed by clipping into the box,
+    the Euclidean projection onto it; mu > 0 is the classical law and mu = 0
+    the ideal law, which leaves the estimate unchanged when the regressor
+    vanishes.  The new estimate is a fresh array, the bits of
+    `np.clip(theta + psi * (e / denom), box.lo, box.hi)`, formed and clipped
+    in place.
     """
     # ndarray.dot calls the same BLAS dot as `@`, with less dispatch
     e = float(ybar_next) - float(psi.dot(theta))

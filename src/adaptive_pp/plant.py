@@ -70,10 +70,6 @@ class BoxSet:
     def width(self) -> np.ndarray:
         return self.hi - self.lo
 
-    @property
-    def center(self) -> np.ndarray:
-        return 0.5 * (self.lo + self.hi)
-
     def diameter(self) -> float:
         """Euclidean diameter, attained corner to corner."""
         return float(np.linalg.norm(self.width))
@@ -81,10 +77,6 @@ class BoxSet:
     def contains(self, x, tol: float = 0.0) -> bool:
         x = np.asarray(x, dtype=float)
         return bool(np.all(x >= self.lo - tol) and np.all(x <= self.hi + tol))
-
-    def clip(self, x) -> np.ndarray:
-        # the method runs np.clip's ufunc without its dispatch layers
-        return np.asarray(x, dtype=float).clip(self.lo, self.hi)
 
     def sample(self, rng: np.random.Generator, size: int | None = None, out: np.ndarray | None = None) -> np.ndarray:
         """Uniform draws; shape (dim,) for size None, else (size, dim).

@@ -101,9 +101,12 @@ def singularity_threshold(m: np.ndarray) -> float | np.ndarray:
 
     Scaled by the infinity norm (floored at one) so the test is invariant to
     the size of the coefficients rather than an absolute epsilon.  A stack
-    of matrices gets one threshold each.
+    of matrices gets one threshold each.  Each row of |m| is summed left to
+    right in every memory layout, so a matrix has the same threshold bits
+    alone and inside a stack of either order.
     """
-    return _row_sum_threshold(np.add.reduce(np.abs(m), axis=-1))
+    # np.add.reduce would sum a contiguous row of 8 or more with pairwise accumulators
+    return _row_sum_threshold(np.add.accumulate(np.abs(m), axis=-1)[..., -1])
 
 
 def _row_sum_threshold(rows: np.ndarray) -> float | np.ndarray:

@@ -112,12 +112,16 @@ def _check_integer(value, least: int, name: str) -> None:
         raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
 
 
-def _check_time_axis(t0, horizon, name: str) -> None:
-    """Refuse a start and horizon whose times t0 .. t0 + horizon - 1 are not all int64s, naming the horizon `name`."""
+def _check_horizon(cfg: "SimConfig", horizon, name: str) -> None:
+    """Refuse a horizon `name` whose times from cfg.t0 leave int64 or outrun a custom signal of `cfg`."""
+    t0 = cfg.t0
     if not (t0 % 1 == 0 and -(2**63) <= t0 <= 2**63 - horizon and horizon < 2**63):
         raise ValueError(
             f"t0, {name} and t0 + {name} - 1 must be int64 integers, got t0 = {t0!r}, {name} = {horizon!r}"
         )
+    for which, spec in (("reference", cfg.reference), ("disturbance", cfg.disturbance)):
+        if spec.kind == "custom" and spec.values.size < horizon + 1:
+            raise ValueError(f"custom {which} needs at least {name}+1 = {horizon + 1} values")
 
 
 def _check_estimator_mode(mode: str, name: str) -> None:
@@ -163,7 +167,6 @@ class SimConfig:
     t0: int = 0
     seed: int = 0
     estimator_mode: str = "classical"
-    nudge_singular: bool = False
     lam: float | None = None
     tracking_tail: int = 100
     audits: tuple[str, ...] = ("estimator", "recursion", "poles")
@@ -190,7 +193,7 @@ class SimConfig:
         if not 0.0 < self.mu < np.inf:
             raise ValueError("mu must be positive and finite")
         _check_integer(self.horizon, 1, "horizon")
-        _check_time_axis(self.t0, self.horizon, "horizon")  # the t column holds them as int64s
+        _check_horizon(self, self.horizon, "horizon")  # int64 times, covered by any custom signal
         _check_integer(self.tracking_tail, 1, "tracking_tail")
         _check_integer(self.seed, 0, "seed")  # numpy's generators refuse a negative seed
         _check_integer(self.alpha_samples, 0, "alpha_samples")
@@ -208,11 +211,6 @@ class SimConfig:
                 f"horizon = {self.horizon!r}"
             )
         _check_estimator_mode(self.estimator_mode, "estimator_mode")
-        for name, spec in (("reference", self.reference), ("disturbance", self.disturbance)):
-            if spec.kind == "custom" and spec.values.size < self.horizon + 1:
-                raise ValueError(
-                    f"custom {name} needs at least horizon+1 = {self.horizon + 1} values"
-                )
         if self.lam is not None:
             _check_decay_rate(self.lam, self.target, "lam")
 
@@ -411,31 +409,12 @@ class Trajectory:
         return cls(n=n, **cols)
 
 
-def _design(theta: np.ndarray, cfg: SimConfig, aux_box: BoxSet, t: int):
-    """Solve at theta, nudged once toward the box center if allowed; (theta, K)."""
-    try:
-        return theta, solve_gains(theta, cfg.target)
-    except SingularSylvesterError as err:
-        failure = err
-    if cfg.nudge_singular:
-        nudged = aux_box.clip(theta + 1e-6 * aux_box.width * np.sign(aux_box.center - theta))
-        try:
-            return nudged, solve_gains(nudged, cfg.target)
-        except SingularSylvesterError as err:
-            failure = err
-    raise SingularSylvesterError(
-        failure.margin, failure.threshold, failure.rcond, failure.theta_hat, step=t
-    ) from failure
-
-
 def run_closed_loop(cfg: SimConfig) -> Trajectory:
     """Simulate the adaptive loop for cfg.horizon steps.
 
     Raises SingularSylvesterError (annotated with the failing step) if the
-    design becomes unsolvable at some estimate; with cfg.nudge_singular the
-    estimate is first pushed a millionth of the box width toward the box
-    center and the solve retried once.  The design is re-solved only when
-    the estimate changes.
+    design becomes unsolvable at some estimate.  The design is re-solved
+    only when the estimate changes.
 
     The loop logs what each step computes: y(t+1) and u(t+1) into two
     logs kept in reversed time, whose newest-first windows are the plant's
@@ -470,7 +449,12 @@ def run_closed_loop(cfg: SimConfig) -> Trajectory:
     key = None
     for i in range(steps):
         if theta.tobytes() != key:
-            theta, K = _design(theta, cfg, aux_box, cfg.t0 + i)
+            try:
+                K = solve_gains(theta, cfg.target)
+            except SingularSylvesterError as err:
+                raise SingularSylvesterError(
+                    err.margin, err.threshold, err.rcond, err.theta_hat, step=cfg.t0 + i
+                ) from err
             key = theta.tobytes()
             solves.append((theta, K))
             starts.append(i)
@@ -674,16 +658,16 @@ def _sample_plant(box: BoxSet, n: int, rng: np.random.Generator, tries: int = 10
     raise RuntimeError(f"no admissible plant found in {tries} draws from the box")
 
 
-def _check_sweep(prefix: str = "", draws=None, seed=None, horizon=None, overrides=None, *, t0: int) -> None:
-    """Refuse a sweep setting out of range, naming it `prefix` + its sweep-block key; None is unset.
+def _check_sweep(cfg: SimConfig, prefix: str = "", draws=None, seed=None, horizon=None, overrides=None) -> None:
+    """Refuse a sweep setting of `cfg` out of range, naming it `prefix` + its sweep-block key; None is unset.
 
-    A horizon must keep the times of a draw started at `t0` int64s.
+    A horizon must be one a run of `cfg` can take, as `SimConfig` checks its own.
     """
     for key, value, least in (("draws", draws, 1), ("seed", seed, 0), ("horizon", horizon, 1)):
         if value is not None:
             _check_integer(value, least, prefix + key)
     if horizon is not None:
-        _check_time_axis(t0, horizon, prefix + "horizon")
+        _check_horizon(cfg, horizon, prefix + "horizon")
     overrides = overrides or {}
     unknown = set(overrides) - {"theta", "theta0", "mu", "phi0"}
     if unknown:
@@ -714,7 +698,7 @@ def monte_carlo_sweep(
     whose design equation goes singular is reported as aborted rather than
     killing the sweep.
     """
-    _check_sweep(draws=draws, seed=seed, horizon=horizon, overrides=overrides, t0=cfg.t0)
+    _check_sweep(cfg, draws=draws, seed=seed, horizon=horizon, overrides=overrides)
     if horizon is not None:  # checked with the audit plan before the constants are sampled
         cfg = replace(cfg, horizon=horizon)
     seed = cfg.seed if seed is None else int(seed)

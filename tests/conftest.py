@@ -1,6 +1,7 @@
 """Shared fixtures: the benchmark plant, box, target, config builders and exact references."""
 
 import json
+import math
 import os
 from fractions import Fraction
 
@@ -14,6 +15,7 @@ from adaptive_pp import (
     SimConfig,
     TargetPolynomial,
 )
+from adaptive_pp.polynomial import SINGULAR_REL_THRESHOLD
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 EXAMPLE_CONFIG = os.path.join(ROOT, "examples", "paper_sec6.json")
@@ -22,7 +24,8 @@ BENCHMARK_CONFIG = os.path.join(ROOT, "configs", "benchmark.json")
 
 # ---------------------------------------------------------------------------
 # reference: plain Fraction Gaussian elimination and Faddeev-LeVerrier, the
-# textbook loops the integer kernels of `adaptive_pp.exact` must agree with
+# textbook loops the integer kernels of `adaptive_pp.exact` must agree with,
+# and the singularity threshold from row sums in Python floats
 
 
 def reference_solve(a, b):
@@ -63,6 +66,24 @@ def reference_charpoly(a):
                 m[i][i] += coeffs[-1]
         coeffs.append(-sum(matmul(a, m)[i][i] for i in range(dim)) / k)
     return coeffs
+
+
+def reference_threshold(m) -> np.ndarray:
+    """`singularity_threshold` in Python floats: each row of |m| summed left to right.
+
+    One threshold per matrix of a (..., d, d) stack; a NaN row sum gives NaN.
+    """
+    m = np.asarray(m, dtype=float)
+    out = np.empty(m.shape[:-2])
+    for index in np.ndindex(out.shape):
+        sums = []
+        for row in m[index].tolist():
+            acc = 0.0
+            for v in row:
+                acc += abs(v)
+            sums.append(acc)
+        out[index] = math.nan if any(math.isnan(s) for s in sums) else SINGULAR_REL_THRESHOLD * max([1.0] + sums)
+    return out
 
 
 @pytest.fixture(scope="session")

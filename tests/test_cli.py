@@ -1,6 +1,7 @@
 """Command-line interface: exit codes, artifacts, manifests, determinism."""
 
 import dataclasses
+import glob
 import hashlib
 import json
 import os
@@ -55,6 +56,16 @@ def test_load_config_accepts_the_shipped_example(config_file):
     assert len(digest) == 64 and set(digest) <= set("0123456789abcdef")
 
 
+@pytest.mark.parametrize(
+    "path",
+    sorted(path for where in ("configs", "examples") for path in glob.glob(os.path.join(ROOT, where, "*.json"))),
+    ids=os.path.basename,
+)
+def test_every_shipped_config_loads(path):
+    # a key the schema drops fails here while a shipped file still sets it
+    assert load_config(path)[0].horizon >= 1
+
+
 def test_config_hash_tracks_content(config_file):
     d1 = load_config(config_file())[2]
     d2 = load_config(config_file())[2]
@@ -103,8 +114,9 @@ def test_omitted_optional_keys_take_the_simconfig_defaults(config_file):
         dict(tracking_tail=100.0),
         dict(reference={"kind": "sign_flip", "magnitude": 2.0, "period": 100.9}),
         dict(disturbance={"kind": "sign_flip", "magnitude": 0.5, "period": True}),
-        dict(nudge_singular="no"),
-        dict(nudge_singular=0),
+        # the retired nudge_singular key, refused as unknown at any value
+        dict(nudge_singular=True),
+        dict(nudge_singular=False),
         dict(sweep={"draws": 10.5}),
         dict(sweep={"draws": 10, "seed": 1.5}),
         dict(sweep={"draws": 10, "horizon": "400"}),
@@ -220,12 +232,13 @@ def _order_n(n: int) -> dict:
     plant = np.concatenate((rng.uniform(-0.5, 0.5, n), rng.uniform(0.5, 1.5, n)))
     box = BoxSet(plant - 0.1, plant + 0.1)
     bounds = [[lo, hi] for lo, hi in zip(box.lo.tolist(), box.hi.tolist())]
+    aux = image_box(box, n)
     return dict(
         n=n,
         plant={"a": plant[:n].tolist(), "b": plant[n:].tolist()},
         parameter_box={"a": bounds[:n], "b": bounds[n:]},
         target_poly=[1.0, -0.5],
-        theta0=image_box(box, n).center.tolist(),
+        theta0=(0.5 * (aux.lo + aux.hi)).tolist(),
         phi0=rng.uniform(-1.0, 1.0, 2 * (n + 1)).tolist(),
         audits=["recursion", "poles"],
     )
@@ -277,8 +290,9 @@ def test_run_uses_the_config_out_directory(config_file, tmp_path, monkeypatch):
     "extra",
     [
         {},
-        # theta0 is the centre of the incremental box, so the nudge cannot move it
-        dict(nudge_singular=True, parameter_box={"a": [[0.3, 0.7]], "b": [[-4.0, 4.0]]}, t0=3),
+        # the case of the retired nudge_singular option: theta0 is the centre
+        # of the incremental box and the run starts at t0 = 3
+        dict(parameter_box={"a": [[0.3, 0.7]], "b": [[-4.0, 4.0]]}, t0=3),
     ],
     ids=["no_nudge", "nudge_at_centre"],
 )
@@ -314,18 +328,12 @@ def test_run_ideal_law_example_passes_the_estimator_audit(config_file, tmp_path)
     assert manifest["audits"]["estimator"]["violations"] == 0
 
 
-def test_run_nudge_option_recovers_the_singular_start(config_file, tmp_path):
-    out = tmp_path / "nudged"
-    path = config_file(nudge_singular=True, **SINGULAR_FIRST_ORDER)
-    assert main(["run", path, "--out", str(out), "--quiet"]) == 0
-    assert read_manifest(out)["status"] == "pass"
-
-
 def test_run_exit_2_on_config_errors(config_file, tmp_path, capsys):
     assert main(["run", config_file(mu=-1.0), "--quiet"]) == 2
-    # non-integer or non-boolean values are refused, not truncated or coerced
+    # non-integer values are refused, not truncated or coerced
     assert main(["run", config_file(horizon=300.7), "--quiet"]) == 2
-    assert main(["run", config_file(nudge_singular="no"), "--quiet"]) == 2
+    # a key the config schema no longer has is refused like any unknown key
+    assert main(["run", config_file(nudge_singular=True), "--quiet"]) == 2
     assert main(["run", config_file(mu=float("inf")), "--quiet"]) == 2
     nan_signal = {"kind": "sign_flip", "magnitude": float("nan"), "period": 250}
     assert main(["run", config_file(disturbance=nan_signal), "--quiet"]) == 2
@@ -427,6 +435,24 @@ def test_sweep_refuses_a_horizon_beyond_int64_before_writing(tmp_path, capsys, w
     err = capsys.readouterr().err
     assert err.startswith(f"error: bad sweep: t0, {name} and t0 + {name} - 1 must be int64 integers"), err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("where", ["flag", "config"])
+def test_every_command_refuses_a_sweep_horizon_beyond_a_custom_signal(config_file, tmp_path, capsys, where):
+    # a 301-value custom reference covers the run's 300 steps, not a 5000-step draw
+    sweep = {"draws": 1} if where == "flag" else {"draws": 1, "horizon": 5000}
+    path = config_file(horizon=300, reference={"kind": "custom", "values": [1.0] * 301}, sweep=sweep)
+    out = tmp_path / "o"
+    if where == "flag":
+        commands = [["sweep", path, "--horizon", "5000"]]
+    else:
+        commands = [["run", path], ["sweep", path], ["audit", os.path.join(GOLDEN, "trajectory.csv"), path]]
+    name = "--horizon" if where == "flag" else "sweep.horizon"
+    for argv in commands:
+        assert main(argv + ["--out", str(out), "--quiet"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: bad sweep: custom reference needs at least {name}+1 = 5001 values"), err
+        assert not out.exists()
 
 
 def test_audit_compares_times_beyond_2_53_as_integers(tmp_path):

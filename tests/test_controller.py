@@ -11,7 +11,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from conftest import reference_charpoly
+from conftest import ROOT, reference_charpoly, reference_threshold
 
 import adaptive_pp
 from adaptive_pp import (
@@ -22,6 +22,7 @@ from adaptive_pp import (
     design_residual,
     design_rhs,
     image_box,
+    run_closed_loop,
     singularity_threshold,
     solve_diophantine_batch,
     solve_gains,
@@ -30,6 +31,7 @@ from adaptive_pp import (
     sylvester_matrix,
 )
 from adaptive_pp import controller
+from adaptive_pp.cli import load_config
 from adaptive_pp.controller import _design_identity, _design_workspace, _gain_order, _gamma
 from adaptive_pp.polynomial import SINGULAR_REL_THRESHOLD, sylvester_coeffs, sylvester_gather
 from adaptive_pp.simulation import _box_chunks, _chunk_rows
@@ -390,11 +392,12 @@ def test_design_threshold_builds_no_abs_matrix_stack(n):
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7, 8])
 def test_batched_thresholds_have_the_bits_of_singularity_threshold(monkeypatch, n):
-    # the solve sums |c| a column run at a time; `singularity_threshold` on
-    # the assembled entry-major stack reduces in that order, so every
-    # threshold has its bits: on certificate rows, uniform draws, box
-    # vertices whose entries include -0.0 and +0.0, draws with signed zeros
-    # scattered in, and rows with a NaN
+    # the solve sums |c| a column run at a time, left to right, the order in
+    # which `singularity_threshold` sums each row of the assembled stack in
+    # either layout, so every threshold has its bits: on certificate rows,
+    # uniform draws, box vertices whose entries include -0.0 and +0.0, draws
+    # with signed zeros scattered in, draws spread over twelve decades (where
+    # another summation order rounds some sums differently), and rows with a NaN
     rng = np.random.default_rng(200 + n)
     dim = 2 * n + 1
     lo = rng.uniform(-2.0, 0.0, dim)
@@ -410,6 +413,7 @@ def test_batched_thresholds_have_the_bits_of_singularity_threshold(monkeypatch, 
         box.sample(rng, 300),
         np.array(list(itertools.islice(box.vertices(), 300))),
         zeros,
+        box.sample(rng, 300) * 10.0 ** rng.integers(-6, 7, (300, dim)),
     ))
     thetas[::97, ::3] = np.nan
     seen = []
@@ -421,9 +425,42 @@ def test_batched_thresholds_have_the_bits_of_singularity_threshold(monkeypatch, 
 
     monkeypatch.setattr(controller, "_row_sum_threshold", recording)
     solve_diophantine_batch(thetas, _spread_target(n).lifted_coeffs(), n)
-    entry_major = np.moveaxis(np.ascontiguousarray(np.moveaxis(sylvester_matrix(thetas, n), 0, -1)), -1, 0)
+    stack = sylvester_matrix(thetas, n)
+    entry_major = np.moveaxis(np.ascontiguousarray(np.moveaxis(stack, 0, -1)), -1, 0)
     assert len(seen) == 1 and np.isnan(seen[0][::97]).all()
-    np.testing.assert_array_equal(seen[0].view(np.uint64), singularity_threshold(entry_major).view(np.uint64))
+    bits = seen[0].view(np.uint64)
+    np.testing.assert_array_equal(bits, reference_threshold(stack).view(np.uint64))
+    for layout in (stack, entry_major):
+        np.testing.assert_array_equal(bits, singularity_threshold(layout).view(np.uint64))
+    # one matrix at a time, as the fresh solve reads them
+    singles = np.array([singularity_threshold(m) for m in stack])
+    np.testing.assert_array_equal(bits, singles.view(np.uint64))
+
+
+def test_fresh_and_batched_solves_share_threshold_bits_on_the_order4_run(monkeypatch):
+    # every estimate the order-4 example logs, through the fresh solve one at
+    # a time and through one batched solve: the thresholds agree bit for bit
+    cfg = load_config(os.path.join(ROOT, "examples", "order4.json"))[0]
+    thetas = np.unique(run_closed_loop(cfg).theta_hat, axis=0)
+    fresh, batched = [], []
+    real_margin, real_threshold = controller.sylvester_margin, controller._row_sum_threshold
+
+    def recording_margin(m):
+        out = real_margin(m)
+        fresh.append(out[1])
+        return out
+
+    def recording_threshold(rows):
+        batched.append(real_threshold(rows))
+        return batched[-1]
+
+    monkeypatch.setattr(controller, "sylvester_margin", recording_margin)
+    monkeypatch.setattr(controller, "_row_sum_threshold", recording_threshold)
+    for theta in thetas:
+        solve_gains(theta, cfg.target)
+    assert solve_diophantine_batch(thetas, cfg.target.lifted_coeffs(), cfg.n).ok.all()
+    assert len(fresh) == thetas.shape[0] > 100 and len(batched) == 1
+    np.testing.assert_array_equal(np.array(fresh).view(np.uint64), batched[0].view(np.uint64))
 
 
 def _solve_gains_reference(theta, target):

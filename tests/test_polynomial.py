@@ -2,11 +2,13 @@
 
 import numpy as np
 import pytest
+from conftest import reference_threshold
 
 from adaptive_pp import (
     PlantParameters,
     TargetPolynomial,
     aux_transform,
+    singularity_threshold,
     spectral_radius,
     sylvester_coeffs,
     sylvester_margin,
@@ -208,6 +210,27 @@ def test_margin_positive_for_coprime_pair():
     with np.errstate(invalid="ignore"):
         regular = sylvester_margin(stack)[2]
     np.testing.assert_array_equal(regular, [True, False, False])
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7, 8])
+def test_singularity_threshold_sums_each_row_left_to_right_in_every_layout(n):
+    # entries spread over twelve decades, so that another summation order
+    # rounds some row sums differently; signed zeros, an all -0.0 matrix and
+    # NaN entries in every 50th matrix
+    rng = np.random.default_rng(300 + n)
+    d = 2 * n + 1
+    stack = rng.normal(size=(1000, d, d)) * 10.0 ** rng.integers(-6, 7, size=(1000, d, d))
+    stack[rng.random(stack.shape) < 0.2] = 0.0
+    stack[rng.random(stack.shape) < 0.2] = -0.0
+    stack[1] = -0.0
+    stack[::50, rng.integers(d), rng.integers(d)] = np.nan
+    want = reference_threshold(stack).view(np.uint64)
+    entry_major = np.moveaxis(np.ascontiguousarray(np.moveaxis(stack, 0, -1)), -1, 0)
+    for layout in (stack, entry_major):
+        np.testing.assert_array_equal(singularity_threshold(layout).view(np.uint64), want)
+        singles = np.array([singularity_threshold(m) for m in layout[:100]])
+        np.testing.assert_array_equal(singles.view(np.uint64), want[:100])
+    assert np.isnan(reference_threshold(stack[::50])).all() and reference_threshold(stack[1]) == 1e-12
 
 
 def test_rcond_of_exactly_singular_matrix_is_zero():

@@ -44,7 +44,6 @@ from adaptive_pp.simulation import (
     TRAJECTORY_COLUMNS,
     _box_chunks,
     _chunk_rows,
-    _design,
     _sigma_bound,
 )
 from conftest import BENCHMARK_CONFIG, ROOT
@@ -267,18 +266,18 @@ def _seeded_cfg(n: int) -> SimConfig:
     rng = np.random.default_rng(60 + n)
     plant = PlantParameters(rng.uniform(-0.5, 0.5, n), rng.uniform(0.5, 1.5, n))
     box = BoxSet(plant.vector - 0.1, plant.vector + 0.1)
+    aux = image_box(box, n)
     return SimConfig(
         n=n,
         theta_true=plant,
         box=box,
         target=TargetPolynomial([1.0, -0.5], n),
         mu=0.1,
-        theta0=image_box(box, n).center,
+        theta0=0.5 * (aux.lo + aux.hi),
         phi0=rng.uniform(-1, 1, 2 * (n + 1)),
         reference=SignalSpec("sign_flip", magnitude=1.0, period=30),
         disturbance=SignalSpec("custom", values=rng.uniform(-0.2, 0.2, 81)),
         horizon=80,
-        nudge_singular=True,
     )
 
 
@@ -378,7 +377,7 @@ def test_horizon_one_and_start_offset(example_config):
     assert traj.y[0] == -1.0  # phi0's newest output
 
 
-def _first_order_cfg(b0: float, nudge: bool) -> SimConfig:
+def _first_order_cfg(b0: float) -> SimConfig:
     return SimConfig(
         n=1,
         theta_true=PlantParameters([0.5], [2.0]),
@@ -390,35 +389,25 @@ def _first_order_cfg(b0: float, nudge: bool) -> SimConfig:
         reference=SignalSpec("constant", magnitude=0.0),
         disturbance=SignalSpec("constant", magnitude=0.0),
         horizon=5,
-        nudge_singular=nudge,
     )
 
 
 @pytest.mark.parametrize(
     "cfg, step",
     [
-        (_first_order_cfg(0.0, nudge=False), 0),
-        # theta0 is the centre of the incremental box b in [-4, 4], so the
-        # nudge moves no coordinate and the retried design is singular too
-        (dataclasses.replace(_first_order_cfg(0.0, nudge=True), box=BoxSet([0.3, -4.0], [0.7, 4.0]), t0=3), 3),
+        (_first_order_cfg(0.0), 0),
+        # the case of the retired nudge_singular option: theta0 is the centre
+        # of the incremental box b in [-4, 4] and the run starts at t0 = 3
+        (dataclasses.replace(_first_order_cfg(0.0), box=BoxSet([0.3, -4.0], [0.7, 4.0]), t0=3), 3),
     ],
     ids=["no_nudge", "nudge_at_centre"],
 )
 def test_singular_start_aborts_with_the_step_attached(cfg, step):
+    # the step is the time the design failed at, counted from t0
     with pytest.raises(SingularSylvesterError) as exc:
         run_closed_loop(cfg)
     assert exc.value.step == step
     assert isinstance(exc.value.__cause__, SingularSylvesterError)
-
-
-def test_nudge_recovers_a_singular_start():
-    traj = run_closed_loop(_first_order_cfg(0.0, nudge=True))
-    assert traj.steps == 5
-    # the estimate was pushed a millionth of the box width toward the center
-    assert traj.theta_hat[0, 2] == pytest.approx(4e-6, rel=1e-9)
-    # a regular start is left untouched by the same setting
-    clean = run_closed_loop(_first_order_cfg(2.0, nudge=True))
-    assert clean.theta_hat[0, 2] == 2.0
 
 
 def _per_step_loop(cfg: SimConfig) -> Trajectory:
@@ -444,11 +433,13 @@ def _per_step_loop(cfg: SimConfig) -> Trajectory:
     for i in range(steps):
         w_t = _signal_at(cfg.disturbance, i)
         if theta.tobytes() != key:
-            theta, K = _design(theta, cfg, aux_box, cfg.t0 + i)
-            # the residual of a single solve at the (possibly nudged) estimate
-            K_single = solve_gains(theta, cfg.target)
-            residual = design_residual(theta, K_single, cfg.target)
-            assert np.array_equal(K_single.view(np.uint64), K.view(np.uint64))
+            try:
+                K = solve_gains(theta, cfg.target)
+            except SingularSylvesterError as err:
+                raise SingularSylvesterError(
+                    err.margin, err.threshold, err.rcond, err.theta_hat, step=cfg.t0 + i
+                ) from err
+            residual = design_residual(theta, K, cfg.target)
             key = theta.tobytes()
         out["y"][i] = y[0]
         out["u"][i] = u[0]
@@ -480,7 +471,7 @@ def _per_step_loop(cfg: SimConfig) -> Trajectory:
     return Trajectory(n=n, t=cfg.t0 + np.arange(steps), **out)
 
 
-def _kicked_first_order_cfg(nudge: bool) -> SimConfig:
+def _kicked_first_order_cfg() -> SimConfig:
     """A first-order loop whose gain estimate is clipped onto b = 0, a singular design, at step 12."""
     return SimConfig(
         n=1,
@@ -493,7 +484,6 @@ def _kicked_first_order_cfg(nudge: bool) -> SimConfig:
         reference=SignalSpec("constant", magnitude=1.0),
         disturbance=SignalSpec("custom", values=np.random.default_rng(2).uniform(-2, 2, 41)),
         horizon=40,
-        nudge_singular=nudge,
     )
 
 
@@ -514,30 +504,23 @@ def _assert_bit_equal(new: Trajectory, old: Trajectory) -> None:
 def test_loop_equals_the_per_step_oracle(n, law):
     cfg = dataclasses.replace(_seeded_cfg(n), estimator_mode=law)
     _assert_bit_equal(run_closed_loop(cfg), _per_step_loop(cfg))
-    # a custom reference too, without the nudge
+    # a custom reference too
     rng = np.random.default_rng(n)
-    cfg = dataclasses.replace(
-        cfg, reference=SignalSpec("custom", values=rng.uniform(-1, 1, 81)), nudge_singular=False
-    )
+    cfg = dataclasses.replace(cfg, reference=SignalSpec("custom", values=rng.uniform(-1, 1, 81)))
     _assert_bit_equal(run_closed_loop(cfg), _per_step_loop(cfg))
 
 
 def test_loop_equals_the_oracle_through_singular_designs():
-    for b0 in (0.0, 2.0):
-        cfg = _first_order_cfg(b0, nudge=True)
-        _assert_bit_equal(run_closed_loop(cfg), _per_step_loop(cfg))
-    # the estimate is clipped onto the singular b = 0 face mid-run
-    kicked = _kicked_first_order_cfg(nudge=True)
-    traj = run_closed_loop(kicked)
-    # nudged a millionth of the box width off the face
-    assert traj.theta_hat[12, 2] == pytest.approx(4e-6, rel=1e-9)
-    _assert_bit_equal(traj, _per_step_loop(kicked))
-    with pytest.raises(SingularSylvesterError) as new:
-        run_closed_loop(_kicked_first_order_cfg(nudge=False))
-    with pytest.raises(SingularSylvesterError) as old:
-        _per_step_loop(_kicked_first_order_cfg(nudge=False))
-    assert new.value.step == old.value.step == 12
-    assert str(new.value) == str(old.value)
+    cfg = _first_order_cfg(2.0)
+    _assert_bit_equal(run_closed_loop(cfg), _per_step_loop(cfg))
+    # a singular start, and an estimate clipped onto the singular b = 0 face mid-run
+    for cfg, step in ((_first_order_cfg(0.0), 0), (_kicked_first_order_cfg(), 12)):
+        with pytest.raises(SingularSylvesterError) as new:
+            run_closed_loop(cfg)
+        with pytest.raises(SingularSylvesterError) as old:
+            _per_step_loop(cfg)
+        assert new.value.step == old.value.step == step
+        assert str(new.value) == str(old.value)
 
 
 # ---------------------------------------------------------------------------
@@ -1384,7 +1367,7 @@ def test_sweep_validates_inputs(example_config):
 
 
 def test_sweep_collects_aborted_draws_instead_of_dying():
-    cfg = dataclasses.replace(_first_order_cfg(0.0, nudge=False), audits=("recursion", "poles"))
+    cfg = dataclasses.replace(_first_order_cfg(0.0), audits=("recursion", "poles"))
     reports = monte_carlo_sweep(cfg, draws=2)
     assert len(reports) == 2
     assert all(r.aborted for r in reports)
