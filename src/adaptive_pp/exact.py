@@ -3,22 +3,28 @@
 Floating eigensolvers cannot certify a repeated closed-loop pole tightly: the
 placed zero pole of the regressor recursion has a single Jordan chain, so an
 eps-sized backward error smears the computed cluster to roughly eps^(1/4).
-Every float64 value is an exact rational, though, so the whole chain (system
-matrix, its solve, the closed-loop matrix, its characteristic polynomial) can
-be repeated in exact rational arithmetic.  When the exact characteristic
-polynomial matches z^{2n+1} Astar(z^{-1}) coefficient for coefficient, the
-eigenvalue multiset equals the designed pole multiset identically.
+Every float64 value is an exact rational, though, so the design (system
+matrix, its solve, the gain row) can be repeated in exact rational
+arithmetic.  The closed loop's characteristic polynomial then needs no
+matrix: for every estimate and every gain row K, det(zI - A(thetahat, K)) is
+the z-lift of the design polynomial Abar L + B P, with L = [1, -K[n+1:]] and
+P = [0, -K[:n+1]].  `test_closed_loop_charpoly_is_the_design_polynomial`
+checks that identity on the assembled `closed_loop_matrix` against a
+Faddeev-LeVerrier oracle, and `test_certificates_equal_the_fraction_reference`
+checks every certificate against a Fraction reference that assembles the
+closed loop through `closed_loop_layout`.  When Abar L + B P matches Astar
+coefficient for coefficient, the eigenvalue multiset of the closed loop
+equals the designed pole multiset identically.
 
 `exact_pole_check` is the one entry point, and its arithmetic is all Python
 ints.  The estimate and the target are scaled to ints by one common
-denominator, a power of two, since floats are dyadic.  Two integer kernels do
-the work: Bareiss fraction-free elimination returns (det, X) with solution
-X / det, and Faddeev-LeVerrier returns the integer characteristic
-coefficients; every division in either is exact by the algebra and is
+denominator, a power of two, since floats are dyadic.  One integer kernel
+does the work: Bareiss fraction-free elimination returns (det, X) with
+solution X / det, and every division in it is exact by the algebra and is
 checked to be so.  The system comes from `sylvester_gather` and `design_rhs`
-on the scaled estimate and target, the closed loop from `closed_loop_layout`
-scaled by s * det, and the coefficients are compared as integers, so a
-Fraction is built only for a nonzero gap.
+on the scaled estimate and target, the design polynomial from two
+convolutions scaled by s * det, and the coefficients are compared as
+integers, so a Fraction is built only for a nonzero gap.
 """
 
 from __future__ import annotations
@@ -26,11 +32,12 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
+from numbers import Integral
 from operator import mul
 
 import numpy as np
 
-from .controller import _gain_order, closed_loop_layout, design_rhs
+from .controller import _gain_order, design_rhs
 from .polynomial import sylvester_gather
 
 __all__ = ["exact_pole_check"]
@@ -98,66 +105,28 @@ def _bareiss(rows: list[list[int]]) -> tuple[int, list[int]]:
     return det, x
 
 
-def _charpoly_ints(b: list[list[int]]) -> list[int]:
-    """Coefficients c_k of det(zI - B), highest power first, for an integer matrix B.
-
-    Faddeev-LeVerrier: M_1 = I, c_k = -tr(B M_k) / k, M_{k+1} = B M_k + c_k I.
-    B's coefficients are integers, so every division by k is exact.  A row
-    of B whose one nonzero entry is v at column j gives the row v * M_k[j]
-    of B M_k, a scaled copy; the other rows take dot products with M_k's
-    columns.  The last coefficient needs only the diagonal of B M_dim.
-    """
-    dim = len(b)
-    # per row of B, (j, v) when v at column j is its one nonzero entry, else (-1, 0)
-    lone = []
-    for row in b:
-        nonzero = [(j, v) for j, v in enumerate(row) if v]
-        lone.append(nonzero[0] if len(nonzero) == 1 else (-1, 0))
-    coeffs = [1]
-    m = [list(row) for row in b]  # B M_1, as M_1 = I
-    trace = sum(m[i][i] for i in range(dim))
-    for k in range(1, dim + 1):
-        coeffs.append(-_exact_div(trace, k))
-        if k == dim:
-            break
-        for i in range(dim):
-            m[i][i] += coeffs[-1]  # M_{k+1}
-        cols = list(zip(*m))
-        if k + 1 < dim:
-            m = [
-                [v * t for t in m[j]] if j >= 0 else [sum(map(mul, row, col)) for col in cols]
-                for row, (j, v) in zip(b, lone)
-            ]
-            trace = sum(m[i][i] for i in range(dim))
-        else:
-            trace = sum(
-                v * m[j][i] if j >= 0 else sum(map(mul, row, cols[i]))
-                for i, (row, (j, v)) in enumerate(zip(b, lone))
-            )
-    return coeffs
-
-
 @lru_cache(maxsize=None)
-def _layouts(n: int) -> tuple[list[list[int]], list[int], list[tuple[int, int, int]]]:
-    """`sylvester_gather`, `_gain_order` and the (row, col, src) of `closed_loop_layout` as lists."""
-    return (
-        sylvester_gather(n).tolist(),
-        _gain_order(n).tolist(),
-        list(zip(*(arr.tolist() for arr in closed_loop_layout(n)))),
-    )
+def _layouts(n: int) -> tuple[list[list[int]], list[int]]:
+    """`sylvester_gather` and `_gain_order` as lists."""
+    return sylvester_gather(n).tolist(), _gain_order(n).tolist()
 
 
 def exact_pole_check(theta_hat: np.ndarray, target_lifted: np.ndarray, n: int) -> Fraction:
     """Re-derive the design in rational arithmetic and compare pole sets.
 
-    Solves the pole-placement system exactly at theta_hat, assembles the
-    closed-loop matrix exactly, and returns the largest absolute difference
-    between its exact characteristic polynomial and z^{2n+1} Astar(z^{-1}).
-    A zero return certifies that the eigenvalue multiset of the closed loop
-    equals the target root multiset identically.  A wrong length or a NaN
-    or an infinity raises ValueError naming the argument; an exactly
-    singular design raises ZeroDivisionError.
+    Solves the pole-placement system exactly at theta_hat, reads the gain
+    row K off the solution, and returns the largest absolute coefficient
+    difference between the exact design polynomial Abar L + B P and Astar.
+    By the identity in the module docstring these are the coefficients of
+    det(zI - A(theta_hat, K)) and of z^{2n+1} Astar(z^{-1}), so no
+    closed-loop matrix is built.  A zero return certifies that the
+    eigenvalue multiset of the closed loop equals the target root multiset
+    identically.  An n that is not an integer of at least 1, a wrong length,
+    or a NaN or an infinity raises ValueError naming the argument; an
+    exactly singular design raises ZeroDivisionError.
     """
+    if not isinstance(n, Integral) or n < 1:
+        raise ValueError(f"n must be an integer of at least 1, not {n!r}")
     theta = np.asarray(theta_hat, dtype=float)
     lifted = np.asarray(target_lifted, dtype=float)
     dim = 2 * n + 1
@@ -166,29 +135,28 @@ def exact_pole_check(theta_hat: np.ndarray, target_lifted: np.ndarray, n: int) -
     (t, a), s = _over_common_denominator(
         ("theta_hat", theta.tolist()), ("target_lifted", lifted.tolist())
     )
-    gather, gain_order, loop = _layouts(n)
+    gather, gain_order = _layouts(n)
 
     # s M and s (Astar - Abar): s*c for the c = [1, -abar, 0, b] of `sylvester_coeffs`
     c = [s, *(-v for v in t[: n + 1]), 0, *t[n + 1 :]]
     rhs = design_rhs(np.array(t, dtype=object), np.array(a, dtype=object), n).tolist()
     det, numer = _bareiss([[c[k] for k in index] + [r] for index, r in zip(gather, rhs)])
 
-    # the closed loop A from v = [theta, K, 1] times s_det = s * det, where
-    # K = -x[gain order] and x = numer / det
-    s_det = s * det
-    v = [u * det for u in t] + [-numer[i] * s for i in gain_order] + [s_det]
-    b = [[0] * dim for _ in range(dim)]
-    for row, col, src in loop:
-        b[row][col] = v[src]
-    char = _charpoly_ints(b)
+    # e = s det (Abar L + B P), lowest power first, with L = [1, -K[n+1:]] and
+    # P = [0, -K[:n+1]] for the gain row K = -x[gain order], x = numer / det.
+    # Abar and B are read off t afresh and the product is taken afresh, not
+    # as M numer - det rhs, so neither a wrong c nor a wrong gather certifies
+    # the system it built
+    neg_k = [numer[i] for i in gain_order]  # -det K
+    e = [0] * (dim + 1)
+    for f, g in (
+        ([s, *(-v for v in t[: n + 1])], [det, *neg_k[n + 1 :]]),
+        ([0, *t[n + 1 :]], [0, *neg_k[: n + 1]]),
+    ):
+        for i, u in enumerate(f):
+            for j, v in enumerate(g):
+                e[i + j] += u * v
 
-    # char lists det(zI - s_det A) highest power first, so A's coefficients are
-    # char_k / s_det^k and the lifted target's are a_k / s: compare char_k s with a_k s_det^k
-    gaps = []
-    power = 1
-    for k in range(dim + 1):
-        gap = char[k] * s - a[k] * power
-        if gap:
-            gaps.append(Fraction(abs(gap), abs(power) * s))
-        power *= s_det
+    # the design polynomial's coefficients are e_k / (s det), the lifted target's a_k / s
+    gaps = [Fraction(abs(gap), abs(det) * s) for gap in (ek - ak * det for ek, ak in zip(e, a)) if gap]
     return max(gaps) if gaps else Fraction(0)

@@ -4,6 +4,7 @@ import json
 import math
 import os
 from fractions import Fraction
+from operator import mul
 
 import numpy as np
 import pytest
@@ -24,8 +25,9 @@ BENCHMARK_CONFIG = os.path.join(ROOT, "configs", "benchmark.json")
 
 # ---------------------------------------------------------------------------
 # reference: plain Fraction Gaussian elimination and Faddeev-LeVerrier, the
-# textbook loops the integer kernels of `adaptive_pp.exact` must agree with,
-# and the singularity threshold from row sums in Python floats
+# textbook loops the Bareiss kernel of `adaptive_pp.exact` and the integer
+# Faddeev-LeVerrier oracle below must agree with, and the singularity
+# threshold from row sums in Python floats
 
 
 def reference_solve(a, b):
@@ -65,6 +67,53 @@ def reference_charpoly(a):
             for i in range(dim):
                 m[i][i] += coeffs[-1]
         coeffs.append(-sum(matmul(a, m)[i][i] for i in range(dim)) / k)
+    return coeffs
+
+
+def charpoly_ints(b: list[list[int]]) -> list[int]:
+    """Coefficients c_k of det(zI - B), highest power first, for an integer matrix B.
+
+    The oracle of the identity the exact certificate rests on: the closed
+    loop's characteristic polynomial is the design polynomial.  It is fast
+    enough to take the closed loop at n = 6 many times, and is itself
+    checked against `reference_charpoly`.
+
+    Faddeev-LeVerrier: M_1 = I, c_k = -tr(B M_k) / k, M_{k+1} = B M_k + c_k I.
+    B's coefficients are integers, so every division by k is exact.  A row
+    of B whose one nonzero entry is v at column j gives the row v * M_k[j]
+    of B M_k, a scaled copy; the other rows take dot products with M_k's
+    columns.  The last coefficient needs only the diagonal of B M_dim.
+    """
+    dim = len(b)
+    # per row of B, (j, v) when v at column j is its one nonzero entry, else (-1, 0)
+    lone = []
+    for row in b:
+        nonzero = [(j, v) for j, v in enumerate(row) if v]
+        lone.append(nonzero[0] if len(nonzero) == 1 else (-1, 0))
+    coeffs = [1]
+    m = [list(row) for row in b]  # B M_1, as M_1 = I
+    trace = sum(m[i][i] for i in range(dim))
+    for k in range(1, dim + 1):
+        quot, rem = divmod(-trace, k)
+        if rem:
+            raise ArithmeticError(f"inexact integer division {-trace} / {k}")
+        coeffs.append(quot)
+        if k == dim:
+            break
+        for i in range(dim):
+            m[i][i] += coeffs[-1]  # M_{k+1}
+        cols = list(zip(*m))
+        if k + 1 < dim:
+            m = [
+                [v * t for t in m[j]] if j >= 0 else [sum(map(mul, row, col)) for col in cols]
+                for row, (j, v) in zip(b, lone)
+            ]
+            trace = sum(m[i][i] for i in range(dim))
+        else:
+            trace = sum(
+                v * m[j][i] if j >= 0 else sum(map(mul, row, cols[i]))
+                for i, (row, (j, v)) in enumerate(zip(b, lone))
+            )
     return coeffs
 
 

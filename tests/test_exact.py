@@ -3,10 +3,11 @@
 import dataclasses
 import os
 from fractions import Fraction
+from math import lcm
 
 import numpy as np
 import pytest
-from conftest import BENCHMARK_CONFIG, ROOT, reference_charpoly, reference_solve
+from conftest import BENCHMARK_CONFIG, ROOT, charpoly_ints, reference_charpoly, reference_solve
 
 import adaptive_pp.exact
 from adaptive_pp import (
@@ -18,10 +19,11 @@ from adaptive_pp import (
     design_rhs,
     exact_pole_check,
     pole_placement_audit,
+    run_closed_loop,
     sylvester_matrix,
 )
 from adaptive_pp.cli import load_config
-from adaptive_pp.exact import _bareiss, _charpoly_ints
+from adaptive_pp.exact import _bareiss
 
 BENCH_TARGET = TargetPolynomial([1.0, -0.6], 2)
 BENCH_THETA0 = np.array([0.0, -1.0, 2.0, -0.5, -4.0])
@@ -37,25 +39,29 @@ def _reference_certificate(theta_hat, target_lifted, n):
     a = [[Fraction(0)] * dim for _ in range(dim)]
     for row, col, src in zip(*closed_loop_layout(n)):
         a[row][col] = v[src]
-    char = reference_charpoly(a)
-    return max(abs(c - t) for c, t in zip(char, astar))
+    # det(zI - A) from the integer oracle on d A, d the common denominator,
+    # whose coefficients are d^k times A's: `reference_charpoly` takes about
+    # 2 s a matrix at n = 6
+    d = lcm(*(v.denominator for row in a for v in row))
+    char = charpoly_ints([[int(v * d) for v in row] for row in a])
+    return max(abs(Fraction(c, d**k) - t) for k, (c, t) in enumerate(zip(char, astar)))
 
 
 # ---------------------------------------------------------------------------
-# the Faddeev-LeVerrier kernel: integer characteristic coefficients
+# the Faddeev-LeVerrier oracle of conftest: integer characteristic coefficients
 
 
 def test_charpoly_of_a_triangular_matrix():
-    assert _charpoly_ints([[2, 1], [0, 3]]) == [1, -5, 6]
+    assert charpoly_ints([[2, 1], [0, 3]]) == [1, -5, 6]
 
 
 def test_charpoly_of_a_companion_matrix():
     # companion of z^3 - 2z^2 + 3z - 4 in controllable form
-    assert _charpoly_ints([[2, -3, 4], [1, 0, 0], [0, 1, 0]]) == [1, -2, 3, -4]
+    assert charpoly_ints([[2, -3, 4], [1, 0, 0], [0, 1, 0]]) == [1, -2, 3, -4]
 
 
 def test_charpoly_of_an_empty_matrix_is_one():
-    assert _charpoly_ints([]) == [1]
+    assert charpoly_ints([]) == [1]
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3, 5, 7])
@@ -63,16 +69,16 @@ def test_charpoly_equals_the_fraction_reference(dim):
     rng = np.random.default_rng(70 + dim)
     for bound in (9, 10**12):
         rows = rng.integers(-bound, bound + 1, size=(dim, dim)).tolist()
-        assert _charpoly_ints(rows) == reference_charpoly(rows)
+        assert charpoly_ints(rows) == reference_charpoly(rows)
     # entries far past int64, as the certificate's scaled closed loop has
     rows = [[v * 3**60 + 1 for v in row] for row in rng.integers(-9, 10, size=(dim, dim)).tolist()]
-    assert _charpoly_ints(rows) == reference_charpoly(rows)
+    assert charpoly_ints(rows) == reference_charpoly(rows)
 
 
 def test_charpoly_of_a_nilpotent_matrix_is_a_pure_power():
     # strictly triangular: every coefficient but the leading one is exactly zero
     rows = np.triu(np.arange(1, 26).reshape(5, 5), k=1).tolist()
-    assert _charpoly_ints(rows) == [1] + [0] * 5
+    assert charpoly_ints(rows) == [1] + [0] * 5
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3, 4, 5, 6, 7])
@@ -98,7 +104,7 @@ def test_charpoly_of_sparse_rows_equals_the_fraction_reference(dim):
                 a[i, j] = value
         cases.append(a)
     for a in cases:
-        assert _charpoly_ints(a.tolist()) == reference_charpoly(a.tolist())
+        assert charpoly_ints(a.tolist()) == reference_charpoly(a.tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -235,19 +241,35 @@ def test_a_non_finite_input_never_certifies(bad):
             exact_pole_check(BENCH_THETA0, lifted, 2)
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 4])
-def test_certificates_equal_the_fraction_reference(n):
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_certificates_equal_the_fraction_reference(n, monkeypatch):
+    # perturb each lifted target coefficient in turn: the design absorbs all
+    # but the leading one, whose gap must be the reference's exactly.  The
+    # gap divides by |det|, so half the estimates have det(M) < 0 and Bareiss
+    # must return dets of both signs; at n = 1, det(M) = b_1^2 is never negative
+    dets = []
+    bareiss = adaptive_pp.exact._bareiss
+
+    def recorded(rows):
+        det, x = bareiss(rows)
+        dets.append(det)
+        return det, x
+
+    monkeypatch.setattr(adaptive_pp.exact, "_bareiss", recorded)
     rng = np.random.default_rng(110 + n)
     dim = 2 * n + 1
-    for _ in range(6):
-        theta = rng.uniform(-2.0, 2.0, dim)
-        # a perturbed leading coefficient leaves a nonzero, exactly known gap
-        lifted = np.concatenate(([1.0 + rng.uniform(-1e-6, 1e-6)], rng.uniform(-1.0, 1.0, dim)))
-        cert = exact_pole_check(theta, lifted, n)
-        assert cert != 0
-        assert cert == _reference_certificate(theta, lifted, n)
-        lifted[0] = 1.0
-        assert exact_pole_check(theta, lifted, n) == _reference_certificate(theta, lifted, n) == 0
+    pool = rng.uniform(-2.0, 2.0, (40, dim))
+    negative = np.linalg.det(sylvester_matrix(pool, n)) < 0
+    for theta in np.concatenate((pool[~negative][:3], pool[negative][:3])):
+        target = np.concatenate(([1.0], rng.uniform(-1.0, 1.0, dim)))
+        assert exact_pole_check(theta, target, n) == _reference_certificate(theta, target, n) == 0
+        for k in range(dim + 1):
+            lifted = target.copy()
+            lifted[k] += rng.uniform(-1e-6, 1e-6)
+            cert = exact_pole_check(theta, lifted, n)
+            assert cert == _reference_certificate(theta, lifted, n)
+            assert (cert != 0) == (k == 0)
+    assert min(dets) < 0 < max(dets) if n > 1 else min(dets) > 0
 
 
 @pytest.mark.parametrize(
@@ -292,6 +314,32 @@ def test_every_benchmark_estimate_certifies_exactly():
     assert all(exact_pole_check(theta, lifted, cfg.n) == 0 for theta in estimates)
 
 
+def test_every_order4_estimate_certifies_exactly():
+    # the general order end to end: every distinct estimate the n = 4 example logs
+    cfg = load_config(os.path.join(ROOT, "examples", "order4.json"))[0]
+    estimates = np.unique(run_closed_loop(cfg).theta_hat, axis=0)
+    assert cfg.n == 4 and len(estimates) == 224
+    lifted = cfg.target.lifted_coeffs()
+    certs = [exact_pole_check(theta, lifted, cfg.n) for theta in estimates]
+    assert all(isinstance(c, Fraction) and c == 0 for c in certs)
+
+
+@pytest.mark.parametrize(
+    "n, theta, lifted",
+    [
+        (0, np.array([0.5]), np.array([1.0, 0.0])),
+        (2.0, BENCH_THETA0, BENCH_TARGET.lifted_coeffs()),
+        (-1, BENCH_THETA0, BENCH_TARGET.lifted_coeffs()),
+    ],
+    ids=["zero", "float", "negative"],
+)
+def test_certificate_refuses_an_order_that_is_not_a_positive_integer(n, theta, lifted):
+    # lengths that fit 2n+1 must not carry a bad n on: n = 0 would reach the
+    # solve as a singular 1 x 1 design, n = 2.0 a TypeError from range
+    with pytest.raises(ValueError, match="n must be an integer of at least 1"):
+        exact_pole_check(theta, lifted, n)
+
+
 def test_certificate_raises_cleanly_on_a_singular_design():
     theta = np.array([0.5, -1.0, 1.5, 0.0, 0.0])  # zero numerator
     with pytest.raises(ZeroDivisionError):
@@ -319,7 +367,7 @@ def _design_polynomial(theta, gains, n) -> list[Fraction]:
     return out
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
 def test_closed_loop_charpoly_is_the_design_polynomial(n):
     # det(zI - A(theta, K)) is the z-lift of Abar L + B P for any estimate and
     # any gain row, solved or not; the lift lists the same coefficients.  The
@@ -328,7 +376,7 @@ def test_closed_loop_charpoly_is_the_design_polynomial(n):
     rng = np.random.default_rng(70 + n)
     for _ in range(200):
         theta, gains = rng.integers(-9, 10, (2, 2 * n + 1))
-        charpoly = _charpoly_ints(closed_loop_matrix(theta, gains).astype(int).tolist())
+        charpoly = charpoly_ints(closed_loop_matrix(theta, gains).astype(int).tolist())
         assert charpoly == _design_polynomial(theta, gains, n)
 
 
